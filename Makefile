@@ -43,12 +43,16 @@ lint-baseline:
 	$(GO) run ./cmd/eventcap-lint -baseline lint-baseline.json -write-baseline ./...
 
 # Short-budget fuzzing of the numeric contracts: binomial sampling vs
-# CDF inversion, policy serialization round-trips, and the O(1)
-# recharge closed form vs the sequential loop. Seed corpora live in
-# testdata/fuzz; CI runs this same budget per target.
+# CDF inversion, batched Bernoulli draws vs their per-draw definition,
+# the quantile table's gaps vs inverse-CDF sampling, policy
+# serialization round-trips, and the O(1) recharge closed form vs the
+# sequential loop. Seed corpora live in testdata/fuzz; CI runs this same
+# budget per target.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSampleBinomial -fuzztime $(FUZZTIME) ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzSampleBernoulliBatch -fuzztime $(FUZZTIME) ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzQuantileTableGap -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzVectorJSONRoundTrip -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzClusteringPolicyRoundTrip -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRechargeN -fuzztime $(FUZZTIME) ./internal/energy

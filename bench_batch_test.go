@@ -158,12 +158,13 @@ func TestSummarizeSpeedupRoundsMath(t *testing.T) {
 // growing B at a fixed chunk count must not change it either (all
 // per-replication state — RNG streams, battery, recharge — lives in
 // the reusable per-chunk worker; the only B-sized cost is the one
-// stats slice, a single allocation at any B).
+// stats slice, a single allocation at any B). Two workers split either
+// B evenly, so both B values below run in exactly two chunks.
 func TestBatchSteadyStateAllocs(t *testing.T) {
-	run := func(slots int64, batch, chunk int) float64 {
+	run := func(slots int64, batch int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			cfg := batchBenchConfig(t, sim.EngineBatch, slots, batch, 1)
-			cfg.BatchChunk = chunk
+			cfg.Workers = 2
 			if _, err := sim.Run(cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -171,11 +172,11 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	}
 	// Config construction allocates identically on both sides of each
 	// comparison, so differences isolate the engine.
-	shortT, longT := run(100, 256, 256), run(50_000, 256, 256)
+	shortT, longT := run(100, 256), run(50_000, 256)
 	if longT > shortT {
 		t.Errorf("batch slot loop allocates: %v allocs at T=100, %v at T=50k", shortT, longT)
 	}
-	smallB, largeB := run(2_000, 128, 2048), run(2_000, 2048, 2048)
+	smallB, largeB := run(2_000, 128), run(2_000, 2048)
 	if largeB > smallB {
 		t.Errorf("batch replication loop allocates: %v allocs at B=128, %v at B=2048", smallB, largeB)
 	}

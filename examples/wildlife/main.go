@@ -13,7 +13,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -21,6 +23,7 @@ import (
 	"eventcap/internal/dist"
 	"eventcap/internal/energy"
 	"eventcap/internal/sim"
+	"eventcap/internal/trace"
 )
 
 func main() {
@@ -64,11 +67,8 @@ func run() error {
 	fmt.Printf("  window-refined U = %.4f (%d extra sleep windows)\n",
 		refined.CaptureProb, len(refined.Policy.Windows))
 
-	// Simulate and show a short activity strip around a miss/recovery.
-	var strip strings.Builder
-	recording := false
-	recorded := 0
-	res, err := sim.Run(sim.Config{
+	// Simulate, then show a short activity strip around a miss/recovery.
+	cfg := sim.Config{
 		Dist:   visits,
 		Params: params,
 		NewRecharge: func() energy.Recharge {
@@ -80,26 +80,12 @@ func run() error {
 		Slots:      1_000_000,
 		Seed:       11,
 		Info:       sim.PartialInfo,
-		Trace: func(r sim.TraceRecord) {
-			// Record a strip starting at the first missed visit.
-			if !recording && r.Event && !r.Captured && r.Slot > 100 {
-				recording = true
-			}
-			if recording && recorded < 120 {
-				switch {
-				case r.Captured:
-					strip.WriteByte('C') // captured visit
-				case r.Event:
-					strip.WriteByte('!') // missed visit
-				case len(r.Actions) > 0 && r.Actions[0]:
-					strip.WriteByte('a') // active, nothing there
-				default:
-					strip.WriteByte('.') // asleep
-				}
-				recorded++
-			}
-		},
-	})
+	}
+	res, err := sim.Run(cfg)
+	if err != nil {
+		return err
+	}
+	strip, err := activityStrip(cfg)
 	if err != nil {
 		return err
 	}
@@ -124,8 +110,63 @@ func run() error {
 	}
 	fmt.Printf("aggressive baseline under the same energy: QoM %.4f\n", agg.QoM)
 
-	fmt.Printf("\nactivity strip from the first miss (a=active, .=asleep, C=capture, !=missed):\n  %s\n", strip.String())
+	fmt.Printf("\nactivity strip from the first miss (a=active, .=asleep, C=capture, !=missed):\n  %s\n", strip)
 	fmt.Println("\nnote the recovery: after '!', the camera stays on ('aaaa…') until the next 'C',")
 	fmt.Println("then the cooling/hot rhythm ('....aaa') resumes — exactly Eq. (11)'s structure.")
 	return nil
+}
+
+// activityStrip replays the start of cfg's run on the reference engine
+// under a full slot trace and renders 120 slots from the first missed
+// visit after slot 100. The reference engine draws the same streams
+// whatever the horizon, so a short traced run shows exactly the long
+// run's first slots.
+func activityStrip(cfg sim.Config) (string, error) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	cfg.Slots = 20_000
+	cfg.Engine = sim.EngineReference
+	cfg.Tracer = trace.New(w, nil)
+	if _, err := sim.Run(cfg); err != nil {
+		return "", err
+	}
+	if err := w.Close(); err != nil {
+		return "", err
+	}
+	r, err := trace.NewReader(&buf)
+	if err != nil {
+		return "", err
+	}
+	var strip strings.Builder
+	recording := false
+	for strip.Len() < 120 {
+		f, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return "", err
+		}
+		if f.Kind != trace.FrameSlot {
+			continue
+		}
+		flags := f.Rec.Flags
+		if !recording && flags&trace.FlagEvent != 0 && flags&trace.FlagCaptured == 0 && f.Rec.Slot > 100 {
+			recording = true
+		}
+		if !recording {
+			continue
+		}
+		switch {
+		case flags&trace.FlagCaptured != 0:
+			strip.WriteByte('C') // captured visit
+		case flags&trace.FlagEvent != 0:
+			strip.WriteByte('!') // missed visit
+		case flags&trace.FlagActive != 0:
+			strip.WriteByte('a') // active, nothing there
+		default:
+			strip.WriteByte('.') // asleep
+		}
+	}
+	return strip.String(), nil
 }

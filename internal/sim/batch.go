@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"eventcap/internal/core"
 	"eventcap/internal/dist"
@@ -31,13 +30,16 @@ import (
 // disables the batched awake runs below), and equal in law otherwise —
 // the same clause the kernel's sleep fast-forward already carries. The
 // chunk sharding and worker count never touch the streams, so results
-// are byte-identical across every Workers/BatchChunk setting.
+// are byte-identical across every Workers setting.
 
-// defaultBatchChunk is the replications-per-chunk sharding default: large
-// enough to amortize per-chunk state (battery, recharge instance, RNG
-// values) across many replications, small enough that a 10⁵-replication
-// batch still spreads across a worker pool.
-const defaultBatchChunk = 1024
+// maxBatchChunk caps the replications per chunk. Chunks are the unit of
+// worker parallelism and of state reuse: runBatch splits the batch
+// evenly across the resolved workers (⌈Batch/workers⌉ replications per
+// chunk, so every worker gets a share of even a small batch), and the
+// cap keeps a 10⁵-replication batch in enough chunks to balance load
+// while still amortizing per-chunk state (battery, recharge instance,
+// RNG values) across many replications.
+const maxBatchChunk = 1024
 
 // batchPlan is a validated, instantiated batch configuration: the kernel
 // plan plus the batch-only shared tables. Exactly one of kernel and
@@ -139,17 +141,18 @@ func compileBatchIndependent(cfg *Config, sp *obs.Span) (*batchPlan, fallback) {
 	return plan, fallback{}
 }
 
-// runBatch executes the batch: replications are sharded into chunks of
-// Config.BatchChunk and the chunks mapped across the worker pool; each
-// chunk owns one batchWorker whose state is reset per replication.
+// runBatch executes the batch: replications are sharded into chunks
+// (see maxBatchChunk) and the chunks mapped across the worker pool; each
+// chunk owns one batch runner whose state is reset per replication.
 func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 	reps := cfg.Batch
 	if reps < 1 {
 		reps = 1
 	}
-	chunk := cfg.BatchChunk
-	if chunk < 1 {
-		chunk = defaultBatchChunk
+	workers := parallel.Workers(cfg.Workers)
+	chunk := (reps + workers - 1) / workers
+	if chunk > maxBatchChunk {
+		chunk = maxBatchChunk
 	}
 	numChunks := (reps + chunk - 1) / chunk
 	if plan.kernel != nil {
@@ -167,14 +170,14 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 	n := plan.sensors()
 	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, reps*n), Engine: EngineBatch}
 	sensors := res.Sensors
+	o := newObserver(&cfg, 0) // no trace engine code: compileBatch declines tracers
 	// The stats probe observes at replication granularity (mirroring
 	// Metrics.mergeReplica): chunks record their replications' event
 	// totals at disjoint indices, and the feed happens in replication
 	// order after the join — the workers' awake-run batching and draw
 	// discipline stay untouched.
-	probe := newStatsProbe(&cfg)
 	var repCounts [][2]int64
-	if probe != nil {
+	if o.sp != nil {
 		repCounts = make([][2]int64, reps)
 	}
 
@@ -188,17 +191,15 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 		events, captures int64
 		m                *Metrics
 	}
-	outs, err := parallel.MapInner(cfg.Workers, numChunks, func(ci int) (chunkOut, error) {
+	outs, err := parallel.MapInner(workers, numChunks, func(ci int) (chunkOut, error) {
 		csp := ex.Fork("chunk")
 		defer csp.End()
 		w, err := newBatchRunner(&cfg, plan)
 		if err != nil {
 			return chunkOut{}, err
 		}
-		var out chunkOut
-		if cfg.Metrics {
-			out.m = &Metrics{}
-		}
+		co := newPart(&cfg, 0)
+		out := chunkOut{m: co.m}
 		lo := ci * chunk
 		hi := lo + chunk
 		if hi > reps {
@@ -206,7 +207,10 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 		}
 		csp.Count("replications", int64(hi-lo))
 		for r := lo; r < hi; r++ {
-			ev, cp := w.simulate(&cfg, plan, uint64(r), sensors[r*n:(r+1)*n], out.m, r == 0)
+			// Batch Metrics define battery occupancy on replication 0
+			// only; the probe's battery stream stays off on batches.
+			co.sampling = co.m != nil && r == 0
+			ev, cp := w.simulate(&cfg, plan, uint64(r), sensors[r*n:(r+1)*n], &co)
 			if repCounts != nil {
 				repCounts[r] = [2]int64{ev, cp}
 			}
@@ -221,43 +225,30 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 	}
 
 	agg := ex.Child("aggregate")
-	var m *Metrics
-	if cfg.Metrics {
-		m = &Metrics{}
-		res.Metrics = m
-	}
-	for _, o := range outs {
-		res.Events += o.events
-		res.Captures += o.captures
-		if m != nil {
+	for _, c := range outs {
+		res.Events += c.events
+		res.Captures += c.captures
+		if o.m != nil {
 			// Only replication 0's chunk carries battery-occupancy
 			// observations, so a plain Merge preserves the replication-0
 			// occupancy convention (see Metrics.mergeReplica).
-			m.Merge(o.m)
+			o.m.Merge(c.m)
 		}
 	}
-	if probe != nil {
-		for _, rc := range repCounts {
-			probe.ObserveReplica(rc[0], rc[1])
-		}
+	for _, rc := range repCounts {
+		o.sp.ObserveReplica(rc[0], rc[1])
 	}
-	if res.Events > 0 {
-		res.QoM = float64(res.Captures) / float64(res.Events)
-	}
-	recordEngine(res.Engine)
-	if m != nil {
-		m.publish(res)
-	}
-	probe.finish(res)
+	o.finish(res)
 	agg.End()
 	return res, nil
 }
 
 // batchRunner is one chunk's replication executor; simulate runs
-// replication rep into its rep-major sensors block and returns the
-// replication's event and capture counts.
+// replication rep into its rep-major sensors block, observing into the
+// chunk's observer, and returns the replication's event and capture
+// counts.
 type batchRunner interface {
-	simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, m *Metrics, observe bool) (events, captures int64)
+	simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, o *observer) (events, captures int64)
 }
 
 // newBatchRunner picks the chunk worker for the plan's shape: the
@@ -315,7 +306,7 @@ func newBatchWorker(cfg *Config, plan *batchPlan) (*batchWorker, error) {
 		return nil, err
 	}
 	w.battery = b
-	w.rech, w.rechRst, err = chunkRecharge(cfg, plan.kernel.recharge)
+	w.rech, w.rechRst, err = chunkRecharge(cfg, plan.kernel.recharges[0])
 	if err != nil {
 		return nil, err
 	}
@@ -328,14 +319,12 @@ func newBatchWorker(cfg *Config, plan *batchPlan) (*batchWorker, error) {
 }
 
 // simulate runs one replication, returning its event and capture counts.
-// The loop is the kernel's (runKernel) minus tracing, plus the two batch
+// The loop is the kernel's (runFleetKernel at N = 1) minus tracing, plus the two batch
 // accelerations: quantile-table event sampling (byte-identical to
 // Dist.Sample by the InverseSampler contract) and closed-form awake runs
-// (equal in law; disabled whenever m != nil so instrumented replications
-// consume their streams exactly as the kernel would). observe enables
-// battery-occupancy sampling, which batch Metrics define on replication 0
-// only.
-func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, m *Metrics, observe bool) (events, captures int64) {
+// (equal in law; disabled whenever Metrics are on so instrumented
+// replications consume their streams exactly as the kernel would).
+func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, o *observer) (events, captures int64) {
 	stats := &sensors[0]
 	w.root.Reseed(cfg.Seed+rep, 0x5eed) // seedflow:ok replication-root: rep r must equal the kernel's root at Seed+r
 	w.root.SplitInto(&w.eventSrc, 1)
@@ -360,17 +349,8 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 	// Bernoulli per slot, so it is off whenever metrics are on — an
 	// instrumented replication must consume its streams exactly as the
 	// kernel at Seed + rep would.
-	oneRuns := m == nil && isBern
-
-	invCap := 1 / cfg.BatteryCap
-	binScale := batteryBins * invCap
-	costGate := cost - 1e-12
-	var obsSlots, outage int64
-	var fracSum float64
-	sampleCountdown := int64(math.MaxInt64)
-	if m != nil && observe {
-		sampleCountdown = batterySampleStride
-	}
+	oneRuns := o.m == nil && isBern
+	countdown := o.stride()
 
 	var activations, denied int64
 
@@ -430,22 +410,18 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 					}
 				}
 			}
-			if m != nil {
-				m.KernelRuns++
-				m.KernelSlotsFastForwarded += n
-				m.MissAsleep += events - eventsBefore
-			}
+			o.sleepRun(n, events-eventsBefore)
 			t += n
 			continue
 		}
 
 		if oneRuns {
-			if o := table.OneRunFrom(int(st)); o > 1 {
+			if one := table.OneRunFrom(int(st)); one > 1 {
 				// Certain-activation run: Bernoulli(p >= 1) consumes no
 				// decision draws, so until the next event the slots are a
 				// pure recharge/consume stream the battery can absorb in
 				// closed form.
-				n := o
+				n := one
 				if state == StateSlotPhase {
 					if wrap := modulus - st + 1; n > wrap {
 						n = wrap
@@ -501,28 +477,12 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 			} else {
 				nextEvent = t + int64(d.Sample(&w.eventSrc))
 			}
-			if m != nil && !capturedHere {
-				if deniedHere {
-					m.MissNoEnergy++
-				} else {
-					m.MissAsleep++
-				}
-			}
+			o.event(t, capturedHere, deniedHere)
 		}
-		sampleCountdown--
-		if sampleCountdown == 0 {
-			sampleCountdown = batterySampleStride
-			lvl := battery.Level()
-			obsSlots++
-			fracSum += lvl * invCap
-			bin := int(lvl * binScale)
-			if bin >= batteryBins {
-				bin = batteryBins - 1
-			}
-			m.BatteryHist[bin]++
-			if lvl < costGate {
-				outage++
-			}
+		countdown--
+		if countdown == 0 {
+			countdown = batterySampleStride
+			o.battery(battery.Level())
 		}
 		t++
 	}
@@ -533,14 +493,6 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 	stats.EnergyConsumed = battery.Consumed()
 	stats.OverflowLost = battery.OverflowLost()
 	stats.FinalBattery = battery.Level()
-	if m != nil {
-		m.ObservedSlots += obsSlots
-		m.BatteryFracSum += fracSum
-		m.EnergyOutageSlots += outage
-		// An activation on an event slot always captures, so wasted
-		// (no-event) activations are exactly activations − captures.
-		m.WastedActivations += activations - captures
-	}
 	return events, captures
 }
 
@@ -578,67 +530,65 @@ func (w *batchWorker) awakeRun(n int64, cost, delta1 float64) bool {
 // forced: replication r reruns the configuration at Seed + r with Batch
 // cleared, preserving the batch engine's seed pairing so results stay
 // comparable across engines. Replications run sequentially — the per-run
-// engines parallelize internally where profitable, and the trace hooks
-// (handed to replication 0 only, like Timeline) are single-stream
-// consumers. Each inner run publishes its own observability totals;
-// the aggregate does not publish again.
+// engines parallelize internally where profitable, and the tracer is a
+// single-stream consumer. Each inner run publishes its own observability
+// totals; the aggregate does not publish again. The aggregate's stats
+// probe observes at replication granularity, exactly like runBatch.
 func runBatchFallback(cfg Config) (*Result, error) {
-	reps := cfg.Batch
 	ex := cfg.Span.Child("exec.batch_fallback")
 	defer ex.End()
-	ex.Count("replications", int64(reps))
-	res := &Result{Slots: cfg.Slots}
-	var m *Metrics
-	if cfg.Metrics {
-		m = &Metrics{}
-		res.Metrics = m
-	}
-	// The aggregate's stats probe observes at replication granularity,
-	// exactly like runBatch; the inner runs never see Stats/StatsSink
-	// (their per-event streams would describe one replication, not the
-	// batch).
+	ex.Count("replications", int64(cfg.Batch))
+	agg := &Result{Slots: cfg.Slots}
 	probe := newStatsProbe(&cfg)
-	for r := 0; r < reps; r++ {
-		sub := cfg
-		sub.Batch = 0
-		sub.BatchChunk = 0
-		sub.Stats = false
-		sub.StatsSink = nil
-		sub.Seed = cfg.Seed + uint64(r)
-		// Every replication's compile/exec spans nest under this phase;
-		// replication 0 stands for all of them (spans are per-phase, and
-		// B sequential identical trees would bloat the export), matching
-		// the Trace/Timeline convention below.
-		sub.Span = ex
-		if r > 0 {
-			sub.Span = nil
-			sub.Trace = nil
-			sub.Tracer = nil
-			sub.SampleEvery = 0
-		}
-		rr, err := Run(sub)
+	sub := cfg
+	sub.Span = ex // replication 0's compile/exec spans nest under this phase
+	for r := 0; r < cfg.Batch; r++ {
+		rr, err := runReplicas(sub, agg, r, 1, false)
 		if err != nil {
 			return nil, fmt.Errorf("sim: batch replication %d: %w", r, err)
 		}
-		res.Events += rr.Events
-		res.Captures += rr.Captures
-		res.Sensors = append(res.Sensors, rr.Sensors...)
 		if probe != nil {
 			probe.ObserveReplica(rr.Events, rr.Captures)
 		}
-		if r == 0 {
-			res.Engine = rr.Engine
-			res.Timeline = rr.Timeline
-			if m != nil {
-				*m = *rr.Metrics
-			}
-		} else if m != nil {
-			m.mergeReplica(rr.Metrics)
-		}
 	}
-	if res.Events > 0 {
-		res.QoM = float64(res.Captures) / float64(res.Events)
+	probe.finish(agg)
+	return agg, nil
+}
+
+// runReplicas runs replications [lo, lo+size) of cfg as one Run at seeds
+// Seed+lo onward (size 1 is a plain single run) and folds its Result
+// into agg: summed counts, appended sensor blocks, the pooled QoM, and
+// Metrics merged under the batch convention (Metrics.mergeReplica). Only
+// the first block keeps the single-stream consumers — the span tree and
+// the tracer; B sequential identical span trees would bloat the export.
+// The inner run gets its own stats probe iff stats, and never a
+// streaming sink: its per-event stream describes one block, not the
+// whole aggregate.
+func runReplicas(cfg Config, agg *Result, lo, size int, stats bool) (*Result, error) {
+	sub := cfg
+	sub.Seed = cfg.Seed + uint64(lo)
+	sub.Batch = size
+	sub.Stats = stats
+	sub.StatsSink = nil
+	if lo > 0 {
+		sub.Span = nil
+		sub.Tracer = nil
 	}
-	probe.finish(res)
-	return res, nil
+	rr, err := Run(sub)
+	if err != nil {
+		return nil, err
+	}
+	agg.Events += rr.Events
+	agg.Captures += rr.Captures
+	agg.Sensors = append(agg.Sensors, rr.Sensors...)
+	if agg.Events > 0 {
+		agg.QoM = float64(agg.Captures) / float64(agg.Events)
+	}
+	if lo == 0 {
+		agg.Engine = rr.Engine
+		agg.Metrics = rr.Metrics
+	} else if agg.Metrics != nil {
+		agg.Metrics.mergeReplica(rr.Metrics)
+	}
+	return rr, nil
 }

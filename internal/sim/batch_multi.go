@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"eventcap/internal/energy"
 	"eventcap/internal/rng"
 )
@@ -12,11 +10,11 @@ import (
 //
 //   - batchMultiWorker: coordinated round-robin fleets (plan.kernel.n >
 //     1). One shared decision state, N batteries, N recharge streams —
-//     the runKernelMulti loop with the batch accelerations (quantile
-//     event sampling). There is no awake-run batching here: decision
+//     the runFleetKernel loop with the batch accelerations (quantile event
+//     sampling). There is no awake-run batching here: decision
 //     ownership rotates per slot, so a certain-activation run spans
 //     several batteries and the closed-form guard no longer applies.
-//     Replication r is therefore byte-identical to runKernelMulti at
+//     Replication r is therefore byte-identical to runFleetKernel at
 //     Seed + r whenever that kernel is byte-deterministic, and equal in
 //     law under Bernoulli recharge (the FastForwarder clause).
 //
@@ -24,9 +22,9 @@ import (
 //     (plan.indep != nil). Replication r reproduces runIndependent at
 //     Seed + r: same stream layout (event Split(1), a discarded
 //     Split(2), recharge Split(100+s), decision Split(200+s)), same
-//     shared event trajectory, one compiled per-sensor loop each. The
-//     battery is a single instance reset per sensor — sensors never
-//     interact, so sequential reuse is exact.
+//     shared event trajectory, the same compiled per-sensor loop
+//     (indepSensorPlan.run). The battery is a single instance reset per
+//     sensor — sensors never interact, so sequential reuse is exact.
 
 // batchMultiWorker is one chunk's replication state for a round-robin
 // fleet: per-sensor batteries, recharge processes and streams, reset or
@@ -74,9 +72,9 @@ func newBatchMultiWorker(cfg *Config, plan *batchPlan) (*batchMultiWorker, error
 	return w, nil
 }
 
-func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, m *Metrics, observe bool) (events, captures int64) {
+func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, o *observer) (events, captures int64) {
 	n := len(sensors)
-	w.root.Reseed(cfg.Seed+rep, 0x5eed) // seedflow:ok replication-root: rep r must equal the multi kernel's root at Seed+r
+	w.root.Reseed(cfg.Seed+rep, 0x5eed) // seedflow:ok replication-root: rep r must equal the kernel's root at Seed+r
 	w.root.SplitInto(&w.eventSrc, 1)
 	w.root.SplitInto(&w.decisionSrc, 2)
 	for s := 0; s < n; s++ {
@@ -95,19 +93,7 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 	cost := cfg.Params.ActivationCost()
 	delta1, delta2 := cfg.Params.Delta1, cfg.Params.Delta2
 	isBern := w.allBern
-
-	invCap := 1 / cfg.BatteryCap
-	binScale := batteryBins * invCap
-	costGate := cost - 1e-12
-	var obsSlots, outage int64
-	var fracSum float64
-	var activations, denied, sensorCaptures []int64
-	perSensor := make([]int64, 3*n)
-	activations, denied, sensorCaptures = perSensor[:n], perSensor[n:2*n], perSensor[2*n:]
-	sampleCountdown := int64(math.MaxInt64)
-	if m != nil && observe {
-		sampleCountdown = batterySampleStride
-	}
+	countdown := o.stride()
 
 	// The paper assumes an event (and capture) at slot 0.
 	lastEvent, lastCapture := int64(0), int64(0)
@@ -132,7 +118,7 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 		}
 
 		if z := table.ZeroRunFrom(int(st)); z > 0 {
-			// Shared sleep run, exactly as runKernelMulti executes it: the
+			// Shared sleep run, exactly as runFleetKernel executes it: the
 			// whole fleet stays silent and every battery fast-forwards
 			// through its own stream.
 			run := z
@@ -172,11 +158,7 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 					}
 				}
 			}
-			if m != nil {
-				m.KernelRuns++
-				m.KernelSlotsFastForwarded += run
-				m.MissAsleep += events - eventsBefore
-			}
+			o.sleepRun(run, events-eventsBefore)
 			t += run
 			continue
 		}
@@ -200,14 +182,14 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 		capturedHere, deniedHere := false, false
 		if w.decisionSrc.Bernoulli(p) {
 			if !battery.CanConsume(cost) {
-				denied[charge]++
+				sensors[charge].Denied++
 				deniedHere = true
 			} else {
 				battery.Consume(delta1)
-				activations[charge]++
+				sensors[charge].Activations++
 				if event {
 					battery.Consume(delta2)
-					sensorCaptures[charge]++
+					sensors[charge].Captures++
 					captures++
 					lastCapture = t
 					capturedHere = true
@@ -222,54 +204,20 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 			} else {
 				nextEvent = t + int64(d.Sample(&w.eventSrc))
 			}
-			if m != nil && !capturedHere {
-				if deniedHere {
-					m.MissNoEnergy++
-				} else {
-					m.MissAsleep++
-				}
-			}
+			o.event(t, capturedHere, deniedHere)
 		}
-		sampleCountdown--
-		if sampleCountdown == 0 {
-			sampleCountdown = batterySampleStride
-			lvl := w.batteries[0].Level()
-			obsSlots++
-			fracSum += lvl * invCap
-			bin := int(lvl * binScale)
-			if bin >= batteryBins {
-				bin = batteryBins - 1
-			}
-			m.BatteryHist[bin]++
-			if lvl < costGate {
-				outage++
-			}
+		countdown--
+		if countdown == 0 {
+			countdown = batterySampleStride
+			o.battery(w.batteries[0].Level())
 		}
 		t++
 	}
 
 	for s := 0; s < n; s++ {
-		sensors[s] = SensorStats{
-			Activations:    activations[s],
-			Captures:       sensorCaptures[s],
-			Denied:         denied[s],
-			EnergyConsumed: w.batteries[s].Consumed(),
-			OverflowLost:   w.batteries[s].OverflowLost(),
-			FinalBattery:   w.batteries[s].Level(),
-		}
-	}
-	if m != nil {
-		m.ObservedSlots += obsSlots
-		m.BatteryFracSum += fracSum
-		m.EnergyOutageSlots += outage
-		var act, cap64 int64
-		for s := 0; s < n; s++ {
-			act += activations[s]
-			cap64 += sensorCaptures[s]
-		}
-		// An activation on an event slot always captures, so wasted
-		// (no-event) activations are exactly activations − captures.
-		m.WastedActivations += act - cap64
+		sensors[s].EnergyConsumed = w.batteries[s].Consumed()
+		sensors[s].OverflowLost = w.batteries[s].OverflowLost()
+		sensors[s].FinalBattery = w.batteries[s].Level()
 	}
 	return events, captures
 }
@@ -285,9 +233,6 @@ type batchIndepWorker struct {
 	battery      *energy.Battery
 	rechs        []energy.FastForwarder
 	rechRsts     []resettable
-
-	isBern       []bool
-	bernQ, bernC []float64
 
 	eventBuf    []int64
 	capturedBuf []bool
@@ -306,9 +251,6 @@ func newBatchIndepWorker(cfg *Config, plan *batchPlan) (*batchIndepWorker, error
 		battery:      b,
 		rechs:        make([]energy.FastForwarder, n),
 		rechRsts:     make([]resettable, n),
-		isBern:       make([]bool, n),
-		bernQ:        make([]float64, n),
-		bernC:        make([]float64, n),
 	}
 	for s := 0; s < n; s++ {
 		rech, rst, err := chunkRecharge(cfg, plan.indep[s].recharge)
@@ -316,15 +258,11 @@ func newBatchIndepWorker(cfg *Config, plan *batchPlan) (*batchIndepWorker, error
 			return nil, err
 		}
 		w.rechs[s], w.rechRsts[s] = rech, rst
-		if bern, ok := rech.(*energy.Bernoulli); ok {
-			w.isBern[s] = true
-			w.bernQ[s], w.bernC[s] = bern.Q(), bern.C()
-		}
 	}
 	return w, nil
 }
 
-func (w *batchIndepWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, m *Metrics, observe bool) (events, captures int64) {
+func (w *batchIndepWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, o *observer) (events, captures int64) {
 	n := len(sensors)
 	w.root.Reseed(cfg.Seed+rep, 0x5eed) // seedflow:ok replication-root: rep r must equal runIndependent's root at Seed+r
 	w.root.SplitInto(&w.eventSrc, 1)
@@ -364,122 +302,25 @@ func (w *batchIndepWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 		deniedAny[i] = false
 	}
 
-	cost := cfg.Params.ActivationCost()
-	delta1, delta2 := cfg.Params.Delta1, cfg.Params.Delta2
-	invCap := 1 / cfg.BatteryCap
-
-	b := w.battery
 	for s := 0; s < n; s++ {
-		sp := &plan.indep[s]
-		b.Reset(cfg.InitialBattery)
+		w.battery.Reset(cfg.InitialBattery)
 		if w.rechRsts[s] != nil {
 			w.rechRsts[s].Reset()
 		}
-		rSrc, dSrc := &w.rechargeSrcs[s], &w.decisionSrcs[s]
-		rech := w.rechs[s]
-		isBern, bq, bc := w.isBern[s], w.bernQ[s], w.bernC[s]
-		var activations, sensorCaptures, denied int64
 		// Battery occupancy keeps the batch convention (replication 0
-		// only) and the independent-kernel one (sensor 0, awake stride).
-		sampleCountdown := int64(math.MaxInt64)
-		if m != nil && observe && s == 0 {
-			sampleCountdown = batterySampleStride
-		}
-		lastCapture := int64(0)
-		ei := 0
-		t := int64(1)
-		for t <= cfg.Slots {
-			var st int64
-			if sp.state == StateSinceCapture {
-				st = t - lastCapture
-			} else {
-				st = (t-1)%sp.modulus + 1
-			}
-			if z := sp.table.ZeroRunFrom(int(st)); z > 0 {
-				run := z
-				if sp.state == StateSlotPhase {
-					if wrap := sp.modulus - st + 1; run > wrap {
-						run = wrap
-					}
-				}
-				if left := cfg.Slots - t + 1; run > left {
-					run = left
-				}
-				rech.FastForward(b, run, rSrc)
-				end := t + run - 1
-				for ei < len(eventSlots) && eventSlots[ei] <= end {
-					ei++
-				}
-				if m != nil {
-					m.KernelRuns++
-					m.KernelSlotsFastForwarded += run
-				}
-				t += run
-				continue
-			}
-			if isBern {
-				if rSrc.Bernoulli(bq) {
-					b.Recharge(bc)
-				}
-			} else {
-				b.Recharge(rech.Next(rSrc))
-			}
-			event := ei < len(eventSlots) && eventSlots[ei] == t
-			p := sp.table.At(int(st))
-			if dSrc.Bernoulli(p) {
-				if !b.CanConsume(cost) {
-					denied++
-					if event {
-						deniedAny[ei] = true
-					}
-				} else {
-					b.Consume(delta1)
-					activations++
-					if event {
-						b.Consume(delta2)
-						sensorCaptures++
-						capturedAny[ei] = true
-						lastCapture = t
-					}
-				}
-			}
-			if event {
-				ei++
-			}
-			sampleCountdown--
-			if sampleCountdown == 0 {
-				sampleCountdown = batterySampleStride
-				m.observeBattery(b.Level() * invCap)
-				if !b.CanConsume(cost) {
-					m.EnergyOutageSlots++
-				}
-			}
-			t++
-		}
-		sensors[s] = SensorStats{
-			Activations:    activations,
-			Captures:       sensorCaptures,
-			Denied:         denied,
-			EnergyConsumed: b.Consumed(),
-			OverflowLost:   b.OverflowLost(),
-			FinalBattery:   b.Level(),
-		}
-		if m != nil {
-			m.WastedActivations += activations - sensorCaptures
-		}
+		// only) and the independent engine's (sensor 0).
+		so := *o
+		so.sampling = o.sampling && s == 0
+		sensors[s] = plan.indep[s].run(cfg, w.battery, w.rechs[s], &w.rechargeSrcs[s], &w.decisionSrcs[s],
+			cfg.Slots, eventSlots, capturedAny, deniedAny, &so)
 	}
 
 	events = int64(len(eventSlots))
-	for i := range capturedAny {
+	for i, slot := range eventSlots {
 		if capturedAny[i] {
 			captures++
-		} else if m != nil {
-			if deniedAny[i] {
-				m.MissNoEnergy++
-			} else {
-				m.MissAsleep++
-			}
 		}
+		o.event(slot, capturedAny[i], deniedAny[i])
 	}
 	return events, captures
 }

@@ -40,6 +40,7 @@ func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 				t.Fatalf("%s: batch returned %d sensor blocks, want %d", rc.name, len(batch.Sensors), reps*n)
 			}
 			var events, captures int64
+			var agg *Metrics
 			for r := 0; r < reps; r++ {
 				sub := multiKernelConfig(t, kc, rc.make, n, 100, 42+uint64(r))
 				sub.Slots = 10_000
@@ -55,19 +56,39 @@ func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 				}
 				events += one.Events
 				captures += one.Captures
+				agg = foldReplicaMetrics(agg, one.Metrics)
 			}
 			if batch.Events != events || batch.Captures != captures {
 				t.Errorf("%s: batch totals %d/%d, paired kernel sum %d/%d",
 					rc.name, batch.Events, batch.Captures, events, captures)
 			}
+			if !reflect.DeepEqual(batch.Metrics, agg) {
+				t.Errorf("%s metrics=%v: batch metrics diverge from the replication sum:\nbatch %+v\nsum   %+v",
+					rc.name, metrics, batch.Metrics, agg)
+			}
 		}
 	}
+}
+
+// foldReplicaMetrics folds one replication's Metrics into the running
+// batch aggregate agg under the batch convention: replication 0's copy,
+// then Metrics.mergeReplica. Nil stays nil (metrics off).
+func foldReplicaMetrics(agg, rep *Metrics) *Metrics {
+	if rep == nil {
+		return agg
+	}
+	if agg == nil {
+		c := *rep
+		return &c
+	}
+	agg.mergeReplica(rep)
+	return agg
 }
 
 // TestBatchIndepPerRepMatchesIndependent is the decoupled-fleet pairing:
 // replication r of an independent batch must reproduce the compiled
 // independent engine at Seed + r bit for bit (both paths fast-forward
-// through the same per-sensor streams).
+// through the same per-sensor streams), with metrics on or off.
 func TestBatchIndepPerRepMatchesIndependent(t *testing.T) {
 	const reps = 24
 	recharges := []struct {
@@ -78,47 +99,57 @@ func TestBatchIndepPerRepMatchesIndependent(t *testing.T) {
 		{"bernoulli-0.4-1", func() energy.Recharge { r, _ := energy.NewBernoulli(0.4, 1); return r }},
 	}
 	for _, rc := range recharges {
-		const n = 3
-		cfg := independentKernelConfig(t, rc.make, n, 7)
-		cfg.Slots = 10_000
-		cfg.Engine = EngineBatch
-		cfg.Batch = reps
-		batch, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: batch: %v", rc.name, err)
-		}
-		if len(batch.Sensors) != reps*n {
-			t.Fatalf("%s: batch returned %d sensor blocks, want %d", rc.name, len(batch.Sensors), reps*n)
-		}
-		var events, captures int64
-		for r := 0; r < reps; r++ {
-			sub := independentKernelConfig(t, rc.make, n, 7+uint64(r))
-			sub.Slots = 10_000
-			sub.Engine = EngineKernel
-			one, err := Run(sub)
+		for _, metrics := range []bool{false, true} {
+			const n = 3
+			cfg := independentKernelConfig(t, rc.make, n, 7)
+			cfg.Slots = 10_000
+			cfg.Metrics = metrics
+			cfg.Engine = EngineBatch
+			cfg.Batch = reps
+			batch, err := Run(cfg)
 			if err != nil {
-				t.Fatalf("%s replication %d: %v", rc.name, r, err)
+				t.Fatalf("%s: batch: %v", rc.name, err)
 			}
-			if !reflect.DeepEqual(batch.Sensors[r*n:(r+1)*n], one.Sensors) {
-				t.Fatalf("%s replication %d diverged:\nbatch       %+v\nindependent %+v",
-					rc.name, r, batch.Sensors[r*n:(r+1)*n], one.Sensors)
+			if len(batch.Sensors) != reps*n {
+				t.Fatalf("%s: batch returned %d sensor blocks, want %d", rc.name, len(batch.Sensors), reps*n)
 			}
-			events += one.Events
-			captures += one.Captures
-		}
-		if batch.Events != events || batch.Captures != captures {
-			t.Errorf("%s: batch totals %d/%d, paired independent sum %d/%d",
-				rc.name, batch.Events, batch.Captures, events, captures)
+			var events, captures int64
+			var agg *Metrics
+			for r := 0; r < reps; r++ {
+				sub := independentKernelConfig(t, rc.make, n, 7+uint64(r))
+				sub.Slots = 10_000
+				sub.Metrics = metrics
+				sub.Engine = EngineKernel
+				one, err := Run(sub)
+				if err != nil {
+					t.Fatalf("%s replication %d: %v", rc.name, r, err)
+				}
+				if !reflect.DeepEqual(batch.Sensors[r*n:(r+1)*n], one.Sensors) {
+					t.Fatalf("%s metrics=%v replication %d diverged:\nbatch       %+v\nindependent %+v",
+						rc.name, metrics, r, batch.Sensors[r*n:(r+1)*n], one.Sensors)
+				}
+				events += one.Events
+				captures += one.Captures
+				agg = foldReplicaMetrics(agg, one.Metrics)
+			}
+			if batch.Events != events || batch.Captures != captures {
+				t.Errorf("%s: batch totals %d/%d, paired independent sum %d/%d",
+					rc.name, batch.Events, batch.Captures, events, captures)
+			}
+			if !reflect.DeepEqual(batch.Metrics, agg) {
+				t.Errorf("%s metrics=%v: batch metrics diverge from the replication sum:\nbatch %+v\nsum   %+v",
+					rc.name, metrics, batch.Metrics, agg)
+			}
 		}
 	}
 }
 
-// TestBatchMultiShardingInvariance checks that worker count and chunk
-// size never touch the random streams of a fleet batch: every sharding
-// must produce byte-identical results.
+// TestBatchMultiShardingInvariance checks that the worker count, and
+// with it the chunk sharding, never touches the random streams of a
+// fleet batch: every sharding must produce byte-identical results.
 func TestBatchMultiShardingInvariance(t *testing.T) {
 	newRech := func() energy.Recharge { r, _ := energy.NewBernoulli(0.5, 1); return r }
-	shard := func(workers, chunk int, mutate func(*Config)) *Result {
+	shard := func(workers int) *Result {
 		t.Helper()
 		cfg := multiKernelConfig(t, kernelCases(t)[0], newRech, 4, 100, 13)
 		cfg.Slots = 5_000
@@ -126,25 +157,20 @@ func TestBatchMultiShardingInvariance(t *testing.T) {
 		cfg.Engine = EngineBatch
 		cfg.Batch = 40
 		cfg.Workers = workers
-		cfg.BatchChunk = chunk
-		if mutate != nil {
-			mutate(&cfg)
-		}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	want := shard(1, 0, nil)
-	for _, tc := range []struct{ workers, chunk int }{{1, 7}, {4, 1}, {4, 13}, {8, 40}} {
-		got := shard(tc.workers, tc.chunk, nil)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d chunk=%d diverged from sequential run", tc.workers, tc.chunk)
+	want := shard(1)
+	for _, workers := range []int{3, 4, 13, 40} {
+		if got := shard(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d diverged from sequential run", workers)
 		}
 	}
 	// Same invariance for a decoupled fleet.
-	ishard := func(workers, chunk int) *Result {
+	ishard := func(workers int) *Result {
 		t.Helper()
 		cfg := independentKernelConfig(t, newRech, 3, 13)
 		cfg.Slots = 5_000
@@ -152,17 +178,16 @@ func TestBatchMultiShardingInvariance(t *testing.T) {
 		cfg.Engine = EngineBatch
 		cfg.Batch = 40
 		cfg.Workers = workers
-		cfg.BatchChunk = chunk
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	iwant := ishard(1, 0)
-	for _, tc := range []struct{ workers, chunk int }{{4, 1}, {8, 13}} {
-		if got := ishard(tc.workers, tc.chunk); !reflect.DeepEqual(got, iwant) {
-			t.Errorf("independent workers=%d chunk=%d diverged from sequential run", tc.workers, tc.chunk)
+	iwant := ishard(1)
+	for _, workers := range []int{6, 40} {
+		if got := ishard(workers); !reflect.DeepEqual(got, iwant) {
+			t.Errorf("independent workers=%d diverged from sequential run", workers)
 		}
 	}
 }

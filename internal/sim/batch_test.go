@@ -134,9 +134,11 @@ func TestBatchMatchesIndependentRunsPairedSeeds(t *testing.T) {
 }
 
 // TestBatchShardingInvariance checks that the Result is byte-identical
-// for every Workers and BatchChunk setting — the acceptance criterion
-// that forces per-replication streams. Metrics stay off so the batched
-// awake runs (the least stream-like code path) are exercised too.
+// for every Workers setting, and so for every chunk sharding derived
+// from it (one chunk, uneven chunks, single-replication chunks) — the
+// acceptance criterion that forces per-replication streams. Metrics stay
+// off so the batched awake runs (the least stream-like code path) are
+// exercised too.
 func TestBatchShardingInvariance(t *testing.T) {
 	const reps = 500
 	newRech := func() energy.Recharge { r, _ := energy.NewBernoulli(0.5, 1); return r }
@@ -147,22 +149,19 @@ func TestBatchShardingInvariance(t *testing.T) {
 	base.Batch = reps
 
 	var want *Result
-	for _, chunk := range []int{0, 1, 3, 64, reps, 2 * reps} {
-		for _, workers := range []int{1, 3, 0} {
-			cfg := base
-			cfg.BatchChunk = chunk
-			cfg.Workers = workers
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("chunk=%d workers=%d: %v", chunk, workers, err)
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("chunk=%d workers=%d diverged from first run", chunk, workers)
-			}
+	for _, workers := range []int{1, 3, 0, 7, reps, 2 * reps} {
+		cfg := base
+		cfg.Workers = workers
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d diverged from first run", workers)
 		}
 	}
 }
@@ -301,9 +300,7 @@ func TestBatchForcedRejectsIneligible(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"multiple sensors", func(c *Config) { c.N = 2 }},
-		{"trace", func(c *Config) { c.Trace = func(TraceRecord) {} }},
 		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }},
-		{"timeline", func(c *Config) { c.SampleEvery = 100 }},
 		{"fault injection", func(c *Config) { c.FailAt = map[int]int64{0: 10} }},
 		{"stateful policy", func(c *Config) {
 			c.NewPolicy = func(int) Policy { return &EBCW{PYes: 0.9, PNo: 0.1} }
@@ -329,17 +326,12 @@ func TestBatchForcedRejectsIneligible(t *testing.T) {
 	}
 }
 
-// TestBatchValidation covers the new Config fields' validation.
+// TestBatchValidation covers Config.Batch's validation.
 func TestBatchValidation(t *testing.T) {
 	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }
 	cfg := kernelBaseConfig(t, kernelCases(t)[0], newRech, 100, 1)
 	cfg.Batch = -1
 	if _, err := Run(cfg); err == nil {
 		t.Error("negative Batch accepted")
-	}
-	cfg.Batch = 0
-	cfg.BatchChunk = -1
-	if _, err := Run(cfg); err == nil {
-		t.Error("negative BatchChunk accepted")
 	}
 }

@@ -64,11 +64,6 @@ func RunWithEarlyStop(cfg Config, opt EarlyStopOptions) (*Result, *StopDecision,
 	sink := cfg.StatsSink
 
 	agg := &Result{Slots: cfg.Slots, Engine: EngineBatch}
-	var m *Metrics
-	if cfg.Metrics {
-		m = &Metrics{}
-		agg.Metrics = m
-	}
 	var reps stats.Welford
 	done := 0
 	var last stats.Report
@@ -83,38 +78,14 @@ func RunWithEarlyStop(cfg Config, opt EarlyStopOptions) (*Result, *StopDecision,
 		if left := maxReps - done; size > left {
 			size = left
 		}
-		sub := cfg
-		sub.Seed = cfg.Seed + uint64(done) // seedflow:ok replication block: round replications run at Seed+done .. Seed+done+size-1, the plain Batch=R layout
-		sub.Batch = size
-		sub.Stats = true
-		sub.StatsSink = nil
-		if done > 0 {
-			// Later rounds mirror runBatchFallback's replication
-			// convention: single-stream consumers attach to the first
-			// block only.
-			sub.Span = nil
-			sub.Trace = nil
-			sub.Tracer = nil
-			sub.SampleEvery = 0
-		}
-		rr, err := Run(sub)
+		// Round replications run at Seed+done .. Seed+done+size-1, the
+		// plain Batch=R layout, and merge like runBatchFallback's.
+		rr, err := runReplicas(cfg, agg, done, size, true)
 		if err != nil {
 			return nil, nil, fmt.Errorf("sim: early-stop round at %d replications: %w", done, err)
 		}
 		if rr.Stats == nil {
 			return nil, nil, fmt.Errorf("sim: early-stop round returned no stats report (engine %v)", rr.Engine)
-		}
-		agg.Events += rr.Events
-		agg.Captures += rr.Captures
-		agg.Sensors = append(agg.Sensors, rr.Sensors...)
-		if done == 0 {
-			agg.Engine = rr.Engine
-			agg.Timeline = rr.Timeline
-			if m != nil {
-				*m = *rr.Metrics
-			}
-		} else if m != nil {
-			m.mergeReplica(rr.Metrics)
 		}
 		// Fold the round's per-replication QoM samples in exactly (the
 		// report's Welford reconstruction is lossless). A final
@@ -140,9 +111,6 @@ func RunWithEarlyStop(cfg Config, opt EarlyStopOptions) (*Result, *StopDecision,
 		if mon.Converged(last) {
 			break
 		}
-	}
-	if agg.Events > 0 {
-		agg.QoM = float64(agg.Captures) / float64(agg.Events)
 	}
 	if cfg.Stats || sink != nil {
 		r := last

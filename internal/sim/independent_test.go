@@ -106,18 +106,3 @@ func TestIndependentFailAt(t *testing.T) {
 			res.Sensors[0].Activations, res.Sensors[1].Activations)
 	}
 }
-
-// TestIndependentGatingSampleEvery: SampleEvery needs the interleaved
-// per-slot view, so it must route to the sequential engine and still
-// produce a timeline.
-func TestIndependentGatingSampleEvery(t *testing.T) {
-	cfg := independentConfig(t, 2, 0)
-	cfg.SampleEvery = 10_000
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) == 0 {
-		t.Fatal("SampleEvery produced no timeline points")
-	}
-}

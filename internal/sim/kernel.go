@@ -121,10 +121,6 @@ func (f fallback) record() {
 	switch f.slug {
 	case "mode":
 		obs.SimFallbackMode.Inc()
-	case "trace":
-		obs.SimFallbackTrace.Inc()
-	case "timeline":
-		obs.SimFallbackTimeline.Inc()
 	case "fault":
 		obs.SimFallbackFault.Inc()
 	case "policy":
@@ -140,16 +136,13 @@ func (f fallback) record() {
 	}
 }
 
-// kernelPlan is a validated, instantiated kernel configuration. For
-// n == 1 the scalar policy/recharge fields drive runKernel and the batch
-// worker; for n > 1 (ModeRoundRobin) the per-sensor slices drive
-// runKernelMulti, with the scalars aliasing index 0.
+// kernelPlan is a validated, instantiated kernel configuration: the
+// shared activation table plus one policy and one prepared recharge
+// process per sensor (n == 1 for a single sensor).
 type kernelPlan struct {
-	table    *core.ActivationTable
-	state    StateKind
-	modulus  int64
-	policy   Policy
-	recharge energy.FastForwarder
+	table   *core.ActivationTable
+	state   StateKind
+	modulus int64
 
 	n         int
 	policies  []Policy
@@ -190,18 +183,12 @@ func compileKernel(cfg *Config) (*kernelPlan, fallback) {
 	if cfg.N != 1 && cfg.Mode != ModeRoundRobin {
 		return nil, fallback{"mode", fmt.Sprintf("%d sensors without round-robin coordination", cfg.N)}
 	}
-	if cfg.Trace != nil {
-		return nil, fallback{"trace", "per-slot trace requested"}
-	}
-	if cfg.SampleEvery > 0 {
-		return nil, fallback{"timeline", "timeline sampling requested"}
-	}
 	if len(cfg.FailAt) > 0 {
 		return nil, fallback{"fault", "fault injection requested"}
 	}
 	if cfg.N != 1 && cfg.Tracer != nil {
-		// The multi-sensor kernel carries no span/record instrumentation;
-		// traced fleet runs stay on the reference engine.
+		// Trace records and spans describe one battery; traced fleet runs
+		// stay on the reference engine.
 		return nil, fallback{"tracer", "slot tracing of a multi-sensor run"}
 	}
 	pol := cfg.NewPolicy(0)
@@ -257,107 +244,102 @@ func compileKernel(cfg *Config) (*kernelPlan, fallback) {
 		}
 		plan.recharges[s] = ff
 	}
-	plan.policy = plan.policies[0]
-	plan.recharge = plan.recharges[0]
 	return plan, fallback{}
 }
 
-// runKernel executes the compiled fast path. It reproduces the reference
-// engine's RNG stream layout (event Split(1), decision Split(2), recharge
-// Split(100)) and its draw-consumption pattern — zero-probability slots
-// consume no decision draws in either engine — so under deterministic
-// recharge the Result is byte-identical to the reference; under stochastic
-// recharge the recharge stream is consumed in batches and results agree in
-// law (see energy.FastForwarder).
-func runKernel(cfg Config, plan *kernelPlan) (*Result, error) {
+// runFleetKernel executes the compiled fast path for every kernel plan. A
+// single sensor is simply the N = 1 round-robin fleet (PAPER.md §1:
+// sensor s owns slots t = kN + s), so one loop serves both.
+//
+// The round-robin fleet shares one compiled activation table — the
+// in-charge sensor's decision state is global (h resets on every event,
+// the broadcast f on every capture, the slot phase is absolute) — so a
+// run of z zero-probability states silences whichever sensors own those
+// slots, and the only per-sensor work across it is advancing N batteries
+// through their own recharge streams. Sleep runs are ownership-agnostic
+// (nobody decides), so they never split on sensor boundaries; ownership
+// of awake slot t is (t-1) mod N.
+//
+// RNG stream layout (must equal the reference engine's for byte-identity
+// under deterministic recharge): root rng.New(Seed, 0x5eed), event
+// Split(1), shared decision Split(2), then recharge Split(100+s) for
+// s = 0..N-1 in sensor order. Per slot the reference consumes one
+// recharge draw per sensor — each from its own stream, so batching a
+// sleep run's n draws per sensor is exactly n sequential draws — and one
+// decision draw iff the in-charge sensor's probability is positive, which
+// is precisely the awake-slot condition here (zero-probability slots
+// consume no decision draws in either engine). So under deterministic
+// recharge the Result is byte-identical to the reference; under Bernoulli
+// recharge each sensor's sleep run collapses to one exact Binomial(n, q)
+// draw and results agree in law (the energy.FastForwarder contract).
+//
+// Tracing covers single-sensor plans only (compileKernel declines traced
+// fleets): every awake slot decides with positive probability, so each
+// gets a record, and each sleep run becomes one compressed span.
+func runFleetKernel(cfg Config, plan *kernelPlan) (*Result, error) {
+	n := plan.n
 	ex := cfg.Span.Child("exec.kernel")
 	defer ex.End()
 	ex.Count("slots", cfg.Slots)
-	ex.Count("sensors", int64(plan.n))
-	defer cfg.Progress.FinishWork(cfg.Slots * int64(plan.n))
-	if plan.n > 1 {
-		return runKernelMulti(cfg, plan)
-	}
+	ex.Count("sensors", int64(n))
+	defer cfg.Progress.FinishWork(cfg.Slots * int64(n))
 	root := rng.New(cfg.Seed, 0x5eed) // seedflow:ok run-root: must equal the reference engine's root for byte-identity
 	eventSrc := root.Split(1)
 	decisionSrc := root.Split(2)
-	battery, err := energy.NewBattery(cfg.BatteryCap, cfg.InitialBattery)
-	if err != nil {
-		return nil, err
+	// Dense battery block: one cache-friendly value slice instead of N
+	// heap pointers; FastForward and the awake slot take &batteries[s].
+	batteries := make([]energy.Battery, n)
+	for s := 0; s < n; s++ {
+		b, err := energy.NewBattery(cfg.BatteryCap, cfg.InitialBattery)
+		if err != nil {
+			return nil, err
+		}
+		batteries[s] = *b
 	}
-	rechargeSrc := root.Split(100)
-	plan.policy.Reset()
+	rechargeSrcs := make([]*rng.Source, n)
+	for s := 0; s < n; s++ {
+		rechargeSrcs[s] = root.Split(uint64(100 + s))
+	}
+	for _, p := range plan.policies {
+		p.Reset()
+	}
 
 	table := plan.table
-	rech := plan.recharge
+	recharges := plan.recharges
 	cost := cfg.Params.ActivationCost()
 	delta1, delta2 := cfg.Params.Delta1, cfg.Params.Delta2
 
-	// Devirtualize the per-awake-slot recharge draw for the paper's
-	// default Bernoulli process; the draw below consumes the recharge
-	// stream exactly as Bernoulli.Next would.
-	var bernQ, bernC float64
-	bern, isBern := rech.(*energy.Bernoulli)
-	if isBern {
-		bernQ, bernC = bern.Q(), bern.C()
+	// Devirtualize the per-awake-slot recharge draws when the whole fleet
+	// runs the paper's Bernoulli process (one factory, so in practice all
+	// or none); the draws consume the streams exactly as Bernoulli.Next.
+	bernQ := make([]float64, n)
+	bernC := make([]float64, n)
+	isBern := true
+	for s, r := range recharges {
+		b, ok := r.(*energy.Bernoulli)
+		if !ok {
+			isBern = false
+			break
+		}
+		bernQ[s], bernC[s] = b.Q(), b.C()
 	}
 
-	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, 1), Engine: EngineKernel}
-	stats := &res.Sensors[0]
-	var m *Metrics
-	if cfg.Metrics {
-		m = &Metrics{}
-		res.Metrics = m
-	}
-	sprobe := newStatsProbe(&cfg)
-	// Per-awake-slot metric accumulators stay in locals (registers)
-	// inside the loop and flush into m once at the end, keeping the
-	// instrumented kernel within the slot-loop overhead budget of
-	// DESIGN.md §9. costGate mirrors energy.Battery.CanConsume.
-	invCap := 1 / cfg.BatteryCap
-	binScale := batteryBins * invCap
-	costGate := cost - 1e-12
-	var obsSlots, outage int64
-	var fracSum float64
-	// sampleCountdown strides the battery observation over awake slots:
-	// it costs one decrement-and-test per awake slot whether metrics are
-	// on or off (off starts from MaxInt64 and never fires), so enabling
-	// collection only pays for every batterySampleStride-th observation.
-	sampleCountdown := int64(math.MaxInt64)
-	if m != nil || sprobe != nil {
-		sampleCountdown = batterySampleStride
-	}
+	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, n), Engine: EngineKernel}
+	o := newObserver(&cfg, trace.EngineKernel)
+	countdown := o.stride()
 
-	// Tracing: awake slots always decide with nonzero probability (a
-	// zero-probability state would have been a sleep run), so every
-	// awake slot is decision-relevant and gets a record; each sleep run
-	// becomes one compressed span. partialH mirrors the reference
-	// engine's h = -1 under partial information, keeping the two
-	// engines' records comparable for tracetool diff.
-	tr := cfg.Tracer
+	// partialH mirrors the reference engine's h = -1 under partial
+	// information, keeping the two engines' records comparable for
+	// tracetool diff.
 	partialH := cfg.Info == PartialInfo
-	// Cached sinks: the awake-slot loop records directly (one Rec copy
-	// per slot) instead of through tr.Slot's fan-out.
-	var trWriter *trace.Writer
-	var trFlight *trace.FlightRecorder
-	if tr != nil {
-		trWriter, trFlight = tr.Writer(), tr.Recorder()
-		tr.RunStart(trace.RunInfo{
-			Engine:     trace.EngineKernel,
-			Sensors:    1,
-			Seed:       cfg.Seed,
-			Slots:      cfg.Slots,
-			BatteryCap: cfg.BatteryCap,
-			Cost:       cost,
-			Policy:     plan.policy.Name(),
-			Dist:       cfg.Dist.Name(),
-			Recharge:   rech.Name(),
-		})
+	if o.tr != nil {
+		o.start(&cfg, n, plan.policies[0].Name(), recharges[0].Name())
 	}
 
 	// The paper assumes an event (and capture) at slot 0.
 	lastEvent, lastCapture := int64(0), int64(0)
 	nextEvent := int64(cfg.Dist.Sample(eventSrc))
+	nn := int64(n)
 
 	t := int64(1)
 	for t <= cfg.Slots {
@@ -372,91 +354,94 @@ func runKernel(cfg Config, plan *kernelPlan) (*Result, error) {
 		}
 
 		if z := table.ZeroRunFrom(int(st)); z > 0 {
-			// Sleep run: the policy stays silent for the next z slots (no
-			// decision draws, no consumption), unless the state machine
-			// intervenes first.
-			n := z
+			// Sleep run: every sensor owning a slot in the run would read
+			// the same zero-probability state, so the whole fleet stays
+			// silent for the next run slots (no decision draws, no
+			// consumption) and all N batteries fast-forward together.
+			run := z
 			if plan.state == StateSlotPhase {
-				if wrap := plan.modulus - st + 1; n > wrap {
-					n = wrap
+				if wrap := plan.modulus - st + 1; run > wrap {
+					run = wrap
 				}
 			}
-			if left := cfg.Slots - t + 1; n > left {
-				n = left
+			if left := cfg.Slots - t + 1; run > left {
+				run = left
 			}
 			eventsBefore := res.Events
-			var probe energy.SpanProbe
-			if tr != nil {
-				probe = battery.BeginSpan()
+			var span energy.SpanProbe
+			if o.tr != nil {
+				span = batteries[0].BeginSpan()
 			}
-			if plan.state == StateSinceEvent && nextEvent-t+1 <= n {
+			if plan.state == StateSinceEvent && nextEvent-t+1 <= run {
 				// The event resets h to 1 for the following slot, ending
 				// the run at the (slept-through) event slot itself.
-				n = nextEvent - t + 1
-				rech.FastForward(battery, n, rechargeSrc)
+				run = nextEvent - t + 1
+				for s := 0; s < n; s++ {
+					recharges[s].FastForward(&batteries[s], run, rechargeSrcs[s])
+				}
 				res.Events++
 				lastEvent = nextEvent
 				nextEvent += int64(cfg.Dist.Sample(eventSrc))
 			} else {
-				rech.FastForward(battery, n, rechargeSrc)
+				for s := 0; s < n; s++ {
+					recharges[s].FastForward(&batteries[s], run, rechargeSrcs[s])
+				}
 				// SinceCapture and SlotPhase states ignore events, so any
 				// number of events may fall inside the run; drain them in
 				// arrival order to keep the event stream aligned.
-				end := t + n - 1
+				end := t + run - 1
 				for nextEvent <= end {
 					res.Events++
 					lastEvent = nextEvent
 					nextEvent += int64(cfg.Dist.Sample(eventSrc))
 				}
 			}
-			if tr != nil {
-				sp := trace.Span{
+			if o.tr != nil {
+				o.tr.Span(trace.Span{
 					Start:     t,
-					Len:       n,
+					Len:       run,
 					Events:    res.Events - eventsBefore,
 					State:     uint8(plan.state),
-					Delivered: battery.EndSpan(probe),
-					Battery:   battery.Level(),
-				}
-				if trWriter != nil {
-					trWriter.Span(sp)
-				}
-				if trFlight != nil {
-					trFlight.Span(sp)
-				}
+					Delivered: batteries[0].EndSpan(span),
+					Battery:   batteries[0].Level(),
+				})
 			}
-			if m != nil {
-				// Every event inside a sleep run is a policy-scheduled
-				// miss: the sensor slept through it by construction.
-				m.KernelRuns++
-				m.KernelSlotsFastForwarded += n
-				m.MissAsleep += res.Events - eventsBefore
-			}
-			if sprobe != nil {
-				sprobe.ObserveMisses(res.Events - eventsBefore)
-			}
-			t += n
+			// KernelSlotsFastForwarded counts slots, not sensor-slots: one
+			// run skips run slots for the whole fleet, preserving
+			// awake = Slots − FastForwarded.
+			o.sleepRun(run, res.Events-eventsBefore)
+			t += run
 			continue
 		}
 
-		// Awake slot: replicate the reference engine's slot exactly.
+		// Awake slot: replicate the reference engine's slot exactly —
+		// every sensor recharges, only the in-charge sensor decides. amt
+		// ends as the last sensor's delivery: the traced sensor's when
+		// n == 1.
 		var amt float64
-		if isBern {
-			if rechargeSrc.Bernoulli(bernQ) {
-				amt = bernC
-				battery.Recharge(bernC)
+		for s := 0; s < n; s++ {
+			if isBern {
+				amt = 0
+				if rechargeSrcs[s].Bernoulli(bernQ[s]) {
+					amt = bernC[s]
+				}
+			} else {
+				amt = recharges[s].Next(rechargeSrcs[s])
 			}
-		} else {
-			amt = rech.Next(rechargeSrc)
-			battery.Recharge(amt)
+			batteries[s].Recharge(amt)
 		}
 		event := t == nextEvent
+		charge := 0
+		if n > 1 {
+			charge = int((t - 1) % nn)
+		}
+		battery := &batteries[charge]
 		p := table.At(int(st))
 		// Decision-time states and battery, captured before the slot
 		// mutates them, mirroring the reference engine's records.
 		var h, f int64
 		var preLvl float64
-		if tr != nil {
+		if o.tr != nil {
 			h = t - lastEvent
 			if partialH {
 				h = -1
@@ -467,15 +452,15 @@ func runKernel(cfg Config, plan *kernelPlan) (*Result, error) {
 		captured, denied, active := false, false, false
 		if decisionSrc.Bernoulli(p) {
 			if !battery.CanConsume(cost) {
-				stats.Denied++
+				res.Sensors[charge].Denied++
 				denied = true
 			} else {
 				active = true
 				battery.Consume(delta1)
-				stats.Activations++
+				res.Sensors[charge].Activations++
 				if event {
 					battery.Consume(delta2)
-					stats.Captures++
+					res.Sensors[charge].Captures++
 					res.Captures++
 					lastCapture = t
 					captured = true
@@ -486,102 +471,27 @@ func runKernel(cfg Config, plan *kernelPlan) (*Result, error) {
 			res.Events++
 			lastEvent = t
 			nextEvent = t + int64(cfg.Dist.Sample(eventSrc))
-			if m != nil && !captured {
-				if denied {
-					m.MissNoEnergy++
-				} else {
-					m.MissAsleep++
-				}
-			}
-			if sprobe != nil {
-				sprobe.ObserveEvent(captured)
-			}
-			if tr != nil && !captured && denied {
-				tr.OutageMiss(t)
-			}
+			o.event(t, captured, denied)
 		}
-		if tr != nil {
-			// Awake slots always decide with p > 0, so every one is
-			// decision-relevant regardless of Full().
-			var flags uint8
-			if event {
-				flags |= trace.FlagEvent
-			}
-			if active {
-				flags |= trace.FlagActive
-				if event {
-					flags |= trace.FlagCaptured
-				}
-			}
-			if denied {
-				flags |= trace.FlagDenied
-			}
-			if trWriter != nil {
-				rec := trace.Rec{
-					Slot:     t,
-					Sensor:   0,
-					Engine:   trace.EngineKernel,
-					Flags:    flags,
-					H:        int32(h),
-					F:        int32(f),
-					Prob:     p,
-					Battery:  preLvl,
-					Recharge: amt,
-				}
-				trWriter.Rec(rec)
-				if trFlight != nil {
-					trFlight.Record(&rec)
-				}
-			} else if trFlight != nil {
-				// Flight-only: fields go straight into the ring slot.
-				trFlight.RecordSlot(t, 0, trace.EngineKernel, flags,
-					int32(h), int32(f), p, preLvl, amt)
-			}
+		if o.tr != nil {
+			o.slot(t, charge, slotFlags(event, active, denied), h, f, p, preLvl, amt)
 		}
 		// End-of-slot battery sample on every stride-th awake slot,
 		// matching the per-slot engines' end-of-slot semantics.
-		sampleCountdown--
-		if sampleCountdown == 0 {
-			sampleCountdown = batterySampleStride
-			lvl := battery.Level()
-			if m != nil {
-				obsSlots++
-				fracSum += lvl * invCap
-				bin := int(lvl * binScale)
-				if bin >= batteryBins {
-					bin = batteryBins - 1
-				}
-				m.BatteryHist[bin]++
-				if lvl < costGate {
-					outage++
-				}
-			}
-			if sprobe != nil {
-				sprobe.ObserveBattery(lvl * invCap)
-			}
+		countdown--
+		if countdown == 0 {
+			countdown = batterySampleStride
+			o.battery(batteries[0].Level())
 		}
 		t++
 	}
 
-	stats.EnergyConsumed = battery.Consumed()
-	stats.OverflowLost = battery.OverflowLost()
-	stats.FinalBattery = battery.Level()
-	if res.Events > 0 {
-		res.QoM = float64(res.Captures) / float64(res.Events)
+	for s := 0; s < n; s++ {
+		st := &res.Sensors[s]
+		st.EnergyConsumed = batteries[s].Consumed()
+		st.OverflowLost = batteries[s].OverflowLost()
+		st.FinalBattery = batteries[s].Level()
 	}
-	if tr != nil {
-		tr.RunEnd(trace.RunEnd{Events: res.Events, Captures: res.Captures})
-	}
-	recordEngine(res.Engine)
-	if m != nil {
-		m.ObservedSlots = obsSlots
-		m.BatteryFracSum = fracSum
-		m.EnergyOutageSlots = outage
-		// An activation on an event slot always captures, so wasted
-		// (no-event) activations are exactly activations − captures.
-		m.WastedActivations = stats.Activations - stats.Captures
-		m.publish(res)
-	}
-	sprobe.finish(res)
+	o.finish(res)
 	return res, nil
 }

@@ -4,14 +4,13 @@ import (
 	"eventcap/internal/obs"
 )
 
-// batteryBins mirrors obs.BatteryBins for files in this package that
-// don't otherwise import obs (the engines' hand-inlined hot loops).
+// batteryBins mirrors obs.BatteryBins for the observer's binning.
 const batteryBins = obs.BatteryBins
 
 // batterySampleStride is the battery-observation stride: occupancy is
 // sampled on every stride-th slot (per-slot engines) or every stride-th
-// awake slot (kernel) rather than on all of them, so the instrumented
-// loops stay within the ≤2% overhead budget of DESIGN.md §9 (a full
+// awake slot (compiled engines) rather than on all of them, so the
+// instrumented loops stay within the ≤2% overhead budget of DESIGN.md §9 (a full
 // observation costs several ns — a large fraction of a ~30ns reference
 // slot). The battery level mixes over thousands of slots, so a 32-slot
 // stride loses nothing statistically; ObservedSlots is always the
@@ -46,11 +45,12 @@ const batterySampleStride = 32
 // recharge and any consumption) as a fraction of capacity. The per-slot
 // engines sample every batterySampleStride-th slot (a fixed stride that
 // keeps the instrumented loop inside the overhead budget); the compiled
-// kernel samples every batterySampleStride-th awake slot
+// engines sample every batterySampleStride-th awake slot
 // (fast-forwarded sleep runs are skipped wholesale — that is the point
-// of the kernel), with KernelSlotsFastForwarded counting the slots it
+// of the kernel), with KernelSlotsFastForwarded counting the slots they
 // skipped. ObservedSlots is always the denominator for the battery
-// statistics.
+// statistics. The run observer (observer.battery) is the one place that
+// bins a sample.
 type Metrics struct {
 	// MissAsleep counts events no sensor attempted to capture.
 	MissAsleep int64
@@ -80,20 +80,6 @@ type Metrics struct {
 	// the reference engine.
 	KernelRuns               int64
 	KernelSlotsFastForwarded int64
-}
-
-// observeBattery records one slot's occupancy fraction (level/capacity).
-func (m *Metrics) observeBattery(frac float64) {
-	m.ObservedSlots++
-	m.BatteryFracSum += frac
-	bin := int(frac * obs.BatteryBins)
-	if bin >= obs.BatteryBins {
-		bin = obs.BatteryBins - 1
-	}
-	if bin < 0 {
-		bin = 0
-	}
-	m.BatteryHist[bin]++
 }
 
 // MeanBatteryFrac returns the time-weighted mean occupancy fraction

@@ -7,58 +7,126 @@ import (
 	"eventcap/internal/energy"
 )
 
-// metricsCases spans every execution path of Run: the sequential
+// engineCase is one execution path of Run under the observer-neutrality
+// suites. traced marks the cases whose engine accepts a Config.Tracer.
+type engineCase struct {
+	name   string
+	cfg    Config
+	traced bool
+}
+
+// engineCases spans every path the run observer serves: the sequential
 // reference engine (single- and multi-sensor, coordinated modes, fault
-// injection), the independent-sensor fast path, and the compiled kernel
-// — with batteries both comfortable and starved (K=7 forces the energy
-// gate, exercising MissNoEnergy).
-func metricsCases(t *testing.T) map[string]Config {
-	cases := make(map[string]Config)
+// injection), the interpreted and compiled independent-sensor engines,
+// the compiled kernel for a single sensor and a round-robin fleet, the
+// three batch workers (single sensor, fleet, independent fleet), and the
+// per-replication batch fallback — with batteries both comfortable and
+// starved (K=7 forces the energy gate, exercising MissNoEnergy).
+func engineCases(t *testing.T) []engineCase {
+	t.Helper()
+	bernoulli := func() energy.Recharge {
+		r, err := energy.NewBernoulli(0.5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	var cases []engineCase
 
 	seq := baseConfig(t)
 	seq.Slots = 30000
 	seq.Engine = EngineReference
-	cases["reference-single"] = seq
+	cases = append(cases, engineCase{"reference-single", seq, true})
 
 	starved := seq
 	starved.BatteryCap = 7
 	starved.NewRecharge = bernoulliFactory(t, 0.3, 1)
-	cases["reference-starved"] = starved
+	cases = append(cases, engineCase{"reference-starved", starved, true})
 
 	multi := seq
 	multi.N = 3
 	multi.Mode = ModeRoundRobin
-	cases["reference-roundrobin"] = multi
+	cases = append(cases, engineCase{"reference-roundrobin", multi, true})
 
 	faulty := multi
 	faulty.FailAt = map[int]int64{1: 5000}
-	cases["reference-faults"] = faulty
+	cases = append(cases, engineCase{"reference-faults", faulty, true})
 
 	indep := seq
 	indep.N = 3
 	indep.Mode = ModeAll
 	indep.Info = PartialInfo
 	indep.Workers = 2
-	cases["independent"] = indep
+	cases = append(cases, engineCase{"independent", indep, true})
 
-	kern := kernelBaseConfig(t, kernelCases(t)[0], func() energy.Recharge {
-		r, err := energy.NewBernoulli(0.5, 1)
+	indepCompiled := independentKernelConfig(t, bernoulli, 3, 5)
+	indepCompiled.Engine = EngineKernel
+	indepCompiled.Workers = 2
+	cases = append(cases, engineCase{"independent-compiled", indepCompiled, false})
+
+	kern := kernelBaseConfig(t, kernelCases(t)[0], bernoulli, 100, 1)
+	kern.Engine = EngineKernel
+	cases = append(cases, engineCase{"kernel", kern, true})
+
+	fleet := multiKernelConfig(t, kernelCases(t)[0], func() energy.Recharge {
+		r, err := energy.NewPeriodic(5, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
-	}, 100, 1)
-	kern.Engine = EngineKernel
-	cases["kernel"] = kern
+	}, 4, 100, 2)
+	fleet.Engine = EngineKernel
+	cases = append(cases, engineCase{"kernel-fleet", fleet, false})
+
+	// Deterministic recharge: under Bernoulli the single-sensor worker
+	// batches awake runs only with Metrics off, the one documented case
+	// where Metrics changes result bytes (DESIGN.md §12).
+	batch := kernelBaseConfig(t, kernelCases(t)[0], constantFactory(t, 0.5), 100, 7)
+	batch.Slots = 20_000
+	batch.Engine = EngineBatch
+	batch.Batch = 16
+	batch.Workers = 2
+	cases = append(cases, engineCase{"batch", batch, false})
+
+	batchFleet := multiKernelConfig(t, kernelCases(t)[0], bernoulli, 3, 100, 3)
+	batchFleet.Slots = 20_000
+	batchFleet.Engine = EngineBatch
+	batchFleet.Batch = 8
+	batchFleet.Workers = 2
+	cases = append(cases, engineCase{"batch-fleet", batchFleet, false})
+
+	batchIndep := independentKernelConfig(t, bernoulli, 3, 9)
+	batchIndep.Slots = 20_000
+	batchIndep.Engine = EngineBatch
+	batchIndep.Batch = 8
+	batchIndep.Workers = 2
+	cases = append(cases, engineCase{"batch-independent", batchIndep, false})
+
+	fallback := multi
+	fallback.Batch = 3 // forced reference engine: sequential replications
+	cases = append(cases, engineCase{"batch-fallback", fallback, false})
 
 	return cases
+}
+
+// engineCaseConfig returns the named engineCases entry's configuration.
+func engineCaseConfig(t *testing.T, name string) Config {
+	t.Helper()
+	for _, c := range engineCases(t) {
+		if c.name == name {
+			return c.cfg
+		}
+	}
+	t.Fatalf("no engine case %q", name)
+	return Config{}
 }
 
 // TestMetricsDoNotChangeResults is the RNG-neutrality contract of
 // Config.Metrics: enabling collection must leave every other Result
 // field byte-identical, on every execution path.
 func TestMetricsDoNotChangeResults(t *testing.T) {
-	for name, cfg := range metricsCases(t) {
+	for _, ec := range engineCases(t) {
+		name, cfg := ec.name, ec.cfg
 		cfg.Metrics = false
 		want, err := Run(cfg)
 		if err != nil {
@@ -83,7 +151,8 @@ func TestMetricsDoNotChangeResults(t *testing.T) {
 // Captures + MissAsleep + MissNoEnergy == Events and the battery
 // histogram's consistency on every execution path.
 func TestMetricsEventAccounting(t *testing.T) {
-	for name, cfg := range metricsCases(t) {
+	for _, ec := range engineCases(t) {
+		name, cfg := ec.name, ec.cfg
 		cfg.Metrics = true
 		res, err := Run(cfg)
 		if err != nil {
@@ -104,7 +173,19 @@ func TestMetricsEventAccounting(t *testing.T) {
 		if f := m.MeanBatteryFrac(); f < 0 || f > 1 {
 			t.Errorf("%s: mean battery fraction %v outside [0,1]", name, f)
 		}
-		if res.Engine == EngineKernel {
+		if res.Engine != EngineReference && m.KernelRuns == 0 {
+			t.Errorf("%s: compiled run recorded no sleep runs", name)
+		}
+		perRun := res.Slots / batterySampleStride
+		switch {
+		case cfg.Batch > 1 || cfg.N > 1 && cfg.Mode == ModeAll && res.Engine == EngineKernel:
+			// Occupancy is replication 0's (batches) or sensor 0's
+			// awake slots (compiled independent sensors), while the
+			// kernel counters sum over every replication and sensor.
+			if m.ObservedSlots == 0 || m.ObservedSlots > perRun {
+				t.Errorf("%s: observed %d slots, want within (0, %d]", name, m.ObservedSlots, perRun)
+			}
+		case res.Engine == EngineKernel:
 			// The kernel samples every stride-th awake slot, and the
 			// awake-slot count is exactly Slots − KernelSlotsFastForwarded.
 			awake := res.Slots - m.KernelSlotsFastForwarded
@@ -112,17 +193,16 @@ func TestMetricsEventAccounting(t *testing.T) {
 				t.Errorf("%s: kernel observed %d slots, want %d (stride %d over %d awake)",
 					name, m.ObservedSlots, want, batterySampleStride, awake)
 			}
-			if m.KernelRuns == 0 {
-				t.Errorf("%s: kernel run recorded no sleep runs", name)
+		default:
+			if m.ObservedSlots != perRun {
+				t.Errorf("%s: reference engine observed %d slots, want %d (stride %d over %d)",
+					name, m.ObservedSlots, perRun, batterySampleStride, res.Slots)
 			}
-		} else if want := res.Slots / batterySampleStride; m.ObservedSlots != want {
-			t.Errorf("%s: reference engine observed %d slots, want %d (stride %d over %d)",
-				name, m.ObservedSlots, want, batterySampleStride, res.Slots)
 		}
 	}
 	// The starved configuration must actually exercise the energy gate,
 	// or the MissNoEnergy path is untested.
-	cfg := metricsCases(t)["reference-starved"]
+	cfg := engineCaseConfig(t, "reference-starved")
 	cfg.Metrics = true
 	res, err := Run(cfg)
 	if err != nil {

@@ -28,42 +28,3 @@ func TestLoadImbalanceCases(t *testing.T) {
 		}
 	}
 }
-
-// TestTimelineSamplingBoundaries pins the sampling contract at the
-// edges: a window equal to the horizon yields exactly one point (at the
-// final slot), and a horizon not divisible by the window yields only the
-// complete windows — the trailing partial window is never sampled.
-func TestTimelineSamplingBoundaries(t *testing.T) {
-	run := func(slots, every int64) *Result {
-		cfg := baseConfig(t)
-		cfg.Slots = slots
-		cfg.SampleEvery = every
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	res := run(5000, 5000)
-	if len(res.Timeline) != 1 {
-		t.Fatalf("SampleEvery == horizon: %d points, want 1", len(res.Timeline))
-	}
-	if p := res.Timeline[0]; p.Slot != 5000 || p.QoM != res.QoM {
-		t.Errorf("final point %+v, want slot 5000 with running QoM %v", p, res.QoM)
-	}
-
-	res = run(5000, 1500) // 3 complete windows; the last 500 slots unsampled
-	if len(res.Timeline) != 3 {
-		t.Fatalf("indivisible horizon: %d points, want 3", len(res.Timeline))
-	}
-	for i, p := range res.Timeline {
-		if want := int64(1500 * (i + 1)); p.Slot != want {
-			t.Errorf("point %d at slot %d, want %d", i, p.Slot, want)
-		}
-	}
-
-	if res := run(5000, 0); res.Timeline != nil {
-		t.Errorf("SampleEvery 0 produced %d points", len(res.Timeline))
-	}
-}

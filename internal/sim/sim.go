@@ -16,7 +16,6 @@ import (
 	"eventcap/internal/dist"
 	"eventcap/internal/energy"
 	"eventcap/internal/obs"
-	"eventcap/internal/parallel"
 	"eventcap/internal/rng"
 	"eventcap/internal/stats"
 	"eventcap/internal/trace"
@@ -97,17 +96,6 @@ type Policy interface {
 	Reset()
 }
 
-// TraceRecord is one slot of an optional execution trace.
-type TraceRecord struct {
-	Slot         int64
-	InCharge     int // 0-based sensor index; -1 when all sensors decide
-	Event        bool
-	SinceEvent   int
-	SinceCapture int
-	Actions      []bool // per-sensor activation this slot
-	Captured     bool
-}
-
 // SensorStats accumulates per-sensor accounting.
 type SensorStats struct {
 	Activations    int64
@@ -118,18 +106,6 @@ type SensorStats struct {
 	FinalBattery   float64
 }
 
-// TimelinePoint is a periodic snapshot of the run's progress.
-type TimelinePoint struct {
-	Slot int64
-	// QoM is the running capture probability through this slot.
-	QoM float64
-	// WindowQoM is the capture probability within the last sampling
-	// window only (for stationarity checks and batch-means CIs).
-	WindowQoM float64
-	// Battery is sensor 0's level at the snapshot.
-	Battery float64
-}
-
 // Result is the outcome of a simulation run.
 type Result struct {
 	Slots    int64
@@ -138,8 +114,6 @@ type Result struct {
 	// QoM is the capture probability U_K(π) of Eq. (1).
 	QoM     float64
 	Sensors []SensorStats
-	// Timeline holds periodic snapshots when Config.SampleEvery > 0.
-	Timeline []TimelinePoint
 	// Engine records the engine that actually executed the run (the
 	// reference engine or the compiled kernel) — under EngineAuto the
 	// caller cannot know otherwise.
@@ -209,27 +183,20 @@ type Config struct {
 	Info Info
 
 	// Workers bounds the worker pool of the independent-sensor fast path
-	// (ModeAll + PartialInfo + N > 1, no Trace, no SampleEvery), where
-	// each sensor owns its own decision stream and evolves in isolation.
-	// 0 means one worker per CPU; 1 forces sequential execution. Results
-	// are identical for every value — the per-sensor decomposition, not
-	// the worker count, fixes the random streams.
+	// (ModeAll + PartialInfo + N > 1), where each sensor owns its own
+	// decision stream and evolves in isolation, and of the batch
+	// engine's replication chunks. 0 means one worker per CPU; 1 forces
+	// sequential execution. Results are identical for every value — the
+	// per-sensor and per-replication decompositions, not the worker
+	// count, fix the random streams.
 	Workers int
 
-	// Trace, if set, receives every slot's record. Use only with small
-	// Slots.
-	Trace func(TraceRecord)
-
-	// FailAt, if non-nil, maps a 0-based sensor index to the slot at
-	// which that sensor dies permanently (stops deciding, recharging and
-	// observing) — fault injection for resilience experiments. Failed
-	// sensors keep their slot assignments in coordinated modes, which is
-	// exactly the fragility being measured.
+	// FailAt, if non-nil, maps a 0-based sensor index in [0, N) to the
+	// slot at which that sensor dies permanently (stops deciding,
+	// recharging and observing) — fault injection for resilience
+	// experiments. Failed sensors keep their slot assignments in
+	// coordinated modes, which is exactly the fragility being measured.
 	FailAt map[int]int64
-
-	// SampleEvery, when positive, records a TimelinePoint every that
-	// many slots (running QoM, per-window QoM, battery level).
-	SampleEvery int64
 
 	// Metrics, when true, collects the per-run observability counters of
 	// the Metrics struct into Result.Metrics and folds them into the
@@ -238,44 +205,36 @@ type Config struct {
 	// or off (asserted by TestMetricsDoNotChangeResults).
 	Metrics bool
 
-	// Tracer, when non-nil, receives a slot-level execution trace on
-	// every engine: per-slot decision records, and on the compiled
+	// Tracer, when non-nil, receives a slot-level execution trace:
+	// per-slot decision records, and on the compiled single-sensor
 	// kernel one compressed span per fast-forwarded sleep run. Tracing
 	// is RNG-neutral like Metrics — it never consumes a random draw, so
 	// results are byte-identical with it attached or not (asserted by
-	// TestTracingDoesNotChangeResults). A full-trace writer serializes
-	// the independent-sensor path onto one worker (results are
+	// TestTracingDoesNotChangeResults). Traced fleets (N > 1) run the
+	// interpreted engines. A full-trace writer serializes the
+	// independent-sensor path onto one worker (results are
 	// worker-invariant, so outputs do not change); a flight recorder
-	// alone leaves the worker pool untouched. Unlike the legacy Trace
-	// callback, a Tracer keeps kernel-eligible configurations on the
-	// kernel.
+	// alone leaves the worker pool untouched.
 	Tracer *trace.Tracer
 
 	// Engine selects the simulation engine. The default, EngineAuto, runs
 	// the compiled slot-skipping kernel whenever the configuration is
-	// eligible (single sensor, compilable stateless policy,
-	// fast-forwardable recharge, no trace/timeline/fault injection) and
-	// the reference engine otherwise. See kernel.go for the equivalence
-	// contract.
+	// eligible (a single sensor or a round-robin fleet, compilable
+	// stateless policy, fast-forwardable recharge, no fault injection)
+	// and the reference engine otherwise. See kernel.go for the
+	// equivalence contract.
 	Engine Engine
 
 	// Batch, when > 1, simulates that many statistically independent
-	// replications of this (single-sensor) configuration in one call:
-	// replication r reproduces the run this Config would produce at
-	// Seed + r, and the Result aggregates all replications (summed
-	// Events/Captures, pooled QoM, one SensorStats entry per
-	// replication). Under EngineAuto an eligible configuration runs on
-	// the mega-batch engine (see batch.go); otherwise — or under a forced
-	// per-run engine — the replications run individually and are
-	// aggregated. Batch <= 1 leaves the single-run semantics untouched.
+	// replications of this configuration in one call: replication r
+	// reproduces the run this Config would produce at Seed + r, and the
+	// Result aggregates all replications (summed Events/Captures, pooled
+	// QoM, one SensorStats block per replication). Under EngineAuto an
+	// eligible configuration runs on the mega-batch engine (see
+	// batch.go); otherwise — or under a forced per-run engine — the
+	// replications run individually and are aggregated. Batch <= 1
+	// leaves the single-run semantics untouched.
 	Batch int
-
-	// BatchChunk overrides the batch engine's replications-per-chunk
-	// sharding (0 = default). Chunks are the unit of worker parallelism
-	// and of state reuse; results are byte-identical for every value —
-	// replication streams derive from Seed + r alone, never from the
-	// sharding.
-	BatchChunk int
 
 	// Span, when non-nil, is the parent span this run records its phase
 	// timings under: a "compile" child around the engine probe, then one
@@ -327,6 +286,17 @@ func (c *Config) validate() error {
 	if c.N < 1 {
 		return fmt.Errorf("sim: N must be >= 1, got %d", c.N)
 	}
+	// Report the smallest out-of-range key so the error is deterministic.
+	bad, found := 0, false
+	// nondeterm:ok order-independent check: the minimum bad key is order-free
+	for s := range c.FailAt {
+		if (s < 0 || s >= c.N) && (!found || s < bad) {
+			bad, found = s, true
+		}
+	}
+	if found {
+		return fmt.Errorf("sim: FailAt sensor %d outside [0, %d)", bad, c.N)
+	}
 	if c.Mode == 0 {
 		c.Mode = ModeAll
 	}
@@ -347,9 +317,6 @@ func (c *Config) validate() error {
 	}
 	if c.Batch < 0 {
 		return fmt.Errorf("sim: Batch must be >= 0, got %d", c.Batch)
-	}
-	if c.BatchChunk < 0 {
-		return fmt.Errorf("sim: BatchChunk must be >= 0, got %d", c.BatchChunk)
 	}
 	return nil
 }
@@ -372,11 +339,8 @@ func (c *Config) inCharge(t int64) int {
 // decoupled from the others': under ModeAll + PartialInfo each sensor
 // sees only its own capture history, so once decision randomness is
 // per-sensor the simulations can run in any order (or concurrently).
-// Trace and SampleEvery need the interleaved per-slot view, so they stay
-// on the sequential engine.
 func (c *Config) independentSensors() bool {
-	return c.Mode == ModeAll && c.Info == PartialInfo && c.N > 1 &&
-		c.Trace == nil && c.SampleEvery == 0
+	return c.Mode == ModeAll && c.Info == PartialInfo && c.N > 1
 }
 
 // Run executes the simulation.
@@ -418,7 +382,7 @@ func Run(cfg Config) (*Result, error) {
 		plan, fb := compileKernel(&cfg)
 		if plan != nil {
 			csp.End()
-			return runKernel(cfg, plan)
+			return runFleetKernel(cfg, plan)
 		}
 		if cfg.independentSensors() {
 			ip, ifb := compileIndependent(&cfg)
@@ -437,7 +401,7 @@ func Run(cfg Config) (*Result, error) {
 		plan, fb := compileKernel(&cfg)
 		if plan != nil {
 			csp.End()
-			return runKernel(cfg, plan)
+			return runFleetKernel(cfg, plan)
 		}
 		if cfg.independentSensors() {
 			// Decoupled sensors get a second chance on the per-sensor
@@ -460,6 +424,14 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.independentSensors() {
 		return runIndependent(cfg, nil)
 	}
+	return runReference(cfg)
+}
+
+// runReference is the interpreted per-slot engine: the semantic ground
+// truth every fast path is checked against, general over sensor counts,
+// coordination modes, observation models, stateful policies and fault
+// injection.
+func runReference(cfg Config) (*Result, error) {
 	ex := cfg.Span.Child("exec.reference")
 	defer ex.End()
 	ex.Count("slots", cfg.Slots)
@@ -487,51 +459,14 @@ func Run(cfg Config) (*Result, error) {
 
 	cost := cfg.Params.ActivationCost()
 	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, cfg.N), Engine: EngineReference}
-	var m *Metrics
-	if cfg.Metrics {
-		m = &Metrics{}
-		res.Metrics = m
-	}
-	sp := newStatsProbe(&cfg)
-	// Tracing state: trFull demands a record for every decided slot;
-	// otherwise only decision-relevant slots (nonzero activation
-	// probability or an event) reach the flight recorder, which keeps
-	// the per-slot cost of an armed recorder near zero on sparse
-	// policies. rechargeDraw keeps each sensor's last delivered energy
-	// for the records.
-	tr := cfg.Tracer
-	trFull := tr.Full()
-	// The hot loop records through the cached sinks rather than
-	// tr.Slot's fan-out: one Rec copy instead of two per recorded slot
-	// (the flight recorder's ≤2% budget is priced per record).
-	var trWriter *trace.Writer
-	var trFlight *trace.FlightRecorder
+	o := newObserver(&cfg, trace.EngineReference)
+	// rechargeDraw keeps each sensor's last delivered energy for the
+	// trace records.
 	var rechargeDraw []float64
-	var slotRecs int
-	if tr != nil {
-		trWriter, trFlight = tr.Writer(), tr.Recorder()
+	if o.tr != nil {
 		rechargeDraw = make([]float64, cfg.N)
-		tr.RunStart(trace.RunInfo{
-			Engine:     trace.EngineReference,
-			Sensors:    cfg.N,
-			Seed:       cfg.Seed,
-			Slots:      cfg.Slots,
-			BatteryCap: cfg.BatteryCap,
-			Cost:       cost,
-			Policy:     policies[0].Name(),
-			Dist:       cfg.Dist.Name(),
-			Recharge:   recharges[0].Name(),
-		})
+		o.start(&cfg, cfg.N, policies[0].Name(), recharges[0].Name())
 	}
-	// Per-slot metric accumulators stay in locals (registers) inside the
-	// loop and flush into m once at the end, keeping the instrumented
-	// loop within the overhead budget of DESIGN.md §9. costGate mirrors
-	// energy.Battery.CanConsume.
-	invCap := 1 / cfg.BatteryCap
-	binScale := batteryBins * invCap
-	costGate := cost - 1e-12
-	var obsSlots, outage int64
-	var fracSum float64
 
 	// The paper assumes an event (and, for PI, a capture) at slot 0.
 	lastEvent := int64(0)
@@ -544,20 +479,16 @@ func Run(cfg Config) (*Result, error) {
 	// the common fault-free run.
 	failed := make([]bool, cfg.N)
 	failSlot := make([]int64, cfg.N)
-	hasFail := false
 	for s := range failSlot {
 		failSlot[s] = math.MaxInt64
 	}
 	// nondeterm:ok order-independent lowering: each key writes its own slot
 	for s, slot := range cfg.FailAt {
-		if s >= 0 && s < cfg.N {
-			failSlot[s] = slot
-			hasFail = true
-		}
+		failSlot[s] = slot
 	}
+	hasFail := len(cfg.FailAt) > 0
 
 	actions := make([]bool, cfg.N)
-	var windowEvents, windowCaptures int64
 
 	// decide is hoisted out of the slot loop (a closure literal inside it
 	// would allocate every iteration); the per-slot variables it reads are
@@ -585,19 +516,13 @@ func Run(cfg Config) (*Result, error) {
 			st.SinceCapture = int(t - ownLastCapture[s])
 		}
 		p := policies[s].ActivationProb(st)
-		active := false
-		// Trace flags are set inside the branches the decision already
-		// takes — no separate per-record flag branching on the hot path.
-		var flags uint8
-		if event {
-			flags = trace.FlagEvent
-		}
+		active, denied := false, false
 		switch {
 		case p <= 0 || !decisionSrc.Bernoulli(p):
 			// Asleep: no draw consumed when p <= 0, one otherwise.
 		case !batteries[s].CanConsume(cost):
 			res.Sensors[s].Denied++
-			flags |= trace.FlagDenied
+			denied = true
 			if event {
 				eventDenied = true
 			}
@@ -605,42 +530,18 @@ func Run(cfg Config) (*Result, error) {
 			stats := &res.Sensors[s]
 			active = true
 			actions[s] = true
-			flags |= trace.FlagActive
 			batteries[s].Consume(cfg.Params.Delta1)
 			stats.Activations++
 			if event {
 				batteries[s].Consume(cfg.Params.Delta2)
 				stats.Captures++
 				captured = true
-				flags |= trace.FlagCaptured
 			}
 		}
 		policies[s].Observe(outcomeFor(cfg.Info, active, event, active && event))
-		if tr != nil && (trFull || p > 0 || event) {
-			if trWriter != nil {
-				rec := trace.Rec{
-					Slot:     t,
-					Sensor:   int32(s),
-					Engine:   trace.EngineReference,
-					Flags:    flags,
-					H:        int32(st.SinceEvent),
-					F:        int32(st.SinceCapture),
-					Prob:     p,
-					Battery:  st.Battery,
-					Recharge: rechargeDraw[s],
-				}
-				trWriter.Rec(rec)
-				slotRecs++
-				if trFlight != nil {
-					trFlight.Record(&rec)
-				}
-			} else if trFlight != nil {
-				// Flight-only (the leave-on mode): fields go straight
-				// into the ring slot, no intermediate Rec.
-				trFlight.RecordSlot(t, int32(s), trace.EngineReference, flags,
-					int32(st.SinceEvent), int32(st.SinceCapture),
-					p, st.Battery, rechargeDraw[s])
-			}
+		if o.tr != nil {
+			o.slot(t, s, slotFlags(event, active, denied), int64(st.SinceEvent), int64(st.SinceCapture),
+				p, st.Battery, rechargeDraw[s])
 		}
 	}
 
@@ -649,10 +550,10 @@ func Run(cfg Config) (*Result, error) {
 	// data-dependent branch inside the loop: a period-stride pattern
 	// inside a body with dozens of branches is beyond any predictor's
 	// history, and the resulting mispredictions cost far more than the
-	// observation itself. With metrics and stats off there is a single
-	// chunk and the loop is exactly the uninstrumented loop.
+	// observation itself. With nothing sampling there is a single chunk
+	// and the loop is exactly the uninstrumented loop.
 	chunkLen := cfg.Slots
-	if m != nil || sp != nil {
+	if o.sampling {
 		chunkLen = batterySampleStride
 	}
 	for t = 1; t <= cfg.Slots; {
@@ -665,8 +566,8 @@ func Run(cfg Config) (*Result, error) {
 				for s := 0; s < cfg.N; s++ {
 					if !failed[s] && t >= failSlot[s] {
 						failed[s] = true
-						if tr != nil {
-							tr.Fault(s, t)
+						if o.tr != nil {
+							o.tr.Fault(s, t)
 						}
 					}
 				}
@@ -678,7 +579,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				amt := recharges[s].Next(rechargeSrcs[s])
 				batteries[s].Recharge(amt)
-				if tr != nil {
+				if o.tr != nil {
 					rechargeDraw[s] = amt
 				}
 			}
@@ -699,55 +600,22 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 
-			if trFull {
+			if o.w != nil {
 				// An event slot in which no sensor decided (all failed,
-				// or the in-charge sensor failed) still needs a record —
-				// replay reconstructs the event count from the trace. The
-				// marker only matters to the full trace (the flight
+				// or the in-charge sensor failed) still needs a record.
+				// Only the full trace needs the marker (the flight
 				// recorder drops Sensor = -1 records), so a flight-only
 				// run pays none of this bookkeeping.
-				if event && slotRecs == 0 {
-					tr.Slot(trace.Rec{
-						Slot:   t,
-						Sensor: -1,
-						Engine: trace.EngineReference,
-						Flags:  trace.FlagEvent,
-						H:      int32(t - lastEvent),
-						F:      int32(t - sharedLastCapture),
-					})
+				if event && o.recs == 0 {
+					o.marker(t, trace.FlagEvent, t-lastEvent, t-sharedLastCapture)
 				}
-				slotRecs = 0
-			}
-			if cfg.Trace != nil {
-				// Record decision-time states (the paper's H_t / F_t).
-				rec := TraceRecord{
-					Slot:         t,
-					InCharge:     charge,
-					Event:        event,
-					SinceEvent:   int(t - lastEvent),
-					SinceCapture: int(t - sharedLastCapture),
-					Actions:      append([]bool(nil), actions...),
-					Captured:     captured,
-				}
-				cfg.Trace(rec)
+				o.recs = 0
 			}
 			if event {
 				res.Events++
 				lastEvent = t
 				nextEvent = t + int64(cfg.Dist.Sample(eventSrc))
-				if m != nil && !captured {
-					if eventDenied {
-						m.MissNoEnergy++
-					} else {
-						m.MissAsleep++
-					}
-				}
-				if sp != nil {
-					sp.ObserveEvent(captured)
-				}
-				if tr != nil && !captured && eventDenied {
-					tr.OutageMiss(t)
-				}
+				o.event(t, captured, eventDenied)
 			}
 			if captured {
 				res.Captures++
@@ -758,40 +626,12 @@ func Run(cfg Config) (*Result, error) {
 					}
 				}
 			}
-			if cfg.SampleEvery > 0 && t%cfg.SampleEvery == 0 {
-				point := TimelinePoint{Slot: t, Battery: batteries[0].Level()}
-				if res.Events > 0 {
-					point.QoM = float64(res.Captures) / float64(res.Events)
-				}
-				wEvents := res.Events - windowEvents
-				wCaptures := res.Captures - windowCaptures
-				if wEvents > 0 {
-					point.WindowQoM = float64(wCaptures) / float64(wEvents)
-				}
-				windowEvents, windowCaptures = res.Events, res.Captures
-				res.Timeline = append(res.Timeline, point)
-			}
 		}
 		// Sample sensor 0's end-of-slot battery level once per full
 		// chunk (chunkEnd is stride-aligned except possibly the last,
 		// so ObservedSlots == Slots/batterySampleStride exactly).
-		if (m != nil || sp != nil) && chunkEnd&(batterySampleStride-1) == 0 {
-			lvl := batteries[0].Level()
-			if m != nil {
-				obsSlots++
-				fracSum += lvl * invCap
-				bin := int(lvl * binScale)
-				if bin >= batteryBins {
-					bin = batteryBins - 1
-				}
-				m.BatteryHist[bin]++
-				if lvl < costGate {
-					outage++
-				}
-			}
-			if sp != nil {
-				sp.ObserveBattery(lvl * invCap)
-			}
+		if o.sampling && chunkEnd&(batterySampleStride-1) == 0 {
+			o.battery(batteries[0].Level())
 		}
 	}
 
@@ -801,448 +641,7 @@ func Run(cfg Config) (*Result, error) {
 		st.OverflowLost = batteries[s].OverflowLost()
 		st.FinalBattery = batteries[s].Level()
 	}
-	if res.Events > 0 {
-		res.QoM = float64(res.Captures) / float64(res.Events)
-	}
-	if tr != nil {
-		tr.RunEnd(trace.RunEnd{Events: res.Events, Captures: res.Captures})
-	}
-	recordEngine(res.Engine)
-	if m != nil {
-		m.ObservedSlots = obsSlots
-		m.BatteryFracSum = fracSum
-		m.EnergyOutageSlots = outage
-		// An activation on an event slot always captures, so the wasted
-		// (no-event) activations are exactly activations − captures per
-		// sensor; deriving the count here keeps the branch out of the
-		// hot activation path.
-		for i := range res.Sensors {
-			m.WastedActivations += res.Sensors[i].Activations - res.Sensors[i].Captures
-		}
-		m.publish(res)
-	}
-	sp.finish(res)
-	return res, nil
-}
-
-// runIndependent simulates uncoordinated PartialInfo sensors with one
-// pool job per sensor. The event trajectory is drawn once up front (all
-// sensors watch the same PoI) and each sensor gets its own decision
-// stream root.Split(200+s), so the run is deterministic for any worker
-// count. Note the seed layout differs from the sequential engine's
-// shared decision stream: this configuration's outputs are reproducible
-// against themselves, not against a hypothetical shared-stream run.
-//
-// When plans is non-nil (compileIndependent succeeded) each sensor job
-// runs the compiled per-sensor loop — table lookups plus O(1) sleep-run
-// fast-forwards over its private capture clock — instead of interpreting
-// the policy slot by slot. The two loops consume each sensor's streams
-// identically (one recharge draw per live slot, one decision draw per
-// positive-probability slot), so for deterministic recharge the compiled
-// path is byte-identical to the interpreted one; under Bernoulli it is
-// equal in law, the standard FastForwarder clause.
-func runIndependent(cfg Config, plans []indepSensorPlan) (*Result, error) {
-	ex := cfg.Span.Child("exec.independent")
-	defer ex.End()
-	ex.Count("slots", cfg.Slots)
-	ex.Count("sensors", int64(cfg.N))
-	if plans != nil {
-		ex.Count("compiled", 1)
-	}
-	root := rng.New(cfg.Seed, 0x5eed) // seedflow:ok run-root: mirrors Run's stream layout exactly
-	eventSrc := root.Split(1)
-	_ = root.Split(2) // keep recharge streams aligned with the sequential layout
-	rechargeSrcs := make([]*rng.Source, cfg.N)
-	for s := 0; s < cfg.N; s++ {
-		rechargeSrcs[s] = root.Split(uint64(100 + s))
-	}
-	decisionSrcs := make([]*rng.Source, cfg.N)
-	for s := 0; s < cfg.N; s++ {
-		decisionSrcs[s] = root.Split(uint64(200 + s))
-	}
-
-	// One shared event trajectory, drawn exactly as the sequential engine
-	// draws it (an assumed event at slot 0 seeds the first gap).
-	var eventSlots []int64
-	for t := int64(cfg.Dist.Sample(eventSrc)); t <= cfg.Slots; t += int64(cfg.Dist.Sample(eventSrc)) {
-		eventSlots = append(eventSlots, t)
-	}
-
-	cost := cfg.Params.ActivationCost()
-	invCap := 1 / cfg.BatteryCap
-	// The stats probe is shared with the sensor jobs, but only sensor
-	// 0's job touches it (battery samples) and the event feed below
-	// runs after the jobs join — single-threaded access throughout.
-	probe := newStatsProbe(&cfg)
-
-	// A full-trace writer is a single stream, so the sensor jobs run on
-	// one worker, in index order — the per-sensor decomposition already
-	// makes results identical for every worker count, so forcing
-	// sequential execution changes only the trace file's record order.
-	// A flight recorder alone is safe concurrently: each job writes
-	// only its own sensor's ring.
-	tr := cfg.Tracer
-	trFull := tr.Full()
-	var trWriter *trace.Writer
-	var trFlight *trace.FlightRecorder
-	workers := cfg.Workers
-	if trFull {
-		workers = 1
-	}
-	if tr != nil {
-		trWriter, trFlight = tr.Writer(), tr.Recorder()
-		tr.RunStart(trace.RunInfo{
-			Engine:     trace.EngineIndependent,
-			Sensors:    cfg.N,
-			Seed:       cfg.Seed,
-			Slots:      cfg.Slots,
-			BatteryCap: cfg.BatteryCap,
-			Cost:       cost,
-			Policy:     cfg.NewPolicy(0).Name(),
-			Dist:       cfg.Dist.Name(),
-			Recharge:   cfg.NewRecharge().Name(),
-		})
-	}
-
-	type sensorOut struct {
-		stats    SensorStats
-		captured []bool // indexed like eventSlots
-		denied   []bool // energy-denied attempts per event (metrics/trace only)
-		m        *Metrics
-	}
-	outs, err := parallel.MapInner(workers, cfg.N, func(s int) (sensorOut, error) {
-		defer cfg.Progress.FinishWork(cfg.Slots)
-		b, err := energy.NewBattery(cfg.BatteryCap, cfg.InitialBattery)
-		if err != nil {
-			return sensorOut{}, err
-		}
-		rSrc, dSrc := rechargeSrcs[s], decisionSrcs[s]
-		failSlot := int64(math.MaxInt64)
-		if fs, ok := cfg.FailAt[s]; ok {
-			failSlot = fs
-		}
-		out := sensorOut{captured: make([]bool, len(eventSlots))}
-		if cfg.Metrics {
-			out.m = &Metrics{}
-		}
-		if cfg.Metrics || tr != nil {
-			out.denied = make([]bool, len(eventSlots))
-		}
-		m := out.m
-		if plans != nil {
-			// Compiled per-sensor fast path: the decision state is this
-			// sensor's own capture clock (or slot phase), so the
-			// single-sensor kernel's zero-run fast-forward applies
-			// verbatim. A failed sensor truncates its own loop at
-			// failSlot-1 — independent sensors share nothing, so the
-			// truncation is exact, and fault injection stays eligible.
-			sp := &plans[s]
-			sp.policy.Reset()
-			limit := cfg.Slots
-			if failSlot-1 < limit {
-				limit = failSlot - 1
-			}
-			bern, isBern := sp.recharge.(*energy.Bernoulli)
-			var bq, bc float64
-			if isBern {
-				bq, bc = bern.Q(), bern.C()
-			}
-			// Battery occupancy on the compiled path follows the kernel
-			// convention: sensor 0, every stride-th awake (non-skipped)
-			// slot.
-			sampleCountdown := int64(math.MaxInt64)
-			if (m != nil || probe != nil) && s == 0 {
-				sampleCountdown = batterySampleStride
-			}
-			lastCapture := int64(0)
-			ei := 0
-			t := int64(1)
-			for t <= limit {
-				var st int64
-				if sp.state == StateSinceCapture {
-					st = t - lastCapture
-				} else {
-					st = (t-1)%sp.modulus + 1
-				}
-				if z := sp.table.ZeroRunFrom(int(st)); z > 0 {
-					run := z
-					if sp.state == StateSlotPhase {
-						if wrap := sp.modulus - st + 1; run > wrap {
-							run = wrap
-						}
-					}
-					if left := limit - t + 1; run > left {
-						run = left
-					}
-					sp.recharge.FastForward(b, run, rSrc)
-					// Events slept through are misses for this sensor
-					// unless a peer catches them — the aggregation below
-					// decides from capturedAny, so just advance past.
-					end := t + run - 1
-					for ei < len(eventSlots) && eventSlots[ei] <= end {
-						ei++
-					}
-					if m != nil {
-						m.KernelRuns++
-						m.KernelSlotsFastForwarded += run
-					}
-					t += run
-					continue
-				}
-				if isBern {
-					if rSrc.Bernoulli(bq) {
-						b.Recharge(bc)
-					}
-				} else {
-					b.Recharge(sp.recharge.Next(rSrc))
-				}
-				event := ei < len(eventSlots) && eventSlots[ei] == t
-				p := sp.table.At(int(st))
-				// Awake slots have p > 0, so the decision draw below is
-				// always consumed — matching the interpreted loop's
-				// draw-per-positive-probability discipline.
-				if dSrc.Bernoulli(p) {
-					if !b.CanConsume(cost) {
-						out.stats.Denied++
-						if out.denied != nil && event {
-							out.denied[ei] = true
-						}
-					} else {
-						b.Consume(cfg.Params.Delta1)
-						out.stats.Activations++
-						if event {
-							b.Consume(cfg.Params.Delta2)
-							out.stats.Captures++
-							out.captured[ei] = true
-							lastCapture = t
-						}
-					}
-				}
-				if event {
-					ei++
-				}
-				sampleCountdown--
-				if sampleCountdown == 0 {
-					sampleCountdown = batterySampleStride
-					lvl := b.Level() * invCap
-					if m != nil {
-						m.observeBattery(lvl)
-						if !b.CanConsume(cost) {
-							m.EnergyOutageSlots++
-						}
-					}
-					if probe != nil {
-						probe.ObserveBattery(lvl)
-					}
-				}
-				t++
-			}
-			out.stats.EnergyConsumed = b.Consumed()
-			out.stats.OverflowLost = b.OverflowLost()
-			out.stats.FinalBattery = b.Level()
-			if m != nil {
-				m.WastedActivations = out.stats.Activations - out.stats.Captures
-			}
-			return out, nil
-		}
-		recharge := cfg.NewRecharge()
-		pol := cfg.NewPolicy(s)
-		pol.Reset()
-		lastCapture := int64(0)
-		ei := 0
-		for t := int64(1); t <= cfg.Slots && t < failSlot; t++ {
-			amt := recharge.Next(rSrc)
-			b.Recharge(amt)
-			event := ei < len(eventSlots) && eventSlots[ei] == t
-			st := SlotState{
-				Slot:         t,
-				SinceEvent:   -1,
-				SinceCapture: int(t - lastCapture),
-				Battery:      b.Level(),
-			}
-			p := pol.ActivationProb(st)
-			active, denied := false, false
-			switch {
-			case p <= 0 || !dSrc.Bernoulli(p):
-				// Asleep: no draw consumed when p <= 0, one otherwise.
-			case !b.CanConsume(cost):
-				out.stats.Denied++
-				denied = true
-				if out.denied != nil && event {
-					out.denied[ei] = true
-				}
-			default:
-				active = true
-				b.Consume(cfg.Params.Delta1)
-				out.stats.Activations++
-				if event {
-					b.Consume(cfg.Params.Delta2)
-					out.stats.Captures++
-					out.captured[ei] = true
-					lastCapture = t
-				}
-			}
-			pol.Observe(outcomeFor(cfg.Info, active, event, active && event))
-			if tr != nil && (trFull || p > 0 || event) {
-				var flags uint8
-				if event {
-					flags |= trace.FlagEvent
-				}
-				if active {
-					flags |= trace.FlagActive
-					if event {
-						flags |= trace.FlagCaptured
-					}
-				}
-				if denied {
-					flags |= trace.FlagDenied
-				}
-				if trWriter != nil {
-					rec := trace.Rec{
-						Slot:     t,
-						Sensor:   int32(s),
-						Engine:   trace.EngineIndependent,
-						Flags:    flags,
-						H:        -1,
-						F:        int32(st.SinceCapture),
-						Prob:     p,
-						Battery:  st.Battery,
-						Recharge: amt,
-					}
-					trWriter.Rec(rec)
-					if trFlight != nil {
-						trFlight.Record(&rec)
-					}
-				} else if trFlight != nil {
-					// Flight-only: fields go straight into the ring slot.
-					trFlight.RecordSlot(t, int32(s), trace.EngineIndependent, flags,
-						-1, int32(st.SinceCapture), p, st.Battery, amt)
-				}
-			}
-			if event {
-				ei++
-			}
-			// Battery occupancy is defined on sensor 0's end-of-slot
-			// level, matching the sequential engine and
-			// TimelinePoint.Battery.
-			if (m != nil || probe != nil) && s == 0 && t&(batterySampleStride-1) == 0 {
-				lvl := b.Level() * invCap
-				if m != nil {
-					m.observeBattery(lvl)
-					if !b.CanConsume(cost) {
-						m.EnergyOutageSlots++
-					}
-				}
-				if probe != nil {
-					probe.ObserveBattery(lvl)
-				}
-			}
-		}
-		out.stats.EnergyConsumed = b.Consumed()
-		out.stats.OverflowLost = b.OverflowLost()
-		out.stats.FinalBattery = b.Level()
-		if m != nil {
-			// Same identity as the sequential engine: an activation on
-			// an event slot always captures.
-			m.WastedActivations = out.stats.Activations - out.stats.Captures
-		}
-		if tr != nil && failSlot <= cfg.Slots {
-			tr.Fault(s, failSlot)
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	engine := EngineReference
-	if plans != nil {
-		engine = EngineKernel
-	}
-	res := &Result{
-		Slots:   cfg.Slots,
-		Events:  int64(len(eventSlots)),
-		Sensors: make([]SensorStats, cfg.N),
-		Engine:  engine,
-	}
-	var m *Metrics
-	var deniedAny []bool
-	if cfg.Metrics {
-		m = &Metrics{}
-		res.Metrics = m
-	}
-	if cfg.Metrics || tr != nil {
-		deniedAny = make([]bool, len(eventSlots))
-	}
-	capturedAny := make([]bool, len(eventSlots))
-	for s, o := range outs {
-		res.Sensors[s] = o.stats
-		for i, c := range o.captured {
-			if c {
-				capturedAny[i] = true
-			}
-		}
-		if m != nil {
-			m.Merge(o.m)
-		}
-		if deniedAny != nil {
-			for i, d := range o.denied {
-				if d {
-					deniedAny[i] = true
-				}
-			}
-		}
-	}
-	for i, c := range capturedAny {
-		if c {
-			res.Captures++
-		} else if m != nil {
-			if deniedAny[i] {
-				m.MissNoEnergy++
-			} else {
-				m.MissAsleep++
-			}
-		}
-		if probe != nil {
-			probe.ObserveEvent(c)
-		}
-	}
-	if res.Events > 0 {
-		res.QoM = float64(res.Captures) / float64(res.Events)
-	}
-	if tr != nil {
-		// Aggregate event-outcome markers: per-sensor records only say
-		// what each sensor did; the markers pin down each event slot's
-		// run-level outcome (captured by anyone / denied by someone)
-		// even when every sensor slept or had already failed.
-		outageSeen := false
-		for i, slot := range eventSlots {
-			flags := trace.FlagEvent
-			if capturedAny[i] {
-				flags |= trace.FlagCaptured
-			} else if deniedAny[i] {
-				flags |= trace.FlagDenied
-				if !outageSeen {
-					outageSeen = true
-					tr.OutageMiss(slot)
-				}
-			}
-			tr.Slot(trace.Rec{
-				Slot:   slot,
-				Sensor: -1,
-				Engine: trace.EngineIndependent,
-				Flags:  flags,
-				H:      -1,
-				F:      -1,
-			})
-		}
-		tr.RunEnd(trace.RunEnd{Events: res.Events, Captures: res.Captures})
-	}
-	recordEngine(res.Engine)
-	if m != nil {
-		m.publish(res)
-	}
-	probe.finish(res)
+	o.finish(res)
 	return res, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"eventcap/internal/dist"
 	"eventcap/internal/energy"
 	"eventcap/internal/rng"
-	"eventcap/internal/stats"
 )
 
 func mustWeibull(t testing.TB, scale, shape float64) *dist.Weibull {
@@ -65,6 +64,11 @@ func TestRunValidation(t *testing.T) {
 		"zero battery":   func(c *Config) { c.BatteryCap = 0 },
 		"zero slots":     func(c *Config) { c.Slots = 0 },
 		"blocks w/o len": func(c *Config) { c.Mode = ModeBlocks },
+		// A FailAt key outside [0, N) names no sensor; skipping it would
+		// run fault-free while still declining the kernel.
+		"FailAt past N":     func(c *Config) { c.FailAt = map[int]int64{1: 100} },
+		"FailAt negative":   func(c *Config) { c.N = 2; c.FailAt = map[int]int64{0: 50, -1: 100} },
+		"batch FailAt >= N": func(c *Config) { c.Batch = 4; c.FailAt = map[int]int64{3: 100} },
 	}
 	for name, mutate := range cases {
 		cfg := good
@@ -323,58 +327,4 @@ func TestBatteryGateDeniesWhenEmpty(t *testing.T) {
 func newTestSource(t testing.TB) *rng.Source {
 	t.Helper()
 	return rng.New(123, 77)
-}
-
-// TestTimelineRecording: periodic snapshots carry consistent running and
-// per-window QoM, and integrate with the batch-means machinery.
-func TestTimelineRecording(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Slots = 200000
-	cfg.SampleEvery = 10000
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) != 20 {
-		t.Fatalf("got %d timeline points, want 20", len(res.Timeline))
-	}
-	for i, p := range res.Timeline {
-		if p.Slot != int64(i+1)*10000 {
-			t.Fatalf("point %d at slot %d", i, p.Slot)
-		}
-		if p.QoM < 0 || p.QoM > 1 || p.WindowQoM < 0 || p.WindowQoM > 1 {
-			t.Fatalf("point %d has QoM out of range: %+v", i, p)
-		}
-		if p.Battery < 0 || p.Battery > cfg.BatteryCap {
-			t.Fatalf("point %d battery %v out of range", i, p.Battery)
-		}
-	}
-	// Final running QoM must equal the result's QoM.
-	if last := res.Timeline[len(res.Timeline)-1]; math.Abs(last.QoM-res.QoM) > 1e-12 {
-		t.Fatalf("final timeline QoM %v != result QoM %v", last.QoM, res.QoM)
-	}
-	// Window QoMs feed a batch-means CI that brackets the overall QoM.
-	windows := make([]float64, len(res.Timeline))
-	for i, p := range res.Timeline {
-		windows[i] = p.WindowQoM
-	}
-	iv, err := stats.MeanCI(windows, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(res.QoM) {
-		t.Fatalf("CI %+v does not contain QoM %v", iv, res.QoM)
-	}
-}
-
-func TestTimelineDisabledByDefault(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Slots = 5000
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) != 0 {
-		t.Fatal("timeline recorded without SampleEvery")
-	}
 }

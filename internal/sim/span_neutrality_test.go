@@ -4,46 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"eventcap/internal/energy"
 	"eventcap/internal/obs"
 )
-
-// spanCases is metricsCases plus the engines metrics alone cannot
-// reach: the chunked batch engine, the sequential batch fallback, and
-// the multi-sensor compiled kernel.
-func spanCases(t *testing.T) map[string]Config {
-	cases := metricsCases(t)
-	newRech := func() energy.Recharge {
-		r, err := energy.NewBernoulli(0.5, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	batch := kernelBaseConfig(t, kernelCases(t)[0], newRech, 100, 7)
-	batch.Slots = 20_000
-	batch.Engine = EngineBatch
-	batch.Batch = 16
-	batch.Workers = 2
-	cases["batch"] = batch
-
-	fallback := cases["reference-roundrobin"]
-	fallback.Batch = 3 // coordinated fleet: batch engine declines, sequential replications
-	cases["batch-fallback"] = fallback
-
-	fleet := multiKernelConfig(t, kernelCases(t)[0], func() energy.Recharge {
-		r, err := energy.NewPeriodic(5, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}, 4, 100, 2)
-	fleet.Engine = EngineKernel
-	cases["kernel-multi"] = fleet
-
-	return cases
-}
 
 // TestSpansDoNotChangeResults is the RNG-neutrality contract of
 // Config.Span and Config.Progress (DESIGN.md §9): attaching the phase
@@ -51,7 +13,8 @@ func spanCases(t *testing.T) map[string]Config {
 // byte-identical on every execution path — spans never draw from a
 // random stream.
 func TestSpansDoNotChangeResults(t *testing.T) {
-	for name, cfg := range spanCases(t) {
+	for _, ec := range engineCases(t) {
+		name, cfg := ec.name, ec.cfg
 		cfg.Span = nil
 		cfg.Progress = nil
 		want, err := Run(cfg)

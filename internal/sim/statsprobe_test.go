@@ -7,35 +7,12 @@ import (
 	"eventcap/internal/stats"
 )
 
-// statsCases extends metricsCases with the engines the metrics suite
-// reaches through other tests: the round-robin fleet kernel, the batch
-// engine, and the batch fallback.
-func statsCases(t *testing.T) map[string]Config {
-	cases := metricsCases(t)
-
-	fleet := kernelBaseConfig(t, kernelCases(t)[0], constantFactory(t, 0.5), 100, 1)
-	fleet.N = 3
-	fleet.Mode = ModeRoundRobin
-	fleet.Engine = EngineKernel
-	cases["fleet-kernel"] = fleet
-
-	batch := kernelBaseConfig(t, kernelCases(t)[0], constantFactory(t, 0.5), 100, 1)
-	batch.Slots = 20000
-	batch.Batch = 30
-	cases["batch"] = batch
-
-	fallback := batch
-	fallback.Engine = EngineReference
-	cases["batch-fallback"] = fallback
-
-	return cases
-}
-
 // TestStatsDoNotChangeResults is the RNG-neutrality contract of
 // Config.Stats: the probe must leave every other Result field
 // byte-identical, on every execution path.
 func TestStatsDoNotChangeResults(t *testing.T) {
-	for name, cfg := range statsCases(t) {
+	for _, ec := range engineCases(t) {
+		name, cfg := ec.name, ec.cfg
 		cfg.Stats = false
 		want, err := Run(cfg)
 		if err != nil {
@@ -60,7 +37,8 @@ func TestStatsDoNotChangeResults(t *testing.T) {
 // Metrics (they share the battery sampling stride) without disturbing
 // either's output.
 func TestStatsWithMetricsDoNotChangeResults(t *testing.T) {
-	for name, cfg := range statsCases(t) {
+	for _, ec := range engineCases(t) {
+		name, cfg := ec.name, ec.cfg
 		cfg.Metrics = true
 		cfg.Stats = false
 		want, err := Run(cfg)
@@ -87,7 +65,8 @@ func TestStatsWithMetricsDoNotChangeResults(t *testing.T) {
 // and its shape to the engine: batch paths report per-replication CIs,
 // per-run paths batch means with a battery summary.
 func TestStatsReportConsistency(t *testing.T) {
-	for name, cfg := range statsCases(t) {
+	for _, ec := range engineCases(t) {
+		name, cfg := ec.name, ec.cfg
 		cfg.Stats = true
 		res, err := Run(cfg)
 		if err != nil {

@@ -2,17 +2,64 @@ package sim
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
 	"eventcap/internal/trace"
 )
 
+// tracedCases is the engineCases subset whose engines accept a tracer.
+func tracedCases(t *testing.T) []engineCase {
+	t.Helper()
+	var cases []engineCase
+	for _, ec := range engineCases(t) {
+		if ec.traced {
+			cases = append(cases, ec)
+		}
+	}
+	return cases
+}
+
+// tracedSlots runs cfg under a full slot trace and returns its decoded
+// slot records, in trace order.
+func tracedSlots(t *testing.T, cfg Config) []trace.Rec {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	cfg.Tracer = trace.New(w, nil)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []trace.Rec
+	for {
+		f, err := r.Next()
+		if err == io.EOF {
+			return recs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Kind == trace.FrameSlot {
+			recs = append(recs, f.Rec)
+		}
+	}
+}
+
 // TestTracingDoesNotChangeResults is the RNG-neutrality contract of
 // Config.Tracer: attaching a full-trace writer, a flight recorder, or
-// both must leave the Result byte-identical, on every execution path.
+// both must leave the Result byte-identical, on every execution path
+// that accepts a tracer.
 func TestTracingDoesNotChangeResults(t *testing.T) {
-	for name, cfg := range metricsCases(t) {
+	for _, ec := range tracedCases(t) {
+		name, cfg := ec.name, ec.cfg
 		cfg.Tracer = nil
 		want, err := Run(cfg)
 		if err != nil {
@@ -55,7 +102,8 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 // path including a kernel run with compressed sleep spans.
 func TestTraceReplayMatchesResults(t *testing.T) {
 	sawSpans := false
-	for name, cfg := range metricsCases(t) {
+	for _, ec := range tracedCases(t) {
+		name, cfg := ec.name, ec.cfg
 		cfg.Metrics = true
 		var buf bytes.Buffer
 		w := trace.NewWriter(&buf)
@@ -110,7 +158,7 @@ func TestTraceReplayMatchesResults(t *testing.T) {
 // multi-worker untraced run, and consecutive traced runs must produce
 // byte-identical trace files.
 func TestTraceWorkerInvariance(t *testing.T) {
-	cfg := metricsCases(t)["independent"]
+	cfg := engineCaseConfig(t, "independent")
 	cfg.Workers = 4
 	want, err := Run(cfg)
 	if err != nil {
@@ -142,7 +190,7 @@ func TestTraceWorkerInvariance(t *testing.T) {
 // TestTraceFaultDump: fault injection must trigger a flight-recorder
 // fault dump for the failed sensor.
 func TestTraceFaultDump(t *testing.T) {
-	cfg := metricsCases(t)["reference-faults"]
+	cfg := engineCaseConfig(t, "reference-faults")
 	fr := trace.NewFlightRecorder(32)
 	cfg.Tracer = trace.New(nil, fr)
 	if _, err := Run(cfg); err != nil {
@@ -162,7 +210,7 @@ func TestTraceFaultDump(t *testing.T) {
 // TestTraceOutageDump: a starved battery must trigger the
 // miss-after-outage dump.
 func TestTraceOutageDump(t *testing.T) {
-	cfg := metricsCases(t)["reference-starved"]
+	cfg := engineCaseConfig(t, "reference-starved")
 	fr := trace.NewFlightRecorder(32)
 	cfg.Tracer = trace.New(nil, fr)
 	res, err := Run(cfg)

@@ -6,7 +6,7 @@ package trace
 // hot path pays one predictable branch per slot.
 //
 // Engines may skip Slot calls for decision-irrelevant slots (activation
-// probability zero and no event) unless Full reports true — the full
+// probability zero and no event) unless a Writer is attached — the full
 // trace records every decided slot, the flight recorder only the ones
 // worth replaying a debugging session over.
 type Tracer struct {
@@ -19,11 +19,6 @@ type Tracer struct {
 func New(w *Writer, fr *FlightRecorder) *Tracer {
 	return &Tracer{w: w, fr: fr}
 }
-
-// Full reports whether a full-trace writer is attached, i.e. whether
-// engines must report every decided slot (and serialize multi-stream
-// runs into a deterministic order).
-func (t *Tracer) Full() bool { return t != nil && t.w != nil }
 
 // Writer returns the attached full-trace writer, if any.
 func (t *Tracer) Writer() *Writer { return t.w }
