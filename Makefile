@@ -45,9 +45,10 @@ lint-baseline:
 # Short-budget fuzzing of the numeric contracts: binomial sampling vs
 # CDF inversion, batched Bernoulli draws vs their per-draw definition,
 # the quantile table's gaps vs inverse-CDF sampling, policy
-# serialization round-trips, and the O(1) recharge closed form vs the
-# sequential loop. Seed corpora live in testdata/fuzz; CI runs this same
-# budget per target.
+# serialization round-trips, the belief filter's live-span update vs
+# the dense walk, and the O(1) recharge closed form vs the sequential
+# loop. Seed corpora live in testdata/fuzz or in the targets' f.Add
+# calls; CI runs this same budget per target.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSampleBinomial -fuzztime $(FUZZTIME) ./internal/dist
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQuantileTableGap -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzVectorJSONRoundTrip -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzClusteringPolicyRoundTrip -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzBeliefStepMatchesDense -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRechargeN -fuzztime $(FUZZTIME) ./internal/energy
 
 # -short skips the long single-threaded solver sweeps (they exercise no
@@ -63,10 +65,12 @@ fuzz-smoke:
 race:
 	$(GO) test -race -short -timeout 1200s ./internal/...
 
-# One iteration of each throughput benchmark: verifies the bench code
-# still compiles and runs, without paying for a real measurement.
+# One iteration of each throughput benchmark and of the solver
+# microbenchmarks: verifies the bench code still compiles and runs,
+# without paying for a real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SlotsPerOp|ObsOverhead|StatsOverhead|TraceOverhead|SpanOverhead' -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core
 
 # Batch-engine smoke: run the gated BENCH_batch emitter — the >=5x
 # speedup gate (batch engine vs B sequential kernel runs at B=10^4)

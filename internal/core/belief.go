@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"eventcap/internal/dist"
 	"eventcap/internal/numeric"
 )
@@ -23,12 +25,22 @@ import (
 // For deterministic c ∈ {0, 1} this is exactly the paper's construction;
 // for fractional c it marginalizes the policy's randomization.
 //
-// Hazards β_j are cached on first use: the filter is re-run thousands of
-// times by the clustering-region optimizer and distribution hazards
-// (Weibull, Pareto) cost several transcendental calls each.
+// The hazards β_1..β_maxBeliefAges are tabulated once when the filter is
+// built: the filter is re-run thousands of times by the clustering-region
+// optimizer and distribution hazards (Weibull, Pareto) cost several
+// transcendental calls each. The table is never written afterwards, so
+// clones share it and may be advanced from different goroutines.
+//
+// Updates pay only for the live part of the posterior. Every age below lo
+// has zero probability (an always-on sensor that saw nothing knows the
+// last event is at least that old), and those entries are neither written
+// nor read: EventProb and AdvanceNoCapture run over b[lo:], performing
+// exactly the operations, in exactly the order, of a walk over the whole
+// array that skips zero entries.
 type BeliefFilter struct {
-	hc *hazardCache
-	b  []float64 // b[j-1] = P(age == j)
+	hz []float64 // hz[j-1] = β_j for j = 1..maxBeliefAges; read-only
+	b  []float64 // b[j-1] = P(age == j) for j > lo; b[:lo] is stale
+	lo int       // ages 1..lo have zero probability; lo >= len(b) when no mass is left
 
 	scratch []float64 // reused buffer for updates
 
@@ -42,53 +54,63 @@ type BeliefFilter struct {
 // hazard error is below 1e-5.
 const maxBeliefAges = 512
 
-// hazardCache memoizes a distribution's hazards; clones of a filter share
-// one cache (single-threaded use, like the filter itself).
-type hazardCache struct {
-	d  dist.Interarrival
-	hz []float64
-}
-
-func (h *hazardCache) at(j int) float64 {
-	for len(h.hz) < j {
-		h.hz = append(h.hz, h.d.Hazard(len(h.hz)+1))
+// hazardTable returns β_1..β_maxBeliefAges, every hazard a filter reads.
+func hazardTable(d dist.Interarrival) []float64 {
+	hz := make([]float64, maxBeliefAges)
+	for j := range hz {
+		hz[j] = d.Hazard(j + 1)
 	}
-	return h.hz[j-1]
+	return hz
 }
 
 // NewBeliefFilter returns a filter initialized to a fresh capture
 // (age 1 with certainty).
 func NewBeliefFilter(d dist.Interarrival) *BeliefFilter {
+	return newBeliefFilter(hazardTable(d))
+}
+
+// newBeliefFilter returns a fresh-capture filter over a hazard table. Both
+// buffers hold the full age support plus the one-slot growth of an update,
+// so updates never reallocate.
+func newBeliefFilter(hz []float64) *BeliefFilter {
 	f := &BeliefFilter{
-		hc: &hazardCache{d: d, hz: make([]float64, 0, 256)},
-		b:  make([]float64, 1, 64),
+		hz:      hz,
+		b:       make([]float64, 1, maxBeliefAges+1),
+		scratch: make([]float64, 0, maxBeliefAges+1),
 	}
 	f.b[0] = 1
 	return f
 }
 
-// Clone returns an independent copy of the filter sharing the hazard
-// cache with the original.
+// Clone returns an independent copy of the filter sharing the (read-only)
+// hazard table with the original.
 func (f *BeliefFilter) Clone() *BeliefFilter {
-	out := &BeliefFilter{
-		hc:        f.hc,
-		b:         make([]float64, len(f.b), cap(f.b)),
-		prob:      f.prob,
-		probValid: f.probValid,
-	}
-	copy(out.b, f.b)
+	out := newBeliefFilter(f.hz)
+	out.copyFrom(f)
 	return out
+}
+
+// copyFrom overwrites f with g's state, reusing f's buffers.
+func (f *BeliefFilter) copyFrom(g *BeliefFilter) {
+	f.hz = g.hz
+	f.b = f.b[:len(g.b)]
+	copy(f.b[g.lo:], g.b[g.lo:])
+	f.lo = g.lo
+	f.prob, f.probValid = g.prob, g.probValid
 }
 
 // Reset returns the filter to the fresh-capture state.
 func (f *BeliefFilter) Reset() {
 	f.b = f.b[:1]
 	f.b[0] = 1
+	f.lo = 0
 	f.probValid = false
 }
 
-// hazardAt returns β_j from the shared cache.
-func (f *BeliefFilter) hazardAt(j int) float64 { return f.hc.at(j) }
+// dead reports that the posterior has no mass left. The state is
+// absorbing for every activation c in [0, 1]: the hazard is 0, so an
+// update keeps every age at zero and the f-chain's survival stays fixed.
+func (f *BeliefFilter) dead() bool { return f.lo >= len(f.b) }
 
 // EventProb returns β̂ = P(an event occurs in the current slot), the
 // partial-information hazard of the paper's f-chain. The value is
@@ -99,9 +121,12 @@ func (f *BeliefFilter) EventProb() float64 {
 		return f.prob
 	}
 	var sum float64
-	for j, w := range f.b {
+	live := f.b[f.lo:]
+	hz := f.hz[f.lo:]
+	hz = hz[:len(live)]
+	for j, w := range live {
 		if w != 0 {
-			sum += w * f.hazardAt(j+1)
+			sum += w * hz[j]
 		}
 	}
 	if sum > 1 {
@@ -126,16 +151,13 @@ func (f *BeliefFilter) AdvanceNoCapture(c float64) {
 	if c > 1 {
 		c = 1
 	}
+	if f.dead() && !math.IsNaN(c) {
+		return // absorbing; a NaN activation takes the general path below
+	}
 	hazard := f.EventProb()
 	denom := 1 - c*hazard
-	n := len(f.b)
-	if cap(f.scratch) < n+1 {
-		f.scratch = make([]float64, n+1, 2*(n+1))
-	}
+	n, lo := len(f.b), f.lo
 	next := f.scratch[:n+1]
-	for i := range next {
-		next[i] = 0
-	}
 	f.probValid = false
 	if denom <= 1e-300 {
 		// No-capture is (numerically) impossible: the event was certain
@@ -144,36 +166,59 @@ func (f *BeliefFilter) AdvanceNoCapture(c float64) {
 		f.scratch = f.b
 		f.b = next[:1]
 		f.b[0] = 1
+		f.lo = 0
 		return
 	}
 	inv := 1 / denom
-	next[0] = hazard * (1 - c) * inv
-	for j := 0; j < n; j++ {
-		w := f.b[j]
+	// A missed event restarts the age at 1. Without one the zero prefix
+	// grows by a slot (the elder bucket below never moves).
+	newLo := 0
+	if miss := hazard * (1 - c) * inv; miss != 0 {
+		next[0] = miss
+		clear(next[1 : lo+1])
+	} else {
+		newLo = min(lo+1, maxBeliefAges-1)
+	}
+	hi := n
+	if n == maxBeliefAges {
+		hi = n - 1 // age maxBeliefAges stays put, below
+	}
+	src := f.b[lo:hi]
+	hz, dst := f.hz[lo:hi], next[lo+1:hi+1] // age lo+1+k moves to lo+2+k
+	hz, dst = hz[:len(src)], dst[:len(src)]
+	for k, w := range src {
 		if w == 0 {
+			dst[k] = 0
 			continue
 		}
-		to := j + 1
-		if to >= maxBeliefAges {
-			// Absorbing elder bucket: heavy-tailed (DFR) distributions
-			// keep non-negligible mass at arbitrarily old ages; folding
-			// it at maxBeliefAges with that age's hazard biases β̂ by
-			// O(mass(age>cap)·hazard(cap)) ≈ 1e-5 for Pareto(2,10),
-			// while keeping updates O(cap).
-			to = maxBeliefAges - 1
-		}
-		next[to] += w * (1 - f.hazardAt(j+1)) * inv
+		dst[k] = w * (1 - hz[k]) * inv
 	}
-	if len(next) > maxBeliefAges {
+	if n == maxBeliefAges {
+		// Absorbing elder bucket: heavy-tailed (DFR) distributions
+		// keep non-negligible mass at arbitrarily old ages; folding
+		// it at maxBeliefAges with that age's hazard biases β̂ by
+		// O(mass(age>cap)·hazard(cap)) ≈ 1e-5 for Pareto(2,10),
+		// while keeping updates O(cap).
+		if lo == n-1 {
+			next[n-1] = 0
+		}
+		if w := f.b[n-1]; w != 0 {
+			next[n-1] += w * (1 - f.hz[n-1]) * inv
+		}
 		next = next[:maxBeliefAges]
 	}
 	// Trim the negligible old-age tail so long unobserved stretches stay
-	// O(support) instead of O(elapsed slots). The dropped mass is below
-	// 1e-14 per step, far under the 1e-13 survival tolerance of the
-	// f-chain sums.
+	// O(support) instead of O(elapsed slots). The cut-off is on the
+	// trimmed mass of this step only (below 1e-14), and it is not
+	// renormalized away: the update divides by 1 − cβ̂, not by the mass
+	// that survives, so a deficit ε left by earlier trims grows to
+	// ε/(1 − β̂) on every always-on step. On rapidly ageing (IFR) chains
+	// the deficit compounds until nothing is left — on the Weibull(40,3)
+	// chain (46, 46, 260, 1, 1, 0.8027…) the total mass is 0.109 at
+	// f-state 380 and 0 by 414 — which the dead state absorbs.
 	var tail float64
 	end := len(next)
-	for end > 1 {
+	for end > max(newLo, 1) {
 		tail += next[end-1]
 		if tail >= 1e-14 {
 			break
@@ -181,19 +226,30 @@ func (f *BeliefFilter) AdvanceNoCapture(c float64) {
 		end--
 	}
 	f.scratch = f.b
+	if end == newLo {
+		// Every live age was trimmed.
+		f.b = next[:1]
+		f.lo = 1
+		return
+	}
+	for newLo < end && next[newLo] == 0 {
+		newLo++
+	}
 	f.b = next[:end]
+	f.lo = newLo
 }
 
 // Belief returns a copy of the posterior over ages (index j-1 holds
 // P(age == j)).
 func (f *BeliefFilter) Belief() []float64 {
 	out := make([]float64, len(f.b))
-	copy(out, f.b)
+	copy(out[f.lo:], f.b[f.lo:])
 	return out
 }
 
 // TotalMass returns the posterior's total probability mass (1 up to
-// roundoff); exported for invariant tests.
+// roundoff and the trimming deficit described in AdvanceNoCapture);
+// exported for invariant tests.
 func (f *BeliefFilter) TotalMass() float64 {
-	return numeric.Sum(f.b)
+	return numeric.Sum(f.b[f.lo:])
 }

@@ -113,12 +113,67 @@ func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) f
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	filter := NewBeliefFilter(d)
+	return newPIEvaluator(d, p).evaluate(pol)
+}
+
+// piEvaluator evaluates partial-information policies for one distribution
+// and energy model. A region search makes thousands of evaluations, so one
+// evaluator serves a whole search: it builds the hazard table and the
+// belief buffers once and rewinds them for every chain, and it memoizes
+// clustering-policy evaluations, which the hill-climb and the boundary
+// bisections revisit.
+type piEvaluator struct {
+	mu     float64
+	p      Params
+	filter *BeliefFilter
+	memo   map[ClusteringPolicy]piMemo
+}
+
+type piMemo struct {
+	ev  *PIEval
+	err error
+}
+
+func newPIEvaluator(d dist.Interarrival, p Params) *piEvaluator {
+	return &piEvaluator{
+		mu:     d.Mean(),
+		p:      p,
+		filter: NewBeliefFilter(d),
+		memo:   make(map[ClusteringPolicy]piMemo),
+	}
+}
+
+// clustering is EvaluatePI for a clustering policy, memoized. The
+// returned evaluation is shared and must not be modified.
+func (pe *piEvaluator) clustering(cp ClusteringPolicy) (*PIEval, error) {
+	if m, ok := pe.memo[cp]; ok {
+		return m.ev, m.err
+	}
+	ev, err := pe.evaluate(cp.policyFn())
+	pe.memo[cp] = piMemo{ev, err}
+	return ev, err
+}
+
+// evaluate walks pol's f-chain (see EvaluatePI).
+func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64) (*PIEval, error) {
+	filter := pe.filter
+	filter.Reset()
 	survival := 1.0
 	var cycle, energy numeric.KahanSum
 	horizon := 0
+	// Once the belief has no mass left (see BeliefFilter.dead) every
+	// further state has hazard 0 and leaves survival unchanged, so the
+	// walk to piMaxHorizon only adds survival to the cycle and
+	// survival·c_i·δ1 to the energy; it runs without the filter. The
+	// policy is still consulted state by state, because c_i need not be
+	// constant (a WindowPolicy tail), and a NaN activation hands the
+	// chain back to the filter, which it takes out of the absorbing state.
+	dead := false
 	for i := 1; i <= piMaxHorizon; i++ {
-		hazard := filter.EventProb()
+		hazard := 0.0
+		if !dead {
+			hazard = filter.EventProb()
+		}
 		c := pol(i, hazard)
 		if c < 0 {
 			c = 0
@@ -128,14 +183,18 @@ func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) f
 		}
 		cycle.Add(survival)
 		if c > 0 {
-			energy.Add(survival * c * (p.Delta1 + p.Delta2*hazard))
+			energy.Add(survival * c * (pe.p.Delta1 + pe.p.Delta2*hazard))
 		}
 		survival *= 1 - c*hazard
 		horizon = i
 		if survival < piSurvivalTol {
 			break
 		}
+		if dead && !math.IsNaN(c) {
+			continue
+		}
 		filter.AdvanceNoCapture(c)
+		dead = filter.dead()
 	}
 	if survival >= 1e-6 {
 		return nil, ErrNoRenewal
@@ -145,7 +204,7 @@ func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) f
 		return nil, ErrNoRenewal
 	}
 	return &PIEval{
-		CaptureProb:   d.Mean() / total,
+		CaptureProb:   pe.mu / total,
 		EnergyRate:    energy.Value() / total,
 		ExpectedCycle: total,
 		Horizon:       horizon,
@@ -153,7 +212,7 @@ func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) f
 }
 
 // piCursor is an incremental form of EvaluatePI used by the coarse region
-// search: it walks f-states one at a time and can be cloned mid-chain, so
+// search: it walks f-states one at a time and can be copied mid-chain, so
 // one shared cooling prefix serves every recovery-start candidate. Plain
 // float64 sums are sufficient at these horizons (≤ ~10^4 terms in [0, 40]).
 type piCursor struct {
@@ -163,14 +222,22 @@ type piCursor struct {
 	cycle, energy float64
 }
 
-func newPICursor(d dist.Interarrival, p Params) *piCursor {
-	return &piCursor{filter: NewBeliefFilter(d), p: p, survival: 1}
+// cursor returns a fresh cursor over the evaluator's hazard table.
+func (pe *piEvaluator) cursor() *piCursor {
+	return &piCursor{filter: newBeliefFilter(pe.filter.hz), p: pe.p, survival: 1}
 }
 
-func (c *piCursor) clone() *piCursor {
-	out := *c
-	out.filter = c.filter.Clone()
-	return &out
+// reset rewinds the cursor to the start of the chain.
+func (c *piCursor) reset() {
+	c.filter.Reset()
+	c.survival, c.cycle, c.energy = 1, 0, 0
+}
+
+// copyFrom overwrites c with src's state, reusing c's buffers.
+func (c *piCursor) copyFrom(src *piCursor) {
+	c.filter.copyFrom(src.filter)
+	c.p = src.p
+	c.survival, c.cycle, c.energy = src.survival, src.cycle, src.energy
 }
 
 // done reports that the no-capture probability is negligible: further
@@ -202,6 +269,17 @@ func (c *piCursor) finishRecovery() bool {
 	prev := -1.0
 	stable := 0
 	for i := 0; i < piMaxHorizon && !c.done(); i++ {
+		if c.filter.dead() {
+			// Hazard 0 from here on (see evaluate): each remaining
+			// always-on step adds the same two terms.
+			const prob, hazard = 1.0, 0.0
+			energy := c.survival * prob * (c.p.Delta1 + c.p.Delta2*hazard)
+			for ; i < piMaxHorizon; i++ {
+				c.cycle += c.survival
+				c.energy += energy
+			}
+			break
+		}
 		h := c.filter.EventProb()
 		if prev >= 0 && math.Abs(h-prev) < 1e-4*(h+1e-12) {
 			stable++
@@ -329,8 +407,9 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 	}
 	opts.fill(d)
 
+	pe := newPIEvaluator(d, p)
 	eval := func(cp ClusteringPolicy) (*PIEval, bool) {
-		ev, err := EvaluatePI(d, p, cp.policyFn())
+		ev, err := pe.clustering(cp)
 		if err != nil {
 			return nil, false
 		}
@@ -400,12 +479,13 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 			leaders[worst] = c
 		}
 	}
+	cur, branch := pe.cursor(), pe.cursor()
 	for _, n1 := range gridPoints {
 		for _, n2 := range gridPoints {
 			if n2 < n1 {
 				continue
 			}
-			cur := newPICursor(d, p)
+			cur.reset()
 			for i := 1; i <= n2; i++ {
 				c := 0.0
 				if i >= n1 {
@@ -418,7 +498,7 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 				for ; walked < g-1; walked++ {
 					cur.step(0)
 				}
-				branch := cur.clone()
+				branch.copyFrom(cur)
 				if !branch.finishRecovery() {
 					continue
 				}
@@ -485,8 +565,8 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 	}
 
 	// Fractional boundary refinement: spend residual budget via C1/C2/C3.
-	best.cp = refineFractional(d, e, p, best.cp)
-	ev, err := EvaluatePI(d, p, best.cp.policyFn())
+	best.cp = refineFractional(pe, e, best.cp)
+	ev, err := pe.clustering(best.cp)
 	if err != nil {
 		return nil, fmt.Errorf("evaluating refined clustering policy: %w", err)
 	}
@@ -504,9 +584,9 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 // bisection so E_out stays within e. Capture probability is nondecreasing
 // in every activation probability (more activation shortens renewal
 // cycles), so the largest feasible boundary value is the best one.
-func refineFractional(d dist.Interarrival, e float64, p Params, cp ClusteringPolicy) ClusteringPolicy {
+func refineFractional(pe *piEvaluator, e float64, cp ClusteringPolicy) ClusteringPolicy {
 	baseU := func(c ClusteringPolicy) float64 {
-		ev, err := EvaluatePI(d, p, c.policyFn())
+		ev, err := pe.clustering(c)
 		if err != nil || ev.EnergyRate > e*(1+1e-9)+1e-12 {
 			return -1
 		}
@@ -561,7 +641,7 @@ func refineFractional(d dist.Interarrival, e float64, p Params, cp ClusteringPol
 				continue
 			}
 			cost := func(c float64) float64 {
-				ev, err := EvaluatePI(d, p, v.make(c).policyFn())
+				ev, err := pe.clustering(v.make(c))
 				if err != nil {
 					return math.Inf(1)
 				}

@@ -250,26 +250,3 @@ func TestOptimizeClusteringErrors(t *testing.T) {
 		t.Fatal("invalid params accepted")
 	}
 }
-
-func BenchmarkOptimizeClusteringWeibull(b *testing.B) {
-	d := mustWeibull(b, 40, 3)
-	p := DefaultParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := OptimizeClustering(d, 0.5, p, ClusteringOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvaluatePIWeibull(b *testing.B) {
-	d := mustWeibull(b, 40, 3)
-	p := DefaultParams()
-	cp := ClusteringPolicy{N1: 30, N2: 50, N3: 60, C1: 1, C2: 1, C3: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EvaluatePI(d, p, cp.policyFn()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

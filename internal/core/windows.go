@@ -99,8 +99,9 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 	if maxWindows < 0 {
 		maxWindows = 0
 	}
+	pe := newPIEvaluator(d, p)
 	cur := WindowPolicy{Base: base.Policy}
-	curEval, err := EvaluatePI(d, p, func(i int, _ float64) float64 { return cur.At(i) })
+	curEval, err := pe.evaluate(func(i int, _ float64) float64 { return cur.At(i) })
 	if err != nil {
 		return nil, fmt.Errorf("evaluating base policy: %w", err)
 	}
@@ -136,7 +137,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 				if cand.Validate() != nil {
 					continue
 				}
-				ev, err := EvaluatePI(d, p, func(i int, _ float64) float64 { return cand.At(i) })
+				ev, err := pe.evaluate(func(i int, _ float64) float64 { return cand.At(i) })
 				if err != nil || ev.EnergyRate > budget {
 					continue
 				}
@@ -151,7 +152,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 			break
 		}
 		// Phase 2: respend the winner's freed energy on the hot boundary.
-		pol2, ev2 := respendOnBoundary(d, e, p, bestCand.pol)
+		pol2, ev2 := respendOnBoundary(pe, e, bestCand.pol)
 		improved := false
 		if ev2 != nil && ev2.CaptureProb > curU+1e-12 {
 			cur, curU, curEval = pol2, ev2.CaptureProb, ev2
@@ -181,10 +182,10 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 // feasible adjustment wins; the unadjusted policy is the fallback. It
 // returns the adjusted policy and its evaluation (nil if nothing
 // evaluates).
-func respendOnBoundary(d dist.Interarrival, e float64, p Params, w WindowPolicy) (WindowPolicy, *PIEval) {
+func respendOnBoundary(pe *piEvaluator, e float64, w WindowPolicy) (WindowPolicy, *PIEval) {
 	budget := e*(1+1e-9) + 1e-12
 	evalOf := func(pol WindowPolicy) *PIEval {
-		ev, err := EvaluatePI(d, p, func(i int, _ float64) float64 { return pol.At(i) })
+		ev, err := pe.evaluate(func(i int, _ float64) float64 { return pol.At(i) })
 		if err != nil || ev.EnergyRate > budget {
 			return nil
 		}
@@ -223,7 +224,7 @@ func respendOnBoundary(d dist.Interarrival, e float64, p Params, w WindowPolicy)
 			continue
 		}
 		cost := func(c float64) float64 {
-			ev, err := EvaluatePI(d, p, func(i int, _ float64) float64 { return k.make(c).At(i) })
+			ev, err := pe.evaluate(func(i int, _ float64) float64 { return k.make(c).At(i) })
 			if err != nil {
 				return 1e18
 			}
