@@ -82,7 +82,7 @@ func BenchmarkKernelReferenceSlotsPerOp(b *testing.B) { benchEngine(b, sim.Engin
 // allocation count (all allocations are per-run setup).
 func TestKernelSteadyStateAllocs(t *testing.T) {
 	run := func(slots int64) float64 {
-		return testing.AllocsPerRun(3, func() {
+		return steadyAllocs(func() {
 			if _, err := sim.Run(kernelBenchConfig(t, sim.EngineKernel, slots, 1)); err != nil {
 				t.Fatal(err)
 			}
@@ -108,9 +108,9 @@ func TestEmitBenchKernelJSON(t *testing.T) {
 	kernel := testing.Benchmark(func(b *testing.B) { benchEngine(b, sim.EngineKernel) })
 	reference := testing.Benchmark(func(b *testing.B) { benchEngine(b, sim.EngineReference) })
 	const slots = 1_000_000
-	loopAllocs := testing.AllocsPerRun(3, func() {
+	loopAllocs := steadyAllocs(func() {
 		sim.Run(kernelBenchConfig(t, sim.EngineKernel, slots, 1))
-	}) - testing.AllocsPerRun(3, func() {
+	}) - steadyAllocs(func() {
 		sim.Run(kernelBenchConfig(t, sim.EngineKernel, 1, 1))
 	})
 	rec := struct {

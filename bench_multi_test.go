@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"eventcap/internal/energy"
@@ -73,14 +72,12 @@ func BenchmarkMultiSensorReferenceSlotsPerOp(b *testing.B) { benchMulti(b, sim.E
 // allocates nothing: growing the run from 1 slot to 1M slots must not
 // change the allocation count (all allocations — the dense battery
 // slab, per-sensor recharge streams, the per-sensor stats slice — are
-// per-run setup). GC is disabled during the measurement: a fleet run's
-// setup is ~1MB of binomial fast-forward tables, enough for a GC cycle
-// to start mid-measurement and charge its own bookkeeping (one mark
-// worker spawn) to the run.
+// per-run setup). steadyAllocs keeps GC off while counting: a fleet
+// run's setup is ~1MB of binomial fast-forward tables, enough for a GC
+// cycle to start mid-measurement.
 func TestMultiKernelSteadyStateAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run := func(slots int64) float64 {
-		return testing.AllocsPerRun(3, func() {
+		return steadyAllocs(func() {
 			if _, err := sim.Run(multiBenchConfig(t, sim.EngineKernel, slots, 1)); err != nil {
 				t.Fatal(err)
 			}
@@ -115,15 +112,12 @@ func TestEmitBenchMultiJSON(t *testing.T) {
 			m.MedianSpeedup, m.NoiseFloorPct, multiMinSpeedup)
 	}
 
-	// GC off for the alloc comparison, as in TestMultiKernelSteadyStateAllocs.
 	const slots = int64(1_000_000)
-	prevGC := debug.SetGCPercent(-1)
-	loopAllocs := testing.AllocsPerRun(3, func() {
+	loopAllocs := steadyAllocs(func() {
 		sim.Run(multiBenchConfig(t, sim.EngineKernel, slots, 1))
-	}) - testing.AllocsPerRun(3, func() {
+	}) - steadyAllocs(func() {
 		sim.Run(multiBenchConfig(t, sim.EngineKernel, 1, 1))
 	})
-	debug.SetGCPercent(prevGC)
 	if loopAllocs > 0 {
 		t.Errorf("fleet kernel steady-state loop allocs = %v, want 0", loopAllocs)
 	}

@@ -1,9 +1,21 @@
 package eventcap_test
 
 import (
+	"runtime/debug"
 	"sort"
 	"testing"
 )
+
+// steadyAllocs is testing.AllocsPerRun(3, f) with the garbage collector
+// off. The steady-state gates compare two such counts (a long run minus
+// a short one), and a GC cycle that starts inside the measured window
+// charges the runtime's own bookkeeping to f, so a clean loop would
+// intermittently read as allocating. Turning GC off hides no allocation
+// f itself makes: AllocsPerRun counts mallocs, not collections.
+func steadyAllocs(f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(3, f)
+}
 
 // This file is the shared methodology for paired overhead benchmarks
 // (BENCH_obs.json, BENCH_trace.json). The first BENCH_obs record was
