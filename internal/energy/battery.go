@@ -158,39 +158,6 @@ func (b *Battery) RechargeN(amount float64, n int64) bool {
 	return true
 }
 
-// ConsumeN applies n consecutive successful Consume(amount) calls in
-// O(1). It is the drain-side mirror of RechargeN and makes the same
-// promise: true means the closed form provably rounds identically to the
-// sequential loop; false leaves the battery untouched and callers fall
-// back to iterating. Unlike Consume it never records denials — callers
-// must have established level >= n·amount (exactly, on the grid) before
-// batching, which the grid checks here re-verify: off-grid values, an
-// insufficient level, or magnitudes near the exactness bound all reject.
-func (b *Battery) ConsumeN(amount float64, n int64) bool {
-	if n <= 0 {
-		return true
-	}
-	if amount < 0 {
-		return false
-	}
-	if amount == 0 {
-		// Consume(0) always succeeds and moves nothing; the accumulators
-		// add exact zeros.
-		return true
-	}
-	total := amount * float64(n)
-	if float64(n) > gridMax ||
-		!onRechargeGrid(amount) || !onRechargeGrid(b.level) ||
-		!onRechargeGrid(b.consumed) ||
-		!onRechargeGrid(total) || b.consumed+total > gridMax ||
-		b.level < total {
-		return false
-	}
-	b.level -= total
-	b.consumed += total
-	return true
-}
-
 // OverflowLost returns the total energy discarded because the bucket was
 // full — the "burst absorption" loss that shrinks as K grows (Remark 2).
 func (b *Battery) OverflowLost() float64 { return b.overflowLost }

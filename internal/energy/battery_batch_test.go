@@ -1,7 +1,6 @@
 package energy
 
 import (
-	"math"
 	"testing"
 )
 
@@ -27,77 +26,6 @@ func TestBatteryReset(t *testing.T) {
 			used.OverflowLost() != fresh.OverflowLost() || used.Denied() != fresh.Denied() ||
 			used.Consumed() != fresh.Consumed() || used.Received() != fresh.Received() {
 			t.Errorf("Reset(%g): %+v differs from fresh battery %+v", initial, used, fresh)
-		}
-	}
-}
-
-// TestConsumeNMatchesSequentialOnGrid is ConsumeN's exactness contract:
-// whenever it reports success, its closed form must reproduce a loop of
-// Consume calls bit for bit — level, consumed total, and the absence of
-// denials.
-func TestConsumeNMatchesSequentialOnGrid(t *testing.T) {
-	cases := []struct {
-		level, amount float64
-		n             int64
-	}{
-		{100, 1, 64},
-		{100, 0.25, 400},
-		{100, 7, 14},
-		{1 << 20, 0.0009765625, 1 << 18}, // 2^-10 amounts
-		{5, 1, 5},                        // drains exactly to zero
-		{3, 0, 1000},                     // zero amount is a no-op
-	}
-	for _, tc := range cases {
-		closed, err := NewBattery(1<<21, tc.level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := NewBattery(1<<21, tc.level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !closed.ConsumeN(tc.amount, tc.n) {
-			t.Fatalf("ConsumeN(%g, %d) from %g rejected a provable case", tc.amount, tc.n, tc.level)
-		}
-		for i := int64(0); i < tc.n; i++ {
-			if !seq.Consume(tc.amount) {
-				t.Fatalf("sequential Consume(%g) #%d denied from %g", tc.amount, i, tc.level)
-			}
-		}
-		if closed.Level() != seq.Level() || closed.Consumed() != seq.Consumed() ||
-			closed.Denied() != seq.Denied() {
-			t.Errorf("ConsumeN(%g, %d) from %g: closed %+v, sequential %+v",
-				tc.amount, tc.n, tc.level, closed, seq)
-		}
-	}
-}
-
-// TestConsumeNRejectsUnprovable checks the refusal paths: off-grid
-// values, insufficient level, and out-of-range magnitudes must leave the
-// battery untouched and return false.
-func TestConsumeNRejectsUnprovable(t *testing.T) {
-	cases := []struct {
-		name          string
-		level, amount float64
-		n             int64
-	}{
-		{"off-grid amount", 100, 0.3, 10},
-		{"insufficient level", 10, 1, 11},
-		{"negative amount", 100, -1, 3},
-		{"magnitude bound", 1 << 20, 1 << 19, 1 << 13},
-		{"nan amount", 100, math.NaN(), 2},
-	}
-	for _, tc := range cases {
-		b, err := NewBattery(1<<21, tc.level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.ConsumeN(tc.amount, tc.n) {
-			t.Errorf("%s: ConsumeN(%g, %d) from %g accepted", tc.name, tc.amount, tc.n, tc.level)
-			continue
-		}
-		if b.Level() != tc.level || b.Consumed() != 0 || b.Denied() != 0 {
-			t.Errorf("%s: rejected ConsumeN mutated the battery: %+v", tc.name, b)
 		}
 	}
 }

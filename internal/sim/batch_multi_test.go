@@ -10,9 +10,8 @@ import (
 
 // TestBatchMultiPerRepMatchesKernel pins the fleet batch contract:
 // replication r of a round-robin batch must reproduce the multi-kernel
-// run at Seed + r bit for bit. Unlike the single-sensor worker the fleet
-// worker has no awake-run batching, so this holds for Bernoulli recharge
-// too, with metrics on or off.
+// run at Seed + r bit for bit, for Bernoulli recharge too, with metrics
+// on or off.
 func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 	const reps = 48
 	recharges := []struct {

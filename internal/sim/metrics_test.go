@@ -19,7 +19,7 @@ type engineCase struct {
 // reference engine (single- and multi-sensor, coordinated modes, fault
 // injection), the interpreted and compiled independent-sensor engines,
 // the compiled kernel for a single sensor and a round-robin fleet, the
-// three batch workers (single sensor, fleet, independent fleet), and the
+// batch engine (single sensor, fleet, independent fleet), and the
 // per-replication batch fallback — with batteries both comfortable and
 // starved (K=7 forces the energy gate, exercising MissNoEnergy).
 func engineCases(t *testing.T) []engineCase {
@@ -78,10 +78,7 @@ func engineCases(t *testing.T) []engineCase {
 	fleet.Engine = EngineKernel
 	cases = append(cases, engineCase{"kernel-fleet", fleet, false})
 
-	// Deterministic recharge: under Bernoulli the single-sensor worker
-	// batches awake runs only with Metrics off, the one documented case
-	// where Metrics changes result bytes (DESIGN.md §12).
-	batch := kernelBaseConfig(t, kernelCases(t)[0], constantFactory(t, 0.5), 100, 7)
+	batch := kernelBaseConfig(t, kernelCases(t)[0], bernoulli, 100, 7)
 	batch.Slots = 20_000
 	batch.Engine = EngineBatch
 	batch.Batch = 16
