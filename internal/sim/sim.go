@@ -376,27 +376,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return runBatchFallback(cfg)
 	}
-	switch cfg.Engine {
-	case EngineKernel:
-		csp := cfg.Span.Child("compile")
-		plan, fb := compileKernel(&cfg)
-		if plan != nil {
-			csp.End()
-			return runFleetKernel(cfg, plan)
-		}
-		if cfg.independentSensors() {
-			ip, ifb := compileIndependent(&cfg)
-			csp.End()
-			if ip != nil {
-				return runIndependent(cfg, ip)
-			}
-			return nil, fmt.Errorf("sim: kernel engine unavailable: %s", ifb.reason)
-		}
-		csp.End()
-		return nil, fmt.Errorf("sim: kernel engine unavailable: %s", fb.reason)
-	case EngineReference:
-		// fall through to the interpreted paths below
-	default: // EngineAuto
+	if cfg.Engine != EngineReference {
 		csp := cfg.Span.Child("compile")
 		plan, fb := compileKernel(&cfg)
 		if plan != nil {
@@ -405,21 +385,21 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if cfg.independentSensors() {
 			// Decoupled sensors get a second chance on the per-sensor
-			// compiled loop before the interpreted one; record the more
-			// specific of the two decline reasons.
-			ip, ifb := compileIndependent(&cfg)
-			if ip != nil {
+			// compiled loop before the interpreted one; its decline
+			// reason is the more specific of the two.
+			var ip []indepSensorPlan
+			if ip, fb = compileIndependent(&cfg); ip != nil {
 				csp.End()
 				return runIndependent(cfg, ip)
 			}
-			csp.Count("fallback."+ifb.slug, 1)
-			csp.End()
-			ifb.record()
-		} else {
-			csp.Count("fallback."+fb.slug, 1)
-			csp.End()
-			fb.record()
 		}
+		if cfg.Engine == EngineKernel {
+			csp.End()
+			return nil, fmt.Errorf("sim: kernel engine unavailable: %s", fb.reason)
+		}
+		csp.Count("fallback."+fb.slug, 1)
+		csp.End()
+		fb.record()
 	}
 	if cfg.independentSensors() {
 		return runIndependent(cfg, nil)
