@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"eventcap/internal/dist"
 	"eventcap/internal/rng"
 )
 
@@ -148,6 +149,62 @@ func TestGreedyBudgetIdentityProperty(t *testing.T) {
 		}
 		if got := res.Policy.EnergyPerCycleFI(d, p); math.Abs(got-e*d.Mean()) > 1e-6*(1+e*d.Mean()) {
 			t.Fatalf("trial %d: Σξc = %v, want eμ = %v", trial, got, e*d.Mean())
+		}
+	}
+}
+
+// TestEvaluatePIBoundedOnGeneratedPolicies: no partial-information policy
+// captures more than every event, and every f-chain ends on the survival
+// tolerance, not on the horizon cap. The policies are the always-on
+// policy, the solver's picks at several rates, and random clustering
+// shapes with deterministic or fractional boundaries, on the paper's
+// Weibull(40,3) (ageing: its belief used to run out of mass), Pareto(2,10)
+// (heavy tail: the elder bucket's mean) and the fig5a Markov chain.
+func TestEvaluatePIBoundedOnGeneratedPolicies(t *testing.T) {
+	src := rng.New(75, 0)
+	p := DefaultParams()
+	boundary := func() float64 {
+		if src.Intn(2) == 0 {
+			return 1
+		}
+		return src.Float64()
+	}
+	for _, c := range []struct {
+		d     dist.Interarrival
+		rates []float64
+	}{
+		{mustWeibull(t, 40, 3), []float64{0.1, 0.3, 0.5, 0.8}},
+		{mustPareto(t, 2, 10), []float64{0.25, 0.75, 1.25}},
+		{goldenMarkov(t), []float64{0.5, 1, 1.5}},
+	} {
+		policies := []ClusteringPolicy{{N1: 1, N2: 1, N3: 2, C1: 1, C2: 1, C3: 1}}
+		for _, e := range c.rates {
+			res, err := OptimizeClustering(c.d, e, p, quickClustering)
+			if err != nil {
+				t.Fatalf("%s e=%g: %v", c.d.Name(), e, err)
+			}
+			if res.CaptureProb > 1+1e-12 {
+				t.Errorf("%s e=%g: solver reports U = %.17g > 1", c.d.Name(), e, res.CaptureProb)
+			}
+			policies = append(policies, res.Policy)
+		}
+		for k := 0; k < 60; k++ {
+			n1 := 1 + src.Intn(150)
+			n2 := n1 + src.Intn(100)
+			n3 := n2 + 1 + src.Intn(600)
+			policies = append(policies, ClusteringPolicy{N1: n1, N2: n2, N3: n3, C1: boundary(), C2: boundary(), C3: boundary()})
+		}
+		for _, cp := range policies {
+			ev, err := EvaluatePI(c.d, p, cp.policyFn())
+			if err != nil {
+				t.Fatalf("%s %+v: %v", c.d.Name(), cp, err)
+			}
+			if ev.CaptureProb > 1+1e-12 {
+				t.Errorf("%s %+v: U = %.17g > 1", c.d.Name(), cp, ev.CaptureProb)
+			}
+			if ev.Horizon >= piMaxHorizon {
+				t.Errorf("%s %+v: walk reached the horizon cap %d", c.d.Name(), cp, piMaxHorizon)
+			}
 		}
 	}
 }
