@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all check vet build test lint lint-baseline fuzz-smoke race bench-smoke bench bench-batch bench-multi bench-kernel-json bench-batch-json bench-multi-json bench-obs-json bench-stats-json bench-stats bench-trace-json bench-span-json benchtraj bench-check trace-verify clean
+.PHONY: all check vet build test lint lint-baseline fuzz-smoke race bench-smoke bench bench-batch bench-multi bench-kernel-json bench-batch-json bench-multi-json bench-obs-json bench-stats-json bench-stats bench-trace-json bench-span-json benchtraj bench-check trace-verify results-verify clean
 
 all: check
 
@@ -113,6 +113,15 @@ trace-verify:
 	$(GO) run ./cmd/experiments -run fig3a -quick -slots 20000 -out trace-artifact -trace -spans fig3a.spans.json
 	$(GO) run ./cmd/tracetool replay trace-artifact/fig3a.manifest.json
 	$(GO) run ./cmd/tracetool stats -manifest trace-artifact/fig3a.manifest.json trace-artifact/fig3a.evtrace
+
+# Regenerate the paper (cmd/experiments -run all -seed 1, the full-size
+# suite, ~20 s on 2 vCPU) into a temporary directory and fail when any
+# CSV differs from the committed results/ or from the csv_sha256 its
+# committed manifest records. After a change that is meant to move
+# results, rerun `go run ./cmd/experiments -run all -seed 1 -out results`
+# and commit what it writes.
+results-verify:
+	EVENTCAP_RESULTS_DIR=$(CURDIR)/results $(GO) test -run '^TestCommittedResultsReproduce$$' -count=1 -timeout 900s -v ./cmd/experiments
 
 # Fold the current BENCH_*.json records into BENCH_trajectory.json
 # (append-only history; a no-op when no record changed).
