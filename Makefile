@@ -61,9 +61,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRechargeN -fuzztime $(FUZZTIME) ./internal/energy
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/trace
 
-# -short skips the long single-threaded solver sweeps (they exercise no
-# concurrency); the kernel equivalence tests always run. The raised
-# timeout absorbs the race detector's slowdown on small CI machines.
+# -short skips only the pre-change fixture regeneration in
+# internal/experiments; the kernel equivalence tests and the solver
+# tests (whose belief filters share a read-only hazard table across
+# clones) always run. The raised timeout absorbs the race detector's
+# slowdown on small CI machines.
 race:
 	$(GO) test -race -short -timeout 1200s ./internal/...
 

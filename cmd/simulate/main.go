@@ -460,7 +460,7 @@ func writeTraceManifest(tracePath string, tw *trace.Writer, withFlight bool, cfg
 		GoVersion:     obs.GoVersion(),
 		BinaryVersion: obs.BinaryVersion(),
 		Metrics:       obs.FilterPrefix(diff, "sim."),
-		Process:       obs.FilterPrefix(diff, "cache.", "pool."),
+		Process:       obs.FilterPrefix(diff, "cache.", "core.", "pool."),
 		Trace: &obs.TraceInfo{
 			// The sidecar sits next to the trace, so the base name keeps
 			// the pair relocatable.

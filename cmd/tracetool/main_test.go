@@ -13,7 +13,7 @@ import (
 )
 
 // writeSample writes a small hand-built two-run trace (one reference
-// run, one kernel run with a sleep span) plus a matching v2 manifest,
+// run, one kernel run with a sleep span) plus a matching manifest,
 // and returns their paths. The trace's ground truth: 5 events,
 // 2 captures, 2 asleep misses, 1 noenergy miss, 1 wasted activation.
 func writeSample(t *testing.T, dir string) (tracePath, manifestPath string) {
@@ -254,37 +254,6 @@ func TestReplayMatchesManifest(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"replay", manifestPath}, &sb); err != nil {
 		t.Fatalf("replay: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "replay matches manifest") {
-		t.Errorf("replay output: %s", sb.String())
-	}
-}
-
-// TestReplayAcceptsV2Manifest: manifests written before the v3 phases
-// block (PRs 5–7 artifacts) must keep replaying.
-func TestReplayAcceptsV2Manifest(t *testing.T) {
-	_, manifestPath := writeSample(t, t.TempDir())
-	data, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	raw["schema"] = json.RawMessage(`"` + obs.ManifestSchemaV2 + `"`)
-	delete(raw, "phases")
-	delete(raw, "journal")
-	downgraded, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(manifestPath, downgraded, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := run([]string{"replay", manifestPath}, &sb); err != nil {
-		t.Fatalf("v2 manifest rejected by replay: %v\n%s", err, sb.String())
 	}
 	if !strings.Contains(sb.String(), "replay matches manifest") {
 		t.Errorf("replay output: %s", sb.String())

@@ -28,6 +28,7 @@ var metricSubsystems = map[string]bool{
 	"pool":  true, // worker-pool gauges and latency histograms
 	"trace": true, // flight-recorder dump reasons and ring stats
 	"cache": true, // policy/plan cache hit rates
+	"core":  true, // partial-information solver work (core.pi.evaluations, …)
 	"span":  true, // phase-span tracer lifecycle (span.begun, span.ended)
 	"runs":  true, // run registry for the /debug/runs dashboard
 	"stats": true, // streaming-estimator surface (stats.qom.mean, …)

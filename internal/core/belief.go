@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"eventcap/internal/dist"
 	"eventcap/internal/numeric"
 )
@@ -42,6 +44,12 @@ import (
 // The stored ages sum to mass, which is 1 up to the last step's tail trim
 // and roundoff; the next update divides by it together with 1 − cβ̂, so
 // the posterior is renormalized every step without a pass of its own.
+//
+// An update that leaves a single live age unchanged bit for bit has
+// reached a fixed point: the always-on recovery tail of a heavy-tailed
+// law parks in the elder bucket, where c = 1 maps the belief to itself
+// for thousands of slots. The filter remembers that, and a repeat of the
+// same activation returns at once.
 type BeliefFilter struct {
 	hz []float64 // hz[j-1] = β_j for j = 1..maxBeliefAges; read-only
 	b  []float64 // b[j-1] = mass·P(age == j) for j > lo; b[:lo] is stale
@@ -51,6 +59,12 @@ type BeliefFilter struct {
 	prob float64 // β̂ = Σ b(j)β_j / mass, clamped to [0, 1]
 
 	scratch []float64 // reused buffer for updates
+
+	// parked reports that the last update left its single live age, lo,
+	// len(b), mass and prob unchanged bit for bit; parkedC holds the bits
+	// of that update's clamped activation. Repeating it is a no-op.
+	parked  bool
+	parkedC uint64
 }
 
 // maxBeliefAges caps the posterior's age support. Mass that would age
@@ -122,6 +136,7 @@ func (f *BeliefFilter) copyFrom(g *BeliefFilter) {
 	copy(f.b[g.lo:], g.b[g.lo:])
 	f.lo = g.lo
 	f.mass, f.prob = g.mass, g.prob
+	f.parked, f.parkedC = g.parked, g.parkedC
 }
 
 // Reset returns the filter to the fresh-capture state.
@@ -131,6 +146,7 @@ func (f *BeliefFilter) Reset() {
 	f.lo = 0
 	f.mass = 1
 	f.prob = f.hz[0]
+	f.parked = false
 }
 
 // EventProb returns β̂ = P(an event occurs in the current slot), the
@@ -149,9 +165,16 @@ func (f *BeliefFilter) AdvanceNoCapture(c float64) {
 	if c > 1 {
 		c = 1
 	}
+	cBits := math.Float64bits(c)
+	if f.parked && cBits == f.parkedC {
+		return // the belief is a fixed point of this update
+	}
 	hazard := f.prob
 	denom := 1 - c*hazard
 	n, lo := len(f.b), f.lo
+	// The state a parked update must reproduce: one live age, its
+	// weight, mass and β̂ (b[lo] exists since lo < n).
+	single, oldW, oldMass, oldProb := lo == n-1, f.b[lo], f.mass, f.prob
 	next := f.scratch[:n+1]
 	if denom <= 1e-300 {
 		// No-capture is (numerically) impossible: the event was certain
@@ -244,6 +267,11 @@ func (f *BeliefFilter) AdvanceNoCapture(c float64) {
 	// min and max keep a NaN: a NaN activation leaves a NaN belief
 	// until the next Reset.
 	f.prob = min(max((event-tailEvent)/f.mass, 0), 1)
+	f.parked = single && newLo == lo && end == n &&
+		math.Float64bits(next[lo]) == math.Float64bits(oldW) &&
+		math.Float64bits(f.mass) == math.Float64bits(oldMass) &&
+		math.Float64bits(f.prob) == math.Float64bits(oldProb)
+	f.parkedC = cBits
 }
 
 // Belief returns a copy of the posterior over ages (index j-1 holds

@@ -179,6 +179,10 @@ func (f *denseBelief) reset() {
 
 func (f *denseBelief) eventProb() float64 { return f.prob }
 
+func (f *denseBelief) clone() *denseBelief {
+	return &denseBelief{hazard: f.hazard, b: append([]float64(nil), f.b...), mass: f.mass, prob: f.prob}
+}
+
 func (f *denseBelief) advanceNoCapture(c float64) {
 	if c < 0 {
 		c = 0
@@ -340,7 +344,10 @@ func beliefOps(runs ...int) []byte {
 // 512 always-on slots), the golden Weibull(40,3) dead-tail chain (whose
 // belief used to empty at step 413 when the update divided by 1 − cβ̂
 // alone), once past its stop horizon and once far into the ageing tail,
-// and an always-on run switched back to c = 0.
+// and an always-on run switched back to c = 0. The first and third
+// seeds (seed#0, seed#2) park in the elder bucket, where the filter
+// skips repeated c = 1 updates (87 and 188 of them): the comparison
+// checks the skip against the dense walk.
 func FuzzBeliefStepMatchesDense(f *testing.F) {
 	f.Add(uint8(1), uint8(20), uint8(20), []byte(nil), beliefOps(0, 100, 1, 600))
 	f.Add(uint8(0), uint8(80), uint8(60), []byte(nil), beliefOps(0, 45, 1, 1, 0, 213, 2, 51, 1, 300))
@@ -425,5 +432,89 @@ func TestBeliefCloneConcurrent(t *testing.T) {
 		if !sameBits(got[k], want[k]) {
 			t.Fatalf("clone %d advanced concurrently differs from its sequential run", k)
 		}
+	}
+}
+
+// TestBeliefParkedMatchesDense: Pareto(2,10) under an always-on sensor
+// shifts its belief up to the elder bucket and parks there, after which
+// the filter skips every repeated c = 1 update. It must still match the
+// dense walk bit for bit after every step, a c = 0 or NaN step after
+// parking must run the update, a clone of a parked filter must go on
+// identically, and Reset must leave the parked state.
+func TestBeliefParkedMatchesDense(t *testing.T) {
+	d := mustPareto(t, 2, 10)
+	same := func(got *BeliefFilter, want *denseBelief) bool {
+		return sameBits(got.Belief(), want.b) && math.Float64bits(got.EventProb()) == math.Float64bits(want.eventProb())
+	}
+	got, want := NewBeliefFilter(d), newDenseBelief(d)
+	for i := 0; i < 100; i++ {
+		got.AdvanceNoCapture(0)
+		want.advanceNoCapture(0)
+		if !same(got, want) {
+			t.Fatalf("cooling step %d: filter differs from the dense reference", i)
+		}
+	}
+	parkedAt := -1
+	for i := 0; i < 1500; i++ {
+		got.AdvanceNoCapture(1)
+		want.advanceNoCapture(1)
+		if !same(got, want) {
+			t.Fatalf("recovery step %d: filter differs from the dense reference", i)
+		}
+		if got.parked && parkedAt < 0 {
+			parkedAt = i
+		}
+		if parkedAt >= 0 && !got.parked {
+			t.Fatalf("recovery step %d: filter left the parked state it reached at step %d", i, parkedAt)
+		}
+	}
+	// The shift phase carries the oldest live age (101) past the cap of
+	// maxBeliefAges, so the filter parks after about that many steps.
+	if parkedAt < 0 || parkedAt > maxBeliefAges+100 {
+		t.Fatalf("filter parked at recovery step %d, want within the ~%d-step shift phase", parkedAt, maxBeliefAges)
+	}
+
+	clone, cloneWant := got.Clone(), want.clone()
+	if !clone.parked {
+		t.Fatal("Clone dropped the parked state")
+	}
+	for i, c := range []float64{1, 1, 1, 0, 1, 1} {
+		got.AdvanceNoCapture(c)
+		clone.AdvanceNoCapture(c)
+		want.advanceNoCapture(c)
+		cloneWant.advanceNoCapture(c)
+		if !same(got, want) || !same(clone, cloneWant) || !sameBits(got.Belief(), clone.Belief()) {
+			t.Fatalf("step %d (c=%v) after cloning: the clone and the original diverge", i, c)
+		}
+	}
+
+	for _, c := range []float64{0, math.NaN()} {
+		parked, ref := clone.Clone(), cloneWant.clone()
+		for !parked.parked {
+			parked.AdvanceNoCapture(1)
+			ref.advanceNoCapture(1)
+		}
+		prob := parked.EventProb()
+		parked.AdvanceNoCapture(c)
+		ref.advanceNoCapture(c)
+		if !same(parked, ref) {
+			t.Fatalf("c=%v step after parking: filter differs from the dense reference", c)
+		}
+		if parked.parked || math.Float64bits(parked.EventProb()) == math.Float64bits(prob) {
+			t.Fatalf("c=%v step after parking was skipped", c)
+		}
+	}
+
+	// Reset leaves the parked state: the fresh belief's c = 1 step runs.
+	for !clone.parked {
+		clone.AdvanceNoCapture(1)
+		cloneWant.advanceNoCapture(1)
+	}
+	clone.Reset()
+	cloneWant.reset()
+	clone.AdvanceNoCapture(1)
+	cloneWant.advanceNoCapture(1)
+	if !same(clone, cloneWant) {
+		t.Fatal("c = 1 step after resetting a parked filter differs from the dense reference")
 	}
 }

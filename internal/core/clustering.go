@@ -7,6 +7,7 @@ import (
 
 	"eventcap/internal/dist"
 	"eventcap/internal/numeric"
+	"eventcap/internal/obs"
 )
 
 // ClusteringPolicy is the paper's heuristic partial-information policy
@@ -125,12 +126,16 @@ func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) f
 // evaluator serves a whole search: it builds the hazard table and the
 // belief buffers once and rewinds them for every chain, and it memoizes
 // clustering-policy evaluations, which the hill-climb and the boundary
-// bisections revisit.
+// searches revisit.
 type piEvaluator struct {
 	mu     float64 // mean of the law the filter models (hazardTableMean)
 	p      Params
 	filter *BeliefFilter
 	memo   map[ClusteringPolicy]piMemo
+
+	// Work counters, published once per search by publish.
+	evaluations int64 // evaluate walks (memo hits excluded)
+	fallbacks   int64 // boundary searches that fell back to bisection
 }
 
 type piMemo struct {
@@ -159,8 +164,16 @@ func (pe *piEvaluator) clustering(cp ClusteringPolicy) (*PIEval, error) {
 	return ev, err
 }
 
+// publish adds the evaluator's work counters to the process-wide
+// metrics.
+func (pe *piEvaluator) publish() {
+	obs.CorePIEvaluations.Add(pe.evaluations)
+	obs.CorePIBudgetFallbacks.Add(pe.fallbacks)
+}
+
 // evaluate walks pol's f-chain (see EvaluatePI).
 func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64) (*PIEval, error) {
+	pe.evaluations++
 	filter := pe.filter
 	filter.Reset()
 	survival := 1.0
@@ -374,7 +387,7 @@ func coarseGrid(d dist.Interarrival, limit, step int) []int {
 // region structure by coarse enumeration ("increase n3 gradually and
 // enumerate n1 and n2", Section IV-B2) followed by hill-climbing
 // refinement, then spends any residual energy budget on the fractional
-// boundary probabilities C1/C2/C3 by bisection.
+// boundary probabilities C1/C2/C3 (maxBoundaryProb).
 func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts ClusteringOptions) (*PIResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -397,6 +410,7 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 	opts.fill(d)
 
 	pe := newPIEvaluator(d, p)
+	defer pe.publish()
 	eval := func(cp ClusteringPolicy) (*PIEval, bool) {
 		ev, err := pe.clustering(cp)
 		if err != nil {
@@ -569,9 +583,10 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 // refineFractional greedily extends the best deterministic region policy
 // with fractional boundary probabilities: widening the hot region at
 // either edge or starting recovery one slot earlier, each scaled by
-// bisection so E_out stays within e. Capture probability is nondecreasing
-// in every activation probability (more activation shortens renewal
-// cycles), so the largest feasible boundary value is the best one.
+// maxBoundaryProb so E_out stays within e. Capture probability is
+// nondecreasing in every activation probability (more activation
+// shortens renewal cycles), so the largest feasible boundary value is
+// the best one.
 func refineFractional(pe *piEvaluator, e float64, cp ClusteringPolicy) ClusteringPolicy {
 	baseU := func(c ClusteringPolicy) float64 {
 		ev, err := pe.clustering(c)
@@ -628,14 +643,8 @@ func refineFractional(pe *piEvaluator, e float64, cp ClusteringPolicy) Clusterin
 			if !v.ok {
 				continue
 			}
-			cost := func(c float64) float64 {
-				ev, err := pe.clustering(v.make(c))
-				if err != nil {
-					return math.Inf(1)
-				}
-				return ev.EnergyRate
-			}
-			c, feasible := numeric.MaximizeMonotoneBudget(cost, e*(1+1e-9)+1e-12, 1e-6)
+			eval := func(c float64) (*PIEval, error) { return pe.clustering(v.make(c)) }
+			c, feasible := pe.maxBoundaryProb(eval, e*(1+1e-9)+1e-12)
 			if !feasible || c <= 1e-9 {
 				continue
 			}
@@ -653,4 +662,83 @@ func refineFractional(pe *piEvaluator, e float64, cp ClusteringPolicy) Clusterin
 		cur, curU = bestVar.cp, bestVar.u
 	}
 	return cur
+}
+
+// budgetTol is the resolution of the boundary-probability searches.
+// numeric.MaximizeMonotoneBudget halves [0, 1] until the bracket is at
+// most budgetTol wide: 20 halvings, which leave it on the grid of
+// multiples of budgetGrid = 2^-20.
+const (
+	budgetTol  = 1e-6
+	budgetGrid = 1.0 / (1 << 20)
+)
+
+// testHookBoundary, when set, sees every boundary search with its result.
+// Tests use it to check each search against the bisection.
+var testHookBoundary func(eval func(c float64) (*PIEval, error), budget, c float64, feasible bool)
+
+// maxBoundaryProb returns the largest boundary probability c whose
+// evaluation eval(c) keeps E_out within budget:
+// numeric.MaximizeMonotoneBudget(cost, budget, budgetTol) with cost(c)
+// the EnergyRate of eval(c) (+Inf when eval fails), in four evaluations
+// instead of 22.
+//
+// With every other activation fixed, one boundary probability enters
+// one transition of the f-chain affinely, so under the product form
+// y_i = y_1·S_{i−1} the cycle sum C = ExpectedCycle and the energy sum
+// E = EnergyRate·C are affine in c. The budget crossing E(c) = b·C(c)
+// then follows from the evaluations at c = 0 and c = 1:
+//
+//	c* = (b·C₀ − E₀) / ((E₁ − E₀) − b·(C₁ − C₀)).
+//
+// The bisection lands on the grid point g with cost(g) ≤ b < cost(g +
+// budgetGrid), unique while cost is nondecreasing on the grid. So c* is
+// floored to the grid, and the grid point is returned if it passes that
+// test. Otherwise (roundoff at a knife edge, or a cost that is not a
+// ratio of affine sums) the bisection runs, and the fallback is counted.
+func (pe *piEvaluator) maxBoundaryProb(eval func(c float64) (*PIEval, error), budget float64) (c float64, feasible bool) {
+	if testHookBoundary != nil {
+		defer func() { testHookBoundary(eval, budget, c, feasible) }()
+	}
+	at := func(c float64) (*PIEval, float64) {
+		ev, err := eval(c)
+		if err != nil {
+			return nil, math.Inf(1)
+		}
+		return ev, ev.EnergyRate
+	}
+	ev0, cost0 := at(0)
+	if cost0 > budget {
+		return 0, false
+	}
+	ev1, cost1 := at(1)
+	if cost1 <= budget {
+		return 1, true
+	}
+	// A failed endpoint evaluation leaves no sums to solve from.
+	if ev0 != nil && ev1 != nil {
+		c0, c1 := ev0.ExpectedCycle, ev1.ExpectedCycle
+		e0, e1 := ev0.EnergyRate*c0, ev1.EnergyRate*c1
+		cs := (budget*c0 - e0) / ((e1 - e0) - budget*(c1-c0))
+		if k := math.Floor(cs / budgetGrid); !math.IsNaN(k) {
+			g := min(max(k, 0), 1/budgetGrid-1) * budgetGrid
+			lo, hi := cost0, cost1
+			if g > 0 {
+				_, lo = at(g)
+			}
+			if g+budgetGrid < 1 {
+				_, hi = at(g + budgetGrid)
+			}
+			// The bisection keeps lo while cost(lo) <= budget and moves
+			// hi otherwise, a NaN cost included.
+			if lo <= budget && !(hi <= budget) {
+				return g, true
+			}
+		}
+	}
+	pe.fallbacks++
+	return numeric.MaximizeMonotoneBudget(func(c float64) float64 {
+		_, cost := at(c)
+		return cost
+	}, budget, budgetTol)
 }

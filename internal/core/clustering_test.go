@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"eventcap/internal/dist"
+	"eventcap/internal/numeric"
+	"eventcap/internal/obs"
 )
 
 func TestClusteringPolicyShape(t *testing.T) {
@@ -135,9 +137,6 @@ func TestEvaluatePIGeometric(t *testing.T) {
 }
 
 func TestOptimizeClusteringFeasibleAndStrong(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow solver sweep")
-	}
 	d := mustWeibull(t, 40, 3)
 	p := DefaultParams()
 	for _, e := range []float64{0.2, 0.5, 0.8} {
@@ -175,9 +174,6 @@ func TestOptimizeClusteringFeasibleAndStrong(t *testing.T) {
 }
 
 func TestOptimizeClusteringMonotoneInRate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow solver sweep")
-	}
 	d := mustWeibull(t, 40, 3)
 	p := DefaultParams()
 	prev := -1.0
@@ -224,9 +220,6 @@ func TestOptimizeClusteringDeterministicEvents(t *testing.T) {
 }
 
 func TestOptimizeClusteringLowEnergyUsesCooling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow solver sweep")
-	}
 	d := mustWeibull(t, 40, 3)
 	p := DefaultParams()
 	res, err := OptimizeClustering(d, 0.05, p, ClusteringOptions{})
@@ -248,5 +241,121 @@ func TestOptimizeClusteringErrors(t *testing.T) {
 	}
 	if _, err := OptimizeClustering(d, 0.5, Params{}, ClusteringOptions{}); err == nil {
 		t.Fatal("invalid params accepted")
+	}
+}
+
+// bisectBoundary is the boundary search maxBoundaryProb replaces:
+// numeric.MaximizeMonotoneBudget over eval's EnergyRate.
+func bisectBoundary(eval func(c float64) (*PIEval, error), budget float64) (float64, bool) {
+	return numeric.MaximizeMonotoneBudget(func(c float64) float64 {
+		ev, err := eval(c)
+		if err != nil {
+			return math.Inf(1)
+		}
+		return ev.EnergyRate
+	}, budget, 1e-6)
+}
+
+// TestBoundaryCrossingMatchesBisection runs the golden solves —
+// OptimizeClustering on the three golden laws at their rates and both
+// quick gaps, and the trimodal RefineWindows case — and checks every
+// boundary search that refineFractional and respendOnBoundary make
+// against the bisection, bit for bit. None may fall back.
+func TestBoundaryCrossingMatchesBisection(t *testing.T) {
+	searches := 0
+	testHookBoundary = func(eval func(float64) (*PIEval, error), budget, c float64, feasible bool) {
+		searches++
+		wc, wok := bisectBoundary(eval, budget)
+		if math.Float64bits(c) != math.Float64bits(wc) || feasible != wok {
+			t.Errorf("boundary search %d: closed form (%v, %t), bisection (%v, %t)", searches, c, feasible, wc, wok)
+		}
+	}
+	defer func() { testHookBoundary = nil }()
+	fallbacks := obs.CorePIBudgetFallbacks.Load()
+
+	p := DefaultParams()
+	for _, s := range []struct {
+		d     dist.Interarrival
+		rates []float64
+	}{
+		{mustWeibull(t, 40, 3), []float64{0.1, 0.5, 1.2}},
+		{mustPareto(t, 2, 10), []float64{0.25, 0.75, 1.25}},
+		{goldenMarkov(t), []float64{0.5, 1, 1.5}},
+	} {
+		for _, e := range s.rates {
+			for _, o := range goldenSolveOptions(s.d) {
+				if _, err := OptimizeClustering(s.d, e, p, o); err != nil {
+					t.Fatalf("%s e=%g %+v: %v", s.d.Name(), e, o, err)
+				}
+			}
+		}
+	}
+	d := mustEmpirical(t, []float64{0.3, 0, 0, 0, 0, 0, 0, 0.4, 0, 0, 0, 0, 0, 0, 0, 0, 0.3})
+	base, err := OptimizeClustering(d, 0.15, p, ClusteringOptions{CoarsePoints: 8, MaxGap: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := searches
+	if _, err := RefineWindows(d, 0.15, p, base, 2); err != nil {
+		t.Fatal(err)
+	}
+	if searches == before {
+		t.Error("RefineWindows made no boundary search")
+	}
+	if n := obs.CorePIBudgetFallbacks.Load() - fallbacks; n != 0 {
+		t.Errorf("%d of %d boundary searches fell back to bisection", n, searches)
+	}
+	t.Logf("%d boundary searches", searches)
+}
+
+// TestBoundaryCrossingSynthetic drives maxBoundaryProb with synthetic
+// evaluations: each case must return what the bisection returns, bit
+// for bit, and fall back exactly when the closed form cannot hold.
+func TestBoundaryCrossingSynthetic(t *testing.T) {
+	const b = 0.3
+	// affine returns the evaluation of E(c) = e0 + c·(e1−e0) over
+	// C(c) = c0 + c·(c1−c0): a ratio of affine sums, like a boundary
+	// probability's f-chain.
+	affine := func(c0, c1, e0, e1 float64) func(float64) (*PIEval, error) {
+		return func(c float64) (*PIEval, error) {
+			cyc := c0 + c*(c1-c0)
+			return &PIEval{EnergyRate: (e0 + c*(e1-e0)) / cyc, ExpectedCycle: cyc}, nil
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		eval      func(float64) (*PIEval, error)
+		fallbacks int64
+	}{
+		{"affine", affine(40, 25, 8, 10), 0},
+		{"cost(0) above budget", affine(40, 25, 16, 20), 0},
+		{"cost(1) within budget", affine(40, 25, 4, 7), 0},
+		// E/C equals b at c = 0: c* is 0 up to roundoff of either sign.
+		{"crossing at c = 0", affine(10, 10, b*10, b*10+1), 0},
+		// E/C crosses b at c = 2^-22, inside the first grid cell.
+		{"first grid cell", affine(10, 10, b*10-1.0/(1<<22), b*10+1-1.0/(1<<22)), 0},
+		// E/C crosses b inside the last grid cell.
+		{"last grid cell", affine(10, 10, b*10-1+1.0/(1<<22), b*10+1.0/(1<<22)), 0},
+		// c² is no ratio of affine sums: the endpoints predict c* = b,
+		// the crossing is at √b.
+		{"not affine", func(c float64) (*PIEval, error) {
+			return &PIEval{EnergyRate: c * c, ExpectedCycle: 1}, nil
+		}, 1},
+		{"fails at c = 1", func(c float64) (*PIEval, error) {
+			if c == 1 {
+				return nil, ErrNoRenewal
+			}
+			return &PIEval{EnergyRate: c, ExpectedCycle: 1}, nil
+		}, 1},
+	} {
+		pe := &piEvaluator{}
+		c, ok := pe.maxBoundaryProb(tc.eval, b)
+		wc, wok := bisectBoundary(tc.eval, b)
+		if math.Float64bits(c) != math.Float64bits(wc) || ok != wok {
+			t.Errorf("%s: closed form (%v, %t), bisection (%v, %t)", tc.name, c, ok, wc, wok)
+		}
+		if pe.fallbacks != tc.fallbacks {
+			t.Errorf("%s: %d fallbacks, want %d", tc.name, pe.fallbacks, tc.fallbacks)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"eventcap/internal/dist"
-	"eventcap/internal/numeric"
 )
 
 // WindowPolicy generalizes the clustering policy with additional
@@ -100,6 +99,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 		maxWindows = 0
 	}
 	pe := newPIEvaluator(d, p)
+	defer pe.publish()
 	cur := WindowPolicy{Base: base.Policy}
 	curEval, err := pe.evaluate(func(i int, _ float64) float64 { return cur.At(i) })
 	if err != nil {
@@ -120,7 +120,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 			break
 		}
 		// Phase 1: scan candidates with the plain evaluation only; the
-		// energy respend (a bisection, ~20 evaluations) runs once on the
+		// energy respend (a boundary search per knob) runs once on the
 		// round's winner rather than on every candidate.
 		type scored struct {
 			pol  WindowPolicy
@@ -223,14 +223,11 @@ func respendOnBoundary(pe *piEvaluator, e float64, w WindowPolicy) (WindowPolicy
 		if !k.ok {
 			continue
 		}
-		cost := func(c float64) float64 {
-			ev, err := pe.evaluate(func(i int, _ float64) float64 { return k.make(c).At(i) })
-			if err != nil {
-				return 1e18
-			}
-			return ev.EnergyRate
+		eval := func(c float64) (*PIEval, error) {
+			pol := k.make(c)
+			return pe.evaluate(func(i int, _ float64) float64 { return pol.At(i) })
 		}
-		c, feasible := numeric.MaximizeMonotoneBudget(cost, budget, 1e-6)
+		c, feasible := pe.maxBoundaryProb(eval, budget)
 		if !feasible || c <= 1e-9 {
 			continue
 		}

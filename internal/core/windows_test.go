@@ -53,9 +53,6 @@ func TestWindowPolicyValidate(t *testing.T) {
 // feasibility and never lose capture probability relative to the base
 // clustering policy; the FI optimum still bounds it from above.
 func TestRefineWindowsNeverWorse(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow solver sweep")
-	}
 	d := mustWeibull(t, 40, 3)
 	p := DefaultParams()
 	for _, e := range []float64{0.3, 0.6} {
@@ -89,9 +86,6 @@ func TestRefineWindowsNeverWorse(t *testing.T) {
 }
 
 func TestRefineWindowsZeroBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow solver sweep")
-	}
 	d := mustWeibull(t, 40, 3)
 	p := DefaultParams()
 	base, err := OptimizeClustering(d, 0.4, p, ClusteringOptions{})
@@ -108,9 +102,6 @@ func TestRefineWindowsZeroBudget(t *testing.T) {
 }
 
 func TestRefineWindowsErrors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow solver sweep")
-	}
 	d := mustWeibull(t, 40, 3)
 	if _, err := RefineWindows(d, 0.4, DefaultParams(), nil, 1); err == nil {
 		t.Fatal("nil base accepted")

@@ -15,20 +15,9 @@ import (
 // ManifestSchema identifies the manifest format; bump on breaking field
 // changes. v4 adds the optional streaming-statistics block (QoM CI and
 // early-stop decision); v3 added the phase-breakdown and journal
-// fields; v2 added the trace block. All predecessors remain readable.
+// fields; v2 added the trace block. ReadManifest accepts v4 only: every
+// committed manifest is a v4 run.
 const ManifestSchema = "eventcap/run-manifest/v4"
-
-// ManifestSchemaV3 is the previous schema version, still accepted by
-// ReadManifest (v4 only adds optional fields).
-const ManifestSchemaV3 = "eventcap/run-manifest/v3"
-
-// ManifestSchemaV2 is the schema version before v3, still accepted by
-// ReadManifest.
-const ManifestSchemaV2 = "eventcap/run-manifest/v2"
-
-// ManifestSchemaV1 is the original schema version, still accepted by
-// ReadManifest.
-const ManifestSchemaV1 = "eventcap/run-manifest/v1"
 
 // ManifestConfig is the experiment configuration block: everything
 // needed to reproduce the CSV bit-for-bit (together with the binary
@@ -73,7 +62,7 @@ type Manifest struct {
 	// miss.noenergy always equals events.
 	Metrics map[string]float64 `json:"metrics"`
 	// Process is the experiment's share of the process-level counters
-	// ("cache." and "pool." prefixes).
+	// ("cache.", "core." and "pool." prefixes).
 	Process map[string]float64 `json:"process"`
 
 	// Profiles points at pprof files recorded during the run, when
@@ -173,11 +162,8 @@ func ReadManifest(path string) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("obs: parsing manifest %s: %w", path, err)
 	}
-	switch m.Schema {
-	case ManifestSchema, ManifestSchemaV3, ManifestSchemaV2, ManifestSchemaV1:
-	default:
-		return nil, fmt.Errorf("obs: manifest %s has schema %q, want %q, %q, %q or %q",
-			path, m.Schema, ManifestSchema, ManifestSchemaV3, ManifestSchemaV2, ManifestSchemaV1)
+	if m.Schema != ManifestSchema {
+		return nil, fmt.Errorf("obs: manifest %s has schema %q, want %q", path, m.Schema, ManifestSchema)
 	}
 	return &m, nil
 }

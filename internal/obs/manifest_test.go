@@ -45,34 +45,23 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadManifestAcceptsOlderSchemas(t *testing.T) {
+func TestReadManifestRejectsWrongSchema(t *testing.T) {
 	dir := t.TempDir()
-	for _, schema := range []string{ManifestSchemaV1, ManifestSchemaV2} {
+	// v1–v3 predate every committed manifest and are no longer read.
+	for _, schema := range []string{
+		"eventcap/run-manifest/v1",
+		"eventcap/run-manifest/v2",
+		"eventcap/run-manifest/v3",
+		"eventcap/run-manifest/v999",
+	} {
 		path := filepath.Join(dir, strings.ReplaceAll(schema, "/", "_")+".manifest.json")
-		m := &Manifest{Schema: schema, Experiment: "fig3a", CSV: "fig3a.csv"}
+		m := &Manifest{Schema: schema, Experiment: "x", CSV: "x.csv"}
 		if err := m.Write(path); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadManifest(path)
-		if err != nil {
-			t.Fatalf("%s manifest rejected: %v", schema, err)
+		if _, err := ReadManifest(path); err == nil || !strings.Contains(err.Error(), "has schema") {
+			t.Fatalf("%s manifest accepted: %v", schema, err)
 		}
-		// Older manifests simply lack the newer optional blocks.
-		if got.Schema != schema || got.Trace != nil || got.Phases != nil || got.Journal != "" {
-			t.Fatalf("%s manifest misread: %+v", schema, got)
-		}
-	}
-}
-
-func TestReadManifestRejectsWrongSchema(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.manifest.json")
-	m := &Manifest{Schema: "eventcap/run-manifest/v999", Experiment: "x", CSV: "x.csv"}
-	if err := m.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(path); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("wrong schema accepted: %v", err)
 	}
 }
 

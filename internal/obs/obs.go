@@ -342,6 +342,13 @@ var (
 	CachePolicyHits   = NewCounter("cache.policy.hits")
 	CachePolicyMisses = NewCounter("cache.policy.misses")
 
+	// Partial-information solver work (internal/core), added once per
+	// OptimizeClustering or RefineWindows call: f-chain evaluations
+	// (memo hits excluded), and boundary-probability searches whose
+	// closed-form crossing failed its check and fell back to bisection.
+	CorePIEvaluations     = NewCounter("core.pi.evaluations")
+	CorePIBudgetFallbacks = NewCounter("core.pi.budget_fallbacks")
+
 	// Worker-pool health (internal/parallel): queue depth is the pending
 	// gauge, concurrency is the in-flight gauge, job latency is the
 	// histogram.
