@@ -45,23 +45,35 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadManifestRejectsWrongSchema(t *testing.T) {
+// TestReadManifestRejectsOlderSchemas: v1–v3 predate every committed
+// manifest and are no longer read.
+func TestReadManifestRejectsOlderSchemas(t *testing.T) {
 	dir := t.TempDir()
-	// v1–v3 predate every committed manifest and are no longer read.
 	for _, schema := range []string{
 		"eventcap/run-manifest/v1",
 		"eventcap/run-manifest/v2",
 		"eventcap/run-manifest/v3",
-		"eventcap/run-manifest/v999",
 	} {
 		path := filepath.Join(dir, strings.ReplaceAll(schema, "/", "_")+".manifest.json")
-		m := &Manifest{Schema: schema, Experiment: "x", CSV: "x.csv"}
+		m := &Manifest{Schema: schema, Experiment: "fig3a", CSV: "fig3a.csv"}
 		if err := m.Write(path); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ReadManifest(path); err == nil || !strings.Contains(err.Error(), "has schema") {
 			t.Fatalf("%s manifest accepted: %v", schema, err)
 		}
+	}
+}
+
+func TestReadManifestRejectsWrongSchema(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bad.manifest.json")
+	m := &Manifest{Schema: "eventcap/run-manifest/v999", Experiment: "x", CSV: "x.csv"}
+	if err := m.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(path); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Fatalf("wrong schema accepted: %v", err)
 	}
 }
 
