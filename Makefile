@@ -1,16 +1,26 @@
 # Development targets. `make check` is the gate a change must pass:
-# vet + build + full test suite + the determinism/invariant lint suite
-# + race-enabled library tests + a one-iteration benchmark smoke to
-# catch bit-rot in the bench harness + the batch-engine and fleet-kernel
-# speedup gates.
+# gofmt + vet + build + full test suite + the determinism/invariant lint
+# suite + race-enabled library tests + a one-iteration benchmark smoke
+# to catch bit-rot in the bench harness + the batch-engine and
+# fleet-kernel speedup gates.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all check vet build test lint lint-baseline fuzz-smoke race bench-smoke bench bench-batch bench-multi bench-kernel-json bench-batch-json bench-multi-json bench-obs-json bench-stats-json bench-stats bench-trace-json bench-span-json benchtraj bench-check trace-verify results-verify clean
+.PHONY: all check fmt vet build test lint lint-baseline fuzz-smoke race bench-smoke bench bench-batch bench-multi bench-kernel-json bench-batch-json bench-multi-json bench-obs-json bench-stats-json bench-stats bench-trace-json bench-span-json benchtraj bench-check trace-verify results-verify clean
 
 all: check
 
-check: vet build test lint race bench-smoke bench-batch bench-multi bench-stats trace-verify benchtraj bench-check
+check: fmt vet build test lint race bench-smoke bench-batch bench-multi bench-stats trace-verify benchtraj bench-check
+
+# Formatting gate: fail when gofmt would rewrite any Go file. Files under
+# testdata/ (the analyzer fixtures) are inputs kept as written, and
+# hidden directories (.git, the benchmark's build cache) are not ours.
+fmt:
+	@files=$$($(GOFMT) -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.*')); \
+	if [ -n "$$files" ]; then \
+		echo "gofmt would rewrite:" >&2; echo "$$files" >&2; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -47,9 +57,10 @@ lint-baseline:
 # the quantile table's gaps vs inverse-CDF sampling, policy
 # serialization round-trips, the belief filter's live-span update vs
 # the dense walk, the O(1) recharge closed form vs the sequential loop,
-# and the .evtrace decoders on arbitrary bytes. Seed corpora live in
-# testdata/fuzz or in the targets' f.Add calls; CI runs this same budget
-# per target.
+# the compiled kernel vs the reference engine on generated
+# configurations, and the .evtrace decoders on arbitrary bytes. Seed
+# corpora live in testdata/fuzz or in the targets' f.Add calls; CI runs
+# this same budget per target.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSampleBinomial -fuzztime $(FUZZTIME) ./internal/dist
@@ -59,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClusteringPolicyRoundTrip -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzBeliefStepMatchesDense -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRechargeN -fuzztime $(FUZZTIME) ./internal/energy
+	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/trace
 
 # -short skips only the pre-change fixture regeneration in

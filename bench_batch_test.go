@@ -2,6 +2,7 @@ package eventcap_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -61,58 +62,78 @@ func BenchmarkBatchSlotsPerOp(b *testing.B) { benchBatch(b, sim.EngineBatch) }
 // same B replications as B independent kernel runs.
 func BenchmarkBatchSequentialSlotsPerOp(b *testing.B) { benchBatch(b, sim.EngineKernel) }
 
-// BenchmarkBatchFig3Cells times one fig3a cell per recharge process the
-// way the fi-batch regeneration runs it: greedy-FI on Weibull(40,3) at
-// e = 0.5, K = 100, Batch 4 x T = 10^6 (slots/op is 4e6), with Metrics
-// and Stats on as the experiment drivers set them, on one worker.
-func BenchmarkBatchFig3Cells(b *testing.B) {
+// fig3Recharges are fig3a's three recharge processes at e = 0.5.
+var fig3Recharges = []struct {
+	name string
+	mk   func() (energy.Recharge, error)
+}{
+	{"bernoulli", func() (energy.Recharge, error) { return energy.NewBernoulli(0.5, 1) }},
+	{"periodic", func() (energy.Recharge, error) { return energy.NewPeriodic(5, 10) }},
+	{"constant", func() (energy.Recharge, error) { return energy.NewConstant(0.5) }},
+}
+
+// fig3CellConfig returns one fig3a cell the way the fi-batch
+// regeneration runs it: the greedy-FI policy on Weibull(40,3) at e = 0.5
+// (most of its awake slots lie in always-on runs) with recharge process
+// r of fig3Recharges, battery capacity k, and Metrics and Stats on as the
+// experiment drivers set them. Callers set the horizon, batch and seed.
+func fig3CellConfig(tb testing.TB, r int, k float64) sim.Config {
+	tb.Helper()
 	d, err := dist.NewWeibull(40, 3)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p := core.DefaultParams()
 	fi, err := core.GreedyFI(d, 0.5, p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	cells := []struct {
-		name string
-		mk   func() (energy.Recharge, error)
-	}{
-		{"bernoulli", func() (energy.Recharge, error) { return energy.NewBernoulli(0.5, 1) }},
-		{"periodic", func() (energy.Recharge, error) { return energy.NewPeriodic(5, 10) }},
-		{"constant", func() (energy.Recharge, error) { return energy.NewConstant(0.5) }},
+	mk := fig3Recharges[r].mk
+	if _, err := mk(); err != nil {
+		tb.Fatal(err)
 	}
-	for _, c := range cells {
-		if _, err := c.mk(); err != nil {
-			b.Fatal(err)
-		}
-		mk := c.mk
-		cfg := sim.Config{
-			Dist:        d,
-			Params:      p,
-			NewRecharge: func() energy.Recharge { r, _ := mk(); return r },
-			NewPolicy:   func(int) sim.Policy { return &sim.VectorFI{Vector: fi.Policy} },
-			BatteryCap:  100,
-			Slots:       1_000_000,
-			Batch:       4,
-			Workers:     1,
-			Metrics:     true,
-			Stats:       true,
-		}
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = uint64(i + 1)
-				res, err := sim.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Events == 0 {
-					b.Fatal("benchmark run saw no events")
-				}
+	return sim.Config{
+		Dist:        d,
+		Params:      p,
+		NewRecharge: func() energy.Recharge { r, _ := mk(); return r },
+		NewPolicy:   func(int) sim.Policy { return &sim.VectorFI{Vector: fi.Policy} },
+		BatteryCap:  k,
+		Metrics:     true,
+		Stats:       true,
+	}
+}
+
+// BenchmarkBatchFig3Cells times one fig3a cell (fig3CellConfig) per
+// recharge process at Batch 4 x T = 10^6 (slots/op is 4e6) on one
+// worker. The plain cells run K = 100, where about 1% of awake slots are
+// energy-denied; the -K7 cells run K = 7, where 47–84% are (depending on
+// the recharge process), so the energy gate's branch is unpredictable
+// there.
+func BenchmarkBatchFig3Cells(b *testing.B) {
+	for _, k := range []float64{100, 7} {
+		for r, rc := range fig3Recharges {
+			cfg := fig3CellConfig(b, r, k)
+			cfg.Slots = 1_000_000
+			cfg.Batch = 4
+			cfg.Workers = 1
+			name := rc.name
+			if k != 100 {
+				name = fmt.Sprintf("%s-K%g", rc.name, k)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					cfg.Seed = uint64(i + 1)
+					res, err := sim.Run(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Events == 0 {
+						b.Fatal("benchmark run saw no events")
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -211,32 +232,40 @@ func TestSummarizeSpeedupRoundsMath(t *testing.T) {
 }
 
 // TestBatchSteadyStateAllocs checks the batch engine's two loops
-// allocate nothing in steady state. Growing the horizon T at fixed B
-// must not change the allocation count (the slot loop is clean), and
-// growing B at a fixed chunk count must not change it either (all
-// per-replication state — RNG streams, battery, recharge — lives in
-// the reusable per-chunk worker; the only B-sized cost is the one
-// stats slice, a single allocation at any B). Two workers split either
-// B evenly, so both B values below run in exactly two chunks.
+// allocate nothing in steady state, on the sparse benchmark
+// configuration and on a fig3a cell per recharge process (see
+// allocCases). Growing the horizon T at fixed B must not change the
+// allocation count (the slot loop is clean), and growing B at a fixed
+// chunk count must not change it either (all per-replication state —
+// RNG streams, battery, recharge — lives in the reusable per-chunk
+// worker; the only B-sized cost is the one stats slice, a single
+// allocation at any B). Two workers split either B evenly, so both B
+// values below run in exactly two chunks.
 func TestBatchSteadyStateAllocs(t *testing.T) {
-	run := func(slots int64, batch int) float64 {
-		return steadyAllocs(func() {
-			cfg := batchBenchConfig(t, sim.EngineBatch, slots, batch, 1)
-			cfg.Workers = 2
-			if _, err := sim.Run(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	// Config construction allocates identically on both sides of each
-	// comparison, so differences isolate the engine.
-	shortT, longT := run(100, 256), run(50_000, 256)
-	if longT > shortT {
-		t.Errorf("batch slot loop allocates: %v allocs at T=100, %v at T=50k", shortT, longT)
-	}
-	smallB, largeB := run(2_000, 128), run(2_000, 2048)
-	if largeB > smallB {
-		t.Errorf("batch replication loop allocates: %v allocs at B=128, %v at B=2048", smallB, largeB)
+	for _, ac := range allocCases(t) {
+		run := func(slots int64, batch int) float64 {
+			return steadyAllocs(func() {
+				cfg := ac.cfg
+				cfg.Engine = sim.EngineBatch
+				cfg.Slots = slots
+				cfg.Batch = batch
+				cfg.Seed = 1
+				cfg.Workers = 2
+				if _, err := sim.Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// Config copies allocate identically on both sides of each
+		// comparison, so differences isolate the engine.
+		shortT, longT := run(100, 256), run(50_000, 256)
+		if longT > shortT {
+			t.Errorf("%s: batch slot loop allocates: %v allocs at T=100, %v at T=50k", ac.name, shortT, longT)
+		}
+		smallB, largeB := run(2_000, 128), run(2_000, 2048)
+		if largeB > smallB {
+			t.Errorf("%s: batch replication loop allocates: %v allocs at B=128, %v at B=2048", ac.name, smallB, largeB)
+		}
 	}
 }
 

@@ -77,20 +77,53 @@ func BenchmarkKernelSlotsPerOp(b *testing.B) { benchEngine(b, sim.EngineKernel) 
 // the same sparse configuration as BenchmarkKernelSlotsPerOp.
 func BenchmarkKernelReferenceSlotsPerOp(b *testing.B) { benchEngine(b, sim.EngineReference) }
 
-// TestKernelSteadyStateAllocs checks the kernel's hot loop allocates
-// nothing: growing the run from 1 slot to 1M slots must not change the
-// allocation count (all allocations are per-run setup).
-func TestKernelSteadyStateAllocs(t *testing.T) {
-	run := func(slots int64) float64 {
-		return steadyAllocs(func() {
-			if _, err := sim.Run(kernelBenchConfig(t, sim.EngineKernel, slots, 1)); err != nil {
-				t.Fatal(err)
-			}
-		})
+// allocCase is one workload of the steady-state allocation gates.
+type allocCase struct {
+	name string
+	cfg  sim.Config
+}
+
+// allocCases are the steady-state allocation gates' workloads: the
+// sparse benchmark configuration, whose e = 0.1 policy sleeps through
+// most of each gap, and a fig3a cell per recharge process (K = 100),
+// whose e = 0.5 policy spends most awake slots in always-on runs — so
+// the sleep run, the always-on run and every recharge fill sit under the
+// gates. The fig3a cells keep Metrics on, so battery samples cut the
+// always-on runs, but turn Stats off: the probe's end-of-run report
+// allocates once per run by how many events it saw, which a horizon
+// comparison would misread as a loop allocation. The gates set Engine,
+// Slots, Seed, Batch and Workers.
+func allocCases(tb testing.TB) []allocCase {
+	cases := []allocCase{{"sparse-bernoulli", kernelBenchConfig(tb, sim.EngineKernel, 1, 1)}}
+	for r, rc := range fig3Recharges {
+		cfg := fig3CellConfig(tb, r, 100)
+		cfg.Stats = false
+		cases = append(cases, allocCase{"fig3a-" + rc.name, cfg})
 	}
-	short, long := run(1), run(1_000_000)
-	if long > short {
-		t.Errorf("kernel loop allocates: %v allocs at 1 slot, %v at 1M slots", short, long)
+	return cases
+}
+
+// TestKernelSteadyStateAllocs checks the kernel's hot loop allocates
+// nothing: on every allocCases workload, growing the run from 1 slot to
+// 1M slots must not change the allocation count (all allocations are
+// per-run setup).
+func TestKernelSteadyStateAllocs(t *testing.T) {
+	for _, ac := range allocCases(t) {
+		run := func(slots int64) float64 {
+			return steadyAllocs(func() {
+				cfg := ac.cfg
+				cfg.Engine = sim.EngineKernel
+				cfg.Slots = slots
+				cfg.Seed = 1
+				if _, err := sim.Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := run(1), run(1_000_000)
+		if long > short {
+			t.Errorf("%s: kernel loop allocates: %v allocs at 1 slot, %v at 1M slots", ac.name, short, long)
+		}
 	}
 }
 

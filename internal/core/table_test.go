@@ -60,6 +60,51 @@ func TestCompileVectorZeroRuns(t *testing.T) {
 	}
 }
 
+// TestCompileVectorOneRuns checks the probability-one runs, which RunFrom
+// reports negated beside the zero runs.
+func TestCompileVectorOneRuns(t *testing.T) {
+	cases := []struct {
+		name string
+		v    Vector
+		want map[int]int64 // state -> expected RunFrom
+	}{
+		{
+			name: "greedy-style gap then tail",
+			v:    Vector{Prefix: []float64{0, 0, 0, 1}, Tail: 1},
+			want: map[int]int64{1: 3, 3: 1, 4: -UnboundedRun, 5: -UnboundedRun, 100: -UnboundedRun},
+		},
+		{
+			name: "runs split by a fraction and a zero",
+			v:    Vector{Prefix: []float64{1, 1, 0.5, 1, 1, 0}, Tail: 0},
+			want: map[int]int64{1: -2, 2: -1, 3: 0, 4: -2, 5: -1, 6: UnboundedRun, 7: UnboundedRun},
+		},
+		{
+			name: "always on",
+			v:    Vector{Prefix: nil, Tail: 1},
+			want: map[int]int64{0: -UnboundedRun, 1: -UnboundedRun, 50: -UnboundedRun},
+		},
+		{
+			name: "fractional tail",
+			v:    Vector{Prefix: []float64{1, 1}, Tail: 0.5},
+			want: map[int]int64{1: -2, 2: -1, 3: 0},
+		},
+	}
+	for _, tc := range cases {
+		tab, err := CompileVector(tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for state, want := range tc.want {
+			if got := tab.RunFrom(state); got != want {
+				t.Errorf("%s: RunFrom(%d) = %d, want %d", tc.name, state, got, want)
+			}
+			if want < 0 && tab.ZeroRunFrom(state) != 0 {
+				t.Errorf("%s: ZeroRunFrom(%d) = %d inside a one run", tc.name, state, tab.ZeroRunFrom(state))
+			}
+		}
+	}
+}
+
 func TestCompileVectorClampsLowStates(t *testing.T) {
 	tab, err := CompileVector(Vector{Prefix: []float64{0, 1}, Tail: 1})
 	if err != nil {

@@ -19,12 +19,12 @@ import (
 //     bound violation is a real sampler bug, not flake.
 func FuzzSampleBinomial(f *testing.F) {
 	f.Add(uint64(1), int64(10), 0.3)
-	f.Add(uint64(2), int64(1000), 0.001)   // geometric-gaps path
-	f.Add(uint64(3), int64(5000), 0.4)     // mode-inversion path
-	f.Add(uint64(4), int64(7), 0.999)      // symmetry path (p > 0.5)
-	f.Add(uint64(5), int64(64), 0.0)       // degenerate p = 0
-	f.Add(uint64(6), int64(64), 1.0)       // degenerate p = 1
-	f.Add(uint64(7), int64(0), 0.5)        // empty support
+	f.Add(uint64(2), int64(1000), 0.001) // geometric-gaps path
+	f.Add(uint64(3), int64(5000), 0.4)   // mode-inversion path
+	f.Add(uint64(4), int64(7), 0.999)    // symmetry path (p > 0.5)
+	f.Add(uint64(5), int64(64), 0.0)     // degenerate p = 0
+	f.Add(uint64(6), int64(64), 1.0)     // degenerate p = 1
+	f.Add(uint64(7), int64(0), 0.5)      // empty support
 	f.Add(uint64(8), int64(32), math.NaN())
 	f.Fuzz(func(t *testing.T, seed uint64, n int64, p float64) {
 		if n < 0 {

@@ -26,13 +26,13 @@ type Battery struct {
 }
 
 // NewBattery creates a battery with the given capacity and initial level.
-// The initial level is clipped into [0, capacity]. Capacity must be
-// positive.
+// The initial level is clipped into [0, capacity], a zero level stored as
+// +0. Capacity must be positive.
 func NewBattery(capacity, initial float64) (*Battery, error) {
 	if !(capacity > 0) {
 		return nil, fmt.Errorf("energy: battery capacity must be positive, got %g", capacity)
 	}
-	if initial < 0 {
+	if initial <= 0 {
 		initial = 0
 	}
 	if initial > capacity {
@@ -42,11 +42,11 @@ func NewBattery(capacity, initial float64) (*Battery, error) {
 }
 
 // Reset restores the battery to a freshly constructed state with the same
-// capacity and the given initial level (clipped into [0, capacity]),
+// capacity and the given initial level (clipped as NewBattery clips it),
 // clearing every accumulator. Batch engines sweep one Battery value across
 // many replications with it instead of allocating per replication.
 func (b *Battery) Reset(initial float64) {
-	if initial < 0 {
+	if initial <= 0 {
 		initial = 0
 	}
 	if initial > b.capacity {
@@ -100,6 +100,59 @@ func (b *Battery) Consume(amount float64) bool {
 	}
 	b.consumed += amount
 	return true
+}
+
+// RunAlwaysOn applies one always-on stretch to the battery: amts[i] is
+// slot i's recharge, applied as Recharge(amts[i]) would, and on slots
+// own, own+stride, … the battery's owner decides with activation
+// probability one, exactly as a decided slot without an event does: when
+// CanConsume(cost) holds it spends Consume(delta1) and the slot counts as
+// an activation, otherwise as a denial. It returns both counts and the
+// owner's next slot as an offset from the end of amts, the own of a
+// following chunk of the same stretch. No amount may be negative;
+// Filler's never are.
+//
+// The level and the totals stay in locals for the whole stretch, and
+// every float operation is one Recharge, CanConsume and Consume perform,
+// in the same order, so the result is bit-identical to the per-slot
+// calls:
+//   - Recharge skips amounts <= 0, but this pass adds every amount
+//     without a branch (on a Bernoulli(1/2) stream the branch would
+//     mispredict on every other slot). Adding a zero is exact: the level
+//     and the received total are never −0 (NewBattery and Reset store
+//     +0 for a zero level, and no later operation yields −0), so x + ±0
+//     is x, and a level that did not exceed the capacity still does not.
+//   - Consume's own check always passes: callers guarantee
+//     0 <= delta1 <= cost (cost = δ1 + δ2 with δ2 >= 0), so a level that
+//     clears cost − 1e-12 clears delta1 − 1e-12 too.
+func (b *Battery) RunAlwaysOn(amts []float64, own, stride int, cost, delta1 float64) (activations, denied int64, nextOwn int) {
+	level, capacity := b.level, b.capacity
+	received, lost, consumed := b.received, b.overflowLost, b.consumed
+	gate := cost - 1e-12
+	next := own
+	for i, a := range amts {
+		received += a
+		level += a
+		if level > capacity {
+			lost += level - capacity
+			level = capacity
+		}
+		if i == next {
+			next += stride
+			if level >= gate {
+				level -= delta1
+				if level < 0 {
+					level = 0
+				}
+				consumed += delta1
+				activations++
+			} else {
+				denied++
+			}
+		}
+	}
+	b.level, b.received, b.overflowLost, b.consumed = level, received, lost, consumed
+	return activations, denied, next - len(amts)
 }
 
 // rechargeGrid is the dyadic grid (multiples of 2^-20) on which RechargeN

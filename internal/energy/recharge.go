@@ -50,10 +50,66 @@ type FastForwardPreparer interface {
 	PrepareFastForward(maxN int)
 }
 
+// Filler draws a fast-forwardable recharge process's per-slot amounts a
+// chunk at a time, for slot loops that apply them themselves (see
+// Battery.RunAlwaysOn). It resolves the process to its concrete kind once,
+// at construction, so the paper's three processes fill with no interface
+// call in the loop; any other process fills through Next.
+type Filler struct {
+	bern *Bernoulli
+	per  *Periodic
+	con  *Constant
+	ff   FastForwarder
+}
+
+// NewFiller resolves r for Fill. The Filler shares r's state: filling
+// advances r exactly as the same number of Next calls would.
+func NewFiller(r FastForwarder) Filler {
+	f := Filler{ff: r}
+	switch p := r.(type) {
+	case *Bernoulli:
+		f.bern = p
+	case *Periodic:
+		f.per = p
+	case *Constant:
+		f.con = p
+	}
+	return f
+}
+
+// Fill writes the next len(amts) per-slot amounts into amts. It consumes
+// src and advances the process exactly as len(amts) calls of Next would,
+// and the amounts are Next's, bit for bit (a negative one, which no
+// fast-forwardable process delivers, is filled as 0).
+func (f *Filler) Fill(amts []float64, src *rng.Source) {
+	switch {
+	case f.bern != nil:
+		f.bern.fill(amts, src)
+	case f.per != nil:
+		f.per.fill(amts)
+	case f.con != nil:
+		f.con.fill(amts)
+	default:
+		fillNext(f.ff, amts, src)
+	}
+}
+
+// fillNext is Filler.Fill for any other process: Next, slot by slot.
+// Recharge ignores a negative amount, and Battery.RunAlwaysOn takes none,
+// so one is filled as the zero it acts as.
+func fillNext(r Recharge, amts []float64, src *rng.Source) {
+	for i := range amts {
+		amts[i] = max(r.Next(src), 0)
+	}
+}
+
 // Bernoulli recharges c units with probability q each slot — the paper's
 // default recharge model (Fig. 3 "Poisson" curve and all of Figs. 4–6).
 type Bernoulli struct {
-	q, c  float64
+	q, c float64
+	// thr is ⌈q·2^53⌉: src.Float64() < q exactly when src.Uint64()>>11 <
+	// thr, because Float64 returns k/2^53 and scaling by 2^53 is exact.
+	thr   uint64
 	name  string
 	table *dist.BinomialTable
 }
@@ -69,7 +125,12 @@ func NewBernoulli(q, c float64) (*Bernoulli, error) {
 	if c < 0 || math.IsNaN(c) {
 		return nil, fmt.Errorf("energy: Bernoulli c must be >= 0, got %g", c)
 	}
-	return &Bernoulli{q: q, c: c, name: fmt.Sprintf("Bernoulli(q=%g,c=%g)", q, c)}, nil
+	return &Bernoulli{
+		q:    q,
+		c:    c,
+		thr:  uint64(math.Ceil(q * (1 << 53))),
+		name: fmt.Sprintf("Bernoulli(q=%g,c=%g)", q, c),
+	}, nil
 }
 
 // Next implements Recharge.
@@ -78,6 +139,30 @@ func (b *Bernoulli) Next(src *rng.Source) float64 {
 		return b.c
 	}
 	return 0
+}
+
+// fill is Filler.Fill for the process: src.Bernoulli(q) per slot, which
+// draws nothing at q <= 0 or q >= 1. Between those it compares the draw
+// with thr and selects c or +0 by a mask instead of a branch, which would
+// mispredict on about every other slot at q = 1/2.
+func (b *Bernoulli) fill(amts []float64, src *rng.Source) {
+	switch {
+	case b.q <= 0:
+		clear(amts)
+	case b.q >= 1:
+		for i := range amts {
+			amts[i] = b.c
+		}
+	default:
+		c := math.Float64bits(b.c)
+		for i := range amts {
+			// Both operands are at most 2^53, so k − thr wraps to a value
+			// with its sign bit set exactly when k < thr: hit is all ones
+			// then and zero otherwise.
+			hit := uint64(int64(src.Uint64()>>11-b.thr) >> 63)
+			amts[i] = math.Float64frombits(c & hit)
+		}
+	}
 }
 
 // Mean implements Recharge.
@@ -169,6 +254,18 @@ func (p *Periodic) Next(*rng.Source) float64 {
 	return 0
 }
 
+// fill is Filler.Fill for the process: Next, slot by slot.
+func (p *Periodic) fill(amts []float64) {
+	for i := range amts {
+		p.phase++
+		amts[i] = 0
+		if p.phase >= p.period {
+			p.phase = 0
+			amts[i] = p.amount
+		}
+	}
+}
+
 // Mean implements Recharge.
 func (p *Periodic) Mean() float64 { return p.amount / float64(p.period) }
 
@@ -217,6 +314,13 @@ func NewConstant(e float64) (*Constant, error) {
 
 // Next implements Recharge.
 func (c *Constant) Next(*rng.Source) float64 { return c.e }
+
+// fill is Filler.Fill for the process.
+func (c *Constant) fill(amts []float64) {
+	for i := range amts {
+		amts[i] = c.e
+	}
+}
 
 // Mean implements Recharge.
 func (c *Constant) Mean() float64 { return c.e }

@@ -337,6 +337,7 @@ var (
 	SimBatteryHist       = NewCounterVec("sim.battery.bin", BatteryBins)
 	SimKernelRuns        = NewCounter("sim.kernel.ff_runs")
 	SimKernelSlots       = NewCounter("sim.kernel.ff_slots")
+	SimKernelOnSlots     = NewCounter("sim.kernel.on_slots")
 
 	// Policy-cache effectiveness (internal/core).
 	CachePolicyHits   = NewCounter("cache.policy.hits")

@@ -292,13 +292,9 @@ type fleetRun struct {
 	rechargeSrcs                []rng.Source
 	batteries                   []energy.Battery
 	rechs                       []energy.FastForwarder
-
-	// The per-awake-slot recharge draws are devirtualized when the whole
-	// fleet runs the paper's Bernoulli process (one factory, so in
-	// practice all or none); they consume the streams exactly as
-	// Bernoulli.Next.
-	isBern       bool
-	bernQ, bernC []float64
+	// fills draw each sensor's per-slot recharge amounts from rechs,
+	// resolved to their concrete kinds once here, never in the loop.
+	fills []energy.Filler
 }
 
 // newFleetRun builds the loop state for plan over the given per-sensor
@@ -315,17 +311,11 @@ func newFleetRun(cfg *Config, plan *kernelPlan, rechs []energy.FastForwarder, qu
 		rechargeSrcs: make([]rng.Source, n),
 		batteries:    make([]energy.Battery, n),
 		rechs:        rechs,
-		isBern:       true,
-		bernQ:        make([]float64, n),
-		bernC:        make([]float64, n),
+		fills:        make([]energy.Filler, n),
 	}
 	for s, r := range rechs {
 		w.batteries[s] = *b
-		if bern, ok := r.(*energy.Bernoulli); ok {
-			w.bernQ[s], w.bernC[s] = bern.Q(), bern.C()
-		} else {
-			w.isBern = false
-		}
+		w.fills[s] = energy.NewFiller(r)
 	}
 	return w, nil
 }
@@ -338,16 +328,65 @@ func (w *fleetRun) fastForward(n int64) {
 	}
 }
 
-// rechargeFleet applies one awake slot's recharge to every sensor, each
-// from its own stream.
-func (w *fleetRun) rechargeFleet() {
+// recharge applies one decided slot's recharge to every sensor, each
+// from its own stream as a fill of one slot, and returns sensor 0's
+// delivery (the traced record's; only single-sensor runs trace).
+func (w *fleetRun) recharge() float64 {
+	var amt [1]float64
+	var amt0 float64
 	for s := range w.batteries {
-		if !w.isBern {
-			w.batteries[s].Recharge(w.rechs[s].Next(&w.rechargeSrcs[s]))
-		} else if w.rechargeSrcs[s].Bernoulli(w.bernQ[s]) {
-			w.batteries[s].Recharge(w.bernC[s])
+		w.fills[s].Fill(amt[:], &w.rechargeSrcs[s])
+		w.batteries[s].Recharge(amt[0])
+		if s == 0 {
+			amt0 = amt[0]
 		}
 	}
+	return amt0
+}
+
+// alwaysOnChunk is the always-on run's fill length: a buffer of amounts
+// on the stack, short enough that zeroing it per run stays cheap (runs
+// average about a dozen slots on fig3a).
+const alwaysOnChunk = 32
+
+// alwaysOn advances every sensor through the run slots t..t+run-1, a
+// stretch of probability-one states with no event, and adds each
+// sensor's activations and denials to its block. Sensor s owns the slots
+// with (t'−1) mod N = s and decides on those; every sensor recharges on
+// every slot from its own stream. Nothing else is shared — no decision
+// draw (rng.Bernoulli(1) draws nothing) and no event — so the sensors
+// advance one after another, each in one pass over its amounts, with
+// every draw and float operation in the per-slot order.
+func (w *fleetRun) alwaysOn(t, run int64, cost, delta1 float64, sensors []SensorStats) {
+	var buf [alwaysOnChunk]float64
+	n := len(w.batteries)
+	first := owner(t, n)
+	for s := range w.batteries {
+		// own is the offset of sensor s's next slot from the chunk start.
+		own := s - first
+		if own < 0 {
+			own += n
+		}
+		for left := run; left > 0; {
+			amts := buf[:min(left, alwaysOnChunk)]
+			w.fills[s].Fill(amts, &w.rechargeSrcs[s])
+			var a, d int64
+			a, d, own = w.batteries[s].RunAlwaysOn(amts, own, n, cost, delta1)
+			sensors[s].Activations += a
+			sensors[s].Denied += d
+			left -= int64(len(amts))
+		}
+	}
+}
+
+// owner returns the sensor in charge of slot t in a round-robin fleet of
+// n, (t−1) mod n, without a 64-bit division for the single sensor: the
+// compiled loop asks on every decided slot and every always-on run.
+func owner(t int64, n int) int {
+	if n == 1 {
+		return 0
+	}
+	return int((t - 1) % int64(n))
 }
 
 // gap draws the next inter-event gap from the event stream.
@@ -365,11 +404,24 @@ func (w *fleetRun) gap(d dist.Interarrival) int64 {
 // The round-robin fleet shares one compiled activation table — the
 // in-charge sensor's decision state is global (h resets on every event,
 // the broadcast f on every capture, the slot phase is absolute) — so a
-// run of z zero-probability states silences whichever sensors own those
-// slots, and the only per-sensor work across it is advancing N batteries
-// through their own recharge streams. Sleep runs are ownership-agnostic
-// (nobody decides), so they never split on sensor boundaries; ownership
-// of awake slot t is (t-1) mod N.
+// run of equal decisions covers whichever sensors own its slots. The loop
+// takes three kinds of step, chosen from the table alone:
+//
+//   - A sleep run (z zero-probability states) silences the whole fleet:
+//     no decision draws, no consumption, and all N batteries fast-forward
+//     through their own recharge streams. Sleep runs are
+//     ownership-agnostic (nobody decides), so they never split on sensor
+//     boundaries.
+//   - An always-on run (probability-one states) advances to the slot
+//     before the next event: rng.Bernoulli(1) draws nothing and no event
+//     falls inside, so each sensor's slots touch only its own recharge
+//     stream and battery, and the sensors advance one after another
+//     (fleetRun.alwaysOn). The run also stops at the slot-phase wrap, at
+//     Slots, and at the battery-sample countdown.
+//   - Any other slot — fractional probability, the event slot, or any
+//     slot of a traced run — is decided alone, replicating the reference
+//     engine's slot: every sensor recharges, the in-charge sensor
+//     (t−1) mod N decides.
 //
 // RNG stream layout (must equal the reference engine's for byte-identity
 // under deterministic recharge): root Reseed(seed, 0x5eed), event
@@ -377,12 +429,15 @@ func (w *fleetRun) gap(d dist.Interarrival) int64 {
 // s = 0..N-1 in sensor order. Per slot the reference consumes one
 // recharge draw per sensor — each from its own stream, so batching a
 // sleep run's n draws per sensor is exactly n sequential draws — and one
-// decision draw iff the in-charge sensor's probability is positive, which
-// is precisely the awake-slot condition here (zero-probability slots
-// consume no decision draws in either engine). So under deterministic
-// recharge the run is byte-identical to the reference; under Bernoulli
-// recharge each sensor's sleep run collapses to one exact Binomial(n, q)
-// draw and results agree in law (the energy.FastForwarder contract).
+// decision draw iff the in-charge sensor's probability is positive and
+// below one; zero- and one-probability slots consume no decision draw in
+// either engine. So under deterministic recharge the run is
+// byte-identical to the reference; under Bernoulli recharge each
+// sensor's sleep run collapses to one exact Binomial(n, q) draw and
+// results agree in law (the energy.FastForwarder contract). The
+// always-on run and the decided slot draw every recharge amount exactly
+// as Next would, so only the sleep runs are equal in law rather than
+// bit for bit.
 //
 // Tracing covers single-sensor plans only (compileKernel declines traced
 // fleets): every awake slot decides with positive probability, so each
@@ -408,9 +463,7 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 	batteries := w.batteries
 	cost := cfg.Params.ActivationCost()
 	delta1, delta2 := cfg.Params.Delta1, cfg.Params.Delta2
-	// Sensor 0's recharge, hoisted for the single-sensor awake slot.
-	b0, src0, rech0, s0 := &batteries[0], &w.rechargeSrcs[0], w.rechs[0], &sensors[0]
-	isBern, q0, c0 := w.isBern, w.bernQ[0], w.bernC[0]
+	b0 := &batteries[0]
 	countdown := o.stride()
 
 	// partialH mirrors the reference engine's h = -1 under partial
@@ -422,7 +475,6 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 	// The paper assumes an event (and capture) at slot 0.
 	lastEvent, lastCapture := int64(0), int64(0)
 	nextEvent := w.gap(d)
-	nn := int64(n)
 
 	t := int64(1)
 	for t <= slots {
@@ -436,20 +488,19 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 			st = (t-1)%modulus + 1
 		}
 
-		if z := table.ZeroRunFrom(int(st)); z > 0 {
+		// A run of equal decisions lasts until Slots and, for the slot
+		// phase, until the phase wraps.
+		limit := slots - t + 1
+		if state == StateSlotPhase {
+			limit = min(limit, modulus-st+1)
+		}
+		r := table.RunFrom(int(st))
+		if r > 0 {
 			// Sleep run: every sensor owning a slot in the run would read
 			// the same zero-probability state, so the whole fleet stays
 			// silent for the next run slots (no decision draws, no
 			// consumption) and all N batteries fast-forward together.
-			run := z
-			if state == StateSlotPhase {
-				if wrap := modulus - st + 1; run > wrap {
-					run = wrap
-				}
-			}
-			if left := slots - t + 1; run > left {
-				run = left
-			}
+			run := min(r, limit)
 			eventsBefore := events
 			var span energy.SpanProbe
 			if traced {
@@ -487,28 +538,29 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 			t += run
 			continue
 		}
-
-		// Awake slot: replicate the reference engine's slot exactly —
-		// every sensor recharges, only the in-charge sensor decides. The
-		// single sensor gets its own branch: it is the hot case, the
-		// branch is perfectly predictable, and amt, its delivery, is the
-		// traced record's (only single-sensor runs trace).
-		var amt float64
-		charge, battery, stats := 0, b0, s0
-		if n == 1 {
-			if isBern {
-				if src0.Bernoulli(q0) {
-					amt = c0
+		if r < 0 && !traced {
+			// Always-on run of −r states: it stops before the next event,
+			// which is decided alone, and at the next battery sample.
+			if run := min(-r, limit, nextEvent-t, countdown); run > 0 {
+				w.alwaysOn(t, run, cost, delta1, sensors)
+				o.alwaysOn(run)
+				countdown -= run
+				if countdown == 0 {
+					countdown = batterySampleStride
+					o.battery(b0.Level())
 				}
-			} else {
-				amt = rech0.Next(src0)
+				t += run
+				continue
 			}
-			b0.Recharge(amt)
-		} else {
-			w.rechargeFleet()
-			charge = int((t - 1) % nn)
-			battery, stats = &batteries[charge], &sensors[charge]
 		}
+
+		// Decided slot: replicate the reference engine's slot exactly —
+		// every sensor recharges, only the in-charge sensor decides. amt,
+		// sensor 0's delivery, is the traced record's (only single-sensor
+		// runs trace).
+		amt := w.recharge()
+		charge := owner(t, n)
+		battery, stats := &batteries[charge], &sensors[charge]
 		event := t == nextEvent
 		p := table.At(int(st))
 		// The decision-time battery level, kept for the slot record.

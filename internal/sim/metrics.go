@@ -80,6 +80,11 @@ type Metrics struct {
 	// the reference engine.
 	KernelRuns               int64
 	KernelSlotsFastForwarded int64
+	// KernelSlotsAlwaysOn counts the awake slots the kernel advanced in
+	// always-on runs (probability one, no event, untraced) rather than
+	// deciding them one at a time; like KernelSlotsFastForwarded it counts
+	// slots, not sensor-slots, and stays zero on the reference engine.
+	KernelSlotsAlwaysOn int64
 }
 
 // MeanBatteryFrac returns the time-weighted mean occupancy fraction
@@ -104,6 +109,7 @@ func (m *Metrics) Merge(o *Metrics) {
 	}
 	m.KernelRuns += o.KernelRuns
 	m.KernelSlotsFastForwarded += o.KernelSlotsFastForwarded
+	m.KernelSlotsAlwaysOn += o.KernelSlotsAlwaysOn
 }
 
 // mergeReplica folds a later replication's Metrics into a batch
@@ -118,6 +124,7 @@ func (m *Metrics) mergeReplica(o *Metrics) {
 	m.WastedActivations += o.WastedActivations
 	m.KernelRuns += o.KernelRuns
 	m.KernelSlotsFastForwarded += o.KernelSlotsFastForwarded
+	m.KernelSlotsAlwaysOn += o.KernelSlotsAlwaysOn
 }
 
 // publish folds the completed run into the process-wide totals that
@@ -137,6 +144,7 @@ func (m *Metrics) publish(res *Result) {
 	}
 	obs.SimKernelRuns.Add(m.KernelRuns)
 	obs.SimKernelSlots.Add(m.KernelSlotsFastForwarded)
+	obs.SimKernelOnSlots.Add(m.KernelSlotsAlwaysOn)
 }
 
 // recordEngine counts which engine actually executed a run.

@@ -8,9 +8,9 @@ import (
 
 // observer is a run's single observation point. Every engine builds one
 // per run (plus one part per concurrently running unit of a fanned-out
-// run) and calls it at five points: an event, a fast-forwarded sleep
-// run, a decided slot, a battery-sampling stride, and the end of the
-// run. The miss decomposition, the battery binning, the slot-record fast
+// run) and calls it at six points: an event, a fast-forwarded sleep
+// run, an always-on run, a decided slot, a battery-sampling stride, and
+// the end of the run. The miss decomposition, the battery binning, the slot-record fast
 // path and the run epilogue therefore each exist once, whatever the
 // engine. It is a plain struct of concrete sinks, each nil when off: no
 // interface dispatch, no per-event allocation, and — like every sink it
@@ -116,6 +116,14 @@ func (o *observer) sleepRun(n, misses int64) {
 	}
 	if o.sp != nil {
 		o.sp.ObserveMisses(misses)
+	}
+}
+
+// alwaysOn records an always-on run of n slots: probability-one states
+// the kernel advanced without deciding them one at a time.
+func (o *observer) alwaysOn(n int64) {
+	if o.m != nil {
+		o.m.KernelSlotsAlwaysOn += n
 	}
 }
 

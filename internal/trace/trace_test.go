@@ -202,8 +202,8 @@ func TestFlightRecorderInvariantDump(t *testing.T) {
 func TestRecordSlotMatchesRecord(t *testing.T) {
 	recs := []Rec{
 		{Slot: 1, Sensor: 0, Engine: EngineReference, Flags: FlagActive, H: 3, F: 7, Prob: 0.5, Battery: 50, Recharge: 1},
-		{Slot: 2, Sensor: -1, Flags: FlagEvent},                      // marker: skipped by both
-		{Slot: 3, Sensor: 5, Prob: 0.5, Battery: 50},                 // out of range: skipped by both
+		{Slot: 2, Sensor: -1, Flags: FlagEvent},                          // marker: skipped by both
+		{Slot: 3, Sensor: 5, Prob: 0.5, Battery: 50},                     // out of range: skipped by both
 		{Slot: 4, Sensor: 0, Engine: EngineKernel, Prob: 2, Battery: 50}, // invariant violation
 	}
 	a := NewFlightRecorder(16)

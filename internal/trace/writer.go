@@ -79,10 +79,12 @@ func (w *Writer) flushFrame() {
 	w.buf = w.buf[:0]
 }
 
-func (w *Writer) appendUvarint(v uint64)  { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *Writer) appendVarint(v int64)    { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *Writer) appendFloat(f float64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f)) }
-func (w *Writer) appendString(s string)   { w.appendUvarint(uint64(len(s))); w.buf = append(w.buf, s...) }
+func (w *Writer) appendUvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *Writer) appendVarint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
+func (w *Writer) appendFloat(f float64) {
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
+}
+func (w *Writer) appendString(s string) { w.appendUvarint(uint64(len(s))); w.buf = append(w.buf, s...) }
 
 // RunStart opens a traced run and resets the slot delta base.
 func (w *Writer) RunStart(info RunInfo) {
