@@ -110,10 +110,3 @@ func (t *ActivationTable) RunFrom(i int) int64 {
 	}
 	return tailRun(t.Tail)
 }
-
-// ZeroRunFrom returns how many consecutive states starting at i have zero
-// activation probability: 0 when state i itself can activate, UnboundedRun
-// when the policy stays silent forever from i on.
-func (t *ActivationTable) ZeroRunFrom(i int) int64 {
-	return max(t.RunFrom(i), 0)
-}

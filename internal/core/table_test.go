@@ -15,31 +15,33 @@ func TestCompileVectorProbsMatch(t *testing.T) {
 	}
 }
 
+// TestCompileVectorZeroRuns checks the zero-probability runs, which
+// RunFrom reports as positive lengths (one-run states read negative).
 func TestCompileVectorZeroRuns(t *testing.T) {
 	cases := []struct {
 		name string
 		v    Vector
-		want map[int]int64 // state -> expected run
+		want map[int]int64 // state -> expected RunFrom
 	}{
 		{
 			name: "greedy-style gap then tail",
 			v:    Vector{Prefix: []float64{0, 0, 0, 1}, Tail: 1},
-			want: map[int]int64{1: 3, 2: 2, 3: 1, 4: 0, 5: 0, 100: 0},
+			want: map[int]int64{1: 3, 2: 2, 3: 1, 4: -UnboundedRun, 5: -UnboundedRun, 100: -UnboundedRun},
 		},
 		{
 			name: "zero tail saturates",
 			v:    Vector{Prefix: []float64{1, 0, 0}, Tail: 0},
-			want: map[int]int64{1: 0, 2: UnboundedRun, 3: UnboundedRun, 4: UnboundedRun, 1000: UnboundedRun},
+			want: map[int]int64{1: -1, 2: UnboundedRun, 3: UnboundedRun, 4: UnboundedRun, 1000: UnboundedRun},
 		},
 		{
 			name: "interior gap before zero tail",
 			v:    Vector{Prefix: []float64{0, 1, 0, 0.5}, Tail: 0},
-			want: map[int]int64{1: 1, 2: 0, 3: 1, 4: 0, 5: UnboundedRun},
+			want: map[int]int64{1: 1, 2: -1, 3: 1, 4: 0, 5: UnboundedRun},
 		},
 		{
 			name: "always on",
 			v:    Vector{Prefix: nil, Tail: 1},
-			want: map[int]int64{1: 0, 50: 0},
+			want: map[int]int64{1: -UnboundedRun, 50: -UnboundedRun},
 		},
 		{
 			name: "never on",
@@ -53,15 +55,15 @@ func TestCompileVectorZeroRuns(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for state, want := range tc.want {
-			if got := tab.ZeroRunFrom(state); got != want {
-				t.Errorf("%s: ZeroRunFrom(%d) = %d, want %d", tc.name, state, got, want)
+			if got := tab.RunFrom(state); got != want {
+				t.Errorf("%s: RunFrom(%d) = %d, want %d", tc.name, state, got, want)
 			}
 		}
 	}
 }
 
-// TestCompileVectorOneRuns checks the probability-one runs, which RunFrom
-// reports negated beside the zero runs.
+// TestCompileVectorOneRuns checks probability-one runs that a fraction or
+// a zero ends, which RunFrom reports negated beside the zero runs.
 func TestCompileVectorOneRuns(t *testing.T) {
 	cases := []struct {
 		name string
@@ -69,19 +71,9 @@ func TestCompileVectorOneRuns(t *testing.T) {
 		want map[int]int64 // state -> expected RunFrom
 	}{
 		{
-			name: "greedy-style gap then tail",
-			v:    Vector{Prefix: []float64{0, 0, 0, 1}, Tail: 1},
-			want: map[int]int64{1: 3, 3: 1, 4: -UnboundedRun, 5: -UnboundedRun, 100: -UnboundedRun},
-		},
-		{
 			name: "runs split by a fraction and a zero",
 			v:    Vector{Prefix: []float64{1, 1, 0.5, 1, 1, 0}, Tail: 0},
 			want: map[int]int64{1: -2, 2: -1, 3: 0, 4: -2, 5: -1, 6: UnboundedRun, 7: UnboundedRun},
-		},
-		{
-			name: "always on",
-			v:    Vector{Prefix: nil, Tail: 1},
-			want: map[int]int64{0: -UnboundedRun, 1: -UnboundedRun, 50: -UnboundedRun},
 		},
 		{
 			name: "fractional tail",
@@ -98,9 +90,6 @@ func TestCompileVectorOneRuns(t *testing.T) {
 			if got := tab.RunFrom(state); got != want {
 				t.Errorf("%s: RunFrom(%d) = %d, want %d", tc.name, state, got, want)
 			}
-			if want < 0 && tab.ZeroRunFrom(state) != 0 {
-				t.Errorf("%s: ZeroRunFrom(%d) = %d inside a one run", tc.name, state, tab.ZeroRunFrom(state))
-			}
 		}
 	}
 }
@@ -110,8 +99,8 @@ func TestCompileVectorClampsLowStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tab.ZeroRunFrom(0); got != tab.ZeroRunFrom(1) {
-		t.Errorf("ZeroRunFrom(0) = %d, want state-1 value %d", got, tab.ZeroRunFrom(1))
+	if got := tab.RunFrom(0); got != tab.RunFrom(1) {
+		t.Errorf("RunFrom(0) = %d, want state-1 value %d", got, tab.RunFrom(1))
 	}
 }
 

@@ -7,15 +7,10 @@ import (
 	"eventcap/internal/rng"
 )
 
-// nextOnly hides its process's concrete type, so NewFiller takes the
-// generic path through Next.
-type nextOnly struct{ FastForwarder }
-
-// TestFillerMatchesNext checks that Fill reproduces Next bit for bit —
-// amounts, stream consumption and process state — for each resolved kind
-// and the generic path, across chunk lengths that split the stream
-// unevenly.
-func TestFillerMatchesNext(t *testing.T) {
+// TestFillMatchesNext checks that Fill reproduces Next bit for bit —
+// amounts, stream consumption and process state — for each process,
+// across chunk lengths that split the stream unevenly.
+func TestFillMatchesNext(t *testing.T) {
 	procs := []struct {
 		name string
 		mk   func() FastForwarder
@@ -29,18 +24,15 @@ func TestFillerMatchesNext(t *testing.T) {
 		{"periodic-5-10", func() FastForwarder { r, _ := NewPeriodic(5, 10); return r }},
 		{"periodic-1-1", func() FastForwarder { r, _ := NewPeriodic(1, 1); return r }},
 		{"constant-0.5", func() FastForwarder { r, _ := NewConstant(0.5); return r }},
-		{"generic-bernoulli", func() FastForwarder { r, _ := NewBernoulli(0.3, 1); return nextOnly{r} }},
-		{"generic-periodic", func() FastForwarder { r, _ := NewPeriodic(2, 3); return nextOnly{r} }},
 	}
 	for _, p := range procs {
 		name, newProc := p.name, p.mk
 		ref, fill := newProc(), newProc()
-		f := NewFiller(fill)
 		refSrc, fillSrc := rng.New(7, 1), rng.New(7, 1)
 		var buf [40]float64
 		for chunk := 1; chunk <= len(buf); chunk += 3 {
 			amts := buf[:chunk]
-			f.Fill(amts, fillSrc)
+			fill.Fill(amts, fillSrc)
 			for i, got := range amts {
 				if want := ref.Next(refSrc); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s: chunk %d slot %d: filled %v, Next %v", name, chunk, i, got, want)

@@ -110,7 +110,7 @@ func (b *Battery) Consume(amount float64) bool {
 // an activation, otherwise as a denial. It returns both counts and the
 // owner's next slot as an offset from the end of amts, the own of a
 // following chunk of the same stretch. No amount may be negative;
-// Filler's never are.
+// FastForwarder.Fill's never are.
 //
 // The level and the totals stay in locals for the whole stretch, and
 // every float operation is one Recharge, CanConsume and Consume perform,

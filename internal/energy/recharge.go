@@ -21,9 +21,11 @@ type Recharge interface {
 	Name() string
 }
 
-// FastForwarder is implemented by recharge processes that can apply n
-// consecutive slots of recharge to a battery without iterating the slots.
-// The simulation kernel uses it to skip zero-activation sleep runs.
+// FastForwarder is implemented by recharge processes that the simulation
+// kernel can drive a stretch of slots at a time: FastForward applies a
+// zero-activation sleep run to a battery without iterating the slots, and
+// Fill draws the per-slot amounts of an always-on run (see
+// Battery.RunAlwaysOn) or of one decided slot.
 //
 // The contract: after FastForward(b, n, src) the battery's externally
 // visible totals (Level, Received, OverflowLost) must match n sequential
@@ -34,10 +36,18 @@ type Recharge interface {
 // total, never on where inside the run the deliveries land. Stochastic
 // implementations may consume src differently than n Next calls would;
 // each sensor owns a dedicated recharge stream, so no other stream shifts.
+//
+// Fill, unlike FastForward, is exact for every process: Fill(amts, src)
+// writes the amounts the next len(amts) Next calls would return, bit for
+// bit, and advances src and the process exactly as those calls would. No
+// filled amount is negative.
 type FastForwarder interface {
 	Recharge
 	// FastForward advances the process by n slots, recharging b.
 	FastForward(b *Battery, n int64, src *rng.Source)
+	// Fill advances the process by len(amts) slots, writing each slot's
+	// amount into amts.
+	Fill(amts []float64, src *rng.Source)
 }
 
 // FastForwardPreparer is optionally implemented by fast-forwardable
@@ -48,59 +58,6 @@ type FastForwarder interface {
 type FastForwardPreparer interface {
 	FastForwarder
 	PrepareFastForward(maxN int)
-}
-
-// Filler draws a fast-forwardable recharge process's per-slot amounts a
-// chunk at a time, for slot loops that apply them themselves (see
-// Battery.RunAlwaysOn). It resolves the process to its concrete kind once,
-// at construction, so the paper's three processes fill with no interface
-// call in the loop; any other process fills through Next.
-type Filler struct {
-	bern *Bernoulli
-	per  *Periodic
-	con  *Constant
-	ff   FastForwarder
-}
-
-// NewFiller resolves r for Fill. The Filler shares r's state: filling
-// advances r exactly as the same number of Next calls would.
-func NewFiller(r FastForwarder) Filler {
-	f := Filler{ff: r}
-	switch p := r.(type) {
-	case *Bernoulli:
-		f.bern = p
-	case *Periodic:
-		f.per = p
-	case *Constant:
-		f.con = p
-	}
-	return f
-}
-
-// Fill writes the next len(amts) per-slot amounts into amts. It consumes
-// src and advances the process exactly as len(amts) calls of Next would,
-// and the amounts are Next's, bit for bit (a negative one, which no
-// fast-forwardable process delivers, is filled as 0).
-func (f *Filler) Fill(amts []float64, src *rng.Source) {
-	switch {
-	case f.bern != nil:
-		f.bern.fill(amts, src)
-	case f.per != nil:
-		f.per.fill(amts)
-	case f.con != nil:
-		f.con.fill(amts)
-	default:
-		fillNext(f.ff, amts, src)
-	}
-}
-
-// fillNext is Filler.Fill for any other process: Next, slot by slot.
-// Recharge ignores a negative amount, and Battery.RunAlwaysOn takes none,
-// so one is filled as the zero it acts as.
-func fillNext(r Recharge, amts []float64, src *rng.Source) {
-	for i := range amts {
-		amts[i] = max(r.Next(src), 0)
-	}
 }
 
 // Bernoulli recharges c units with probability q each slot — the paper's
@@ -141,11 +98,11 @@ func (b *Bernoulli) Next(src *rng.Source) float64 {
 	return 0
 }
 
-// fill is Filler.Fill for the process: src.Bernoulli(q) per slot, which
-// draws nothing at q <= 0 or q >= 1. Between those it compares the draw
-// with thr and selects c or +0 by a mask instead of a branch, which would
+// Fill implements FastForwarder: src.Bernoulli(q) per slot, which draws
+// nothing at q <= 0 or q >= 1. Between those it compares the draw with thr
+// and selects c or +0 by a mask instead of a branch, which would
 // mispredict on about every other slot at q = 1/2.
-func (b *Bernoulli) fill(amts []float64, src *rng.Source) {
+func (b *Bernoulli) Fill(amts []float64, src *rng.Source) {
 	switch {
 	case b.q <= 0:
 		clear(amts)
@@ -254,8 +211,8 @@ func (p *Periodic) Next(*rng.Source) float64 {
 	return 0
 }
 
-// fill is Filler.Fill for the process: Next, slot by slot.
-func (p *Periodic) fill(amts []float64) {
+// Fill implements FastForwarder: Next, slot by slot.
+func (p *Periodic) Fill(amts []float64, _ *rng.Source) {
 	for i := range amts {
 		p.phase++
 		amts[i] = 0
@@ -315,8 +272,8 @@ func NewConstant(e float64) (*Constant, error) {
 // Next implements Recharge.
 func (c *Constant) Next(*rng.Source) float64 { return c.e }
 
-// fill is Filler.Fill for the process.
-func (c *Constant) fill(amts []float64) {
+// Fill implements FastForwarder.
+func (c *Constant) Fill(amts []float64, _ *rng.Source) {
 	for i := range amts {
 		amts[i] = c.e
 	}

@@ -103,7 +103,7 @@ func (sp *indepSensorPlan) run(cfg *Config, b *energy.Battery, rech energy.FastF
 		} else {
 			st = (t-1)%sp.modulus + 1
 		}
-		if z := sp.table.ZeroRunFrom(int(st)); z > 0 {
+		if z := sp.table.RunFrom(int(st)); z > 0 {
 			run := z
 			if sp.state == StateSlotPhase {
 				if wrap := sp.modulus - st + 1; run > wrap {

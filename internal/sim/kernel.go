@@ -292,9 +292,10 @@ type fleetRun struct {
 	rechargeSrcs                []rng.Source
 	batteries                   []energy.Battery
 	rechs                       []energy.FastForwarder
-	// fills draw each sensor's per-slot recharge amounts from rechs,
-	// resolved to their concrete kinds once here, never in the loop.
-	fills []energy.Filler
+	// amts receives the recharge amounts Fill draws for an always-on
+	// chunk or a decided slot. It lives here, not on the stack, because
+	// Fill is an interface call and its arguments escape.
+	amts [alwaysOnChunk]float64
 }
 
 // newFleetRun builds the loop state for plan over the given per-sensor
@@ -311,11 +312,9 @@ func newFleetRun(cfg *Config, plan *kernelPlan, rechs []energy.FastForwarder, qu
 		rechargeSrcs: make([]rng.Source, n),
 		batteries:    make([]energy.Battery, n),
 		rechs:        rechs,
-		fills:        make([]energy.Filler, n),
 	}
-	for s, r := range rechs {
+	for s := range w.batteries {
 		w.batteries[s] = *b
-		w.fills[s] = energy.NewFiller(r)
 	}
 	return w, nil
 }
@@ -332,10 +331,10 @@ func (w *fleetRun) fastForward(n int64) {
 // from its own stream as a fill of one slot, and returns sensor 0's
 // delivery (the traced record's; only single-sensor runs trace).
 func (w *fleetRun) recharge() float64 {
-	var amt [1]float64
+	amt := w.amts[:1]
 	var amt0 float64
 	for s := range w.batteries {
-		w.fills[s].Fill(amt[:], &w.rechargeSrcs[s])
+		w.rechs[s].Fill(amt, &w.rechargeSrcs[s])
 		w.batteries[s].Recharge(amt[0])
 		if s == 0 {
 			amt0 = amt[0]
@@ -344,9 +343,9 @@ func (w *fleetRun) recharge() float64 {
 	return amt0
 }
 
-// alwaysOnChunk is the always-on run's fill length: a buffer of amounts
-// on the stack, short enough that zeroing it per run stays cheap (runs
-// average about a dozen slots on fig3a).
+// alwaysOnChunk is the always-on run's fill length, the slots of
+// fleetRun.amts. Runs average about a dozen slots on fig3a, so a longer
+// buffer would mostly add to every fleetRun's allocation.
 const alwaysOnChunk = 32
 
 // alwaysOn advances every sensor through the run slots t..t+run-1, a
@@ -358,9 +357,8 @@ const alwaysOnChunk = 32
 // advance one after another, each in one pass over its amounts, with
 // every draw and float operation in the per-slot order.
 func (w *fleetRun) alwaysOn(t, run int64, cost, delta1 float64, sensors []SensorStats) {
-	var buf [alwaysOnChunk]float64
 	n := len(w.batteries)
-	first := owner(t, n)
+	first := int((t - 1) % int64(n))
 	for s := range w.batteries {
 		// own is the offset of sensor s's next slot from the chunk start.
 		own := s - first
@@ -368,8 +366,8 @@ func (w *fleetRun) alwaysOn(t, run int64, cost, delta1 float64, sensors []Sensor
 			own += n
 		}
 		for left := run; left > 0; {
-			amts := buf[:min(left, alwaysOnChunk)]
-			w.fills[s].Fill(amts, &w.rechargeSrcs[s])
+			amts := w.amts[:min(left, alwaysOnChunk)]
+			w.rechs[s].Fill(amts, &w.rechargeSrcs[s])
 			var a, d int64
 			a, d, own = w.batteries[s].RunAlwaysOn(amts, own, n, cost, delta1)
 			sensors[s].Activations += a
@@ -377,16 +375,6 @@ func (w *fleetRun) alwaysOn(t, run int64, cost, delta1 float64, sensors []Sensor
 			left -= int64(len(amts))
 		}
 	}
-}
-
-// owner returns the sensor in charge of slot t in a round-robin fleet of
-// n, (t−1) mod n, without a 64-bit division for the single sensor: the
-// compiled loop asks on every decided slot and every always-on run.
-func owner(t int64, n int) int {
-	if n == 1 {
-		return 0
-	}
-	return int((t - 1) % int64(n))
 }
 
 // gap draws the next inter-event gap from the event stream.
@@ -559,7 +547,7 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 		// sensor 0's delivery, is the traced record's (only single-sensor
 		// runs trace).
 		amt := w.recharge()
-		charge := owner(t, n)
+		charge := int((t - 1) % int64(n))
 		battery, stats := &batteries[charge], &sensors[charge]
 		event := t == nextEvent
 		p := table.At(int(st))

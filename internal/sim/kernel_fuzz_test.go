@@ -82,18 +82,20 @@ func encodeFuzzPrefix(prefix []float64) []byte {
 }
 
 // Fuzz flag bits: the information model (and with it the vector policy),
-// the vector's tail, and the recharge process.
+// the vector's tail, and the recharge process (Bernoulli wins over
+// Periodic; neither bit selects Constant).
 const (
 	fuzzPartialInfo = 1 << iota
 	fuzzTailOne
 	fuzzPeriodic
+	fuzzBernoulli
 )
 
 // fuzzKernelConfig decodes one fuzz input into a kernel-eligible
 // configuration: a VectorFI under FullInfo or a VectorPI under
 // PartialInfo over the decoded prefix, N = 1..4 round-robin sensors,
-// K in [7, 200], Slots in [1, 20000], Constant(e) or Periodic(a, p)
-// recharge, Metrics and Stats on.
+// K in [7, 200], Slots in [1, 20000], Constant(e), Periodic(a, p) or
+// Bernoulli(q, c) recharge, Metrics and Stats on.
 func fuzzKernelConfig(t *testing.T, flags, sensors uint8, k, slots uint16, rech, period uint8, seed uint64, prefix []byte) Config {
 	t.Helper()
 	d, err := dist.NewWeibull(40, 3)
@@ -117,7 +119,16 @@ func fuzzKernelConfig(t *testing.T, flags, sensors uint8, k, slots uint16, rech,
 		}
 		return r
 	}
-	if flags&fuzzPeriodic != 0 {
+	switch {
+	case flags&fuzzBernoulli != 0:
+		newRecharge = func() energy.Recharge {
+			r, err := energy.NewBernoulli(float64(1+rech%16)/16, float64(1+period%16)/4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+	case flags&fuzzPeriodic != 0:
 		newRecharge = func() energy.Recharge {
 			r, err := energy.NewPeriodic(float64(1+rech%8), 1+int(period%16))
 			if err != nil {
@@ -143,15 +154,19 @@ func fuzzKernelConfig(t *testing.T, flags, sensors uint8, k, slots uint16, rech,
 }
 
 // FuzzKernelMatchesReference generates kernel-eligible configurations
-// under deterministic recharge and requires the kernel to reproduce the
+// and, under deterministic recharge, requires the kernel to reproduce the
 // reference engine: every Result field but Engine reflect.DeepEqual,
 // with the Metrics and Stats compared on the fields both engines define
 // alike (the event classes and the QoM side; battery occupancy is sampled
 // on every stride-th slot by the reference and every stride-th awake slot
-// by the kernel). A single sensor also runs the kernel traced, which
-// decides every awake slot alone: there the untraced run's always-on
-// runs must match the per-slot steps in everything, battery samples
-// included, but the always-on count.
+// by the kernel). Under Bernoulli recharge the kernel's sleep runs draw
+// one Binomial per sensor, so the engines agree only in law and only the
+// event count, which no recharge draw touches, must match. A single
+// sensor also runs the kernel traced, which decides every awake slot
+// alone but fast-forwards sleep runs the same way: there the untraced
+// run's always-on runs must match the per-slot steps in everything,
+// battery samples included, but the always-on count, under every
+// recharge process.
 func FuzzKernelMatchesReference(f *testing.F) {
 	d, err := dist.NewWeibull(40, 3)
 	if err != nil {
@@ -172,6 +187,9 @@ func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add(fiFlags|fuzzPeriodic, uint8(0), uint16(0), uint16(19998), uint8(4), uint8(9), uint64(2), fig3a)
 	// π_AG: always on from the first slot (Tail 1, empty prefix).
 	f.Add(uint8(fuzzPartialInfo|fuzzTailOne), uint8(0), uint16(43), uint16(12344), uint8(7), uint8(0), uint64(3), []byte(nil))
+	// The same vector at K = 7 under Bernoulli(0.5, 1), fig3a's default
+	// recharge.
+	f.Add(fiFlags|fuzzBernoulli, uint8(0), uint16(0), uint16(19998), uint8(7), uint8(3), uint64(6), fig3a)
 	// An N = 3 fleet whose first always-on slot, t = 3, is sensor 2's.
 	f.Add(uint8(fuzzTailOne|fuzzPeriodic), uint8(2), uint16(13), uint16(10000), uint8(4), uint8(9), uint64(4),
 		encodeFuzzPrefix([]float64{0, 0}))
@@ -193,7 +211,11 @@ func FuzzKernelMatchesReference(f *testing.F) {
 		if got.Engine != EngineKernel {
 			t.Fatalf("kernel run reports engine %v", got.Engine)
 		}
-		requireKernelMatchesReference(t, got, want)
+		if flags&fuzzBernoulli == 0 {
+			requireKernelMatchesReference(t, got, want)
+		} else if got.Events != want.Events {
+			t.Fatalf("kernel counts %d events, reference %d", got.Events, want.Events)
+		}
 
 		m := got.Metrics
 		awake := got.Slots - m.KernelSlotsFastForwarded
