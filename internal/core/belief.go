@@ -49,7 +49,8 @@ import (
 // reached a fixed point: the always-on recovery tail of a heavy-tailed
 // law parks in the elder bucket, where c = 1 maps the belief to itself
 // for thousands of slots. The filter remembers that, and a repeat of the
-// same activation returns at once.
+// same activation returns at once. The filter counts the updates that
+// ran, for core.pi.belief_steps.
 type BeliefFilter struct {
 	hz []float64 // hz[j-1] = β_j for j = 1..maxBeliefAges; read-only
 	b  []float64 // b[j-1] = mass·P(age == j) for j > lo; b[:lo] is stale
@@ -65,6 +66,8 @@ type BeliefFilter struct {
 	// of that update's clamped activation. Repeating it is a no-op.
 	parked  bool
 	parkedC uint64
+
+	steps int64 // updates run since the filter was built, parked repeats excluded
 }
 
 // maxBeliefAges caps the posterior's age support. Mass that would age
@@ -100,6 +103,43 @@ func hazardTableMean(hz []float64) float64 {
 		mean.Add(surv / last)
 	}
 	return mean.Value()
+}
+
+// residualLifeTable returns R_1..R_maxBeliefAges for a filter over hz:
+// R_j is the expected number of slots, this one included, to the next
+// event from age j when the sensor is on in every slot. No missed event
+// resets the age then, so R_j = 1 + (1 − β_j)·R_{j+1}, R_j = 1 wherever
+// β_j = 1, and the elder bucket, which keeps its hazard, gives
+// R_maxBeliefAges = 1/β_maxBeliefAges. R_j is +Inf when the hazard is 0
+// from age j through the elder bucket: such an age never renews.
+func residualLifeTable(hz []float64) []float64 {
+	r := make([]float64, len(hz))
+	for j := len(hz) - 1; j >= 0; j-- {
+		switch h := hz[j]; {
+		case h >= 1:
+			r[j] = 1
+		case j == len(hz)-1:
+			r[j] = 1 / h
+		default:
+			r[j] = 1 + (1-h)*r[j+1]
+		}
+	}
+	return r
+}
+
+// residualLife returns the posterior mean of life (a residualLifeTable)
+// over the ages whose life is finite, and the posterior mass of the ages
+// whose life is infinite, in one pass over the live ages.
+func (f *BeliefFilter) residualLife(life []float64) (mean, never float64) {
+	var sum, inf float64
+	for k, w := range f.b[f.lo:] {
+		if r := life[f.lo+k]; r <= math.MaxFloat64 {
+			sum += w * r
+		} else {
+			inf += w
+		}
+	}
+	return sum / f.mass, inf / f.mass
 }
 
 // NewBeliefFilter returns a filter initialized to a fresh capture
@@ -169,6 +209,7 @@ func (f *BeliefFilter) AdvanceNoCapture(c float64) {
 	if f.parked && cBits == f.parkedC {
 		return // the belief is a fixed point of this update
 	}
+	f.steps++
 	hazard := f.prob
 	denom := 1 - c*hazard
 	n, lo := len(f.b), f.lo

@@ -85,8 +85,10 @@ type PIEval struct {
 	EnergyRate float64
 	// ExpectedCycle is 1/y_1, the mean number of slots between captures.
 	ExpectedCycle float64
-	// Horizon is the number of f-states evaluated before the no-capture
-	// probability became negligible.
+	// Horizon is the number of f-states walked: up to the state where
+	// the no-capture probability became negligible, or, in a solver
+	// evaluation of a clustering policy, at most N3, after which its
+	// always-on tail is closed without a walk (piEvaluator.closeTail).
 	Horizon int
 }
 
@@ -118,22 +120,24 @@ func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) f
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return newPIEvaluator(d, p).evaluate(pol)
+	return newPIEvaluator(d, p).evaluate(pol, 0)
 }
 
 // piEvaluator evaluates partial-information policies for one distribution
 // and energy model. A region search makes thousands of evaluations, so one
-// evaluator serves a whole search: it builds the hazard table and the
-// belief buffers once and rewinds them for every chain, and it memoizes
-// clustering-policy evaluations, which the hill-climb and the boundary
-// searches revisit.
+// evaluator serves a whole search: it builds the hazard and residual-life
+// tables and the belief buffers once and rewinds them for every chain, and
+// it memoizes clustering-policy evaluations, which the hill-climb and the
+// boundary searches revisit.
 type piEvaluator struct {
 	mu     float64 // mean of the law the filter models (hazardTableMean)
 	p      Params
 	filter *BeliefFilter
+	life   []float64 // residualLifeTable(filter.hz); read-only
 	memo   map[ClusteringPolicy]piMemo
 
-	// Work counters, published once per search by publish.
+	// Work counters, published once per search by publish (the belief
+	// updates are counted by the filter).
 	evaluations int64 // evaluate walks (memo hits excluded)
 	fallbacks   int64 // boundary searches that fell back to bisection
 }
@@ -149,6 +153,7 @@ func newPIEvaluator(d dist.Interarrival, p Params) *piEvaluator {
 		mu:     hazardTableMean(filter.hz),
 		p:      p,
 		filter: filter,
+		life:   residualLifeTable(filter.hz),
 		memo:   make(map[ClusteringPolicy]piMemo),
 	}
 }
@@ -159,7 +164,7 @@ func (pe *piEvaluator) clustering(cp ClusteringPolicy) (*PIEval, error) {
 	if m, ok := pe.memo[cp]; ok {
 		return m.ev, m.err
 	}
-	ev, err := pe.evaluate(cp.policyFn())
+	ev, err := pe.evaluate(cp.policyFn(), cp.N3)
 	pe.memo[cp] = piMemo{ev, err}
 	return ev, err
 }
@@ -169,17 +174,24 @@ func (pe *piEvaluator) clustering(cp ClusteringPolicy) (*PIEval, error) {
 func (pe *piEvaluator) publish() {
 	obs.CorePIEvaluations.Add(pe.evaluations)
 	obs.CorePIBudgetFallbacks.Add(pe.fallbacks)
+	obs.CorePIBeliefSteps.Add(pe.filter.steps)
 }
 
-// evaluate walks pol's f-chain (see EvaluatePI).
-func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64) (*PIEval, error) {
+// evaluate walks pol's f-chain (see EvaluatePI). When onAfter > 0, pol is
+// 1 at every state past onAfter: the walk stops after that state and
+// closes the always-on tail in one pass over the belief (closeTail).
+func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64, onAfter int) (*PIEval, error) {
 	pe.evaluations++
 	filter := pe.filter
 	filter.Reset()
 	survival := 1.0
 	var cycle, energy numeric.KahanSum
 	horizon := 0
-	for i := 1; i <= piMaxHorizon; i++ {
+	last := piMaxHorizon
+	if onAfter > 0 {
+		last = onAfter
+	}
+	for i := 1; i <= last; i++ {
 		hazard := filter.EventProb()
 		c := pol(i, hazard)
 		if c < 0 {
@@ -198,16 +210,22 @@ func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64) (*PIEva
 			// floateq:ok an always-on state is the exact constant 1
 			if c == 1 {
 				// Close the always-on tail at the current hazard
-				// (Σ_k S(1−β̂)^k = S/β̂), as finishRecovery does. It is
-				// exact once the belief has parked in the elder bucket,
-				// where a heavy tail would otherwise leave ~1e-12 of
-				// the cycle uncounted and push U above 1.
+				// (Σ_k S(1−β̂)^k = S/β̂). It is exact once the belief
+				// has parked in the elder bucket, where a heavy tail
+				// would otherwise leave ~1e-12 of the cycle uncounted
+				// and push U above 1.
 				cycle.Add(survival / hazard)
 				energy.Add(survival * (pe.p.Delta1 + pe.p.Delta2*hazard) / hazard)
 			}
 			break
 		}
 		filter.AdvanceNoCapture(c)
+	}
+	if onAfter > 0 {
+		tail, tailEnergy, never := pe.closeTail(filter, survival)
+		cycle.Add(tail)
+		energy.Add(tailEnergy)
+		survival = never
 	}
 	if survival >= 1e-6 {
 		return nil, ErrNoRenewal
@@ -224,9 +242,32 @@ func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64) (*PIEva
 	}, nil
 }
 
+// closeTail sums the rest of an f-chain that is always on from the
+// filter's current f-state on, reached with no-capture survival S, in one
+// pass over the live ages instead of a walk. With c = 1 no missed event
+// resets the age, so the unnormalized belief u_k = S_k·b_k evolves
+// linearly (u_{k+1}(j+1) = u_k(j)(1 − β_j)) and the tail's cycle sum is
+//
+//	Σ_k S_k = S·Σ_j b_j R_j,
+//
+// with R the residual-life table. Every path that renews is counted once
+// in Σ_k S_k·β̂_k, which is S less the survival of the ages that never
+// renew (R_j = +Inf), so the energy sum is δ1·Σ_k S_k + δ2·(S − never).
+// never is left out of the cycle sum; the caller rejects the policy when
+// it is not negligible. A survival below piSurvivalTol adds nothing, as
+// it ends a walk.
+func (pe *piEvaluator) closeTail(f *BeliefFilter, survival float64) (cycle, energy, never float64) {
+	if survival < piSurvivalTol {
+		return 0, 0, 0
+	}
+	mean, lost := f.residualLife(pe.life)
+	cycle, never = survival*mean, survival*lost
+	return cycle, pe.p.Delta1*cycle + pe.p.Delta2*(survival-never), never
+}
+
 // piCursor is an incremental form of EvaluatePI used by the coarse region
-// search: it walks f-states one at a time and can be copied mid-chain, so
-// one shared cooling prefix serves every recovery-start candidate. Plain
+// search: it walks f-states one at a time, so one shared cooling prefix
+// serves every recovery-start candidate, each closed by closeTail. Plain
 // float64 sums are sufficient at these horizons (≤ ~10^4 terms in [0, 40]).
 type piCursor struct {
 	filter        *BeliefFilter
@@ -235,22 +276,16 @@ type piCursor struct {
 	cycle, energy float64
 }
 
-// cursor returns a fresh cursor over the evaluator's hazard table.
+// cursor returns a fresh cursor over the evaluator's own filter: a cursor
+// walk must not be interleaved with evaluate.
 func (pe *piEvaluator) cursor() *piCursor {
-	return &piCursor{filter: newBeliefFilter(pe.filter.hz), p: pe.p, survival: 1}
+	return &piCursor{filter: pe.filter, p: pe.p, survival: 1}
 }
 
 // reset rewinds the cursor to the start of the chain.
 func (c *piCursor) reset() {
 	c.filter.Reset()
 	c.survival, c.cycle, c.energy = 1, 0, 0
-}
-
-// copyFrom overwrites c with src's state, reusing c's buffers.
-func (c *piCursor) copyFrom(src *piCursor) {
-	c.filter.copyFrom(src.filter)
-	c.p = src.p
-	c.survival, c.cycle, c.energy = src.survival, src.cycle, src.energy
 }
 
 // done reports that the no-capture probability is negligible: further
@@ -271,41 +306,6 @@ func (c *piCursor) step(prob float64) {
 	if !c.done() {
 		c.filter.AdvanceNoCapture(prob)
 	}
-}
-
-// finishRecovery runs the always-on tail to exhaustion. The conditioned
-// belief converges to a quasi-stationary distribution whose hazard β* is
-// constant, so once β̂ stabilizes the remaining geometric tail is closed
-// in closed form (Σ_k S(1−β*)^k = S/β*). It reports whether the chain
-// renewed (false for defective tails, e.g. truncation artifacts).
-func (c *piCursor) finishRecovery() bool {
-	prev := -1.0
-	stable := 0
-	for i := 0; i < piMaxHorizon && !c.done(); i++ {
-		h := c.filter.EventProb()
-		if prev >= 0 && math.Abs(h-prev) < 1e-4*(h+1e-12) {
-			stable++
-			if stable >= 2 && h > 1e-9 {
-				c.cycle += c.survival / h
-				c.energy += c.survival * (c.p.Delta1 + c.p.Delta2*h) / h
-				c.survival = 0
-				return true
-			}
-		} else {
-			stable = 0
-		}
-		prev = h
-		c.step(1)
-	}
-	return c.survival < 1e-6
-}
-
-// result returns (U, E_out) for the completed chain.
-func (c *piCursor) result(mu float64) (u, eout float64) {
-	if c.cycle <= 0 {
-		return 0, 0
-	}
-	return mu / c.cycle, c.energy / c.cycle
 }
 
 // PIResult is an optimized clustering policy with its analytic
@@ -438,8 +438,9 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 
 	// Coarse pass over deterministic regions (C1 = C2 = C3 = 1). For each
 	// hot region the cooling prefix is shared across all gap candidates
-	// via an incremental cursor, so the pass costs O(hot + MaxGap +
-	// gaps·recovery) per (n1, n2) rather than re-walking the chain.
+	// via an incremental cursor, and each candidate's recovery tail is
+	// closed from the cursor's belief, so the pass costs O(hot + MaxGap)
+	// belief updates per (n1, n2) rather than re-walking the chain.
 	// Several diverse leaders are kept and hill-climbed separately: the
 	// grid can put structurally different shapes (recovery-only vs
 	// hot-window) within a step of each other.
@@ -481,7 +482,7 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 			leaders[worst] = c
 		}
 	}
-	cur, branch := pe.cursor(), pe.cursor()
+	cur := pe.cursor()
 	for _, n1 := range gridPoints {
 		for _, n2 := range gridPoints {
 			if n2 < n1 {
@@ -500,11 +501,12 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 				for ; walked < g-1; walked++ {
 					cur.step(0)
 				}
-				branch.copyFrom(cur)
-				if !branch.finishRecovery() {
-					continue
+				tail, tailEnergy, never := pe.closeTail(cur.filter, cur.survival)
+				if never >= 1e-6 {
+					continue // the evaluation's ErrNoRenewal
 				}
-				u, eout := branch.result(pe.mu)
+				cycle := cur.cycle + tail
+				u, eout := pe.mu/cycle, (cur.energy+tailEnergy)/cycle
 				if eout <= e*(1+1e-9)+1e-12 {
 					// Widening the gap only lengthens the cycle, lowering
 					// both U and E_out, so the first feasible gap is the

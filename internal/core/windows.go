@@ -58,6 +58,11 @@ func (w WindowPolicy) At(i int) float64 {
 	return w.Base.At(i)
 }
 
+// policyFn adapts the policy to the EvaluatePI callback shape.
+func (w WindowPolicy) policyFn() func(i int, hazard float64) float64 {
+	return func(i int, _ float64) float64 { return w.At(i) }
+}
+
 // Vector materializes the policy with an always-on tail.
 func (w WindowPolicy) Vector() Vector {
 	end := w.Base.N3
@@ -87,7 +92,10 @@ type WindowResult struct {
 // energy after each insertion (the freed energy raises U by shortening
 // cycles elsewhere through the fractional boundaries). The search is
 // greedy: each round scans candidate (start, length) pairs on a coarse
-// grid and keeps the best strict improvement.
+// grid and keeps the best strict improvement. Its evaluations walk every
+// f-chain to the survival tolerance: the candidate grid spans the walked
+// Horizon. A window must beat base.CaptureProb, so without one the result
+// keeps the base's U exactly.
 func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, maxWindows int) (*WindowResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -101,11 +109,11 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 	pe := newPIEvaluator(d, p)
 	defer pe.publish()
 	cur := WindowPolicy{Base: base.Policy}
-	curEval, err := pe.evaluate(func(i int, _ float64) float64 { return cur.At(i) })
+	curEval, err := pe.evaluate(cur.policyFn(), 0)
 	if err != nil {
 		return nil, fmt.Errorf("evaluating base policy: %w", err)
 	}
-	curU := curEval.CaptureProb
+	curU := base.CaptureProb
 
 	budget := e*(1+1e-9) + 1e-12
 	for round := 0; round < maxWindows; round++ {
@@ -137,7 +145,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 				if cand.Validate() != nil {
 					continue
 				}
-				ev, err := pe.evaluate(func(i int, _ float64) float64 { return cand.At(i) })
+				ev, err := pe.evaluate(cand.policyFn(), 0)
 				if err != nil || ev.EnergyRate > budget {
 					continue
 				}
@@ -185,7 +193,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 func respendOnBoundary(pe *piEvaluator, e float64, w WindowPolicy) (WindowPolicy, *PIEval) {
 	budget := e*(1+1e-9) + 1e-12
 	evalOf := func(pol WindowPolicy) *PIEval {
-		ev, err := pe.evaluate(func(i int, _ float64) float64 { return pol.At(i) })
+		ev, err := pe.evaluate(pol.policyFn(), 0)
 		if err != nil || ev.EnergyRate > budget {
 			return nil
 		}
@@ -223,10 +231,7 @@ func respendOnBoundary(pe *piEvaluator, e float64, w WindowPolicy) (WindowPolicy
 		if !k.ok {
 			continue
 		}
-		eval := func(c float64) (*PIEval, error) {
-			pol := k.make(c)
-			return pe.evaluate(func(i int, _ float64) float64 { return pol.At(i) })
-		}
+		eval := func(c float64) (*PIEval, error) { return pe.evaluate(k.make(c).policyFn(), 0) }
 		c, feasible := pe.maxBoundaryProb(eval, budget)
 		if !feasible || c <= 1e-9 {
 			continue

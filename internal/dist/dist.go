@@ -75,6 +75,9 @@ func hashFloats(vals []float64) uint64 {
 }
 
 // hazardFromCDF computes β_i from PMF/CDF, shared by implementations.
+// At the last support point (CDF(i) == 1) it returns exactly 1: the
+// quotient PMF(i)/(1 − CDF(i−1)) can round below 1 there, which would
+// let a belief filter keep mass alive at ages the law cannot reach.
 func hazardFromCDF(d Interarrival, i int) float64 {
 	if i < 1 {
 		return 0
@@ -82,6 +85,9 @@ func hazardFromCDF(d Interarrival, i int) float64 {
 	surv := 1 - d.CDF(i-1)
 	if surv <= 0 {
 		return 0
+	}
+	if d.CDF(i) == 1 { // floateq:ok exact support end: no path outlives age i
+		return 1
 	}
 	h := d.PMF(i) / surv
 	if h > 1 {

@@ -403,6 +403,39 @@ func TestEmpiricalNormalization(t *testing.T) {
 	}
 }
 
+// TestLastSupportHazardIsExactlyOne: at the last slot a finite law can
+// reach, the hazard is exactly 1, even where PMF(i)/(1 − CDF(i−1))
+// rounds below it (0.3/0.30000000000000004 on the trimodal law). Past
+// the support it is 0.
+func TestLastSupportHazardIsExactlyOne(t *testing.T) {
+	trimodal, err := NewEmpirical([]float64{0.3, 0, 0, 0, 0, 0, 0, 0.4, 0, 0, 0, 0, 0, 0, 0, 0, 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := trimodal.PMF(17) / (1 - trimodal.CDF(16)); q == 1 {
+		t.Fatalf("the quotient is already exactly 1 (%v); the case no longer exercises the fix", q)
+	}
+	skewed, err := NewEmpirical([]float64{1, 2, 3, 4, 5, 6, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewUniformInt(3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		d    Interarrival
+		last int
+	}{{trimodal, 17}, {skewed, 7}, {u, 9}} {
+		if h := c.d.Hazard(c.last); h != 1 {
+			t.Errorf("%s: hazard at the last support slot %d is %.17g, want exactly 1", c.d.Name(), c.last, h)
+		}
+		if h := c.d.Hazard(c.last + 1); h != 0 {
+			t.Errorf("%s: hazard past the support is %v, want 0", c.d.Name(), h)
+		}
+	}
+}
+
 func TestEmpiricalRejectsBadInput(t *testing.T) {
 	if _, err := NewEmpirical(nil); err == nil {
 		t.Fatal("empty weights accepted")

@@ -345,10 +345,12 @@ var (
 
 	// Partial-information solver work (internal/core), added once per
 	// OptimizeClustering or RefineWindows call: f-chain evaluations
-	// (memo hits excluded), and boundary-probability searches whose
-	// closed-form crossing failed its check and fell back to bisection.
+	// (memo hits excluded), boundary-probability searches whose
+	// closed-form crossing failed its check and fell back to bisection,
+	// and belief-filter updates run (parked repeats excluded).
 	CorePIEvaluations     = NewCounter("core.pi.evaluations")
 	CorePIBudgetFallbacks = NewCounter("core.pi.budget_fallbacks")
+	CorePIBeliefSteps     = NewCounter("core.pi.belief_steps")
 
 	// Worker-pool health (internal/parallel): queue depth is the pending
 	// gauge, concurrency is the in-flight gauge, job latency is the
