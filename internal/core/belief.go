@@ -105,41 +105,47 @@ func hazardTableMean(hz []float64) float64 {
 	return mean.Value()
 }
 
-// residualLifeTable returns R_1..R_maxBeliefAges for a filter over hz:
-// R_j is the expected number of slots, this one included, to the next
-// event from age j when the sensor is on in every slot. No missed event
-// resets the age then, so R_j = 1 + (1 − β_j)·R_{j+1}, R_j = 1 wherever
-// β_j = 1, and the elder bucket, which keeps its hazard, gives
-// R_maxBeliefAges = 1/β_maxBeliefAges. R_j is +Inf when the hazard is 0
-// from age j through the elder bucket: such an age never renews.
-func residualLifeTable(hz []float64) []float64 {
-	r := make([]float64, len(hz))
-	for j := len(hz) - 1; j >= 0; j-- {
-		switch h := hz[j]; {
-		case h >= 1:
-			r[j] = 1
-		case j == len(hz)-1:
-			r[j] = 1 / h
-		default:
-			r[j] = 1 + (1-h)*r[j+1]
-		}
+// ageTail is the future of age j under a sensor that is on in every
+// slot: never, the probability that no event ever comes, and life, the
+// expected number of slots, this one included, to the next event over
+// the paths that reach one (E[T; T < ∞]).
+type ageTail struct{ life, never float64 }
+
+// residualLifeTable returns the ageTail of ages 1..maxBeliefAges for a
+// filter over hz. With the sensor always on, no missed event resets the
+// age, so with N_j = never and R_j = life:
+//
+//	N_j = (1 − β_j)·N_{j+1},   R_j = (1 − N_j) + (1 − β_j)·R_{j+1},
+//
+// and the elder bucket, which keeps its hazard, waits geometrically:
+// R = 1/β, N = 0 (R = 0, N = 1 when β = 0). A renewing law has N ≡ 0,
+// R_j = 1 + (1 − β_j)·R_{j+1}, and R_j = 1 wherever β_j = 1. N_j is 1
+// exactly when the hazard is 0 from age j through the elder bucket.
+func residualLifeTable(hz []float64) []ageTail {
+	r := make([]ageTail, len(hz))
+	last := len(hz) - 1
+	if h := hz[last]; h > 0 {
+		r[last] = ageTail{life: 1 / min(h, 1)}
+	} else {
+		r[last] = ageTail{never: 1}
+	}
+	for j := last - 1; j >= 0; j-- {
+		stay := 1 - min(hz[j], 1)
+		never := stay * r[j+1].never
+		r[j] = ageTail{life: (1 - never) + stay*r[j+1].life, never: never}
 	}
 	return r
 }
 
-// residualLife returns the posterior mean of life (a residualLifeTable)
-// over the ages whose life is finite, and the posterior mass of the ages
-// whose life is infinite, in one pass over the live ages.
-func (f *BeliefFilter) residualLife(life []float64) (mean, never float64) {
-	var sum, inf float64
+// residualLife returns the posterior means of life and never (a
+// residualLifeTable) in one pass over the live ages.
+func (f *BeliefFilter) residualLife(tails []ageTail) (life, never float64) {
 	for k, w := range f.b[f.lo:] {
-		if r := life[f.lo+k]; r <= math.MaxFloat64 {
-			sum += w * r
-		} else {
-			inf += w
-		}
+		t := tails[f.lo+k]
+		life += w * t.life
+		never += w * t.never
 	}
-	return sum / f.mass, inf / f.mass
+	return life / f.mass, never / f.mass
 }
 
 // NewBeliefFilter returns a filter initialized to a fresh capture

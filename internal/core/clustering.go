@@ -133,7 +133,7 @@ type piEvaluator struct {
 	mu     float64 // mean of the law the filter models (hazardTableMean)
 	p      Params
 	filter *BeliefFilter
-	life   []float64 // residualLifeTable(filter.hz); read-only
+	life   []ageTail // residualLifeTable(filter.hz); read-only
 	memo   map[ClusteringPolicy]piMemo
 
 	// Work counters, published once per search by publish (the belief
@@ -246,22 +246,23 @@ func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64, onAfter
 // filter's current f-state on, reached with no-capture survival S, in one
 // pass over the live ages instead of a walk. With c = 1 no missed event
 // resets the age, so the unnormalized belief u_k = S_k·b_k evolves
-// linearly (u_{k+1}(j+1) = u_k(j)(1 − β_j)) and the tail's cycle sum is
+// linearly (u_{k+1}(j+1) = u_k(j)(1 − β_j)), and summing the survivals
+// S_k of the paths that renew gives the tail's cycle sum
 //
-//	Σ_k S_k = S·Σ_j b_j R_j,
+//	Σ_k S_k = S·Σ_j b_j R_j
 //
-// with R the residual-life table. Every path that renews is counted once
-// in Σ_k S_k·β̂_k, which is S less the survival of the ages that never
-// renew (R_j = +Inf), so the energy sum is δ1·Σ_k S_k + δ2·(S − never).
-// never is left out of the cycle sum; the caller rejects the policy when
-// it is not negligible. A survival below piSurvivalTol adds nothing, as
-// it ends a walk.
+// with R the residual-life table. Those paths are counted once each in
+// Σ_k S_k·β̂_k = S − never, where never = S·Σ_j b_j N_j is the survival
+// that no event ever ends, so the energy sum is δ1·Σ_k S_k + δ2·(S −
+// never). never is left out of both; the caller rejects the policy when
+// it is not negligible, as a walk that never renews is rejected. A
+// survival below piSurvivalTol adds nothing, as it ends a walk.
 func (pe *piEvaluator) closeTail(f *BeliefFilter, survival float64) (cycle, energy, never float64) {
 	if survival < piSurvivalTol {
 		return 0, 0, 0
 	}
-	mean, lost := f.residualLife(pe.life)
-	cycle, never = survival*mean, survival*lost
+	life, lost := f.residualLife(pe.life)
+	cycle, never = survival*life, survival*lost
 	return cycle, pe.p.Delta1*cycle + pe.p.Delta2*(survival-never), never
 }
 
@@ -382,6 +383,11 @@ func coarseGrid(d dist.Interarrival, limit, step int) []int {
 	sort.Ints(points)
 	return points
 }
+
+// testHookCoarse, when set, sees every candidate the coarse pass scores
+// with its (U, E_out). Tests use it to check the pass against the
+// evaluation of the same policy.
+var testHookCoarse func(cp ClusteringPolicy, u, eout float64)
 
 // OptimizeClustering computes π'_PI(e): it searches the (N1, N2, N3)
 // region structure by coarse enumeration ("increase n3 gradually and
@@ -507,14 +513,15 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 				}
 				cycle := cur.cycle + tail
 				u, eout := pe.mu/cycle, (cur.energy+tailEnergy)/cycle
+				cp := ClusteringPolicy{N1: n1, N2: n2, N3: n2 + g, C1: 1, C2: 1, C3: 1}
+				if testHookCoarse != nil {
+					testHookCoarse(cp, u, eout)
+				}
 				if eout <= e*(1+1e-9)+1e-12 {
 					// Widening the gap only lengthens the cycle, lowering
 					// both U and E_out, so the first feasible gap is the
 					// best one for this hot region.
-					offer(candidate{
-						cp: ClusteringPolicy{N1: n1, N2: n2, N3: n2 + g, C1: 1, C2: 1, C3: 1},
-						u:  u,
-					})
+					offer(candidate{cp: cp, u: u})
 					break
 				}
 			}

@@ -212,9 +212,10 @@ func runSim(opts Options, cfg sim.Config) (*sim.Result, error) {
 
 // SolvePhase marks an explicit policy-solve step on the options' span:
 // call it before solving, run the solve, then call the returned func.
-// A no-op without a span.
+// Solves run inside pool jobs (concurrent sweep points), so each gets a
+// lane of its own, as runSim's sim.run spans do. A no-op without a span.
 func (o Options) SolvePhase() func() {
-	sp := o.Span.Child("solve")
+	sp := o.Span.Fork("solve")
 	return sp.End
 }
 

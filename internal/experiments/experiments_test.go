@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
+
+	"eventcap/internal/obs"
 )
 
 func quickOpts() Options { return Options{Quick: true, Seed: 42} }
@@ -327,6 +331,60 @@ func TestAblationMultiPoIShape(t *testing.T) {
 		}
 		if index.Y[i] < blind.Y[i] {
 			t.Errorf("e=%g: index policy %v below blind cycling %v", tab.X[i], index.Y[i], blind.Y[i])
+		}
+	}
+}
+
+// TestSolveSpansForkLanes: every policy solve of a figure runs in a
+// "solve" span on a lane of its own, since sweep points solve
+// concurrently. fig4b's three quick sweep points each solve a base and
+// a gap-capped clustering policy; fig6a's three add a greedy FI solve.
+func TestSolveSpansForkLanes(t *testing.T) {
+	for _, c := range []struct {
+		id   string
+		want int
+	}{{"fig4b", 6}, {"fig6a", 9}} {
+		e, ok := ByID(c.id)
+		if !ok {
+			t.Fatalf("%s not registered", c.id)
+		}
+		root := obs.BeginSpan(c.id)
+		opts := quickOpts()
+		opts.Span = root
+		if _, err := e.Run(opts); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		var buf bytes.Buffer
+		if err := obs.WriteChromeTrace(&buf, root); err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Tid  int64  `json:"tid"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+			t.Fatalf("%s: decoding the span trace: %v", c.id, err)
+		}
+		var rootLane int64
+		lanes := make(map[int64]bool)
+		solves := 0
+		for _, ev := range trace.TraceEvents {
+			switch ev.Name {
+			case c.id:
+				rootLane = ev.Tid
+			case "solve":
+				solves++
+				lanes[ev.Tid] = true
+			}
+		}
+		if solves != c.want {
+			t.Errorf("%s: %d solve spans, want %d", c.id, solves, c.want)
+		}
+		if len(lanes) != solves || lanes[rootLane] {
+			t.Errorf("%s: %d solve spans on %d lanes (root lane %d among them: %t), want one lane each", c.id, solves, len(lanes), rootLane, lanes[rootLane])
 		}
 	}
 }

@@ -50,7 +50,9 @@ func robustClustering(
 	}
 	var cands []candidate
 	for _, o := range []core.ClusteringOptions{base, capped} {
+		solved := opts.SolvePhase()
 		pi, err := core.OptimizeClusteringCached(d, e, p, o)
+		solved()
 		if err != nil {
 			return core.Vector{}, 0, fmt.Errorf("optimizing clustering (maxGap=%d): %w", o.MaxGap, err)
 		}
