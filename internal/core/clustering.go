@@ -133,7 +133,7 @@ type piEvaluator struct {
 	mu     float64 // mean of the law the filter models (hazardTableMean)
 	p      Params
 	filter *BeliefFilter
-	life   []ageTail // residualLifeTable(filter.hz); read-only
+	life   []ageTail // residualLifeTable(filter.hz), built by the first closeTail; read-only
 	memo   map[ClusteringPolicy]piMemo
 
 	// Work counters, published once per search by publish (the belief
@@ -153,7 +153,6 @@ func newPIEvaluator(d dist.Interarrival, p Params) *piEvaluator {
 		mu:     hazardTableMean(filter.hz),
 		p:      p,
 		filter: filter,
-		life:   residualLifeTable(filter.hz),
 		memo:   make(map[ClusteringPolicy]piMemo),
 	}
 }
@@ -260,6 +259,9 @@ func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64, onAfter
 func (pe *piEvaluator) closeTail(f *BeliefFilter, survival float64) (cycle, energy, never float64) {
 	if survival < piSurvivalTol {
 		return 0, 0, 0
+	}
+	if pe.life == nil {
+		pe.life = residualLifeTable(pe.filter.hz)
 	}
 	life, lost := f.residualLife(pe.life)
 	cycle, never = survival*life, survival*lost

@@ -110,7 +110,7 @@ func TestCloseTailDefectiveLaw(t *testing.T) {
 	d := mustEmpirical(t, w)
 	p := DefaultParams()
 	pe := newPIEvaluator(d, p)
-	if r := pe.life[0]; r != (ageTail{life: 0.5, never: 0.5}) {
+	if r := residualLifeTable(pe.filter.hz)[0]; r != (ageTail{life: 0.5, never: 0.5}) {
 		t.Fatalf("age 1 has (R, N) = (%v, %v), want (0.5, 0.5)", r.life, r.never)
 	}
 	pe.filter.Reset()
