@@ -290,7 +290,7 @@ func TestBoundaryCrossingMatchesBisection(t *testing.T) {
 			}
 		}
 	}
-	d := mustEmpirical(t, []float64{0.3, 0, 0, 0, 0, 0, 0, 0.4, 0, 0, 0, 0, 0, 0, 0, 0, 0.3})
+	d := trimodal(t)
 	base, err := OptimizeClustering(d, 0.15, p, ClusteringOptions{CoarsePoints: 8, MaxGap: 512})
 	if err != nil {
 		t.Fatal(err)

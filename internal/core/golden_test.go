@@ -32,6 +32,12 @@ func goldenMarkov(t testing.TB) *dist.MarkovRenewal {
 	return m
 }
 
+// trimodal is the golden refine law: gaps of 1, 8 and 17 slots. Its
+// hazard is 1 at age 17 and 0 at every older age.
+func trimodal(t testing.TB) *dist.Empirical {
+	return mustEmpirical(t, []float64{0.3, 0, 0, 0, 0, 0, 0, 0.4, 0, 0, 0, 0, 0, 0, 0, 0, 0.3})
+}
+
 // goldenSolveOptions mirrors the quick robust pick of the experiments
 // package: the base search and its gap-capped twin (16·⌈μ⌉, clamped to
 // [8, base MaxGap]). The twin is dropped when it equals the base.
@@ -107,7 +113,7 @@ func piGoldenLines(t *testing.T) []string {
 	// A trimodal gap law whose refinement carves a sleep window out of
 	// the recovery tail; its hazard reaches 1 at the last support point,
 	// so the belief holds exact zeros.
-	d := mustEmpirical(t, []float64{0.3, 0, 0, 0, 0, 0, 0, 0.4, 0, 0, 0, 0, 0, 0, 0, 0, 0.3})
+	d := trimodal(t)
 	const e = 0.15
 	base, err := OptimizeClustering(d, e, p, ClusteringOptions{CoarsePoints: 8, MaxGap: 512})
 	if err != nil {

@@ -22,12 +22,6 @@ func relClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// trimodal is the golden refine law: gaps of 1, 8 and 17 slots. Its
-// hazard is 1 at age 17 and 0 at every older age.
-func trimodal(t testing.TB) *dist.Empirical {
-	return mustEmpirical(t, []float64{0.3, 0, 0, 0, 0, 0, 0, 0.4, 0, 0, 0, 0, 0, 0, 0, 0, 0.3})
-}
-
 // checkClosedTail compares the solver's evaluation of cp (walk to N3,
 // closed tail) with EvaluatePI's walk of the same chain: the same error
 // outcome, and U, E_out and ExpectedCycle within closedTailTol.

@@ -40,8 +40,9 @@ func NewBinomialTable(p float64, maxN int) *BinomialTable {
 		// at k = 0 with q^n looks simpler but underflows to an all-zero
 		// row once n·log(q) < -745 (for p = 0.857 that is n > 383),
 		// which silently turns every draw into n successes; the modal
-		// mass is at least 1/(n+1) and can never underflow.
-		pmf := make([]float64, n+1)
+		// mass is at least 1/(n+1) and can never underflow. The row
+		// holds the PMF, then turns into its running sum in place.
+		row := make([]float64, n+1)
 		mode := int(math.Floor(float64(n+1) * p))
 		if mode > n {
 			mode = n
@@ -49,17 +50,16 @@ func NewBinomialTable(p float64, maxN int) *BinomialTable {
 		lgN, _ := math.Lgamma(float64(n + 1))
 		lgM, _ := math.Lgamma(float64(mode + 1))
 		lgNM, _ := math.Lgamma(float64(n - mode + 1))
-		pmf[mode] = math.Exp(lgN - lgM - lgNM + float64(mode)*logP + float64(n-mode)*logQ)
+		row[mode] = math.Exp(lgN - lgM - lgNM + float64(mode)*logP + float64(n-mode)*logQ)
 		for k := mode; k < n; k++ {
-			pmf[k+1] = pmf[k] * float64(n-k) / float64(k+1) * ratio
+			row[k+1] = row[k] * float64(n-k) / float64(k+1) * ratio
 		}
 		for k := mode; k > 0; k-- {
-			pmf[k-1] = pmf[k] * float64(k) / (float64(n-k+1) * ratio)
+			row[k-1] = row[k] * float64(k) / (float64(n-k+1) * ratio)
 		}
-		row := make([]float64, n+1)
 		var acc float64
-		for k := 0; k <= n; k++ {
-			acc += pmf[k]
+		for k := range row {
+			acc += row[k]
 			row[k] = acc
 		}
 		row[n] = 1
