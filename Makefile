@@ -57,7 +57,8 @@ lint-baseline:
 # the quantile table's gaps vs inverse-CDF sampling, policy
 # serialization round-trips, the belief filter's live-span update vs
 # the dense walk, the PI solver's closed recovery tail vs the f-chain
-# walk, the O(1) recharge closed form vs the sequential loop,
+# walk, its evaluations resumed from a shared prefix vs fresh walks,
+# the O(1) recharge closed form vs the sequential loop,
 # the compiled kernel vs the reference engine on generated
 # configurations, and the .evtrace decoders on arbitrary bytes. Seed
 # corpora live in testdata/fuzz or in the targets' f.Add calls; CI runs
@@ -71,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClusteringPolicyRoundTrip -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzBeliefStepMatchesDense -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzClosedTailMatchesWalk -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzResumeMatchesWalk -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRechargeN -fuzztime $(FUZZTIME) ./internal/energy
 	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/trace

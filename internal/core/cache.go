@@ -95,11 +95,16 @@ func CacheStats() (hits, misses int64) {
 
 // ResetPolicyCache drops all memoized policies and zeroes the counters
 // (for tests and long-lived processes that change workloads wholesale).
+// It also drops the recharge processes' shared binomial tables
+// (dist.SharedBinomialTable), so a run after it starts as cold as the
+// process's first; those lookups are not policy-cache traffic and do not
+// count here.
 func ResetPolicyCache() {
 	greedyCache.reset()
 	lpCache.reset()
 	lagrangianCache.reset()
 	clusterCache.reset()
+	dist.ResetSharedBinomialTables()
 }
 
 // distCacheKey returns the distribution's stable identity, or ok=false
@@ -162,9 +167,46 @@ func OptimizeClusteringCached(d dist.Interarrival, e float64, p Params, opts Clu
 	if !ok {
 		return OptimizeClustering(d, e, p, opts)
 	}
-	key := fmt.Sprintf("cluster|%s|e=%b|d1=%b|d2=%b|sl=%d|mg=%d|cp=%d",
-		dk, e, p.Delta1, p.Delta2, opts.SearchLimit, opts.MaxGap, opts.CoarsePoints)
-	return clusterCache.get(key, func() (*PIResult, error) {
+	return clusterCache.get(clusterKey(dk, e, p, opts), func() (*PIResult, error) {
 		return OptimizeClustering(d, e, p, opts)
 	})
+}
+
+// OptimizeClusteringPairCached returns OptimizeClusteringCached(d, e, p,
+// base) and OptimizeClusteringCached(d, e, p, capped), a gap-capped twin
+// of base, each stored under its own cache key. When both miss, the two
+// searches run on one evaluator (clusteringPair): the capped search's
+// evaluations hit the base's memo, and with the base's SearchLimit and
+// CoarsePoints and a MaxGap no wider than the base's it replays the
+// base's coarse pass instead of walking it. When the base search fails,
+// the capped one is not run and capped is nil. The results are shared;
+// treat them as immutable.
+func OptimizeClusteringPairCached(d dist.Interarrival, e float64, p Params, base, capped ClusteringOptions) (b, c *PIResult, err error) {
+	get := func(_ ClusteringOptions, compute func() (*PIResult, error)) (*PIResult, error) {
+		return compute()
+	}
+	if dk, ok := distCacheKey(d); ok {
+		get = func(opts ClusteringOptions, compute func() (*PIResult, error)) (*PIResult, error) {
+			return clusterCache.get(clusterKey(dk, e, p, opts), compute)
+		}
+	}
+	// A base result from the cache leaves the pair without an evaluator,
+	// and the capped search runs on its own.
+	pair := &clusteringPair{d: d, e: e, p: p}
+	defer pair.publish()
+	b, err = get(base, func() (*PIResult, error) { return pair.base(base) })
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err = get(capped, func() (*PIResult, error) { return pair.capped(capped) })
+	if err != nil {
+		return b, nil, err
+	}
+	return b, c, nil
+}
+
+// %b formats floats by their exact bit pattern, as in fiKey.
+func clusterKey(dk string, e float64, p Params, opts ClusteringOptions) string {
+	return fmt.Sprintf("cluster|%s|e=%b|d1=%b|d2=%b|sl=%d|mg=%d|cp=%d",
+		dk, e, p.Delta1, p.Delta2, opts.SearchLimit, opts.MaxGap, opts.CoarsePoints)
 }

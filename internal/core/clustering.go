@@ -32,12 +32,23 @@ func (cp ClusteringPolicy) Validate() error {
 		return fmt.Errorf("core: clustering regions must satisfy 1 <= N1 <= N2 < N3, got (%d, %d, %d)", cp.N1, cp.N2, cp.N3)
 	}
 	for _, c := range []float64{cp.C1, cp.C2, cp.C3} {
-		if c < 0 || c > 1 || math.IsNaN(c) {
+		if !validProb(c) {
 			return fmt.Errorf("core: clustering boundary probability %g out of [0,1]", c)
 		}
 	}
 	return nil
 }
+
+// valid reports whether Validate accepts cp, without building the error:
+// the region searches test thousands of candidates and only need the
+// answer.
+func (cp ClusteringPolicy) valid() bool {
+	return cp.N1 >= 1 && cp.N2 >= cp.N1 && cp.N3 > cp.N2 &&
+		validProb(cp.C1) && validProb(cp.C2) && validProb(cp.C3)
+}
+
+// validProb reports whether c is a probability; NaN is not.
+func validProb(c float64) bool { return c >= 0 && c <= 1 }
 
 // At returns the activation probability in state i. Boundary precedence:
 // the hot-entry probability C1 wins when N1 == N2.
@@ -120,77 +131,53 @@ func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) f
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return newPIEvaluator(d, p).evaluate(pol, 0)
-}
-
-// piEvaluator evaluates partial-information policies for one distribution
-// and energy model. A region search makes thousands of evaluations, so one
-// evaluator serves a whole search: it builds the hazard and residual-life
-// tables and the belief buffers once and rewinds them for every chain, and
-// it memoizes clustering-policy evaluations, which the hill-climb and the
-// boundary searches revisit.
-type piEvaluator struct {
-	mu     float64 // mean of the law the filter models (hazardTableMean)
-	p      Params
-	filter *BeliefFilter
-	life   []ageTail // residualLifeTable(filter.hz), built by the first closeTail; read-only
-	memo   map[ClusteringPolicy]piMemo
-
-	// Work counters, published once per search by publish (the belief
-	// updates are counted by the filter).
-	evaluations int64 // evaluate walks (memo hits excluded)
-	fallbacks   int64 // boundary searches that fell back to bisection
-}
-
-type piMemo struct {
-	ev  *PIEval
-	err error
-}
-
-func newPIEvaluator(d dist.Interarrival, p Params) *piEvaluator {
-	filter := NewBeliefFilter(d)
-	return &piEvaluator{
-		mu:     hazardTableMean(filter.hz),
-		p:      p,
-		filter: filter,
-		memo:   make(map[ClusteringPolicy]piMemo),
+	ev, err := newPIEvaluator(d, p).evaluate(pol, 0, nil)
+	if err != nil {
+		return nil, err
 	}
+	return &ev, nil
 }
 
-// clustering is EvaluatePI for a clustering policy, memoized. The
-// returned evaluation is shared and must not be modified.
-func (pe *piEvaluator) clustering(cp ClusteringPolicy) (*PIEval, error) {
-	if m, ok := pe.memo[cp]; ok {
-		return m.ev, m.err
+// piWalk is an f-chain walk after its first horizon f-states: the belief
+// filter's posterior, the no-capture survival, the compensated cycle and
+// energy sums, and whether the walk has ended (the survival fell below
+// piSurvivalTol, so no later state adds anything). A copy continued
+// under a policy performs exactly the operations, in exactly the order,
+// of a fresh walk of that policy, as long as the policy acts in f-states
+// 1..horizon as the copied walk's did. So any walk is a checkpoint that
+// such a policy's evaluation may resume from, bit for bit, and a fresh
+// walk is the resume from state 0.
+type piWalk struct {
+	filter        *BeliefFilter
+	survival      float64
+	cycle, energy numeric.KahanSum
+	horizon       int
+	ended         bool
+}
+
+// reset rewinds the walk to state 0.
+func (w *piWalk) reset() {
+	w.filter.Reset()
+	w.survival = 1
+	w.cycle, w.energy = numeric.KahanSum{}, numeric.KahanSum{}
+	w.horizon, w.ended = 0, false
+}
+
+// copyFrom overwrites w with v's state, reusing w's filter buffers.
+func (w *piWalk) copyFrom(v *piWalk) {
+	w.filter.copyFrom(v.filter)
+	w.survival, w.cycle, w.energy = v.survival, v.cycle, v.energy
+	w.horizon, w.ended = v.horizon, v.ended
+}
+
+// advance walks f-states horizon+1..last under pol, or fewer if the walk
+// ends first (see EvaluatePI).
+func (w *piWalk) advance(p Params, pol func(i int, hazard float64) float64, last int) {
+	if w.ended {
+		return
 	}
-	ev, err := pe.evaluate(cp.policyFn(), cp.N3)
-	pe.memo[cp] = piMemo{ev, err}
-	return ev, err
-}
-
-// publish adds the evaluator's work counters to the process-wide
-// metrics.
-func (pe *piEvaluator) publish() {
-	obs.CorePIEvaluations.Add(pe.evaluations)
-	obs.CorePIBudgetFallbacks.Add(pe.fallbacks)
-	obs.CorePIBeliefSteps.Add(pe.filter.steps)
-}
-
-// evaluate walks pol's f-chain (see EvaluatePI). When onAfter > 0, pol is
-// 1 at every state past onAfter: the walk stops after that state and
-// closes the always-on tail in one pass over the belief (closeTail).
-func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64, onAfter int) (*PIEval, error) {
-	pe.evaluations++
-	filter := pe.filter
-	filter.Reset()
-	survival := 1.0
-	var cycle, energy numeric.KahanSum
-	horizon := 0
-	last := piMaxHorizon
-	if onAfter > 0 {
-		last = onAfter
-	}
-	for i := 1; i <= last; i++ {
+	filter, survival, cycle, energy, horizon := w.filter, w.survival, w.cycle, w.energy, w.horizon
+	for i := horizon + 1; i <= last; i++ {
 		hazard := filter.EventProb()
 		c := pol(i, hazard)
 		if c < 0 {
@@ -201,7 +188,7 @@ func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64, onAfter
 		}
 		cycle.Add(survival)
 		if c > 0 {
-			energy.Add(survival * c * (pe.p.Delta1 + pe.p.Delta2*hazard))
+			energy.Add(survival * c * (p.Delta1 + p.Delta2*hazard))
 		}
 		survival *= 1 - c*hazard
 		horizon = i
@@ -214,30 +201,165 @@ func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64, onAfter
 				// would otherwise leave ~1e-12 of the cycle uncounted
 				// and push U above 1.
 				cycle.Add(survival / hazard)
-				energy.Add(survival * (pe.p.Delta1 + pe.p.Delta2*hazard) / hazard)
+				energy.Add(survival * (p.Delta1 + p.Delta2*hazard) / hazard)
 			}
+			w.ended = true
 			break
 		}
 		filter.AdvanceNoCapture(c)
 	}
+	w.survival, w.cycle, w.energy, w.horizon = survival, cycle, energy, horizon
+}
+
+// piEvaluator evaluates partial-information policies for one distribution
+// and energy model. A region search makes thousands of evaluations, so one
+// evaluator serves a whole search, or a base search and its gap-capped
+// twin: it builds the hazard and residual-life tables and the belief
+// buffers once and rewinds them for every chain, and it memoizes
+// clustering-policy evaluations, which the hill-climb and the boundary
+// searches revisit. A clustering evaluation resumes from the walk of a
+// policy it shares a prefix with (resume).
+type piEvaluator struct {
+	mu   float64 // mean of the law the filters model (hazardTableMean)
+	p    Params
+	hz   []float64 // hazardTable of the law, shared by every filter; read-only
+	life []ageTail // residualLifeTable(hz), built by the first closeTail; read-only
+	memo map[ClusteringPolicy]piMemo
+
+	// walk is the evaluation being made. trunk is a walk of trunkOf, the
+	// policy the current evaluations are neighbours of, advanced only as
+	// far as a resume has asked for (checkpoint).
+	walk, trunk piWalk
+	trunkOf     ClusteringPolicy
+
+	filters []*BeliefFilter // every filter the evaluator made, for the step count
+
+	// Work counters, published once per evaluator by publish (the belief
+	// updates are counted by the filters).
+	evaluations int64 // evaluate walks (memo hits excluded)
+	fallbacks   int64 // boundary searches that fell back to bisection
+}
+
+type piMemo struct {
+	ev  PIEval
+	err error
+}
+
+func newPIEvaluator(d dist.Interarrival, p Params) *piEvaluator {
+	hz := hazardTable(d)
+	pe := &piEvaluator{
+		mu:   hazardTableMean(hz),
+		p:    p,
+		hz:   hz,
+		memo: make(map[ClusteringPolicy]piMemo),
+	}
+	pe.walk.filter = pe.newFilter()
+	return pe
+}
+
+// newFilter returns a fresh-capture filter over the evaluator's hazard
+// table whose updates publish counts.
+func (pe *piEvaluator) newFilter() *BeliefFilter {
+	f := newBeliefFilter(pe.hz)
+	pe.filters = append(pe.filters, f)
+	return f
+}
+
+// clustering is EvaluatePI for a clustering policy, memoized.
+func (pe *piEvaluator) clustering(cp ClusteringPolicy) (PIEval, error) {
+	return pe.resume(cp, cp, 0)
+}
+
+// resume is clustering(cp), resumed from the walk of trunk after its
+// first t f-states (checkpoint) when cp is not memoized. cp must act in
+// f-states 1..t as trunk does; the result is then the fresh walk's, bit
+// for bit.
+func (pe *piEvaluator) resume(cp, trunk ClusteringPolicy, t int) (PIEval, error) {
+	if m, ok := pe.memo[cp]; ok {
+		return m.ev, m.err
+	}
+	var from *piWalk
+	if t > 0 {
+		from = pe.checkpoint(trunk, t)
+	}
+	ev, err := pe.evaluate(cp.policyFn(), cp.N3, from)
+	if testHookResume != nil {
+		testHookResume(cp, t, ev, err)
+	}
+	pe.memo[cp] = piMemo{ev, err}
+	return ev, err
+}
+
+// testHookResume, when set, sees every clustering evaluation the
+// evaluators walk, with the number of f-states it resumed after. Tests
+// use it to check each against a fresh walk.
+var testHookResume func(cp ClusteringPolicy, from int, ev PIEval, err error)
+
+// checkpoint returns the walk of trunk after its first t f-states (or
+// fewer, when it ended earlier). The trunk walk only moves forward: it is
+// restarted for a new trunk or an earlier t, so the searches ask for their
+// checkpoints of one trunk in increasing order.
+func (pe *piEvaluator) checkpoint(trunk ClusteringPolicy, t int) *piWalk {
+	w := &pe.trunk
+	if w.filter == nil {
+		w.filter = pe.newFilter()
+	}
+	if trunk != pe.trunkOf || w.horizon > t {
+		w.reset()
+		pe.trunkOf = trunk
+	}
+	w.advance(pe.p, trunk.policyFn(), t)
+	return w
+}
+
+// publish adds the evaluator's work counters to the process-wide
+// metrics.
+func (pe *piEvaluator) publish() {
+	obs.CorePIEvaluations.Add(pe.evaluations)
+	obs.CorePIBudgetFallbacks.Add(pe.fallbacks)
+	var steps int64
+	for _, f := range pe.filters {
+		steps += f.steps
+	}
+	obs.CorePIBeliefSteps.Add(steps)
+}
+
+// evaluate walks pol's f-chain (see EvaluatePI) from the checkpoint from,
+// or from state 0 when from is nil. When onAfter > 0, pol is 1 at every
+// state past onAfter: the walk stops after that state and closes the
+// always-on tail in one pass over the belief (closeTail).
+func (pe *piEvaluator) evaluate(pol func(i int, hazard float64) float64, onAfter int, from *piWalk) (PIEval, error) {
+	pe.evaluations++
+	w := &pe.walk
+	if from == nil {
+		w.reset()
+	} else {
+		w.copyFrom(from)
+	}
+	last := piMaxHorizon
 	if onAfter > 0 {
-		tail, tailEnergy, never := pe.closeTail(filter, survival)
+		last = onAfter
+	}
+	w.advance(pe.p, pol, last)
+	cycle, energy, survival := w.cycle, w.energy, w.survival
+	if onAfter > 0 {
+		tail, tailEnergy, never := pe.closeTail(w.filter, survival)
 		cycle.Add(tail)
 		energy.Add(tailEnergy)
 		survival = never
 	}
 	if survival >= 1e-6 {
-		return nil, ErrNoRenewal
+		return PIEval{}, ErrNoRenewal
 	}
 	total := cycle.Value()
 	if !(total > 0) {
-		return nil, ErrNoRenewal
+		return PIEval{}, ErrNoRenewal
 	}
-	return &PIEval{
+	return PIEval{
 		CaptureProb:   pe.mu / total,
 		EnergyRate:    energy.Value() / total,
 		ExpectedCycle: total,
-		Horizon:       horizon,
+		Horizon:       w.horizon,
 	}, nil
 }
 
@@ -261,7 +383,7 @@ func (pe *piEvaluator) closeTail(f *BeliefFilter, survival float64) (cycle, ener
 		return 0, 0, 0
 	}
 	if pe.life == nil {
-		pe.life = residualLifeTable(pe.filter.hz)
+		pe.life = residualLifeTable(pe.hz)
 	}
 	life, lost := f.residualLife(pe.life)
 	cycle, never = survival*life, survival*lost
@@ -269,26 +391,26 @@ func (pe *piEvaluator) closeTail(f *BeliefFilter, survival float64) (cycle, ener
 }
 
 // piCursor is an incremental form of EvaluatePI used by the coarse region
-// search: it walks f-states one at a time, so one shared cooling prefix
-// serves every recovery-start candidate, each closed by closeTail. Plain
-// float64 sums are sufficient at these horizons (≤ ~10^4 terms in [0, 40]).
+// search: it walks f-states one at a time, so one shared prefix serves
+// every candidate that extends it, each closed by closeTail. Plain float64
+// sums are sufficient at these horizons (≤ ~10^4 terms in [0, 40]).
 type piCursor struct {
 	filter        *BeliefFilter
 	p             Params
 	survival      float64
 	cycle, energy float64
+	at            int // f-states stepped
 }
 
-// cursor returns a fresh cursor over the evaluator's own filter: a cursor
-// walk must not be interleaved with evaluate.
+// cursor returns a fresh cursor with a filter of its own.
 func (pe *piEvaluator) cursor() *piCursor {
-	return &piCursor{filter: pe.filter, p: pe.p, survival: 1}
+	return &piCursor{filter: pe.newFilter(), p: pe.p, survival: 1}
 }
 
-// reset rewinds the cursor to the start of the chain.
-func (c *piCursor) reset() {
-	c.filter.Reset()
-	c.survival, c.cycle, c.energy = 1, 0, 0
+// copyFrom overwrites c with d's state, reusing c's filter buffers.
+func (c *piCursor) copyFrom(d *piCursor) {
+	c.filter.copyFrom(d.filter)
+	c.survival, c.cycle, c.energy, c.at = d.survival, d.cycle, d.energy, d.at
 }
 
 // done reports that the no-capture probability is negligible: further
@@ -297,6 +419,7 @@ func (c *piCursor) done() bool { return c.survival < piSurvivalTol }
 
 // step advances one f-state with activation probability prob.
 func (c *piCursor) step(prob float64) {
+	c.at++
 	if c.done() {
 		return
 	}
@@ -397,11 +520,23 @@ var testHookCoarse func(cp ClusteringPolicy, u, eout float64)
 // refinement, then spends any residual energy budget on the fractional
 // boundary probabilities C1/C2/C3 (maxBoundaryProb).
 func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts ClusteringOptions) (*PIResult, error) {
+	res, pe, err := optimizeClustering(d, e, p, opts, nil)
+	if pe != nil {
+		pe.publish()
+	}
+	return res, err
+}
+
+// optimizeClustering is OptimizeClustering without publishing: it returns
+// the evaluator it searched with (nil when no search ran) so that a
+// gap-capped search can continue on it (clusteringPair). When log is not
+// nil it receives the coarse pass's candidates.
+func optimizeClustering(d dist.Interarrival, e float64, p Params, opts ClusteringOptions, log *coarseLog) (*PIResult, *piEvaluator, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if e < 0 || math.IsNaN(e) {
-		return nil, fmt.Errorf("core: recharge rate must be >= 0, got %g", e)
+		return nil, nil, fmt.Errorf("core: recharge rate must be >= 0, got %g", e)
 	}
 	mu := d.Mean()
 	if e >= p.SaturationRate(mu) {
@@ -413,58 +548,79 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 			CaptureProb: 1,
 			EnergyRate:  p.SaturationRate(mu),
 			Saturated:   true,
-		}, nil
+		}, nil, nil
 	}
-	opts.fill(d)
-
 	pe := newPIEvaluator(d, p)
-	defer pe.publish()
-	eval := func(cp ClusteringPolicy) (*PIEval, bool) {
-		ev, err := pe.clustering(cp)
-		if err != nil {
-			return nil, false
-		}
-		return ev, ev.EnergyRate <= e*(1+1e-9)+1e-12
+	res, err := pe.optimize(d, e, opts, nil, log)
+	return res, pe, err
+}
+
+// coarseLog records one coarse pass: the filled options it ran with and
+// the candidates it offered as leaders, in order.
+type coarseLog struct {
+	opts    ClusteringOptions
+	offered []scoredPolicy
+}
+
+// scoredPolicy is a region-search candidate with its U.
+type scoredPolicy struct {
+	cp ClusteringPolicy
+	u  float64
+}
+
+// replays reports whether a coarse pass with the filled options opts, at
+// the log's recharge rate on the same evaluator, may replay the log
+// instead of walking: it scores the same (n1, n2) grid, and its gaps are
+// the log's up to opts.MaxGap. Each (n1, n2) scores its gaps in
+// increasing order and offers the first feasible one, so the capped pass
+// offers exactly the logged candidates whose gap fits, in the logged
+// order, with the same U: when the logged gap is too wide, every
+// narrower gap was infeasible.
+func (l *coarseLog) replays(opts ClusteringOptions) bool {
+	return l != nil && l.opts.SearchLimit == opts.SearchLimit &&
+		l.opts.CoarsePoints == opts.CoarsePoints && opts.MaxGap <= l.opts.MaxGap
+}
+
+// optimize is the region search of OptimizeClustering on pe at a rate e
+// below saturation. Its coarse pass replays replay when replay.replays,
+// and walks otherwise, logging into log when it is not nil.
+func (pe *piEvaluator) optimize(d dist.Interarrival, e float64, opts ClusteringOptions, replay, log *coarseLog) (*PIResult, error) {
+	opts.fill(d)
+	budget := e*(1+1e-9) + 1e-12
+	feasible := func(ev PIEval, err error) (PIEval, bool) {
+		return ev, err == nil && ev.EnergyRate <= budget
 	}
 
-	type candidate struct {
-		cp ClusteringPolicy
-		u  float64
-	}
-	best := candidate{u: -1}
+	best := scoredPolicy{u: -1}
 	consider := func(cp ClusteringPolicy) {
-		if cp.Validate() != nil {
+		if !cp.valid() {
 			return
 		}
 		if cp.N3-cp.N2 > opts.MaxGap {
 			return
 		}
-		if ev, ok := eval(cp); ok && ev.CaptureProb > best.u {
-			best = candidate{cp: cp, u: ev.CaptureProb}
+		if ev, ok := feasible(pe.clustering(cp)); ok && ev.CaptureProb > best.u {
+			best = scoredPolicy{cp: cp, u: ev.CaptureProb}
 		}
 	}
 
-	// Coarse pass over deterministic regions (C1 = C2 = C3 = 1). For each
-	// hot region the cooling prefix is shared across all gap candidates
-	// via an incremental cursor, and each candidate's recovery tail is
-	// closed from the cursor's belief, so the pass costs O(hot + MaxGap)
-	// belief updates per (n1, n2) rather than re-walking the chain.
-	// Several diverse leaders are kept and hill-climbed separately: the
-	// grid can put structurally different shapes (recovery-only vs
-	// hot-window) within a step of each other.
+	// Coarse pass over deterministic regions (C1 = C2 = C3 = 1). One
+	// cursor extends the cooling prefix along n1 and a copy of it the hot
+	// region along n2; every gap candidate of an (n1, n2) walks on a copy
+	// of that hot prefix, and each candidate's recovery tail is closed
+	// from the cursor's belief, so the pass costs O(hot + MaxGap) belief
+	// updates per (n1, n2) rather than re-walking the chain. Several
+	// diverse leaders are kept and hill-climbed separately: the grid can
+	// put structurally different shapes (recovery-only vs hot-window)
+	// within a step of each other.
 	limit := opts.SearchLimit
 	step := limit / opts.CoarsePoints
 	if step < 1 {
 		step = 1
 	}
-	gridPoints := coarseGrid(d, limit, step)
-	var gaps []int
-	for g := 1; g <= opts.MaxGap; g *= 2 {
-		gaps = append(gaps, g)
-	}
 	const maxLeaders = 4
-	var leaders []candidate
-	offer := func(c candidate) {
+	var leaders []scoredPolicy
+	offer := func(c scoredPolicy) {
 		// Replace the worst leader from the same n1 neighborhood, or
 		// append/displace the weakest when diverse.
 		for i := range leaders {
@@ -490,41 +646,62 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 			leaders[worst] = c
 		}
 	}
-	cur := pe.cursor()
-	for _, n1 := range gridPoints {
-		for _, n2 := range gridPoints {
-			if n2 < n1 {
-				continue
+	// A gap-capped search after a base search on the same grid replays
+	// the base's offers instead of walking the pass again.
+	if replay.replays(opts) {
+		for _, c := range replay.offered {
+			if c.cp.N3-c.cp.N2 <= opts.MaxGap {
+				offer(c)
 			}
-			cur.reset()
-			for i := 1; i <= n2; i++ {
-				c := 0.0
-				if i >= n1 {
-					c = 1
-				}
-				cur.step(c)
+		}
+	} else {
+		if log != nil {
+			log.opts, log.offered = opts, log.offered[:0]
+		}
+		gridPoints := coarseGrid(d, limit, step)
+		var gaps []int
+		for g := 1; g <= opts.MaxGap; g *= 2 {
+			gaps = append(gaps, g)
+		}
+		cool, hot, cur := pe.cursor(), pe.cursor(), pe.cursor()
+		for _, n1 := range gridPoints {
+			for cool.at < n1-1 {
+				cool.step(0)
 			}
-			walked := 0
-			for _, g := range gaps {
-				for ; walked < g-1; walked++ {
-					cur.step(0)
+			hot.copyFrom(cool)
+			for _, n2 := range gridPoints {
+				if n2 < n1 {
+					continue
 				}
-				tail, tailEnergy, never := pe.closeTail(cur.filter, cur.survival)
-				if never >= 1e-6 {
-					continue // the evaluation's ErrNoRenewal
+				for hot.at < n2 {
+					hot.step(1)
 				}
-				cycle := cur.cycle + tail
-				u, eout := pe.mu/cycle, (cur.energy+tailEnergy)/cycle
-				cp := ClusteringPolicy{N1: n1, N2: n2, N3: n2 + g, C1: 1, C2: 1, C3: 1}
-				if testHookCoarse != nil {
-					testHookCoarse(cp, u, eout)
-				}
-				if eout <= e*(1+1e-9)+1e-12 {
-					// Widening the gap only lengthens the cycle, lowering
-					// both U and E_out, so the first feasible gap is the
-					// best one for this hot region.
-					offer(candidate{cp: cp, u: u})
-					break
+				cur.copyFrom(hot)
+				walked := 0
+				for _, g := range gaps {
+					for ; walked < g-1; walked++ {
+						cur.step(0)
+					}
+					tail, tailEnergy, never := pe.closeTail(cur.filter, cur.survival)
+					if never >= 1e-6 {
+						continue // the evaluation's ErrNoRenewal
+					}
+					cycle := cur.cycle + tail
+					u, eout := pe.mu/cycle, (cur.energy+tailEnergy)/cycle
+					cp := ClusteringPolicy{N1: n1, N2: n2, N3: n2 + g, C1: 1, C2: 1, C3: 1}
+					if testHookCoarse != nil {
+						testHookCoarse(cp, u, eout)
+					}
+					if eout <= budget {
+						// Widening the gap only lengthens the cycle, lowering
+						// both U and E_out, so the first feasible gap is the
+						// best one for this hot region.
+						offer(scoredPolicy{cp: cp, u: u})
+						if log != nil {
+							log.offered = append(log.offered, scoredPolicy{cp: cp, u: u})
+						}
+						break
+					}
 				}
 			}
 		}
@@ -552,21 +729,12 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 			for improved {
 				improved = false
 				cur := local.cp
-				gap := cur.N3 - cur.N2
-				neighbors := []ClusteringPolicy{
-					{N1: cur.N1 - s, N2: cur.N2, N3: cur.N2 + gap, C1: 1, C2: 1, C3: 1},
-					{N1: cur.N1 + s, N2: cur.N2, N3: cur.N2 + gap, C1: 1, C2: 1, C3: 1},
-					{N1: cur.N1, N2: cur.N2 - s, N3: cur.N2 - s + gap, C1: 1, C2: 1, C3: 1},
-					{N1: cur.N1, N2: cur.N2 + s, N3: cur.N2 + s + gap, C1: 1, C2: 1, C3: 1},
-					{N1: cur.N1, N2: cur.N2, N3: cur.N3 - s, C1: 1, C2: 1, C3: 1},
-					{N1: cur.N1, N2: cur.N2, N3: cur.N3 + s, C1: 1, C2: 1, C3: 1},
-				}
-				for _, nb := range neighbors {
-					if nb.Validate() != nil || nb.N3-nb.N2 > opts.MaxGap {
+				for _, nb := range climbNeighbors(cur, s) {
+					if !nb.cp.valid() || nb.cp.N3-nb.cp.N2 > opts.MaxGap {
 						continue // honor the configured cooling-gap bound
 					}
-					if ev, ok := eval(nb); ok && ev.CaptureProb > local.u+1e-12 {
-						local = candidate{cp: nb, u: ev.CaptureProb}
+					if ev, ok := feasible(pe.resume(nb.cp, cur, nb.from)); ok && ev.CaptureProb > local.u+1e-12 {
+						local = scoredPolicy{cp: nb.cp, u: ev.CaptureProb}
 						improved = true
 					}
 				}
@@ -591,80 +759,154 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 	}, nil
 }
 
+// resumePoint is a policy to evaluate and the number of leading f-states
+// in which it acts as the policy it is a variant of (piEvaluator.resume).
+type resumePoint struct {
+	cp   ClusteringPolicy
+	from int
+}
+
+// climbNeighbors returns the hill-climb's neighbours of the deterministic
+// region policy cur at step s: each region boundary moved s states
+// earlier or later (N2 and N3 together, keeping the gap, or N3 alone).
+// Each differs from cur from one f-state on and resumes cur's walk just
+// before it; the valid ones come in increasing order of that state, so
+// one walk of cur serves them all.
+func climbNeighbors(cur ClusteringPolicy, s int) [6]resumePoint {
+	gap := cur.N3 - cur.N2
+	region := func(n1, n2, n3 int) ClusteringPolicy {
+		return ClusteringPolicy{N1: n1, N2: n2, N3: n3, C1: 1, C2: 1, C3: 1}
+	}
+	return [...]resumePoint{
+		{region(cur.N1-s, cur.N2, cur.N2+gap), cur.N1 - s - 1},
+		{region(cur.N1+s, cur.N2, cur.N2+gap), cur.N1 - 1},
+		{region(cur.N1, cur.N2-s, cur.N2-s+gap), cur.N2 - s},
+		{region(cur.N1, cur.N2+s, cur.N2+s+gap), cur.N2},
+		{region(cur.N1, cur.N2, cur.N3-s), cur.N3 - s - 1},
+		{region(cur.N1, cur.N2, cur.N3+s), cur.N3 - 1},
+	}
+}
+
+// boundaryVariant extends a policy at one region boundary by a state
+// activated with probability c (at).
+type boundaryVariant struct {
+	at   func(c float64) ClusteringPolicy
+	ok   bool // the boundary is deterministic and the region has room
+	from int  // the f-states every variant shares with the policy
+}
+
+// boundaryVariants returns the fractional pass's variants of cur: the hot
+// region widened one state earlier (C1) or later (C2), and recovery
+// started one state earlier (C3). They come in increasing order of from.
+func boundaryVariants(cur ClusteringPolicy) [3]boundaryVariant {
+	return [...]boundaryVariant{
+		{
+			at: func(c float64) ClusteringPolicy {
+				v := cur
+				v.N1--
+				v.C1 = c
+				return v
+			},
+			// floateq:ok region-boundary saturation: C1 is set to the exact constant 1
+			ok:   cur.N1 > 1 && cur.C1 == 1,
+			from: cur.N1 - 2,
+		},
+		{
+			at: func(c float64) ClusteringPolicy {
+				v := cur
+				v.N2++
+				v.C2 = c
+				return v
+			},
+			// floateq:ok region-boundary saturation: C2 is set to the exact constant 1
+			ok:   cur.N2+1 < cur.N3 && cur.C2 == 1,
+			from: cur.N2,
+		},
+		{
+			at: func(c float64) ClusteringPolicy {
+				v := cur
+				v.N3--
+				v.C3 = c
+				return v
+			},
+			// floateq:ok region-boundary saturation: C3 is set to the exact constant 1
+			ok:   cur.N3-1 > cur.N2 && cur.C3 == 1,
+			from: cur.N3 - 2,
+		},
+	}
+}
+
+// clusteringPair runs a base region search and then gap-capped searches
+// on the base's evaluator: their evaluations share its memo, and a
+// capped search that may replay the base's coarse pass (coarseLog.replays)
+// does so instead of walking it again. Every search returns what
+// OptimizeClustering returns for its options, bit for bit.
+type clusteringPair struct {
+	d   dist.Interarrival
+	e   float64
+	p   Params
+	pe  *piEvaluator // nil until the base search ran one (none when saturated)
+	log coarseLog
+}
+
+// base runs the base search.
+func (pr *clusteringPair) base(opts ClusteringOptions) (*PIResult, error) {
+	res, pe, err := optimizeClustering(pr.d, pr.e, pr.p, opts, &pr.log)
+	pr.pe = pe
+	return res, err
+}
+
+// capped runs a further search after base.
+func (pr *clusteringPair) capped(opts ClusteringOptions) (*PIResult, error) {
+	if pr.pe == nil {
+		return OptimizeClustering(pr.d, pr.e, pr.p, opts)
+	}
+	return pr.pe.optimize(pr.d, pr.e, opts, &pr.log, nil)
+}
+
+// publish publishes the shared evaluator's counters, once.
+func (pr *clusteringPair) publish() {
+	if pr.pe != nil {
+		pr.pe.publish()
+		pr.pe = nil
+	}
+}
+
 // refineFractional greedily extends the best deterministic region policy
 // with fractional boundary probabilities: widening the hot region at
 // either edge or starting recovery one slot earlier, each scaled by
 // maxBoundaryProb so E_out stays within e. Capture probability is
 // nondecreasing in every activation probability (more activation
 // shortens renewal cycles), so the largest feasible boundary value is
-// the best one.
+// the best one. Each variant differs from the current policy from one
+// f-state on, and its evaluations resume the current policy's walk just
+// before that state.
 func refineFractional(pe *piEvaluator, e float64, cp ClusteringPolicy) ClusteringPolicy {
-	baseU := func(c ClusteringPolicy) float64 {
-		ev, err := pe.clustering(c)
+	baseU := func(ev PIEval, err error) float64 {
 		if err != nil || ev.EnergyRate > e*(1+1e-9)+1e-12 {
 			return -1
 		}
 		return ev.CaptureProb
 	}
 	cur := cp
-	curU := baseU(cur)
+	curU := baseU(pe.clustering(cur))
 	for round := 0; round < 3; round++ {
-		type variant struct {
-			make func(c float64) ClusteringPolicy
-			ok   bool
-		}
-		variants := []variant{
-			{ // extend hot region one slot earlier with probability c
-				make: func(c float64) ClusteringPolicy {
-					v := cur
-					v.N1--
-					v.C1 = c
-					return v
-				},
-				// floateq:ok region-boundary saturation: C1 is set to the exact constant 1
-				ok: cur.N1 > 1 && cur.C1 == 1,
-			},
-			{ // extend hot region one slot later with probability c
-				make: func(c float64) ClusteringPolicy {
-					v := cur
-					v.N2++
-					v.C2 = c
-					return v
-				},
-				// floateq:ok region-boundary saturation: C2 is set to the exact constant 1
-				ok: cur.N2+1 < cur.N3 && cur.C2 == 1,
-			},
-			{ // start recovery one slot earlier with probability c
-				make: func(c float64) ClusteringPolicy {
-					v := cur
-					v.N3--
-					v.C3 = c
-					return v
-				},
-				// floateq:ok region-boundary saturation: C3 is set to the exact constant 1
-				ok: cur.N3-1 > cur.N2 && cur.C3 == 1,
-			},
-		}
-		type result struct {
-			cp ClusteringPolicy
-			u  float64
-		}
-		bestVar := result{u: curU}
-		for _, v := range variants {
+		bestVar := scoredPolicy{u: curU}
+		for _, v := range boundaryVariants(cur) {
 			if !v.ok {
 				continue
 			}
-			eval := func(c float64) (*PIEval, error) { return pe.clustering(v.make(c)) }
+			eval := func(c float64) (PIEval, error) { return pe.resume(v.at(c), cur, v.from) }
 			c, feasible := pe.maxBoundaryProb(eval, e*(1+1e-9)+1e-12)
 			if !feasible || c <= 1e-9 {
 				continue
 			}
-			vp := v.make(c)
-			if vp.Validate() != nil {
+			vp := v.at(c)
+			if !vp.valid() {
 				continue
 			}
-			if u := baseU(vp); u > bestVar.u+1e-12 {
-				bestVar = result{cp: vp, u: u}
+			if u := baseU(eval(c)); u > bestVar.u+1e-12 {
+				bestVar = scoredPolicy{cp: vp, u: u}
 			}
 		}
 		if bestVar.u <= curU+1e-12 {
@@ -686,7 +928,7 @@ const (
 
 // testHookBoundary, when set, sees every boundary search with its result.
 // Tests use it to check each search against the bisection.
-var testHookBoundary func(eval func(c float64) (*PIEval, error), budget, c float64, feasible bool)
+var testHookBoundary func(eval func(c float64) (PIEval, error), budget, c float64, feasible bool)
 
 // maxBoundaryProb returns the largest boundary probability c whose
 // evaluation eval(c) keeps E_out within budget:
@@ -707,27 +949,27 @@ var testHookBoundary func(eval func(c float64) (*PIEval, error), budget, c float
 // floored to the grid, and the grid point is returned if it passes that
 // test. Otherwise (roundoff at a knife edge, or a cost that is not a
 // ratio of affine sums) the bisection runs, and the fallback is counted.
-func (pe *piEvaluator) maxBoundaryProb(eval func(c float64) (*PIEval, error), budget float64) (c float64, feasible bool) {
+func (pe *piEvaluator) maxBoundaryProb(eval func(c float64) (PIEval, error), budget float64) (c float64, feasible bool) {
 	if testHookBoundary != nil {
 		defer func() { testHookBoundary(eval, budget, c, feasible) }()
 	}
-	at := func(c float64) (*PIEval, float64) {
+	at := func(c float64) (PIEval, bool, float64) {
 		ev, err := eval(c)
 		if err != nil {
-			return nil, math.Inf(1)
+			return ev, false, math.Inf(1)
 		}
-		return ev, ev.EnergyRate
+		return ev, true, ev.EnergyRate
 	}
-	ev0, cost0 := at(0)
+	ev0, ok0, cost0 := at(0)
 	if cost0 > budget {
 		return 0, false
 	}
-	ev1, cost1 := at(1)
+	ev1, ok1, cost1 := at(1)
 	if cost1 <= budget {
 		return 1, true
 	}
 	// A failed endpoint evaluation leaves no sums to solve from.
-	if ev0 != nil && ev1 != nil {
+	if ok0 && ok1 {
 		c0, c1 := ev0.ExpectedCycle, ev1.ExpectedCycle
 		e0, e1 := ev0.EnergyRate*c0, ev1.EnergyRate*c1
 		cs := (budget*c0 - e0) / ((e1 - e0) - budget*(c1-c0))
@@ -735,10 +977,10 @@ func (pe *piEvaluator) maxBoundaryProb(eval func(c float64) (*PIEval, error), bu
 			g := min(max(k, 0), 1/budgetGrid-1) * budgetGrid
 			lo, hi := cost0, cost1
 			if g > 0 {
-				_, lo = at(g)
+				_, _, lo = at(g)
 			}
 			if g+budgetGrid < 1 {
-				_, hi = at(g + budgetGrid)
+				_, _, hi = at(g + budgetGrid)
 			}
 			// The bisection keeps lo while cost(lo) <= budget and moves
 			// hi otherwise, a NaN cost included.
@@ -749,7 +991,7 @@ func (pe *piEvaluator) maxBoundaryProb(eval func(c float64) (*PIEval, error), bu
 	}
 	pe.fallbacks++
 	return numeric.MaximizeMonotoneBudget(func(c float64) float64 {
-		_, cost := at(c)
+		_, _, cost := at(c)
 		return cost
 	}, budget, budgetTol)
 }

@@ -246,7 +246,7 @@ func TestOptimizeClusteringErrors(t *testing.T) {
 
 // bisectBoundary is the boundary search maxBoundaryProb replaces:
 // numeric.MaximizeMonotoneBudget over eval's EnergyRate.
-func bisectBoundary(eval func(c float64) (*PIEval, error), budget float64) (float64, bool) {
+func bisectBoundary(eval func(c float64) (PIEval, error), budget float64) (float64, bool) {
 	return numeric.MaximizeMonotoneBudget(func(c float64) float64 {
 		ev, err := eval(c)
 		if err != nil {
@@ -263,7 +263,7 @@ func bisectBoundary(eval func(c float64) (*PIEval, error), budget float64) (floa
 // against the bisection, bit for bit. None may fall back.
 func TestBoundaryCrossingMatchesBisection(t *testing.T) {
 	searches := 0
-	testHookBoundary = func(eval func(float64) (*PIEval, error), budget, c float64, feasible bool) {
+	testHookBoundary = func(eval func(float64) (PIEval, error), budget, c float64, feasible bool) {
 		searches++
 		wc, wok := bisectBoundary(eval, budget)
 		if math.Float64bits(c) != math.Float64bits(wc) || feasible != wok {
@@ -316,15 +316,15 @@ func TestBoundaryCrossingSynthetic(t *testing.T) {
 	// affine returns the evaluation of E(c) = e0 + c·(e1−e0) over
 	// C(c) = c0 + c·(c1−c0): a ratio of affine sums, like a boundary
 	// probability's f-chain.
-	affine := func(c0, c1, e0, e1 float64) func(float64) (*PIEval, error) {
-		return func(c float64) (*PIEval, error) {
+	affine := func(c0, c1, e0, e1 float64) func(float64) (PIEval, error) {
+		return func(c float64) (PIEval, error) {
 			cyc := c0 + c*(c1-c0)
-			return &PIEval{EnergyRate: (e0 + c*(e1-e0)) / cyc, ExpectedCycle: cyc}, nil
+			return PIEval{EnergyRate: (e0 + c*(e1-e0)) / cyc, ExpectedCycle: cyc}, nil
 		}
 	}
 	for _, tc := range []struct {
 		name      string
-		eval      func(float64) (*PIEval, error)
+		eval      func(float64) (PIEval, error)
 		fallbacks int64
 	}{
 		{"affine", affine(40, 25, 8, 10), 0},
@@ -338,14 +338,14 @@ func TestBoundaryCrossingSynthetic(t *testing.T) {
 		{"last grid cell", affine(10, 10, b*10-1+1.0/(1<<22), b*10+1.0/(1<<22)), 0},
 		// c² is no ratio of affine sums: the endpoints predict c* = b,
 		// the crossing is at √b.
-		{"not affine", func(c float64) (*PIEval, error) {
-			return &PIEval{EnergyRate: c * c, ExpectedCycle: 1}, nil
+		{"not affine", func(c float64) (PIEval, error) {
+			return PIEval{EnergyRate: c * c, ExpectedCycle: 1}, nil
 		}, 1},
-		{"fails at c = 1", func(c float64) (*PIEval, error) {
+		{"fails at c = 1", func(c float64) (PIEval, error) {
 			if c == 1 {
-				return nil, ErrNoRenewal
+				return PIEval{}, ErrNoRenewal
 			}
-			return &PIEval{EnergyRate: c, ExpectedCycle: 1}, nil
+			return PIEval{EnergyRate: c, ExpectedCycle: 1}, nil
 		}, 1},
 	} {
 		pe := &piEvaluator{}

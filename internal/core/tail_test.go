@@ -104,12 +104,12 @@ func TestCloseTailDefectiveLaw(t *testing.T) {
 	d := mustEmpirical(t, w)
 	p := DefaultParams()
 	pe := newPIEvaluator(d, p)
-	if r := residualLifeTable(pe.filter.hz)[0]; r != (ageTail{life: 0.5, never: 0.5}) {
+	if r := residualLifeTable(pe.hz)[0]; r != (ageTail{life: 0.5, never: 0.5}) {
 		t.Fatalf("age 1 has (R, N) = (%v, %v), want (0.5, 0.5)", r.life, r.never)
 	}
-	pe.filter.Reset()
+	f := newBeliefFilter(pe.hz)
 	const s = 1e-8
-	cycle, energy, never := pe.closeTail(pe.filter, s)
+	cycle, energy, never := pe.closeTail(f, s)
 	// Half the survival captures at the next slot, which costs δ1 + δ2.
 	if !relClose(cycle, s/2, closedTailTol) || !relClose(never, s/2, closedTailTol) ||
 		!relClose(energy, s/2*(p.Delta1+p.Delta2), closedTailTol) {

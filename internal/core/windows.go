@@ -109,7 +109,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 	pe := newPIEvaluator(d, p)
 	defer pe.publish()
 	cur := WindowPolicy{Base: base.Policy}
-	curEval, err := pe.evaluate(cur.policyFn(), 0)
+	curEval, err := pe.evaluate(cur.policyFn(), 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("evaluating base policy: %w", err)
 	}
@@ -132,7 +132,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 		// round's winner rather than on every candidate.
 		type scored struct {
 			pol  WindowPolicy
-			ev   *PIEval
+			ev   PIEval
 			gain float64 // freed energy — a window helps only through it
 		}
 		var bestCand *scored
@@ -145,7 +145,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 				if cand.Validate() != nil {
 					continue
 				}
-				ev, err := pe.evaluate(cand.policyFn(), 0)
+				ev, err := pe.evaluate(cand.policyFn(), 0, nil)
 				if err != nil || ev.EnergyRate > budget {
 					continue
 				}
@@ -160,9 +160,9 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 			break
 		}
 		// Phase 2: respend the winner's freed energy on the hot boundary.
-		pol2, ev2 := respendOnBoundary(pe, e, bestCand.pol)
+		pol2, ev2, ok := respendOnBoundary(pe, e, bestCand.pol)
 		improved := false
-		if ev2 != nil && ev2.CaptureProb > curU+1e-12 {
+		if ok && ev2.CaptureProb > curU+1e-12 {
 			cur, curU, curEval = pol2, ev2.CaptureProb, ev2
 			improved = true
 		} else if bestCand.ev.CaptureProb > curU+1e-12 {
@@ -188,20 +188,17 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 // the policy's fractional knobs: widening the hot region's entry
 // boundary, or raising the recovery entry probability C3. The best
 // feasible adjustment wins; the unadjusted policy is the fallback. It
-// returns the adjusted policy and its evaluation (nil if nothing
-// evaluates).
-func respendOnBoundary(pe *piEvaluator, e float64, w WindowPolicy) (WindowPolicy, *PIEval) {
+// returns the adjusted policy and its evaluation, and false if nothing
+// evaluates within the budget.
+func respendOnBoundary(pe *piEvaluator, e float64, w WindowPolicy) (WindowPolicy, PIEval, bool) {
 	budget := e*(1+1e-9) + 1e-12
-	evalOf := func(pol WindowPolicy) *PIEval {
-		ev, err := pe.evaluate(pol.policyFn(), 0)
-		if err != nil || ev.EnergyRate > budget {
-			return nil
-		}
-		return ev
+	evalOf := func(pol WindowPolicy) (PIEval, bool) {
+		ev, err := pe.evaluate(pol.policyFn(), 0, nil)
+		return ev, err == nil && ev.EnergyRate <= budget
 	}
 
 	bestPol := w
-	bestEval := evalOf(w)
+	bestEval, bestOK := evalOf(w)
 
 	type knob struct {
 		ok   bool
@@ -231,20 +228,20 @@ func respendOnBoundary(pe *piEvaluator, e float64, w WindowPolicy) (WindowPolicy
 		if !k.ok {
 			continue
 		}
-		eval := func(c float64) (*PIEval, error) { return pe.evaluate(k.make(c).policyFn(), 0) }
+		eval := func(c float64) (PIEval, error) { return pe.evaluate(k.make(c).policyFn(), 0, nil) }
 		c, feasible := pe.maxBoundaryProb(eval, budget)
 		if !feasible || c <= 1e-9 {
 			continue
 		}
 		pol := k.make(c)
-		if ev := evalOf(pol); ev != nil && (bestEval == nil || ev.CaptureProb > bestEval.CaptureProb) {
-			bestPol, bestEval = pol, ev
+		if ev, ok := evalOf(pol); ok && (!bestOK || ev.CaptureProb > bestEval.CaptureProb) {
+			bestPol, bestEval, bestOK = pol, ev, true
 		}
 	}
-	if bestEval == nil {
-		return w, nil
+	if !bestOK {
+		return w, PIEval{}, false
 	}
-	return bestPol, bestEval
+	return bestPol, bestEval, true
 }
 
 func maxInt(a, b int) int {

@@ -338,12 +338,13 @@ func TestAblationMultiPoIShape(t *testing.T) {
 // TestSolveSpansForkLanes: every policy solve of a figure runs in a
 // "solve" span on a lane of its own, since sweep points solve
 // concurrently. fig4b's three quick sweep points each solve a base and
-// a gap-capped clustering policy; fig6a's three add a greedy FI solve.
+// a gap-capped clustering policy in one solve (one evaluator serves
+// both); fig6a's three add a greedy FI solve.
 func TestSolveSpansForkLanes(t *testing.T) {
 	for _, c := range []struct {
 		id   string
 		want int
-	}{{"fig4b", 6}, {"fig6a", 9}} {
+	}{{"fig4b", 3}, {"fig6a", 6}} {
 		e, ok := ByID(c.id)
 		if !ok {
 			t.Fatalf("%s not registered", c.id)

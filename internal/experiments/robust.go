@@ -44,20 +44,22 @@ func robustClustering(
 		capped.MaxGap = base.MaxGap
 	}
 
+	// One solve: the capped search reuses the base search's work.
+	solved := opts.SolvePhase()
+	basePI, cappedPI, err := core.OptimizeClusteringPairCached(d, e, p, base, capped)
+	solved()
+	if err != nil {
+		failed := base
+		if basePI != nil {
+			failed = capped
+		}
+		return core.Vector{}, 0, fmt.Errorf("optimizing clustering (maxGap=%d): %w", failed.MaxGap, err)
+	}
 	type candidate struct {
 		vec core.Vector
 		u   float64
 	}
-	var cands []candidate
-	for _, o := range []core.ClusteringOptions{base, capped} {
-		solved := opts.SolvePhase()
-		pi, err := core.OptimizeClusteringCached(d, e, p, o)
-		solved()
-		if err != nil {
-			return core.Vector{}, 0, fmt.Errorf("optimizing clustering (maxGap=%d): %w", o.MaxGap, err)
-		}
-		cands = append(cands, candidate{vec: pi.Vector, u: pi.CaptureProb})
-	}
+	cands := []candidate{{basePI.Vector, basePI.CaptureProb}, {cappedPI.Vector, cappedPI.CaptureProb}}
 	// Identical policies: skip the pilot.
 	if vectorsEqual(cands[0].vec, cands[1].vec) {
 		return cands[0].vec, cands[0].u, nil
