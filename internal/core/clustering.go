@@ -233,6 +233,7 @@ type piEvaluator struct {
 	trunkOf     ClusteringPolicy
 
 	filters []*BeliefFilter // every filter the evaluator made, for the step count
+	spare   []*BeliefFilter // filters no walk or cursor is using
 
 	// Work counters, published once per evaluator by publish (the belief
 	// updates are counted by the filters).
@@ -262,6 +263,18 @@ func newPIEvaluator(d dist.Interarrival, p Params) *piEvaluator {
 func (pe *piEvaluator) newFilter() *BeliefFilter {
 	f := newBeliefFilter(pe.hz)
 	pe.filters = append(pe.filters, f)
+	return f
+}
+
+// spareFilter returns a filter no walk or cursor is using, in any state,
+// or a new one.
+func (pe *piEvaluator) spareFilter() *BeliefFilter {
+	n := len(pe.spare)
+	if n == 0 {
+		return pe.newFilter()
+	}
+	f := pe.spare[n-1]
+	pe.spare = pe.spare[:n-1]
 	return f
 }
 
@@ -302,7 +315,7 @@ var testHookResume func(cp ClusteringPolicy, from int, ev PIEval, err error)
 func (pe *piEvaluator) checkpoint(trunk ClusteringPolicy, t int) *piWalk {
 	w := &pe.trunk
 	if w.filter == nil {
-		w.filter = pe.newFilter()
+		w.filter = pe.spareFilter()
 	}
 	if trunk != pe.trunkOf || w.horizon > t {
 		w.reset()
@@ -402,9 +415,10 @@ type piCursor struct {
 	at            int // f-states stepped
 }
 
-// cursor returns a fresh cursor with a filter of its own.
-func (pe *piEvaluator) cursor() *piCursor {
-	return &piCursor{filter: pe.newFilter(), p: pe.p, survival: 1}
+// cursor returns a cursor at state 0 that walks on the filter f.
+func (pe *piEvaluator) cursor(f *BeliefFilter) *piCursor {
+	f.Reset()
+	return &piCursor{filter: f, p: pe.p, survival: 1}
 }
 
 // copyFrom overwrites c with d's state, reusing c's filter buffers.
@@ -663,7 +677,10 @@ func (pe *piEvaluator) optimize(d dist.Interarrival, e float64, opts ClusteringO
 		for g := 1; g <= opts.MaxGap; g *= 2 {
 			gaps = append(gaps, g)
 		}
-		cool, hot, cur := pe.cursor(), pe.cursor(), pe.cursor()
+		// No evaluation runs during the pass: the cooling cursor walks on
+		// the evaluation walk's filter, which evaluate rewinds, and the
+		// other two on spares, returned when the pass ends.
+		cool, hot, cur := pe.cursor(pe.walk.filter), pe.cursor(pe.spareFilter()), pe.cursor(pe.spareFilter())
 		for _, n1 := range gridPoints {
 			for cool.at < n1-1 {
 				cool.step(0)
@@ -705,6 +722,7 @@ func (pe *piEvaluator) optimize(d dist.Interarrival, e float64, opts ClusteringO
 				}
 			}
 		}
+		pe.spare = append(pe.spare, hot.filter, cur.filter)
 	}
 	for _, l := range leaders {
 		if l.u > best.u {
