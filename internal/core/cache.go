@@ -95,16 +95,11 @@ func CacheStats() (hits, misses int64) {
 
 // ResetPolicyCache drops all memoized policies and zeroes the counters
 // (for tests and long-lived processes that change workloads wholesale).
-// It also drops the recharge processes' shared binomial tables
-// (dist.SharedBinomialTable), so a run after it starts as cold as the
-// process's first; those lookups are not policy-cache traffic and do not
-// count here.
 func ResetPolicyCache() {
 	greedyCache.reset()
 	lpCache.reset()
 	lagrangianCache.reset()
 	clusterCache.reset()
-	dist.ResetSharedBinomialTables()
 }
 
 // distCacheKey returns the distribution's stable identity, or ok=false
@@ -175,10 +170,8 @@ func OptimizeClusteringCached(d dist.Interarrival, e float64, p Params, opts Clu
 // OptimizeClusteringPairCached returns OptimizeClusteringCached(d, e, p,
 // base) and OptimizeClusteringCached(d, e, p, capped), a gap-capped twin
 // of base, each stored under its own cache key. When both miss, the two
-// searches run on one evaluator (clusteringPair): the capped search's
-// evaluations hit the base's memo, and with the base's SearchLimit and
-// CoarsePoints and a MaxGap no wider than the base's it replays the
-// base's coarse pass instead of walking it. When the base search fails,
+// searches run on one evaluator (clusteringPair), so the capped search's
+// evaluations hit the base's memo. When the base search fails,
 // the capped one is not run and capped is nil. The results are shared;
 // treat them as immutable.
 func OptimizeClusteringPairCached(d dist.Interarrival, e float64, p Params, base, capped ClusteringOptions) (b, c *PIResult, err error) {

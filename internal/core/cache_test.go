@@ -220,22 +220,3 @@ func TestMixtureCacheKey(t *testing.T) {
 		t.Fatal("different weights produced the same mixture key")
 	}
 }
-
-// TestResetPolicyCacheDropsBinomialTables: a reset leaves no shared
-// binomial table behind, so a cold run rebuilds them, and the table
-// lookups are not policy-cache traffic.
-func TestResetPolicyCacheDropsBinomialTables(t *testing.T) {
-	ResetPolicyCache()
-	defer ResetPolicyCache()
-	tab := dist.SharedBinomialTable(0.3, 16)
-	if dist.SharedBinomialTable(0.3, 16) != tab {
-		t.Fatal("a second lookup built another table")
-	}
-	if hits, misses := CacheStats(); hits != 0 || misses != 0 {
-		t.Errorf("binomial table lookups counted as %d policy-cache hits and %d misses", hits, misses)
-	}
-	ResetPolicyCache()
-	if dist.SharedBinomialTable(0.3, 16) == tab {
-		t.Error("ResetPolicyCache kept the shared binomial table")
-	}
-}

@@ -224,7 +224,12 @@ type piEvaluator struct {
 	p    Params
 	hz   []float64 // hazardTable of the law, shared by every filter; read-only
 	life []ageTail // residualLifeTable(hz), built by the first closeTail; read-only
-	memo map[ClusteringPolicy]piMemo
+
+	// The memo of clustering-policy evaluations: deterministic region
+	// policies, most of what the searches evaluate, under their packed
+	// bounds (regionKey), and the others under the whole policy.
+	memo     map[uint64]piMemo
+	fracMemo map[ClusteringPolicy]piMemo
 
 	// walk is the evaluation being made. trunk is a walk of trunkOf, the
 	// policy the current evaluations are neighbours of, advanced only as
@@ -241,18 +246,43 @@ type piEvaluator struct {
 	fallbacks   int64 // boundary searches that fell back to bisection
 }
 
+// piMemo is a memoized evaluation in 24 bytes. A hit recomputes U as
+// μ/cycle, the division evaluate made, and a zero cycle stands for
+// ErrNoRenewal, the only error evaluate returns (a renewing cycle is
+// positive).
 type piMemo struct {
-	ev  PIEval
-	err error
+	cycle, rate float64
+	horizon     int
+}
+
+func (m piMemo) eval(mu float64) (PIEval, error) {
+	if m.cycle == 0 {
+		return PIEval{}, ErrNoRenewal
+	}
+	return PIEval{CaptureProb: mu / m.cycle, EnergyRate: m.rate, ExpectedCycle: m.cycle, Horizon: m.horizon}, nil
+}
+
+// regionKey packs a deterministic region policy's bounds into one word,
+// 21 bits each; ok is false for other policies and for bounds that do not
+// fit (no search reaches 2^21 states).
+func regionKey(cp ClusteringPolicy) (key uint64, ok bool) {
+	const bits, limit = 21, 1 << 21
+	// floateq:ok deterministic regions set C1 = C2 = C3 to the exact constant 1
+	if cp.C1 != 1 || cp.C2 != 1 || cp.C3 != 1 ||
+		cp.N1 < 0 || cp.N2 < 0 || cp.N3 < 0 || cp.N1 >= limit || cp.N2 >= limit || cp.N3 >= limit {
+		return 0, false
+	}
+	return uint64(cp.N1) | uint64(cp.N2)<<bits | uint64(cp.N3)<<(2*bits), true
 }
 
 func newPIEvaluator(d dist.Interarrival, p Params) *piEvaluator {
 	hz := hazardTable(d)
 	pe := &piEvaluator{
-		mu:   hazardTableMean(hz),
-		p:    p,
-		hz:   hz,
-		memo: make(map[ClusteringPolicy]piMemo),
+		mu:       hazardTableMean(hz),
+		p:        p,
+		hz:       hz,
+		memo:     make(map[uint64]piMemo),
+		fracMemo: make(map[ClusteringPolicy]piMemo),
 	}
 	pe.walk.filter = pe.newFilter()
 	return pe
@@ -288,8 +318,16 @@ func (pe *piEvaluator) clustering(cp ClusteringPolicy) (PIEval, error) {
 // f-states 1..t as trunk does; the result is then the fresh walk's, bit
 // for bit.
 func (pe *piEvaluator) resume(cp, trunk ClusteringPolicy, t int) (PIEval, error) {
-	if m, ok := pe.memo[cp]; ok {
-		return m.ev, m.err
+	key, region := regionKey(cp)
+	var m piMemo
+	var hit bool
+	if region {
+		m, hit = pe.memo[key]
+	} else {
+		m, hit = pe.fracMemo[cp]
+	}
+	if hit {
+		return m.eval(pe.mu)
 	}
 	var from *piWalk
 	if t > 0 {
@@ -299,7 +337,12 @@ func (pe *piEvaluator) resume(cp, trunk ClusteringPolicy, t int) (PIEval, error)
 	if testHookResume != nil {
 		testHookResume(cp, t, ev, err)
 	}
-	pe.memo[cp] = piMemo{ev, err}
+	m = piMemo{ev.ExpectedCycle, ev.EnergyRate, ev.Horizon}
+	if region {
+		pe.memo[key] = m
+	} else {
+		pe.fracMemo[cp] = m
+	}
 	return ev, err
 }
 
@@ -534,7 +577,7 @@ var testHookCoarse func(cp ClusteringPolicy, u, eout float64)
 // refinement, then spends any residual energy budget on the fractional
 // boundary probabilities C1/C2/C3 (maxBoundaryProb).
 func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts ClusteringOptions) (*PIResult, error) {
-	res, pe, err := optimizeClustering(d, e, p, opts, nil)
+	res, pe, err := optimizeClustering(d, e, p, opts)
 	if pe != nil {
 		pe.publish()
 	}
@@ -543,9 +586,8 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 
 // optimizeClustering is OptimizeClustering without publishing: it returns
 // the evaluator it searched with (nil when no search ran) so that a
-// gap-capped search can continue on it (clusteringPair). When log is not
-// nil it receives the coarse pass's candidates.
-func optimizeClustering(d dist.Interarrival, e float64, p Params, opts ClusteringOptions, log *coarseLog) (*PIResult, *piEvaluator, error) {
+// gap-capped search can continue on it (clusteringPair).
+func optimizeClustering(d dist.Interarrival, e float64, p Params, opts ClusteringOptions) (*PIResult, *piEvaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -565,15 +607,8 @@ func optimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 		}, nil, nil
 	}
 	pe := newPIEvaluator(d, p)
-	res, err := pe.optimize(d, e, opts, nil, log)
+	res, err := pe.optimize(d, e, opts)
 	return res, pe, err
-}
-
-// coarseLog records one coarse pass: the filled options it ran with and
-// the candidates it offered as leaders, in order.
-type coarseLog struct {
-	opts    ClusteringOptions
-	offered []scoredPolicy
 }
 
 // scoredPolicy is a region-search candidate with its U.
@@ -582,23 +617,9 @@ type scoredPolicy struct {
 	u  float64
 }
 
-// replays reports whether a coarse pass with the filled options opts, at
-// the log's recharge rate on the same evaluator, may replay the log
-// instead of walking: it scores the same (n1, n2) grid, and its gaps are
-// the log's up to opts.MaxGap. Each (n1, n2) scores its gaps in
-// increasing order and offers the first feasible one, so the capped pass
-// offers exactly the logged candidates whose gap fits, in the logged
-// order, with the same U: when the logged gap is too wide, every
-// narrower gap was infeasible.
-func (l *coarseLog) replays(opts ClusteringOptions) bool {
-	return l != nil && l.opts.SearchLimit == opts.SearchLimit &&
-		l.opts.CoarsePoints == opts.CoarsePoints && opts.MaxGap <= l.opts.MaxGap
-}
-
 // optimize is the region search of OptimizeClustering on pe at a rate e
-// below saturation. Its coarse pass replays replay when replay.replays,
-// and walks otherwise, logging into log when it is not nil.
-func (pe *piEvaluator) optimize(d dist.Interarrival, e float64, opts ClusteringOptions, replay, log *coarseLog) (*PIResult, error) {
+// below saturation.
+func (pe *piEvaluator) optimize(d dist.Interarrival, e float64, opts ClusteringOptions) (*PIResult, error) {
 	opts.fill(d)
 	budget := e*(1+1e-9) + 1e-12
 	feasible := func(ev PIEval, err error) (PIEval, bool) {
@@ -660,70 +681,60 @@ func (pe *piEvaluator) optimize(d dist.Interarrival, e float64, opts ClusteringO
 			leaders[worst] = c
 		}
 	}
-	// A gap-capped search after a base search on the same grid replays
-	// the base's offers instead of walking the pass again.
-	if replay.replays(opts) {
-		for _, c := range replay.offered {
-			if c.cp.N3-c.cp.N2 <= opts.MaxGap {
-				offer(c)
-			}
-		}
-	} else {
-		if log != nil {
-			log.opts, log.offered = opts, log.offered[:0]
-		}
-		gridPoints := coarseGrid(d, limit, step)
-		var gaps []int
-		for g := 1; g <= opts.MaxGap; g *= 2 {
-			gaps = append(gaps, g)
-		}
-		// No evaluation runs during the pass: the cooling cursor walks on
-		// the evaluation walk's filter, which evaluate rewinds, and the
-		// other two on spares, returned when the pass ends.
-		cool, hot, cur := pe.cursor(pe.walk.filter), pe.cursor(pe.spareFilter()), pe.cursor(pe.spareFilter())
-		for _, n1 := range gridPoints {
-			for cool.at < n1-1 {
-				cool.step(0)
-			}
-			hot.copyFrom(cool)
-			for _, n2 := range gridPoints {
-				if n2 < n1 {
-					continue
-				}
-				for hot.at < n2 {
-					hot.step(1)
-				}
-				cur.copyFrom(hot)
-				walked := 0
-				for _, g := range gaps {
-					for ; walked < g-1; walked++ {
-						cur.step(0)
-					}
-					tail, tailEnergy, never := pe.closeTail(cur.filter, cur.survival)
-					if never >= 1e-6 {
-						continue // the evaluation's ErrNoRenewal
-					}
-					cycle := cur.cycle + tail
-					u, eout := pe.mu/cycle, (cur.energy+tailEnergy)/cycle
-					cp := ClusteringPolicy{N1: n1, N2: n2, N3: n2 + g, C1: 1, C2: 1, C3: 1}
-					if testHookCoarse != nil {
-						testHookCoarse(cp, u, eout)
-					}
-					if eout <= budget {
-						// Widening the gap only lengthens the cycle, lowering
-						// both U and E_out, so the first feasible gap is the
-						// best one for this hot region.
-						offer(scoredPolicy{cp: cp, u: u})
-						if log != nil {
-							log.offered = append(log.offered, scoredPolicy{cp: cp, u: u})
-						}
-						break
-					}
-				}
-			}
-		}
-		pe.spare = append(pe.spare, hot.filter, cur.filter)
+	gridPoints := coarseGrid(d, limit, step)
+	var gaps []int
+	for g := 1; g <= opts.MaxGap; g *= 2 {
+		gaps = append(gaps, g)
 	}
+	// No evaluation runs during the pass: the cooling cursor walks on
+	// the evaluation walk's filter, which evaluate rewinds, and the
+	// other two on spares, returned when the pass ends. An incumbent's
+	// walk left by an earlier search on this evaluator gives its filter
+	// back first; the next checkpoint starts a new one.
+	if pe.trunk.filter != nil {
+		pe.spare = append(pe.spare, pe.trunk.filter)
+		pe.trunk, pe.trunkOf = piWalk{}, ClusteringPolicy{}
+	}
+	cool, hot, cur := pe.cursor(pe.walk.filter), pe.cursor(pe.spareFilter()), pe.cursor(pe.spareFilter())
+	for _, n1 := range gridPoints {
+		for cool.at < n1-1 {
+			cool.step(0)
+		}
+		hot.copyFrom(cool)
+		for _, n2 := range gridPoints {
+			if n2 < n1 {
+				continue
+			}
+			for hot.at < n2 {
+				hot.step(1)
+			}
+			cur.copyFrom(hot)
+			walked := 0
+			for _, g := range gaps {
+				for ; walked < g-1; walked++ {
+					cur.step(0)
+				}
+				tail, tailEnergy, never := pe.closeTail(cur.filter, cur.survival)
+				if never >= 1e-6 {
+					continue // the evaluation's ErrNoRenewal
+				}
+				cycle := cur.cycle + tail
+				u, eout := pe.mu/cycle, (cur.energy+tailEnergy)/cycle
+				cp := ClusteringPolicy{N1: n1, N2: n2, N3: n2 + g, C1: 1, C2: 1, C3: 1}
+				if testHookCoarse != nil {
+					testHookCoarse(cp, u, eout)
+				}
+				if eout <= budget {
+					// Widening the gap only lengthens the cycle, lowering
+					// both U and E_out, so the first feasible gap is the
+					// best one for this hot region.
+					offer(scoredPolicy{cp: cp, u: u})
+					break
+				}
+			}
+		}
+	}
+	pe.spare = append(pe.spare, hot.filter, cur.filter)
 	for _, l := range leaders {
 		if l.u > best.u {
 			best = l
@@ -855,21 +866,19 @@ func boundaryVariants(cur ClusteringPolicy) [3]boundaryVariant {
 }
 
 // clusteringPair runs a base region search and then gap-capped searches
-// on the base's evaluator: their evaluations share its memo, and a
-// capped search that may replay the base's coarse pass (coarseLog.replays)
-// does so instead of walking it again. Every search returns what
-// OptimizeClustering returns for its options, bit for bit.
+// on the base's evaluator, whose memo their evaluations share. Every
+// search returns what OptimizeClustering returns for its options, bit for
+// bit.
 type clusteringPair struct {
-	d   dist.Interarrival
-	e   float64
-	p   Params
-	pe  *piEvaluator // nil until the base search ran one (none when saturated)
-	log coarseLog
+	d  dist.Interarrival
+	e  float64
+	p  Params
+	pe *piEvaluator // nil until the base search ran one (none when saturated)
 }
 
 // base runs the base search.
 func (pr *clusteringPair) base(opts ClusteringOptions) (*PIResult, error) {
-	res, pe, err := optimizeClustering(pr.d, pr.e, pr.p, opts, &pr.log)
+	res, pe, err := optimizeClustering(pr.d, pr.e, pr.p, opts)
 	pr.pe = pe
 	return res, err
 }
@@ -879,7 +888,7 @@ func (pr *clusteringPair) capped(opts ClusteringOptions) (*PIResult, error) {
 	if pr.pe == nil {
 		return OptimizeClustering(pr.d, pr.e, pr.p, opts)
 	}
-	return pr.pe.optimize(pr.d, pr.e, opts, &pr.log, nil)
+	return pr.pe.optimize(pr.d, pr.e, opts)
 }
 
 // publish publishes the shared evaluator's counters, once.

@@ -25,18 +25,27 @@ func freshClustering(d dist.Interarrival, p Params, cp ClusteringPolicy) (PIEval
 
 // checkResume evaluates rp on pe by resuming trunk's walk (the memo is
 // cleared, so the evaluation walks) and compares it with a fresh walk,
-// bit for bit and error for error. It reports whether the trunk walk had
-// ended before the checkpoint.
+// bit for bit and error for error; then it asks again and checks that the
+// memo hit returns the same without a walk. It reports whether the trunk
+// walk had ended before the checkpoint.
 func checkResume(t testing.TB, pe *piEvaluator, d dist.Interarrival, trunk ClusteringPolicy, rp resumePoint) (ended bool) {
 	t.Helper()
 	clear(pe.memo)
+	clear(pe.fracMemo)
 	got, gerr := pe.resume(rp.cp, trunk, rp.from)
 	want, werr := freshClustering(d, pe.p, rp.cp)
 	if gerr != werr || !sameEval(got, want) {
 		t.Fatalf("%s %+v resumed after %d states of %+v: %+v (err %v), fresh walk %+v (err %v)",
 			d.Name(), rp.cp, rp.from, trunk, got, gerr, want, werr)
 	}
-	return rp.from > 0 && pe.trunk.ended && pe.trunk.horizon < rp.from
+	ended = rp.from > 0 && pe.trunk.ended && pe.trunk.horizon < rp.from
+	walks := pe.evaluations
+	got, gerr = pe.resume(rp.cp, trunk, rp.from)
+	if pe.evaluations != walks || gerr != werr || !sameEval(got, want) {
+		t.Fatalf("%s %+v from the memo (%d walks): %+v (err %v), fresh walk %+v (err %v)",
+			d.Name(), rp.cp, pe.evaluations-walks, got, gerr, want, werr)
+	}
+	return ended
 }
 
 // TestResumeMatchesFreshWalk: every hill-climb neighbour and every
@@ -150,9 +159,9 @@ type unkeyed struct{ dist.Interarrival }
 
 // TestPairMatchesSeparateSolves: OptimizeClusteringPairCached returns what
 // two independent OptimizeClustering calls return — with the quick and
-// the full options of the robust pick, equal caps, caps the base's coarse
-// pass cannot serve (a wider MaxGap, another grid), a saturated rate and
-// an uncached law — from a cold cache, with a warm base and a cold capped
+// the full options of the robust pick, equal caps, a capped search wider
+// than the base or on another grid, a saturated rate and an uncached
+// law — from a cold cache, with a warm base and a cold capped
 // entry, and from a warm cache without a miss. A failing base search
 // fails the pair with the same error and runs no capped search.
 func TestPairMatchesSeparateSolves(t *testing.T) {
@@ -247,7 +256,8 @@ func TestPairMatchesSeparateSolves(t *testing.T) {
 }
 
 // TestPairPublishesOnce: a pair publishes its shared evaluator's work
-// exactly once, and does less belief work than the two searches alone.
+// exactly once, does less belief work than the two searches alone, and
+// makes no more belief filters than one search.
 func TestPairPublishesOnce(t *testing.T) {
 	defer ResetPolicyCache()
 	p := DefaultParams()
@@ -268,9 +278,14 @@ func TestPairPublishesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSteps, wantEvals := work(pair.pe)
+	// The capped search's coarse pass walks on the filters the base
+	// search made: three in all.
+	if n := len(pair.pe.filters); n != 3 {
+		t.Errorf("the pair's searches made %d belief filters, want 3", n)
+	}
 	var aloneSteps int64
 	for _, o := range opts {
-		_, pe, err := optimizeClustering(d, e, p, o, nil)
+		_, pe, err := optimizeClustering(d, e, p, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,4 +394,46 @@ func FuzzResumeMatchesWalk(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRegionKey: deterministic region policies pack their bounds into
+// three 21-bit fields of distinct words;
+// fractional policies and bounds past 21 bits take the whole-policy memo,
+// and a memoized ErrNoRenewal comes back as ErrNoRenewal.
+func TestRegionKey(t *testing.T) {
+	seen := map[uint64]ClusteringPolicy{}
+	for _, n := range [][3]int{{1, 1, 2}, {1, 2, 1}, {2, 1, 1}, {7, 300, 812}, {812, 300, 7}, {1<<21 - 1, 1<<21 - 1, 1<<21 - 1}} {
+		cp := ClusteringPolicy{N1: n[0], N2: n[1], N3: n[2], C1: 1, C2: 1, C3: 1}
+		k, ok := regionKey(cp)
+		if !ok {
+			t.Fatalf("%+v: no region key", cp)
+		}
+		const field = 1<<21 - 1
+		if got := [3]int{int(k & field), int(k >> 21 & field), int(k >> 42)}; got != n {
+			t.Fatalf("%+v packed into %#x, whose fields read %v", cp, k, got)
+		}
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("%+v and %+v share the key %#x", cp, prev, k)
+		}
+		seen[k] = cp
+	}
+	det := ClusteringPolicy{N1: 3, N2: 5, N3: 9, C1: 1, C2: 1, C3: 1}
+	for _, cp := range []ClusteringPolicy{
+		{N1: 3, N2: 5, N3: 9, C1: 0.5, C2: 1, C3: 1},
+		{N1: 3, N2: 5, N3: 9, C1: 1, C2: 0, C3: 1},
+		{N1: 3, N2: 5, N3: 9, C1: 1, C2: 1, C3: math.Nextafter(1, 0)},
+		{N1: 3, N2: 5, N3: 1 << 21, C1: 1, C2: 1, C3: 1},
+		{N1: -1, N2: 5, N3: 9, C1: 1, C2: 1, C3: 1},
+	} {
+		if k, ok := regionKey(cp); ok {
+			t.Errorf("%+v packed into %#x, want the whole-policy memo", cp, k)
+		}
+	}
+	if _, ok := regionKey(det); !ok {
+		t.Fatalf("%+v: no region key", det)
+	}
+	m := piMemo{}
+	if ev, err := m.eval(1); err != ErrNoRenewal || ev != (PIEval{}) {
+		t.Errorf("a memoized ErrNoRenewal read back as %+v, %v", ev, err)
+	}
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"eventcap/internal/rng"
 )
@@ -67,45 +66,6 @@ func NewBinomialTable(p float64, maxN int) *BinomialTable {
 		t.cum[n-1] = row
 	}
 	return t
-}
-
-// sharedBinomial holds the tables SharedBinomialTable hands out, one per
-// (bits of p, maxN).
-var sharedBinomial struct {
-	mu     sync.Mutex
-	tables map[binomialKey]*BinomialTable
-}
-
-type binomialKey struct {
-	p    uint64
-	maxN int
-}
-
-// SharedBinomialTable returns NewBinomialTable(p, maxN), built once per
-// process and shared: every sensor, run and batch chunk of a recharge
-// process with the same p asks for the same table, which no Sample call
-// writes. The first request builds it under a lock.
-func SharedBinomialTable(p float64, maxN int) *BinomialTable {
-	k := binomialKey{math.Float64bits(p), maxN}
-	sharedBinomial.mu.Lock()
-	defer sharedBinomial.mu.Unlock()
-	t, ok := sharedBinomial.tables[k]
-	if !ok {
-		if sharedBinomial.tables == nil {
-			sharedBinomial.tables = make(map[binomialKey]*BinomialTable)
-		}
-		t = NewBinomialTable(p, maxN)
-		sharedBinomial.tables[k] = t
-	}
-	return t
-}
-
-// ResetSharedBinomialTables drops every shared table, for processes that
-// measure a cold start.
-func ResetSharedBinomialTables() {
-	sharedBinomial.mu.Lock()
-	sharedBinomial.tables = nil
-	sharedBinomial.mu.Unlock()
 }
 
 // P returns the success probability the table was built for.

@@ -130,43 +130,3 @@ func TestBinomialTableDegenerate(t *testing.T) {
 		t.Errorf("Sample(n=-3) = %d, want 0", got)
 	}
 }
-
-// TestSharedBinomialTable: one table per (p, maxN), equal to a fresh
-// build bit for bit, handed out to concurrent callers once, and rebuilt
-// after a reset.
-func TestSharedBinomialTable(t *testing.T) {
-	ResetSharedBinomialTables()
-	defer ResetSharedBinomialTables()
-	const p, maxN = 0.3, 64
-	var tabs [8]*BinomialTable
-	done := make(chan struct{})
-	for i := range tabs {
-		go func() {
-			tabs[i] = SharedBinomialTable(p, maxN)
-			done <- struct{}{}
-		}()
-	}
-	for range tabs {
-		<-done
-	}
-	for i := range tabs {
-		if tabs[i] != tabs[0] {
-			t.Fatalf("caller %d got its own table", i)
-		}
-	}
-	fresh := NewBinomialTable(p, maxN)
-	for n := range fresh.cum {
-		for k, v := range fresh.cum[n] {
-			if math.Float64bits(tabs[0].cum[n][k]) != math.Float64bits(v) {
-				t.Fatalf("shared table cum[%d][%d] = %v, fresh build %v", n, k, tabs[0].cum[n][k], v)
-			}
-		}
-	}
-	if SharedBinomialTable(p, 2*maxN) == tabs[0] || SharedBinomialTable(0.4, maxN) == tabs[0] {
-		t.Fatal("a different maxN or p shared the table")
-	}
-	ResetSharedBinomialTables()
-	if SharedBinomialTable(p, maxN) == tabs[0] {
-		t.Fatal("a reset kept the table")
-	}
-}

@@ -136,13 +136,12 @@ func (b *Bernoulli) C() float64 { return b.c }
 
 var _ FastForwardPreparer = (*Bernoulli)(nil)
 
-// PrepareFastForward implements FastForwardPreparer: it takes the
-// process-wide Binomial CDF table for q (dist.SharedBinomialTable) so
-// each in-range FastForward costs one uniform and a binary search instead
-// of per-gap logarithms.
+// PrepareFastForward implements FastForwardPreparer: it precomputes
+// Binomial CDF tables so each in-range FastForward costs one uniform and
+// a binary search instead of per-gap logarithms.
 func (b *Bernoulli) PrepareFastForward(maxN int) {
 	if b.table == nil || b.table.MaxN() < maxN {
-		b.table = dist.SharedBinomialTable(b.q, maxN)
+		b.table = dist.NewBinomialTable(b.q, maxN)
 	}
 }
 
