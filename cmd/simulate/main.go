@@ -61,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		delta1     = fs.Float64("delta1", 1, "sensing energy per active slot")
 		delta2     = fs.Float64("delta2", 6, "extra energy per capture")
 		theta1     = fs.Int("theta1", 3, "theta1 for the periodic policy")
-		workers    = fs.Int("workers", 0, "worker pool size for the independent-sensor fast path (0 = one per CPU)")
+		workers    = fs.Int("workers", 0, "worker pool size for -batch replication chunks (0 = one per CPU)")
 		kernel     = fs.String("kernel", "auto", "simulation engine: auto (compiled kernel when eligible) | on (force kernel) | off (reference engine) | batch (force batch engine)")
 		batch      = fs.Int("batch", 0, "run B independent replications at seeds seed..seed+B-1 and aggregate (batch engine when eligible, sequential runs otherwise)")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")

@@ -13,8 +13,7 @@ import (
 // Totals only grow: a sweep that runs several experiments keeps one
 // Progress across all of them, and the rendered line reflects
 // everything enqueued so far. Only driver-level jobs reach the observer
-// — engine-internal fan-out (batch chunks, per-sensor fleet jobs) runs
-// on parallel.MapInner, which skips observer callbacks, so job counts
+// — engine-internal fan-out (batch chunks) runs on parallel.MapInner, which skips observer callbacks, so job counts
 // and the ETA are not inflated by nested pools.
 //
 // Beyond jobs, drivers report slot-level work units (AddWork /

@@ -97,13 +97,13 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return mapPool(workers, n, fn, true)
 }
 
-// MapInner is Map for engine-internal fan-out — batch chunks, the
-// per-sensor jobs of an independent fleet. The jobs still count into
-// the pool.* metrics (they are real pool work), but the process
-// Observer is not notified: an outer job's wall time already includes
-// its inner jobs, so reporting both would inflate the progress job
-// totals and double-count busy time, which is exactly what made
-// -progress ETAs wrong under -batch and fig6 fleets.
+// MapInner is Map for engine-internal fan-out: the batch engine's
+// replication chunks. The jobs still count into the pool.* metrics
+// (they are real pool work), but the process Observer is not notified:
+// an outer job's wall time already includes its inner jobs, so
+// reporting both would inflate the progress job totals and
+// double-count busy time, which is exactly what made -progress ETAs
+// wrong under -batch.
 func MapInner[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return mapPool(workers, n, fn, false)
 }

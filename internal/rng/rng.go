@@ -23,9 +23,6 @@
 //	Split(2)      activation decisions (shared; round-robin fleets
 //	              draw one per awake slot regardless of N)
 //	Split(100+s)  sensor s's recharge process, split in s order
-//	Split(200+s)  sensor s's private decisions (independent fleets
-//	              only; the shared Split(2) is still taken first, and
-//	              discarded, so the 1/2/100+s prefix never moves)
 //
 // The batch engine applies the same layout per replication after
 // Reseed(Seed+r, 0x5eed). Adding a consumer means appending a new id

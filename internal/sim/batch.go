@@ -18,13 +18,12 @@ import (
 // recharge's phase) lives in a fixed set of values reset in place, so
 // the steady-state loop allocates nothing per replication.
 //
-// Coordinated configurations (one sensor or a round-robin fleet) run
-// each replication through the kernel's own loop, fleetRun.run, at seed
-// Seed + r; decoupled fleets run batchIndepWorker (batch_multi.go).
-// Replication r therefore reproduces the run this Config would produce
-// at Seed + r byte for byte, with Metrics on or off. The chunk sharding
-// and worker count never touch the streams, so results are
-// byte-identical across every Workers setting.
+// Every replication (one sensor or a round-robin fleet) runs through the
+// kernel's own loop, fleetRun.run, at seed Seed + r, so replication r
+// reproduces the run this Config would produce at Seed + r byte for
+// byte, with Metrics on or off. The chunk sharding and worker count
+// never touch the streams, so results are byte-identical across every
+// Workers setting.
 
 // maxBatchChunk caps the replications per chunk. Chunks are the unit of
 // worker parallelism and of state reuse: runBatch splits the batch
@@ -36,25 +35,13 @@ import (
 const maxBatchChunk = 1024
 
 // batchPlan is a validated, instantiated batch configuration: the kernel
-// plan plus the batch-only shared tables. Exactly one of kernel and
-// indep is non-nil: kernel covers the coordinated configurations
-// (single sensor and round-robin fleets, one shared table), indep the
-// decoupled ModeAll+PartialInfo fleets (one table per sensor over its
-// private capture clock).
+// plan plus the batch-only shared tables.
 type batchPlan struct {
 	kernel *kernelPlan
-	indep  []indepSensorPlan
 	// quant replaces Dist.Sample's per-gap transcendentals with an exact
 	// threshold lookup when the distribution exposes its inversion map
 	// (dist.InverseSampler); nil otherwise, falling back to Dist.Sample.
 	quant *dist.QuantileTable
-}
-
-func (p *batchPlan) sensors() int {
-	if p.indep != nil {
-		return len(p.indep)
-	}
-	return p.kernel.n
 }
 
 // resettable matches per-run state that can be restored in place
@@ -77,37 +64,21 @@ func batchReusable(rech energy.FastForwarder) bool {
 
 // compileBatch probes whether cfg (already validated) can run on the
 // batch engine. It returns the plan, or nil and the structural fallback
-// reason. Eligibility is the kernel's (or, for decoupled fleets, the
-// independent engine's, without fault injection: a truncated sensor is
-// cheap on the per-replication fallback and rare enough not to earn a
-// batched loop) plus two batch-only conditions: no slot tracer (the
-// engine reports aggregates, never slot records), and recharge
-// processes whose per-run state — if any — can be reset between
-// replications. sp (nilable) is the caller's "compile" span; the
+// reason. Eligibility is the kernel's plus two batch-only conditions: no
+// slot tracer (the engine reports aggregates, never slot records), and
+// recharge processes whose per-run state — if any — can be reset
+// between replications. sp (nilable) is the caller's "compile" span; the
 // quantile-table build gets its own child under it.
 func compileBatch(cfg *Config, sp *obs.Span) (*batchPlan, fallback) {
 	if cfg.Tracer != nil {
 		return nil, fallback{"tracer", "slot tracing requested"}
 	}
-	plan := &batchPlan{}
-	var rechs []energy.FastForwarder
 	kp, fb := compileKernel(cfg)
-	switch {
-	case kp != nil:
-		plan.kernel, rechs = kp, kp.recharges
-	case !cfg.independentSensors():
+	if kp == nil {
 		return nil, fb
-	case len(cfg.FailAt) > 0:
-		return nil, fallback{"fault", "fault injection requested"}
-	default:
-		if plan.indep, fb = compileIndependent(cfg); plan.indep == nil {
-			return nil, fb
-		}
-		for s := range plan.indep {
-			rechs = append(rechs, plan.indep[s].recharge)
-		}
 	}
-	for _, r := range rechs {
+	plan := &batchPlan{kernel: kp}
+	for _, r := range kp.recharges {
 		if !batchReusable(r) {
 			return nil, fallback{"recharge", fmt.Sprintf("recharge %s carries per-run state without Reset", r.Name())}
 		}
@@ -122,7 +93,7 @@ func compileBatch(cfg *Config, sp *obs.Span) (*batchPlan, fallback) {
 
 // runBatch executes the batch: replications are sharded into chunks
 // (see maxBatchChunk) and the chunks mapped across the worker pool; each
-// chunk owns one batch runner whose state is reset per replication.
+// chunk owns one fleetRun whose state is reset per replication.
 func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 	reps := cfg.Batch
 	if reps < 1 {
@@ -134,19 +105,13 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 		chunk = maxBatchChunk
 	}
 	numChunks := (reps + chunk - 1) / chunk
-	if plan.kernel != nil {
-		for _, p := range plan.kernel.policies {
-			p.Reset()
-		}
-	} else {
-		for s := range plan.indep {
-			plan.indep[s].policy.Reset()
-		}
+	for _, p := range plan.kernel.policies {
+		p.Reset()
 	}
 
 	// Replication r's sensors occupy the rep-major block [r·n, (r+1)·n),
 	// matching runBatchFallback's append order.
-	n := plan.sensors()
+	n := plan.kernel.n
 	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, reps*n), Engine: EngineBatch}
 	sensors := res.Sensors
 	o := newObserver(&cfg, 0) // no trace engine code: compileBatch declines tracers
@@ -172,14 +137,7 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 	outs, err := parallel.MapInner(workers, numChunks, func(ci int) (chunkOut, error) {
 		csp := ex.Fork("chunk")
 		defer csp.End()
-		var fw *fleetRun
-		var iw *batchIndepWorker
-		var err error
-		if plan.indep != nil {
-			iw, err = newBatchIndepWorker(&cfg, plan)
-		} else {
-			fw, err = newBatchFleetRun(&cfg, plan)
-		}
+		fw, err := newBatchFleetRun(&cfg, plan)
 		if err != nil {
 			return chunkOut{}, err
 		}
@@ -195,12 +153,7 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 			// Batch Metrics define battery occupancy on replication 0
 			// only; the probe's battery stream stays off on batches.
 			co.sampling = co.m != nil && r == 0
-			var ev, cp int64
-			if iw != nil {
-				ev, cp = iw.simulate(&cfg, plan, uint64(r), sensors[r*n:(r+1)*n], &co)
-			} else {
-				ev, cp = fw.run(&cfg, cfg.Seed+uint64(r), sensors[r*n:(r+1)*n], &co)
-			}
+			ev, cp := fw.run(&cfg, cfg.Seed+uint64(r), sensors[r*n:(r+1)*n], &co)
 			if repCounts != nil {
 				repCounts[r] = [2]int64{ev, cp}
 			}
@@ -237,19 +190,18 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 // process: the shared instance when stateless, a fresh prepared instance
 // (reset before every replication) otherwise — chunks run concurrently,
 // so a stateful process can never be shared.
-func chunkRecharge(cfg *Config, shared energy.FastForwarder) (energy.FastForwarder, resettable, error) {
+func chunkRecharge(cfg *Config, shared energy.FastForwarder) (energy.FastForwarder, error) {
 	if _, stateful := shared.(resettable); !stateful {
-		return shared, nil, nil
+		return shared, nil
 	}
 	fresh, ok := cfg.NewRecharge().(energy.FastForwarder)
 	if !ok {
-		return nil, nil, fmt.Errorf("sim: recharge factory stopped producing fast-forwardable processes")
+		return nil, fmt.Errorf("sim: recharge factory stopped producing fast-forwardable processes")
 	}
 	if prep, ok := fresh.(energy.FastForwardPreparer); ok {
 		prep.PrepareFastForward(prepareRunLength)
 	}
-	rst, _ := fresh.(resettable)
-	return fresh, rst, nil
+	return fresh, nil
 }
 
 // newBatchFleetRun builds one chunk's fleetRun over the chunk's own
@@ -258,7 +210,7 @@ func newBatchFleetRun(cfg *Config, plan *batchPlan) (*fleetRun, error) {
 	rechs := make([]energy.FastForwarder, plan.kernel.n)
 	for s, shared := range plan.kernel.recharges {
 		var err error
-		if rechs[s], _, err = chunkRecharge(cfg, shared); err != nil {
+		if rechs[s], err = chunkRecharge(cfg, shared); err != nil {
 			return nil, err
 		}
 	}

@@ -84,65 +84,6 @@ func foldReplicaMetrics(agg, rep *Metrics) *Metrics {
 	return agg
 }
 
-// TestBatchIndepPerRepMatchesIndependent is the decoupled-fleet pairing:
-// replication r of an independent batch must reproduce the compiled
-// independent engine at Seed + r bit for bit (both paths fast-forward
-// through the same per-sensor streams), with metrics on or off.
-func TestBatchIndepPerRepMatchesIndependent(t *testing.T) {
-	const reps = 24
-	recharges := []struct {
-		name string
-		make func() energy.Recharge
-	}{
-		{"uniform-0.4", func() energy.Recharge { r, _ := energy.NewConstant(0.4); return r }},
-		{"bernoulli-0.4-1", func() energy.Recharge { r, _ := energy.NewBernoulli(0.4, 1); return r }},
-	}
-	for _, rc := range recharges {
-		for _, metrics := range []bool{false, true} {
-			const n = 3
-			cfg := independentKernelConfig(t, rc.make, n, 7)
-			cfg.Slots = 10_000
-			cfg.Metrics = metrics
-			cfg.Engine = EngineBatch
-			cfg.Batch = reps
-			batch, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s: batch: %v", rc.name, err)
-			}
-			if len(batch.Sensors) != reps*n {
-				t.Fatalf("%s: batch returned %d sensor blocks, want %d", rc.name, len(batch.Sensors), reps*n)
-			}
-			var events, captures int64
-			var agg *Metrics
-			for r := 0; r < reps; r++ {
-				sub := independentKernelConfig(t, rc.make, n, 7+uint64(r))
-				sub.Slots = 10_000
-				sub.Metrics = metrics
-				sub.Engine = EngineKernel
-				one, err := Run(sub)
-				if err != nil {
-					t.Fatalf("%s replication %d: %v", rc.name, r, err)
-				}
-				if !reflect.DeepEqual(batch.Sensors[r*n:(r+1)*n], one.Sensors) {
-					t.Fatalf("%s metrics=%v replication %d diverged:\nbatch       %+v\nindependent %+v",
-						rc.name, metrics, r, batch.Sensors[r*n:(r+1)*n], one.Sensors)
-				}
-				events += one.Events
-				captures += one.Captures
-				agg = foldReplicaMetrics(agg, one.Metrics)
-			}
-			if batch.Events != events || batch.Captures != captures {
-				t.Errorf("%s: batch totals %d/%d, paired independent sum %d/%d",
-					rc.name, batch.Events, batch.Captures, events, captures)
-			}
-			if !reflect.DeepEqual(batch.Metrics, agg) {
-				t.Errorf("%s metrics=%v: batch metrics diverge from the replication sum:\nbatch %+v\nsum   %+v",
-					rc.name, metrics, batch.Metrics, agg)
-			}
-		}
-	}
-}
-
 // TestBatchMultiShardingInvariance checks that the worker count, and
 // with it the chunk sharding, never touches the random streams of a
 // fleet batch: every sharding must produce byte-identical results.
@@ -166,27 +107,6 @@ func TestBatchMultiShardingInvariance(t *testing.T) {
 	for _, workers := range []int{3, 4, 13, 40} {
 		if got := shard(workers); !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d diverged from sequential run", workers)
-		}
-	}
-	// Same invariance for a decoupled fleet.
-	ishard := func(workers int) *Result {
-		t.Helper()
-		cfg := independentKernelConfig(t, newRech, 3, 13)
-		cfg.Slots = 5_000
-		cfg.Metrics = true
-		cfg.Engine = EngineBatch
-		cfg.Batch = 40
-		cfg.Workers = workers
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	iwant := ishard(1)
-	for _, workers := range []int{6, 40} {
-		if got := ishard(workers); !reflect.DeepEqual(got, iwant) {
-			t.Errorf("independent workers=%d diverged from sequential run", workers)
 		}
 	}
 }

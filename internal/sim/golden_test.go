@@ -102,14 +102,6 @@ func engineGoldenLines(t *testing.T) []string {
 		}
 	}
 
-	indep := independentKernelConfig(t, bernoulli, 3, 4)
-	indep.Slots = 20_000
-	indep.Engine = EngineBatch
-	indep.Batch = 4
-	indep.Workers = 2
-	indep.Metrics = true
-	add("batch-independent N=3 bernoulli metrics", indep)
-
 	for _, kc := range kernelCases(t)[:2] {
 		cfg := kernelBaseConfig(t, kc, bernoulli, 100, 5)
 		cfg.Slots = 20_000
@@ -131,7 +123,7 @@ func engineGoldenLines(t *testing.T) []string {
 
 // TestEngineGolden pins the compiled engines bit for bit: the kernel for
 // one sensor and a round-robin fleet, the batch engine's replications
-// (single sensor, fleet, decoupled fleet), and the bytes of a traced
+// (single sensor and fleet), and the bytes of a traced
 // kernel run. Under Bernoulli recharge the compiled engines are
 // otherwise only checked against each other or in distribution, so this
 // is what catches a change that shifts their draws. Rewrite the file

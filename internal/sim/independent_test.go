@@ -6,8 +6,8 @@ import (
 	"eventcap/internal/core"
 )
 
-// independentConfig is a ModeAll + PartialInfo multi-sensor setup that
-// qualifies for the independent-sensor fast path.
+// independentConfig is a decoupled fleet: ModeAll + PartialInfo, every
+// sensor deciding in every slot on its own capture history.
 func independentConfig(t *testing.T, n, workers int) Config {
 	t.Helper()
 	d := mustWeibull(t, 30, 2)
@@ -31,9 +31,9 @@ func independentConfig(t *testing.T, n, workers int) Config {
 	}
 }
 
-// TestIndependentDeterministicAcrossWorkers: the fast path's random
-// streams are fixed by the per-sensor decomposition, so every worker
-// count reproduces the same result to the last bit.
+// TestIndependentDeterministicAcrossWorkers: Workers never touches a
+// decoupled fleet's random streams, so every worker count reproduces
+// the same result to the last bit.
 func TestIndependentDeterministicAcrossWorkers(t *testing.T) {
 	base, err := Run(independentConfig(t, 4, 1))
 	if err != nil {
@@ -81,8 +81,7 @@ func TestIndependentUnionCaptures(t *testing.T) {
 		t.Fatalf("captures %d exceed events %d", res.Captures, res.Events)
 	}
 	// Redundant uncoordinated sensors must beat one sensor's QoM. (N=1
-	// runs the sequential engine; the comparison is directional, not
-	// stream-exact.)
+	// runs the kernel; the comparison is directional, not stream-exact.)
 	solo, err := Run(independentConfig(t, 1, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +91,8 @@ func TestIndependentUnionCaptures(t *testing.T) {
 	}
 }
 
-// TestIndependentFailAt: a sensor that dies mid-run stops activating;
-// the fast path must honor fault injection like the sequential engine.
+// TestIndependentFailAt: a sensor of a decoupled fleet that dies
+// mid-run stops activating while its peer goes on.
 func TestIndependentFailAt(t *testing.T) {
 	cfg := independentConfig(t, 2, 0)
 	cfg.FailAt = map[int]int64{0: cfg.Slots / 4}
@@ -104,5 +103,60 @@ func TestIndependentFailAt(t *testing.T) {
 	if res.Sensors[0].Activations >= res.Sensors[1].Activations {
 		t.Fatalf("failed sensor activated %d times, healthy one %d",
 			res.Sensors[0].Activations, res.Sensors[1].Activations)
+	}
+}
+
+// TestDecoupledSensorsKeepOwnCaptureClock: uncoordinated
+// partial-information sensors broadcast nothing, so each decides on its
+// own f clock, the slots since its own last capture. With deterministic
+// region policies (probabilities 0 and 1 draw no decision randomness)
+// and constant recharge, each sensor of a decoupled fleet then runs
+// exactly as it would alone: its SensorStats equal the N = 1 run of its
+// own policy at the same seed, bit for bit. A shared clock would let one
+// sensor's captures reset the other's state.
+func TestDecoupledSensorsKeepOwnCaptureClock(t *testing.T) {
+	policies := []core.ClusteringPolicy{
+		{N1: 20, N2: 40, N3: 80, C1: 1, C2: 1, C3: 1},
+		{N1: 30, N2: 35, N3: 60, C1: 1, C2: 1, C3: 1},
+	}
+	config := func(pols ...core.ClusteringPolicy) Config {
+		return Config{
+			Dist:        mustWeibull(t, 40, 3),
+			Params:      core.DefaultParams(),
+			NewRecharge: constantFactory(t, 0.25),
+			NewPolicy:   func(s int) Policy { return &VectorPI{Vector: pols[s].Vector()} },
+			N:           len(pols),
+			Mode:        ModeAll,
+			BatteryCap:  50,
+			Slots:       200_000,
+			Seed:        3,
+			Info:        PartialInfo,
+		}
+	}
+	fleet, err := Run(config(policies...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum, best int64
+	for s, pol := range policies {
+		solo, err := Run(config(pol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solo.Events != fleet.Events {
+			t.Fatalf("sensor %d: solo run saw %d events, fleet %d", s, solo.Events, fleet.Events)
+		}
+		if got, want := fleet.Sensors[s], solo.Sensors[0]; got != want {
+			t.Errorf("sensor %d: fleet %+v, alone %+v", s, got, want)
+		}
+		c := fleet.Sensors[s].Captures
+		if c == 0 {
+			t.Fatalf("sensor %d captured nothing; test vacuous", s)
+		}
+		sum += c
+		best = max(best, c)
+	}
+	if fleet.Captures < best || fleet.Captures > sum {
+		t.Errorf("union captures %d outside [%d, %d]", fleet.Captures, best, sum)
 	}
 }

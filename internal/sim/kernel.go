@@ -292,6 +292,11 @@ type fleetRun struct {
 	rechargeSrcs                []rng.Source
 	batteries                   []energy.Battery
 	rechs                       []energy.FastForwarder
+	// resets holds the processes of rechs with per-run state, picked out
+	// once by newFleetRun: a type assertion in run would call into the
+	// runtime on every replication until the runtime caches the type,
+	// and its rare cache builds allocate inside the replication loop.
+	resets []resettable
 	// amts receives the recharge amounts Fill draws for an always-on
 	// chunk or a decided slot. It lives here, not on the stack, because
 	// Fill is an interface call and its arguments escape.
@@ -315,6 +320,11 @@ func newFleetRun(cfg *Config, plan *kernelPlan, rechs []energy.FastForwarder, qu
 	}
 	for s := range w.batteries {
 		w.batteries[s] = *b
+	}
+	for _, r := range rechs {
+		if rst, ok := r.(resettable); ok {
+			w.resets = append(w.resets, rst)
+		}
 	}
 	return w, nil
 }
@@ -439,9 +449,9 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 	for s := 0; s < n; s++ {
 		w.root.SplitInto(&w.rechargeSrcs[s], uint64(100+s))
 		w.batteries[s].Reset(cfg.InitialBattery)
-		if rst, ok := w.rechs[s].(resettable); ok {
-			rst.Reset()
-		}
+	}
+	for _, rst := range w.resets {
+		rst.Reset()
 	}
 
 	table := plan.table

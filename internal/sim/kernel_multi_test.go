@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"eventcap/internal/core"
-	"eventcap/internal/dist"
 	"eventcap/internal/energy"
 	"eventcap/internal/obs"
 	"eventcap/internal/trace"
@@ -213,137 +212,6 @@ func TestMultiKernelForcedRejectsIneligible(t *testing.T) {
 	}
 }
 
-// independentKernelConfig is a decoupled fleet (ModeAll + PartialInfo)
-// with a compilable per-sensor policy, eligible for the per-sensor
-// compiled loop inside runIndependent.
-func independentKernelConfig(t *testing.T, newRecharge func() energy.Recharge, n int, seed uint64) Config {
-	t.Helper()
-	d, err := dist.NewWeibull(40, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Config{
-		Dist:        d,
-		Params:      core.DefaultParams(),
-		NewRecharge: newRecharge,
-		NewPolicy: func(int) Policy {
-			return &VectorPI{Vector: core.Vector{Prefix: []float64{0, 0, 0, 0, 0.5}, Tail: 1}}
-		},
-		N:          n,
-		Mode:       ModeAll,
-		Info:       PartialInfo,
-		BatteryCap: 50,
-		Slots:      50_000,
-		Seed:       seed,
-	}
-}
-
-// TestIndependentKernelByteIdenticalInterpreted pins the decoupled-fleet
-// contract: under deterministic recharge the compiled per-sensor loop
-// must reproduce the interpreted independent engine bit for bit — same
-// stream layout, same draw consumption, same union aggregation.
-func TestIndependentKernelByteIdenticalInterpreted(t *testing.T) {
-	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.4); return r }
-	for _, n := range []int{2, 5} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			cfg := independentKernelConfig(t, newRech, n, seed)
-
-			cfg.Engine = EngineReference
-			want, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("N=%d seed=%d: reference: %v", n, seed, err)
-			}
-			cfg.Engine = EngineKernel
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("N=%d seed=%d: kernel: %v", n, seed, err)
-			}
-			if got.Engine != EngineKernel || want.Engine != EngineReference {
-				t.Fatalf("N=%d seed=%d: engines %v/%v, want kernel/reference", n, seed, got.Engine, want.Engine)
-			}
-			got.Engine = want.Engine
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("N=%d seed=%d:\ncompiled    %+v\ninterpreted %+v", n, seed, got, want)
-			}
-		}
-	}
-}
-
-// TestIndependentKernelEqualInLawBernoulli is the stochastic counterpart:
-// paired seeds, shared event trajectories, QoM differences centered on
-// zero.
-func TestIndependentKernelEqualInLawBernoulli(t *testing.T) {
-	newRech := func() energy.Recharge { r, _ := energy.NewBernoulli(0.4, 1); return r }
-	const seeds = 16
-	var diffs []float64
-	for seed := uint64(1); seed <= seeds; seed++ {
-		cfg := independentKernelConfig(t, newRech, 3, seed)
-
-		cfg.Engine = EngineReference
-		ref, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Engine = EngineKernel
-		ker, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ker.Events != ref.Events {
-			t.Fatalf("seed=%d: event streams diverged (%d vs %d)", seed, ker.Events, ref.Events)
-		}
-		diffs = append(diffs, ker.QoM-ref.QoM)
-	}
-	var mean, sd float64
-	for _, d := range diffs {
-		mean += d
-	}
-	mean /= float64(len(diffs))
-	for _, d := range diffs {
-		sd += (d - mean) * (d - mean)
-	}
-	sd = math.Sqrt(sd / float64(len(diffs)-1))
-	tol := 4*sd/math.Sqrt(float64(len(diffs))) + 5e-3
-	if math.Abs(mean) > tol {
-		t.Errorf("mean QoM difference %v exceeds %v (sd %v)", mean, tol, sd)
-	}
-}
-
-// TestIndependentKernelFaultTruncation checks fault injection stays
-// eligible on the compiled independent path and truncates exactly like
-// the interpreted loop: a sensor failing at slot F simulates F-1 slots.
-func TestIndependentKernelFaultTruncation(t *testing.T) {
-	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.4); return r }
-	cfg := independentKernelConfig(t, newRech, 3, 9)
-	cfg.FailAt = map[int]int64{1: 1000}
-
-	cfg.Engine = EngineReference
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Engine = EngineKernel
-	got, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.Engine = want.Engine
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("fault run:\ncompiled    %+v\ninterpreted %+v", got, want)
-	}
-	healthy := cfg
-	healthy.FailAt = nil
-	healthy.Engine = EngineKernel
-	full, err := Run(healthy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Sensors[1].Activations >= full.Sensors[1].Activations {
-		t.Errorf("failed sensor activated %d times, healthy run %d — truncation had no effect",
-			got.Sensors[1].Activations, full.Sensors[1].Activations)
-	}
-}
-
 // TestEngineFallbackCounters checks that declined EngineAuto dispatches
 // surface as sim.engine.fallback.* observability counters.
 func TestEngineFallbackCounters(t *testing.T) {
@@ -362,28 +230,32 @@ func TestEngineFallbackCounters(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
+		slug   string
 		mutate func(*Config)
 	}{
-		{"mode", func(c *Config) { c.Mode = ModeBlocks; c.BlockLen = 5 }},
-		{"fault", func(c *Config) { c.FailAt = map[int]int64{0: 10} }},
-		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }},
-		{"mismatch", func(c *Config) {
+		{"blocks", "mode", func(c *Config) { c.Mode = ModeBlocks; c.BlockLen = 5 }},
+		{"decoupled", "mode", func(c *Config) {
+			// Uncoordinated partial-information fleet: the kernel declines
+			// it for its mode, and it runs on the reference engine.
+			c.Mode = ModeAll
+			c.Info = PartialInfo
+		}},
+		{"fault", "fault", func(c *Config) { c.FailAt = map[int]int64{0: 10} }},
+		{"tracer", "tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }},
+		{"mismatch", "mismatch", func(c *Config) {
 			c.Info = PartialInfo
 			c.NewPolicy = func(s int) Policy {
 				return &VectorPI{Vector: core.Vector{Prefix: []float64{0, 0.25 * float64(s+1)}, Tail: 1}}
 			}
 		}},
-		{"policy", func(c *Config) {
-			// Independent fleet whose policy cannot compile: falls back to
-			// the interpreted independent engine with the policy reason.
-			c.Mode = ModeAll
-			c.Info = PartialInfo
+		{"policy", "policy", func(c *Config) {
+			// Round-robin fleet whose policy cannot compile.
 			c.NewPolicy = func(int) Policy { return &EBCW{PYes: 0.9, PNo: 0.1} }
 		}},
 	}
 	for _, tc := range cases {
-		if got := probe(tc.name, tc.mutate); got < 1 {
-			t.Errorf("sim.engine.fallback.%s did not increment (diff %v)", tc.name, got)
+		if got := probe(tc.slug, tc.mutate); got < 1 {
+			t.Errorf("%s: sim.engine.fallback.%s did not increment (diff %v)", tc.name, tc.slug, got)
 		}
 	}
 	// An eligible fleet must not record any fallback.

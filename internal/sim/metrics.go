@@ -96,7 +96,8 @@ func (m *Metrics) MeanBatteryFrac() float64 {
 	return m.BatteryFracSum / float64(m.ObservedSlots)
 }
 
-// Merge adds o's counters into m (combining per-sensor partials).
+// Merge adds o's counters into m (combining the batch engine's
+// per-chunk partials).
 func (m *Metrics) Merge(o *Metrics) {
 	m.MissAsleep += o.MissAsleep
 	m.MissNoEnergy += o.MissNoEnergy

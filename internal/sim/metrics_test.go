@@ -17,11 +17,11 @@ type engineCase struct {
 
 // engineCases spans every path the run observer serves: the sequential
 // reference engine (single- and multi-sensor, coordinated modes, fault
-// injection), the interpreted and compiled independent-sensor engines,
-// the compiled kernel for a single sensor and a round-robin fleet, the
-// batch engine (single sensor, fleet, independent fleet), and the
-// per-replication batch fallback — with batteries both comfortable and
-// starved (K=7 forces the energy gate, exercising MissNoEnergy).
+// injection, an uncoordinated partial-information fleet), the compiled
+// kernel for a single sensor and a round-robin fleet, the batch engine
+// (single sensor and fleet), and the per-replication batch fallback —
+// with batteries both comfortable and starved (K=7 forces the energy
+// gate, exercising MissNoEnergy).
 func engineCases(t *testing.T) []engineCase {
 	t.Helper()
 	bernoulli := func() energy.Recharge {
@@ -59,11 +59,6 @@ func engineCases(t *testing.T) []engineCase {
 	indep.Workers = 2
 	cases = append(cases, engineCase{"independent", indep, true})
 
-	indepCompiled := independentKernelConfig(t, bernoulli, 3, 5)
-	indepCompiled.Engine = EngineKernel
-	indepCompiled.Workers = 2
-	cases = append(cases, engineCase{"independent-compiled", indepCompiled, false})
-
 	kern := kernelBaseConfig(t, kernelCases(t)[0], bernoulli, 100, 1)
 	kern.Engine = EngineKernel
 	cases = append(cases, engineCase{"kernel", kern, true})
@@ -91,13 +86,6 @@ func engineCases(t *testing.T) []engineCase {
 	batchFleet.Batch = 8
 	batchFleet.Workers = 2
 	cases = append(cases, engineCase{"batch-fleet", batchFleet, false})
-
-	batchIndep := independentKernelConfig(t, bernoulli, 3, 9)
-	batchIndep.Slots = 20_000
-	batchIndep.Engine = EngineBatch
-	batchIndep.Batch = 8
-	batchIndep.Workers = 2
-	cases = append(cases, engineCase{"batch-independent", batchIndep, false})
 
 	fallback := multi
 	fallback.Batch = 3 // forced reference engine: sequential replications
@@ -175,10 +163,9 @@ func TestMetricsEventAccounting(t *testing.T) {
 		}
 		perRun := res.Slots / batterySampleStride
 		switch {
-		case cfg.Batch > 1 || cfg.N > 1 && cfg.Mode == ModeAll && res.Engine == EngineKernel:
-			// Occupancy is replication 0's (batches) or sensor 0's
-			// awake slots (compiled independent sensors), while the
-			// kernel counters sum over every replication and sensor.
+		case cfg.Batch > 1:
+			// Occupancy is replication 0's, while the kernel counters
+			// sum over every replication.
 			if m.ObservedSlots == 0 || m.ObservedSlots > perRun {
 				t.Errorf("%s: observed %d slots, want within (0, %d]", name, m.ObservedSlots, perRun)
 			}

@@ -49,12 +49,11 @@ func newObserver(cfg *Config, engine uint8) observer {
 	return o
 }
 
-// newPart builds the observer of one unit of a fanned-out run (an
-// independent sensor's job, a batch chunk): the tracer, a fresh Metrics
-// partial the caller merges back, and neither the stats probe nor
-// battery sampling — the caller hands those to the one unit that
-// samples, and per-event or per-replication observations stay on the
-// run observer.
+// newPart builds the observer of one unit of a fanned-out run (a batch
+// chunk): the tracer, a fresh Metrics partial the caller merges back,
+// and neither the stats probe nor battery sampling — the caller hands
+// those to the one unit that samples, and per-event or per-replication
+// observations stay on the run observer.
 func newPart(cfg *Config, engine uint8) observer {
 	o := observer{
 		invCap:   1 / cfg.BatteryCap,

@@ -182,13 +182,10 @@ type Config struct {
 	// Info is the observation model (default FullInfo).
 	Info Info
 
-	// Workers bounds the worker pool of the independent-sensor fast path
-	// (ModeAll + PartialInfo + N > 1), where each sensor owns its own
-	// decision stream and evolves in isolation, and of the batch
-	// engine's replication chunks. 0 means one worker per CPU; 1 forces
-	// sequential execution. Results are identical for every value — the
-	// per-sensor and per-replication decompositions, not the worker
-	// count, fix the random streams.
+	// Workers bounds the worker pool of the batch engine's replication
+	// chunks. 0 means one worker per CPU; 1 forces sequential execution.
+	// Results are identical for every value — the per-replication
+	// decomposition, not the worker count, fixes the random streams.
 	Workers int
 
 	// FailAt, if non-nil, maps a 0-based sensor index in [0, N) to the
@@ -211,10 +208,7 @@ type Config struct {
 	// is RNG-neutral like Metrics — it never consumes a random draw, so
 	// results are byte-identical with it attached or not (asserted by
 	// TestTracingDoesNotChangeResults). Traced fleets (N > 1) run the
-	// interpreted engines. A full-trace writer serializes the
-	// independent-sensor path onto one worker (results are
-	// worker-invariant, so outputs do not change); a flight recorder
-	// alone leaves the worker pool untouched.
+	// reference engine.
 	Tracer *trace.Tracer
 
 	// Engine selects the simulation engine. The default, EngineAuto, runs
@@ -335,14 +329,6 @@ func (c *Config) inCharge(t int64) int {
 	}
 }
 
-// independentSensors reports whether every sensor's trajectory is fully
-// decoupled from the others': under ModeAll + PartialInfo each sensor
-// sees only its own capture history, so once decision randomness is
-// per-sensor the simulations can run in any order (or concurrently).
-func (c *Config) independentSensors() bool {
-	return c.Mode == ModeAll && c.Info == PartialInfo && c.N > 1
-}
-
 // Run executes the simulation.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
@@ -383,16 +369,6 @@ func Run(cfg Config) (*Result, error) {
 			csp.End()
 			return runFleetKernel(cfg, plan)
 		}
-		if cfg.independentSensors() {
-			// Decoupled sensors get a second chance on the per-sensor
-			// compiled loop before the interpreted one; its decline
-			// reason is the more specific of the two.
-			var ip []indepSensorPlan
-			if ip, fb = compileIndependent(&cfg); ip != nil {
-				csp.End()
-				return runIndependent(cfg, ip)
-			}
-		}
 		if cfg.Engine == EngineKernel {
 			csp.End()
 			return nil, fmt.Errorf("sim: kernel engine unavailable: %s", fb.reason)
@@ -401,16 +377,15 @@ func Run(cfg Config) (*Result, error) {
 		csp.End()
 		fb.record()
 	}
-	if cfg.independentSensors() {
-		return runIndependent(cfg, nil)
-	}
 	return runReference(cfg)
 }
 
 // runReference is the interpreted per-slot engine: the semantic ground
 // truth every fast path is checked against, general over sensor counts,
 // coordination modes, observation models, stateful policies and fault
-// injection.
+// injection. It also runs every fleet the kernel declines, the
+// uncoordinated ones (ModeAll) included: all sensors decide in sensor
+// order from the one shared decision stream.
 func runReference(cfg Config) (*Result, error) {
 	ex := cfg.Span.Child("exec.reference")
 	defer ex.End()
@@ -493,6 +468,8 @@ func runReference(cfg Config) (*Result, error) {
 			st.SinceEvent = -1
 		}
 		if cfg.Mode == ModeAll && cfg.Info == PartialInfo {
+			// Uncoordinated sensors broadcast nothing: each learns only
+			// of its own captures, so each keeps its own f clock.
 			st.SinceCapture = int(t - ownLastCapture[s])
 		}
 		p := policies[s].ActivationProb(st)

@@ -27,10 +27,10 @@ const statsBatteryDecimate = 8
 // byte-identical with the probe attached or not (asserted by
 // TestStatsDoNotChangeResults).
 //
-// Engines feed it single-threaded: per-event and per-replication
-// observations happen on the coordinating goroutine, and battery
-// samples come only from sensor 0's loop, which never overlaps the
-// event feed. The probe therefore carries no locks.
+// Engines feed it single-threaded: every observation happens on the
+// run's coordinating goroutine (the batch engine's chunks only record
+// per-replication counts, fed to the probe after the join), so the
+// probe carries no locks.
 type StatsProbe struct {
 	qom  stats.BatchMeans
 	reps stats.Welford

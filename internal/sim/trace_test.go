@@ -153,10 +153,9 @@ func TestTraceReplayMatchesResults(t *testing.T) {
 	}
 }
 
-// TestTraceWorkerInvariance: a full-trace writer forces the
-// independent-sensor path onto one worker; the results must equal a
-// multi-worker untraced run, and consecutive traced runs must produce
-// byte-identical trace files.
+// TestTraceWorkerInvariance: a traced decoupled fleet must equal its
+// untraced run whatever Workers says, and consecutive traced runs must
+// produce byte-identical trace files.
 func TestTraceWorkerInvariance(t *testing.T) {
 	cfg := engineCaseConfig(t, "independent")
 	cfg.Workers = 4

@@ -36,9 +36,8 @@ type Dump struct {
 // and the HTTP handler.
 //
 // Engines call BeginRun/Record/Span/EndRun from the run's own
-// goroutines (per-sensor goroutines write disjoint rings on the
-// independent path); the handler never reads live rings, only completed
-// dumps and the snapshot EndRun takes, so no lock sits on the hot path.
+// goroutine; the handler never reads live rings, only completed dumps
+// and the snapshot EndRun takes, so no lock sits on the hot path.
 type FlightRecorder struct {
 	size int
 	mask int64

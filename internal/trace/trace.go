@@ -32,8 +32,10 @@ const (
 	EngineReference uint8 = 1
 	// EngineKernel is the compiled slot-skipping kernel.
 	EngineKernel uint8 = 2
-	// EngineIndependent is the per-sensor independent fast path
-	// (ModeAll + PartialInfo + N > 1).
+	// EngineIndependent named the per-sensor engine that once ran
+	// uncoordinated partial-information fleets (ModeAll + PartialInfo +
+	// N > 1). Those fleets now run the reference engine; the code stays
+	// so traces written by that engine still name it.
 	EngineIndependent uint8 = 3
 )
 
@@ -69,8 +71,8 @@ const (
 
 // Rec is one slot-level trace record: the decision-time view of one
 // sensor in one slot. A Sensor of -1 marks an aggregate per-slot record
-// (an event slot in which no individual sensor decided, or the
-// independent engine's event-outcome summary).
+// (an event slot in which no individual sensor decided, or, in traces of
+// the retired independent engine, an event-outcome summary).
 type Rec struct {
 	// Slot is the 1-based absolute slot number.
 	Slot int64
