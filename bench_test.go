@@ -95,8 +95,8 @@ func BenchmarkPolicyOptimizeEBCW(b *testing.B) {
 // BenchmarkSimulatorSlotsPerOp measures raw reference-engine throughput
 // (slots/op is Slots; see ns/op for per-slot cost). It pins
 // EngineReference so it keeps tracking the interpreted per-slot loop;
-// BenchmarkKernelSlotsPerOp in bench_kernel_test.go covers the compiled
-// kernel on the same configuration.
+// BenchmarkGates/kernel in bench_gates_test.go covers the compiled
+// kernel on a sparser configuration.
 func BenchmarkSimulatorSlotsPerOp(b *testing.B) {
 	d, err := dist.NewWeibull(40, 3)
 	if err != nil {

@@ -178,6 +178,11 @@ func run(args []string, out io.Writer) error {
 	var analytic float64
 	switch *policy {
 	case "greedy":
+		if info == sim.PartialInfo {
+			// VectorFI sleeps whenever the time since the last event is
+			// unknown, so under partial information it never wakes.
+			return fmt.Errorf("policy greedy needs full information; use -policy clustering with -info partial")
+		}
 		fi, err := core.GreedyFI(d, aggregate, p)
 		if err != nil {
 			return err

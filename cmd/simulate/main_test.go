@@ -264,34 +264,46 @@ func TestSimulateEarlyStopFlagValidation(t *testing.T) {
 // TestDecoupledFleetEngines: an uncoordinated partial-information fleet
 // (-mode all -info partial, n > 1) runs on the reference engine, so
 // -kernel auto and -kernel off print the same bytes, and forcing the
-// kernel or the batch engine fails with the kernel's mode reason. The
-// default greedy policy never wakes without full information, so the
-// clustering policy makes the comparison bite.
+// kernel or the batch engine fails with the kernel's mode reason.
 func TestDecoupledFleetEngines(t *testing.T) {
 	const reason = "3 sensors without round-robin coordination"
-	base := []string{"-n", "3", "-mode", "all", "-info", "partial", "-recharge", "constant:0.5", "-T", "20000"}
-	for _, policy := range []string{"greedy", "clustering"} {
-		args := append(append([]string{}, base...), "-policy", policy)
-		outs := map[string]string{}
-		for _, kernel := range []string{"auto", "off"} {
-			var sb strings.Builder
-			if err := run(append(append([]string{}, args...), "-kernel", kernel), &sb); err != nil {
-				t.Fatalf("%s -kernel %s: %v", policy, kernel, err)
-			}
-			outs[kernel] = sb.String()
+	args := []string{"-n", "3", "-mode", "all", "-info", "partial", "-recharge", "constant:0.5", "-T", "20000", "-policy", "clustering"}
+	outs := map[string]string{}
+	for _, kernel := range []string{"auto", "off"} {
+		var sb strings.Builder
+		if err := run(append(append([]string{}, args...), "-kernel", kernel), &sb); err != nil {
+			t.Fatalf("-kernel %s: %v", kernel, err)
 		}
-		if outs["auto"] != outs["off"] {
-			t.Errorf("%s: -kernel auto and off differ:\n--- auto ---\n%s--- off ---\n%s", policy, outs["auto"], outs["off"])
+		outs[kernel] = sb.String()
+	}
+	if outs["auto"] != outs["off"] {
+		t.Errorf("-kernel auto and off differ:\n--- auto ---\n%s--- off ---\n%s", outs["auto"], outs["off"])
+	}
+	if strings.Contains(outs["off"], "captured 0\n") {
+		t.Errorf("clustering fleet captured nothing; comparison vacuous:\n%s", outs["off"])
+	}
+	for _, forced := range [][]string{{"-kernel", "on"}, {"-kernel", "batch", "-batch", "2"}} {
+		var sb strings.Builder
+		err := run(append(append([]string{}, args...), forced...), &sb)
+		if err == nil || !strings.Contains(err.Error(), reason) {
+			t.Errorf("%v: error %v, want one naming %q", forced, err, reason)
 		}
-		if policy == "clustering" && strings.Contains(outs["off"], "captured 0\n") {
-			t.Errorf("clustering fleet captured nothing; comparison vacuous:\n%s", outs["off"])
-		}
-		for _, forced := range [][]string{{"-kernel", "on"}, {"-kernel", "batch", "-batch", "2"}} {
-			var sb strings.Builder
-			err := run(append(append([]string{}, args...), forced...), &sb)
-			if err == nil || !strings.Contains(err.Error(), reason) {
-				t.Errorf("%s %v: error %v, want one naming %q", policy, forced, err, reason)
-			}
+	}
+}
+
+// TestGreedyRejectsPartialInfo: the greedy policy never wakes without
+// full information, so -info partial with it (the default policy) is
+// refused with a pointer to the clustering policy instead of printing an
+// all-asleep run.
+func TestGreedyRejectsPartialInfo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-info", "partial", "-T", "1000"},
+		{"-info", "partial", "-policy", "greedy", "-n", "3", "-T", "1000"},
+	} {
+		var sb strings.Builder
+		err := run(args, &sb)
+		if err == nil || !strings.Contains(err.Error(), "policy greedy") || !strings.Contains(err.Error(), "-policy clustering") {
+			t.Errorf("%v: error %v, want one naming policy greedy and suggesting -policy clustering", args, err)
 		}
 	}
 }

@@ -75,16 +75,15 @@ func (c *policyCache[V]) reset() {
 }
 
 var (
-	greedyCache     policyCache[*FIResult]
-	lpCache         policyCache[*FIResult]
-	lagrangianCache policyCache[*FIResult]
-	clusterCache    policyCache[*PIResult]
+	greedyCache  policyCache[*FIResult]
+	lpCache      policyCache[*FIResult]
+	clusterCache policyCache[*PIResult]
 )
 
 // CacheStats reports the policy cache's cumulative hits and misses
 // across all cached solvers (for tests and perf reporting).
 func CacheStats() (hits, misses int64) {
-	for _, c := range []*policyCache[*FIResult]{&greedyCache, &lpCache, &lagrangianCache} {
+	for _, c := range []*policyCache[*FIResult]{&greedyCache, &lpCache} {
 		hits += c.hits.Load()
 		misses += c.misses.Load()
 	}
@@ -98,7 +97,6 @@ func CacheStats() (hits, misses int64) {
 func ResetPolicyCache() {
 	greedyCache.reset()
 	lpCache.reset()
-	lagrangianCache.reset()
 	clusterCache.reset()
 }
 
@@ -140,18 +138,6 @@ func LPFICached(d dist.Interarrival, e float64, p Params, maxStates int) (*FIRes
 	}
 	return lpCache.get(fiKey("lp", dk, e, p, maxStates), func() (*FIResult, error) {
 		return LPFI(d, e, p, maxStates)
-	})
-}
-
-// LagrangianFICached is LagrangianFI behind the policy cache. The
-// returned result is shared; treat it as immutable.
-func LagrangianFICached(d dist.Interarrival, e float64, p Params, maxStates int) (*FIResult, error) {
-	dk, ok := distCacheKey(d)
-	if !ok {
-		return LagrangianFI(d, e, p, maxStates)
-	}
-	return lagrangianCache.get(fiKey("lagrangian", dk, e, p, maxStates), func() (*FIResult, error) {
-		return LagrangianFI(d, e, p, maxStates)
 	})
 }
 

@@ -175,8 +175,8 @@ func TestCacheConcurrentSingleflight(t *testing.T) {
 	}
 }
 
-// TestCachedSolversAgree: LP and Lagrangian cached wrappers agree with
-// greedy on the optimum (Theorem 1), via the cache path.
+// TestCachedSolversAgree: the LP cached wrapper and the Lagrangian solver
+// agree with greedy on the optimum (Theorem 1).
 func TestCachedSolversAgree(t *testing.T) {
 	resetCache(t)
 	d, _ := dist.NewWeibull(40, 3)
@@ -192,7 +192,7 @@ func TestCachedSolversAgree(t *testing.T) {
 	if math.Abs(g.CaptureProb-lp.CaptureProb) > 1e-6 {
 		t.Fatalf("greedy %v vs LP %v", g.CaptureProb, lp.CaptureProb)
 	}
-	lg, err := LagrangianFICached(d, 0.4, p, 300)
+	lg, err := LagrangianFI(d, 0.4, p, 300)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,12 +134,6 @@ func SurvivalSum(d Interarrival, from, to int) float64 {
 	return sum.Value()
 }
 
-// sampleByInversion draws X by inverting the continuous CDF and rounding
-// up, realizing the discretized law α_i = F(i) − F(i−1).
-func sampleByInversion(quantile func(float64) float64, src *rng.Source) int {
-	return ceilGap(quantile(src.Float64()))
-}
-
 // ceilGap is the slotting step shared by every inversion sampler: round
 // the continuous variate up to a whole slot, clamped to >= 1. SampleU
 // implementations must apply exactly this rounding so QuantileTable's

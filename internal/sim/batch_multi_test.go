@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"eventcap/internal/energy"
@@ -112,24 +113,23 @@ func TestBatchMultiShardingInvariance(t *testing.T) {
 }
 
 // TestBatchMultiForcedRejectsIneligible enumerates the fleet-specific
-// batch rejections; EngineAuto with Batch set must still run the
-// configuration through the per-replication fallback.
+// batch rejections, each on a round-robin fleet the batch engine would
+// otherwise take, and checks that the error names the case's reason;
+// EngineAuto with Batch set must still run the configuration through the
+// per-replication fallback.
 func TestBatchMultiForcedRejectsIneligible(t *testing.T) {
 	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		reason string
 	}{
-		{"mode-blocks", func(c *Config) { c.Mode = ModeBlocks; c.BlockLen = 5 }},
-		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }},
-		{"independent fault", func(c *Config) {
-			c.Mode = ModeAll
-			c.Info = PartialInfo
-			c.FailAt = map[int]int64{0: 10}
-		}},
+		{"mode-blocks", func(c *Config) { c.Mode = ModeBlocks; c.BlockLen = 5 }, "without round-robin coordination"},
+		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }, "slot tracing"},
+		{"fault", func(c *Config) { c.FailAt = map[int]int64{0: 10} }, "fault injection"},
 		{"non-fast-forward recharge", func(c *Config) {
 			c.NewRecharge = func() energy.Recharge { r, _ := energy.NewClippedGaussian(0.5, 0.1); return r }
-		}},
+		}, "cannot fast-forward"},
 	}
 	for _, tc := range cases {
 		cfg := multiKernelConfig(t, kernelCases(t)[0], newRech, 3, 100, 1)
@@ -137,8 +137,8 @@ func TestBatchMultiForcedRejectsIneligible(t *testing.T) {
 		cfg.Batch = 4
 		tc.mutate(&cfg)
 		cfg.Engine = EngineBatch
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("%s: forced batch did not reject", tc.name)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: forced batch error %v, want one naming %q", tc.name, err, tc.reason)
 		}
 		cfg.Engine = EngineAuto
 		if _, err := Run(cfg); err != nil {

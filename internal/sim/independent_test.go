@@ -8,7 +8,7 @@ import (
 
 // independentConfig is a decoupled fleet: ModeAll + PartialInfo, every
 // sensor deciding in every slot on its own capture history.
-func independentConfig(t *testing.T, n, workers int) Config {
+func independentConfig(t *testing.T, n int) Config {
 	t.Helper()
 	d := mustWeibull(t, 30, 2)
 	p := core.DefaultParams()
@@ -27,34 +27,31 @@ func independentConfig(t *testing.T, n, workers int) Config {
 		Slots:       120_000,
 		Seed:        17,
 		Info:        PartialInfo,
-		Workers:     workers,
 	}
 }
 
-// TestIndependentDeterministicAcrossWorkers: Workers never touches a
-// decoupled fleet's random streams, so every worker count reproduces
-// the same result to the last bit.
-func TestIndependentDeterministicAcrossWorkers(t *testing.T) {
-	base, err := Run(independentConfig(t, 4, 1))
+// TestIndependentDeterministicAcrossRuns: a decoupled fleet draws every
+// decision and recharge from streams its seed fixes, so a second run
+// reproduces the first to the last bit.
+func TestIndependentDeterministicAcrossRuns(t *testing.T) {
+	base, err := Run(independentConfig(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Events == 0 || base.Captures == 0 {
 		t.Fatalf("vacuous run: %+v", base)
 	}
-	for _, w := range []int{0, 2, 8} {
-		got, err := Run(independentConfig(t, 4, w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Events != base.Events || got.Captures != base.Captures || got.QoM != base.QoM {
-			t.Fatalf("workers=%d: got events=%d captures=%d qom=%v, want %d %d %v",
-				w, got.Events, got.Captures, got.QoM, base.Events, base.Captures, base.QoM)
-		}
-		for s := range got.Sensors {
-			if got.Sensors[s] != base.Sensors[s] {
-				t.Fatalf("workers=%d sensor %d: got %+v, want %+v", w, s, got.Sensors[s], base.Sensors[s])
-			}
+	got, err := Run(independentConfig(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Events != base.Events || got.Captures != base.Captures || got.QoM != base.QoM {
+		t.Fatalf("second run: got events=%d captures=%d qom=%v, want %d %d %v",
+			got.Events, got.Captures, got.QoM, base.Events, base.Captures, base.QoM)
+	}
+	for s := range got.Sensors {
+		if got.Sensors[s] != base.Sensors[s] {
+			t.Fatalf("second run, sensor %d: got %+v, want %+v", s, got.Sensors[s], base.Sensors[s])
 		}
 	}
 }
@@ -63,7 +60,7 @@ func TestIndependentDeterministicAcrossWorkers(t *testing.T) {
 // over sensors (a slot captured by two sensors counts once), so it is
 // bounded by the per-sensor sum and at least the best single sensor.
 func TestIndependentUnionCaptures(t *testing.T) {
-	res, err := Run(independentConfig(t, 3, 0))
+	res, err := Run(independentConfig(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +79,7 @@ func TestIndependentUnionCaptures(t *testing.T) {
 	}
 	// Redundant uncoordinated sensors must beat one sensor's QoM. (N=1
 	// runs the kernel; the comparison is directional, not stream-exact.)
-	solo, err := Run(independentConfig(t, 1, 0))
+	solo, err := Run(independentConfig(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +91,7 @@ func TestIndependentUnionCaptures(t *testing.T) {
 // TestIndependentFailAt: a sensor of a decoupled fleet that dies
 // mid-run stops activating while its peer goes on.
 func TestIndependentFailAt(t *testing.T) {
-	cfg := independentConfig(t, 2, 0)
+	cfg := independentConfig(t, 2)
 	cfg.FailAt = map[int]int64{0: cfg.Slots / 4}
 	res, err := Run(cfg)
 	if err != nil {

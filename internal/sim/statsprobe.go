@@ -15,7 +15,7 @@ const statsPublishStride = 1 << 14
 // kept sample are the probe's only per-sample cost that is not O(1)
 // cheap, and quantiles of a quasi-stationary occupancy stream are
 // insensitive to an 8× thinning — this is what keeps the whole probe
-// inside the ≤2% slot-loop budget (TestStatsOverheadWithinBudget).
+// inside the ≤2% slot-loop budget (TestBenchGates/stats).
 const statsBatteryDecimate = 8
 
 // StatsProbe accumulates the streaming statistics of DESIGN.md §16

@@ -153,12 +153,11 @@ func TestTraceReplayMatchesResults(t *testing.T) {
 	}
 }
 
-// TestTraceWorkerInvariance: a traced decoupled fleet must equal its
-// untraced run whatever Workers says, and consecutive traced runs must
-// produce byte-identical trace files.
-func TestTraceWorkerInvariance(t *testing.T) {
+// TestTraceDeterministicAcrossRuns: a traced decoupled fleet must equal
+// its untraced run, and consecutive traced runs must produce
+// byte-identical trace files.
+func TestTraceDeterministicAcrossRuns(t *testing.T) {
 	cfg := engineCaseConfig(t, "independent")
-	cfg.Workers = 4
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +176,7 @@ func TestTraceWorkerInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("traced single-worker run diverged:\nwith    %+v\nwithout %+v", got, want)
+			t.Fatalf("traced run diverged:\nwith    %+v\nwithout %+v", got, want)
 		}
 		return buf.Bytes()
 	}
