@@ -291,6 +291,30 @@ func TestDecoupledFleetEngines(t *testing.T) {
 	}
 }
 
+// TestBlockFleetEngines: a block fleet (-mode blocks, the periodic
+// baseline rotating θ2-slot blocks) runs on the fleet kernel, which
+// reproduces the reference engine byte for byte under deterministic
+// recharge, so -kernel auto, off and on print the same bytes.
+func TestBlockFleetEngines(t *testing.T) {
+	args := []string{"-n", "3", "-mode", "blocks", "-policy", "periodic", "-recharge", "constant:0.5", "-T", "20000"}
+	outs := map[string]string{}
+	for _, kernel := range []string{"auto", "off", "on"} {
+		var sb strings.Builder
+		if err := run(append(append([]string{}, args...), "-kernel", kernel), &sb); err != nil {
+			t.Fatalf("-kernel %s: %v", kernel, err)
+		}
+		outs[kernel] = sb.String()
+	}
+	for _, kernel := range []string{"auto", "on"} {
+		if outs[kernel] != outs["off"] {
+			t.Errorf("-kernel %s and off differ:\n--- %s ---\n%s--- off ---\n%s", kernel, kernel, outs[kernel], outs["off"])
+		}
+	}
+	if strings.Contains(outs["off"], "captured 0\n") {
+		t.Errorf("periodic fleet captured nothing; comparison vacuous:\n%s", outs["off"])
+	}
+}
+
 // TestGreedyRejectsPartialInfo: the greedy policy never wakes without
 // full information, so -info partial with it (the default policy) is
 // refused with a pointer to the clustering policy instead of printing an

@@ -9,10 +9,11 @@ import (
 
 // BinomialTable samples Binomial(n, p) for a fixed p and any n up to a
 // precomputed bound with a single uniform draw and a binary search — no
-// logarithms in the hot path. The simulation kernel prepares one per run:
-// sleep-run lengths repeat heavily and stay small, so the O(maxN²) table
-// build (a few microseconds) amortizes across tens of thousands of draws
-// that would otherwise each pay SampleBinomial's geometric-gap or
+// logarithms in the hot path. The simulation kernel prepares one per
+// compiled plan and recharge probability, read by every sensor of the
+// plan: sleep-run lengths repeat heavily and stay small, so the O(maxN²)
+// table build (a few microseconds) amortizes across tens of thousands of
+// draws that would otherwise each pay SampleBinomial's geometric-gap or
 // mode-inversion transcendentals. Values of n beyond the bound fall back
 // to SampleBinomial.
 type BinomialTable struct {

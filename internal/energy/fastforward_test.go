@@ -224,3 +224,41 @@ func TestBernoulliFastForwardOverflowAccounting(t *testing.T) {
 		t.Fatalf("energy not conserved: received %v, gain %v, overflow %v", b.Received(), gain, b.OverflowLost())
 	}
 }
+
+// TestPrepareFleetSharesTablePerQ: one fleet's Bernoulli processes with
+// the same q read one binomial table whatever their amounts, processes
+// with another q get their own, and a process reading a shared table
+// fast-forwards exactly as one prepared alone.
+func TestPrepareFleetSharesTablePerQ(t *testing.T) {
+	bern := func(q, c float64) *Bernoulli {
+		r, err := NewBernoulli(q, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	constant, err := NewConstant(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, other, c := bern(0.1, 1), bern(0.1, 2), bern(0.3, 1), bern(0.1, 1)
+	PrepareFleet([]FastForwarder{a, b, constant, other, c}, 64)
+	if a.table == nil || b.table != a.table || c.table != a.table {
+		t.Fatalf("q = 0.1 sensors read tables %p, %p, %p, want one", a.table, b.table, c.table)
+	}
+	if other.table == nil || other.table == a.table {
+		t.Fatalf("the q = 0.3 sensor reads table %p, the q = 0.1 sensors %p", other.table, a.table)
+	}
+	alone := bern(0.1, 2)
+	alone.PrepareFastForward(64)
+	shared, own := rng.New(5, 5), rng.New(5, 5)
+	for _, n := range []int64{1, 7, 64, 200} {
+		got, _ := NewBattery(1<<20, 0)
+		want, _ := NewBattery(1<<20, 0)
+		b.FastForward(got, n, shared)
+		alone.FastForward(want, n, own)
+		if snap(got) != snap(want) {
+			t.Errorf("n=%d: shared table %+v, own table %+v", n, snap(got), snap(want))
+		}
+	}
+}

@@ -51,10 +51,10 @@ type FastForwarder interface {
 }
 
 // FastForwardPreparer is optionally implemented by fast-forwardable
-// processes that benefit from precomputation. The kernel calls
-// PrepareFastForward once per run with the largest sleep-run length it
-// expects to batch, before any FastForward call; the hint only affects
-// speed, never the sampled law.
+// processes that benefit from precomputation. The kernel prepares each
+// compiled plan's processes once (PrepareFleet) with the largest
+// sleep-run length it expects to batch, before any FastForward call; the
+// hint only affects speed, never the sampled law.
 type FastForwardPreparer interface {
 	FastForwarder
 	PrepareFastForward(maxN int)
@@ -142,6 +142,34 @@ var _ FastForwardPreparer = (*Bernoulli)(nil)
 func (b *Bernoulli) PrepareFastForward(maxN int) {
 	if b.table == nil || b.table.MaxN() < maxN {
 		b.table = dist.NewBinomialTable(b.q, maxN)
+	}
+}
+
+// PrepareFleet prepares the processes of one fleet, one per sensor, as
+// PrepareFastForward(maxN) would, except that Bernoulli processes with
+// the same q (bit for bit) read one binomial table: FastForward only
+// reads it, so each process keeps its own state and draws from its own
+// stream exactly as with a table of its own. The tables live as long as
+// the processes that read them.
+func PrepareFleet(rechs []FastForwarder, maxN int) {
+	var tables []*dist.BinomialTable
+next:
+	for _, r := range rechs {
+		b, ok := r.(*Bernoulli)
+		if !ok {
+			if prep, ok := r.(FastForwardPreparer); ok {
+				prep.PrepareFastForward(maxN)
+			}
+			continue
+		}
+		for _, t := range tables {
+			if math.Float64bits(t.P()) == math.Float64bits(b.q) && t.MaxN() >= maxN {
+				b.table = t
+				continue next
+			}
+		}
+		b.PrepareFastForward(maxN)
+		tables = append(tables, b.table)
 	}
 }
 

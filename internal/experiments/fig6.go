@@ -23,11 +23,16 @@ const (
 	fig6Theta1 = 3
 )
 
-// fig6Point measures the four policies for one (N, c) setting.
-func fig6Point(opts Options, n int, c float64, seedBase uint64) (mfi, mpi, ag, pe float64, err error) {
+// fig6Policies are the four policies of Figure 6, in column order; the
+// index of each is also its run's seed offset (plus one).
+var fig6Policies = []string{"M-FI", "M-PI", "pi_AG", "pi_PE"}
+
+// fig6Run measures policy fig6Policies[policy] at one (N, c) setting: its
+// own solve, then its simulation at seedBase + policy + 1.
+func fig6Run(opts Options, n int, c float64, policy int, seedBase uint64) (float64, error) {
 	d, err := dist.NewWeibull(40, 3)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, err
 	}
 	p := core.DefaultParams()
 	e := fig6Q * c
@@ -37,66 +42,58 @@ func fig6Point(opts Options, n int, c float64, seedBase uint64) (mfi, mpi, ag, p
 		r, _ := energy.NewBernoulli(fig6Q, c)
 		return r
 	}
-	run := func(mode sim.Mode, blockLen int, info sim.Info, newPolicy func(int) sim.Policy, seedOff uint64) (float64, error) {
-		res, err := runSim(opts, sim.Config{
-			Dist:        d,
-			Params:      p,
-			NewRecharge: newRecharge,
-			NewPolicy:   newPolicy,
-			N:           n,
-			Mode:        mode,
-			BlockLen:    blockLen,
-			BatteryCap:  fig6K,
-			Slots:       opts.Slots,
-			Seed:        seedBase + seedOff,
-			Info:        info,
-			Engine:      opts.Engine,
-		})
+	cfg := sim.Config{
+		Dist:        d,
+		Params:      p,
+		NewRecharge: newRecharge,
+		N:           n,
+		Mode:        sim.ModeRoundRobin,
+		BatteryCap:  fig6K,
+		Slots:       opts.Slots,
+		Seed:        seedBase + uint64(policy) + 1,
+		Info:        sim.PartialInfo,
+		Engine:      opts.Engine,
+	}
+	switch policy {
+	case 0:
+		// M-FI: greedy policy at the aggregate recharge rate.
+		solved := opts.SolvePhase()
+		fi, err := core.GreedyFICached(d, aggregate, p)
+		solved()
 		if err != nil {
 			return 0, err
 		}
-		return res.QoM, nil
+		cfg.Info = sim.FullInfo
+		cfg.NewPolicy = newVectorPolicy(sim.FullInfo, fi.Policy)
+	case 1:
+		// M-PI: clustering policy at the aggregate rate.
+		vec, _, err := robustClustering(d, aggregate, p, opts, fig6K, newRecharge, seedBase)
+		if err != nil {
+			return 0, err
+		}
+		cfg.NewPolicy = newVectorPolicy(sim.PartialInfo, vec)
+	case 2:
+		// Multi-sensor aggressive: round-robin slots, aggressive inside.
+		cfg.NewPolicy = func(int) sim.Policy { return sim.Aggressive{} }
+	default:
+		// Multi-sensor periodic: θ2-slot blocks rotate across sensors;
+		// each sensor is energy balanced at θ2(θ1, N·e).
+		theta2, err := core.PeriodicTheta2(fig6Theta1, aggregate, d, p)
+		if err != nil {
+			return 0, err
+		}
+		pol, err := sim.NewPeriodic(fig6Theta1, theta2)
+		if err != nil {
+			return 0, err
+		}
+		cfg.Mode, cfg.BlockLen = sim.ModeBlocks, pol.Theta2
+		cfg.NewPolicy = func(int) sim.Policy { return pol }
 	}
-
-	// M-FI: greedy policy at the aggregate recharge rate.
-	solved := opts.SolvePhase()
-	fi, err := core.GreedyFICached(d, aggregate, p)
-	solved()
+	res, err := runSim(opts, cfg)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, err
 	}
-	if mfi, err = run(sim.ModeRoundRobin, 0, sim.FullInfo, newVectorPolicy(sim.FullInfo, fi.Policy), 1); err != nil {
-		return 0, 0, 0, 0, err
-	}
-
-	// M-PI: clustering policy at the aggregate rate.
-	vec, _, err := robustClustering(d, aggregate, p, opts, fig6K, newRecharge, seedBase)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if mpi, err = run(sim.ModeRoundRobin, 0, sim.PartialInfo, newVectorPolicy(sim.PartialInfo, vec), 2); err != nil {
-		return 0, 0, 0, 0, err
-	}
-
-	// Multi-sensor aggressive: round-robin slots, aggressive inside.
-	if ag, err = run(sim.ModeRoundRobin, 0, sim.PartialInfo, func(int) sim.Policy { return sim.Aggressive{} }, 3); err != nil {
-		return 0, 0, 0, 0, err
-	}
-
-	// Multi-sensor periodic: θ2-slot blocks rotate across sensors; each
-	// sensor is energy balanced at θ2(θ1, N·e).
-	theta2, err := core.PeriodicTheta2(fig6Theta1, aggregate, d, p)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	pol, err := sim.NewPeriodic(fig6Theta1, theta2)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if pe, err = run(sim.ModeBlocks, pol.Theta2, sim.PartialInfo, func(int) sim.Policy { return pol }, 4); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return mfi, mpi, ag, pe, nil
+	return res.QoM, nil
 }
 
 func runFig6(id, title, xlabel string, opts Options, points []float64, setting func(x float64) (n int, c float64), note string) (*Table, error) {
@@ -112,19 +109,26 @@ func runFig6(id, title, xlabel string, opts Options, points []float64, setting f
 		X:      points,
 		Notes:  []string{note + fmt.Sprintf(", K=%d, T=%d", fig6K, opts.Slots)},
 	}
-	// Each (N, c) setting is one pool job measuring all four policies.
-	rows, err := parallel.Map(opts.Workers, len(points), func(i int) ([]float64, error) {
+	// Each (N or c point, policy) pair is one pool job, so a point's four
+	// runs spread over the workers instead of queueing on one.
+	np := len(fig6Policies)
+	qoms, err := parallel.Map(opts.Workers, np*len(points), func(j int) (float64, error) {
+		i, policy := j/np, j%np
 		n, c := setting(points[i])
-		mfi, mpi, ag, pe, err := fig6Point(opts, n, c, opts.Seed+uint64(i)*10)
+		q, err := fig6Run(opts, n, c, policy, opts.Seed+uint64(i)*10)
 		if err != nil {
-			return nil, fmt.Errorf("%s at %s=%g: %w", id, xlabel, points[i], err)
+			return 0, fmt.Errorf("%s %s at %s=%g: %w", id, fig6Policies[policy], xlabel, points[i], err)
 		}
-		return []float64{mfi, mpi, ag, pe}, nil
+		return q, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	table.Series = seriesFromColumns(rows, "M-FI", "M-PI", "pi_AG", "pi_PE")
+	rows := make([][]float64, len(points))
+	for i := range rows {
+		rows[i] = qoms[i*np : (i+1)*np]
+	}
+	table.Series = seriesFromColumns(rows, fig6Policies...)
 	return table, nil
 }
 

@@ -18,10 +18,10 @@ import (
 // recharge's phase) lives in a fixed set of values reset in place, so
 // the steady-state loop allocates nothing per replication.
 //
-// Every replication (one sensor or a round-robin fleet) runs through the
-// kernel's own loop, fleetRun.run, at seed Seed + r, so replication r
-// reproduces the run this Config would produce at Seed + r byte for
-// byte, with Metrics on or off. The chunk sharding and worker count
+// Every replication (one sensor, a round-robin or a block fleet) runs
+// through the kernel's own loop, fleetRun.run, at seed Seed + r, so
+// replication r reproduces the run this Config would produce at
+// Seed + r byte for byte, with Metrics on or off. The chunk sharding and worker count
 // never touch the streams, so results are byte-identical across every
 // Workers setting.
 

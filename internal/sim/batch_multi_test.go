@@ -10,9 +10,10 @@ import (
 )
 
 // TestBatchMultiPerRepMatchesKernel pins the fleet batch contract:
-// replication r of a round-robin batch must reproduce the multi-kernel
-// run at Seed + r bit for bit, for Bernoulli recharge too, with metrics
-// on or off.
+// replication r of a batch must reproduce the fleet-kernel run at
+// Seed + r bit for bit, for a round-robin fleet and a block fleet (the
+// periodic(3/8) policy on its θ2-slot blocks, fig6's π_PE shape), for
+// Bernoulli recharge too, with metrics on or off.
 func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 	const reps = 48
 	recharges := []struct {
@@ -23,48 +24,61 @@ func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 		{"periodic-5-per-10", func() energy.Recharge { r, _ := energy.NewPeriodic(5, 10); return r }},
 		{"bernoulli-0.5-1", func() energy.Recharge { r, _ := energy.NewBernoulli(0.5, 1); return r }},
 	}
-	kc := kernelCases(t)[0]
-	for _, rc := range recharges {
-		for _, metrics := range []bool{false, true} {
-			const n = 3
-			cfg := multiKernelConfig(t, kc, rc.make, n, 100, 42)
-			cfg.Slots = 10_000
-			cfg.Metrics = metrics
-			cfg.Engine = EngineBatch
-			cfg.Batch = reps
-			batch, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s metrics=%v: batch: %v", rc.name, metrics, err)
-			}
-			if len(batch.Sensors) != reps*n {
-				t.Fatalf("%s: batch returned %d sensor blocks, want %d", rc.name, len(batch.Sensors), reps*n)
-			}
-			var events, captures int64
-			var agg *Metrics
-			for r := 0; r < reps; r++ {
-				sub := multiKernelConfig(t, kc, rc.make, n, 100, 42+uint64(r))
-				sub.Slots = 10_000
-				sub.Metrics = metrics
-				sub.Engine = EngineKernel
-				one, err := Run(sub)
+	cases := kernelCases(t)
+	fleets := []struct {
+		kc kernelCase
+		fm fleetMode
+	}{
+		{cases[0], fleetModes[0]},
+		{cases[4], fleetModes[3]},
+	}
+	for _, fl := range fleets {
+		kc, fm := fl.kc, fl.fm
+		for _, rc := range recharges {
+			for _, metrics := range []bool{false, true} {
+				const n = 3
+				name := fm.name + "/" + kc.name + "/" + rc.name
+				cfg := multiKernelConfig(t, kc, rc.make, n, 100, 42)
+				fm.apply(&cfg)
+				cfg.Slots = 10_000
+				cfg.Metrics = metrics
+				cfg.Engine = EngineBatch
+				cfg.Batch = reps
+				batch, err := Run(cfg)
 				if err != nil {
-					t.Fatalf("%s replication %d: %v", rc.name, r, err)
+					t.Fatalf("%s metrics=%v: batch: %v", name, metrics, err)
 				}
-				if !reflect.DeepEqual(batch.Sensors[r*n:(r+1)*n], one.Sensors) {
-					t.Fatalf("%s metrics=%v replication %d diverged:\nbatch  %+v\nkernel %+v",
-						rc.name, metrics, r, batch.Sensors[r*n:(r+1)*n], one.Sensors)
+				if len(batch.Sensors) != reps*n {
+					t.Fatalf("%s: batch returned %d sensor blocks, want %d", name, len(batch.Sensors), reps*n)
 				}
-				events += one.Events
-				captures += one.Captures
-				agg = foldReplicaMetrics(agg, one.Metrics)
-			}
-			if batch.Events != events || batch.Captures != captures {
-				t.Errorf("%s: batch totals %d/%d, paired kernel sum %d/%d",
-					rc.name, batch.Events, batch.Captures, events, captures)
-			}
-			if !reflect.DeepEqual(batch.Metrics, agg) {
-				t.Errorf("%s metrics=%v: batch metrics diverge from the replication sum:\nbatch %+v\nsum   %+v",
-					rc.name, metrics, batch.Metrics, agg)
+				var events, captures int64
+				var agg *Metrics
+				for r := 0; r < reps; r++ {
+					sub := multiKernelConfig(t, kc, rc.make, n, 100, 42+uint64(r))
+					fm.apply(&sub)
+					sub.Slots = 10_000
+					sub.Metrics = metrics
+					sub.Engine = EngineKernel
+					one, err := Run(sub)
+					if err != nil {
+						t.Fatalf("%s replication %d: %v", name, r, err)
+					}
+					if !reflect.DeepEqual(batch.Sensors[r*n:(r+1)*n], one.Sensors) {
+						t.Fatalf("%s metrics=%v replication %d diverged:\nbatch  %+v\nkernel %+v",
+							name, metrics, r, batch.Sensors[r*n:(r+1)*n], one.Sensors)
+					}
+					events += one.Events
+					captures += one.Captures
+					agg = foldReplicaMetrics(agg, one.Metrics)
+				}
+				if batch.Events != events || batch.Captures != captures {
+					t.Errorf("%s: batch totals %d/%d, paired kernel sum %d/%d",
+						name, batch.Events, batch.Captures, events, captures)
+				}
+				if !reflect.DeepEqual(batch.Metrics, agg) {
+					t.Errorf("%s metrics=%v: batch metrics diverge from the replication sum:\nbatch %+v\nsum   %+v",
+						name, metrics, batch.Metrics, agg)
+				}
 			}
 		}
 	}
@@ -124,7 +138,6 @@ func TestBatchMultiForcedRejectsIneligible(t *testing.T) {
 		mutate func(*Config)
 		reason string
 	}{
-		{"mode-blocks", func(c *Config) { c.Mode = ModeBlocks; c.BlockLen = 5 }, "without round-robin coordination"},
 		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }, "slot tracing"},
 		{"fault", func(c *Config) { c.FailAt = map[int]int64{0: 10} }, "fault injection"},
 		{"non-fast-forward recharge", func(c *Config) {

@@ -145,7 +145,11 @@ type kernelPlan struct {
 	state   StateKind
 	modulus int64
 
-	n         int
+	n int
+	// block is the number of consecutive slots each sensor owns in turn:
+	// Config.BlockLen for a block fleet, 1 for a round-robin fleet and a
+	// single sensor. Slot t's owner is ((t−1)/block) mod n.
+	block     int64
 	policies  []Policy
 	recharges []energy.FastForwarder
 }
@@ -175,13 +179,14 @@ func samePlan(a, b CompiledPolicy) bool {
 // human-readable reason). Checks are ordered cheapest first; factories
 // only run when the structural checks pass.
 //
-// Multi-sensor configurations compile when the mode is ModeRoundRobin:
-// the in-charge sensor's decision state (h, f, or slot phase) is shared
-// across the fleet — h and the broadcast f reset on global occurrences,
-// the phase is absolute — so one activation table covers every sensor,
-// provided all N policies compile to identical tables.
+// Multi-sensor configurations compile when one sensor owns each slot
+// (ModeRoundRobin, or ModeBlocks rotating BlockLen-slot blocks): the
+// owner's decision state (h, f, or slot phase) is shared across the
+// fleet — h and the broadcast f reset on global occurrences, the phase
+// is absolute — so one activation table covers every sensor, provided
+// all N policies compile to identical tables.
 func compileKernel(cfg *Config) (*kernelPlan, fallback) {
-	if cfg.N != 1 && cfg.Mode != ModeRoundRobin {
+	if cfg.N != 1 && cfg.Mode == ModeAll {
 		return nil, fallback{"mode", fmt.Sprintf("%d sensors without round-robin coordination", cfg.N)}
 	}
 	if len(cfg.FailAt) > 0 {
@@ -215,8 +220,12 @@ func compileKernel(cfg *Config) (*kernelPlan, fallback) {
 		state:     cp.State,
 		modulus:   int64(cp.Modulus),
 		n:         cfg.N,
+		block:     1,
 		policies:  make([]Policy, cfg.N),
 		recharges: make([]energy.FastForwarder, cfg.N),
+	}
+	if cfg.N != 1 && cfg.Mode == ModeBlocks {
+		plan.block = int64(cfg.BlockLen)
 	}
 	plan.policies[0] = pol
 	for s := 1; s < cfg.N; s++ {
@@ -240,11 +249,11 @@ func compileKernel(cfg *Config) (*kernelPlan, fallback) {
 		if !ok {
 			return nil, fallback{"recharge", fmt.Sprintf("recharge %s cannot fast-forward", rech.Name())}
 		}
-		if prep, ok := rech.(energy.FastForwardPreparer); ok {
-			prep.PrepareFastForward(prepareRunLength)
-		}
 		plan.recharges[s] = ff
 	}
+	// Sensors with equal Bernoulli q read one binomial table, built for
+	// this plan only: each keeps its own process and stream.
+	energy.PrepareFleet(plan.recharges, prepareRunLength)
 	return plan, fallback{}
 }
 
@@ -360,26 +369,36 @@ const alwaysOnChunk = 32
 
 // alwaysOn advances every sensor through the run slots t..t+run-1, a
 // stretch of probability-one states with no event, and adds each
-// sensor's activations and denials to its block. Sensor s owns the slots
-// with (t'−1) mod N = s and decides on those; every sensor recharges on
-// every slot from its own stream. Nothing else is shared — no decision
-// draw (rng.Bernoulli(1) draws nothing) and no event — so the sensors
-// advance one after another, each in one pass over its amounts, with
-// every draw and float operation in the per-slot order.
+// sensor's activations and denials to its block. In a round-robin fleet
+// sensor s owns the slots with (t'−1) mod N = s and decides on those. A
+// block fleet's run lies inside one block (fleetRun.run stops it at the
+// block's end), whose owner decides every slot. Every sensor recharges
+// on every slot from its own stream. Nothing else is shared — no
+// decision draw (rng.Bernoulli(1) draws nothing) and no event — so the
+// sensors advance one after another, each in one pass over its amounts,
+// with every draw and float operation in the per-slot order. Where the
+// run ends therefore moves no draw, so the battery-sample countdown that
+// ends some runs only when an observer samples stays RNG-neutral.
 func (w *fleetRun) alwaysOn(t, run int64, cost, delta1 float64, sensors []SensorStats) {
-	n := len(w.batteries)
-	first := int((t - 1) % int64(n))
+	n, block := len(w.batteries), w.plan.block
+	first, stride := int((t-1)%int64(n)), n
+	if block > 1 {
+		first, stride = int((t-1)/block%int64(n)), 1
+	}
 	for s := range w.batteries {
 		// own is the offset of sensor s's next slot from the chunk start.
 		own := s - first
 		if own < 0 {
 			own += n
 		}
+		if block > 1 && own != 0 {
+			own = int(run) // a block fleet's other sensors own no slot of the run
+		}
 		for left := run; left > 0; {
 			amts := w.amts[:min(left, alwaysOnChunk)]
 			w.rechs[s].Fill(amts, &w.rechargeSrcs[s])
 			var a, d int64
-			a, d, own = w.batteries[s].RunAlwaysOn(amts, own, n, cost, delta1)
+			a, d, own = w.batteries[s].RunAlwaysOn(amts, own, stride, cost, delta1)
 			sensors[s].Activations += a
 			sensors[s].Denied += d
 			left -= int64(len(amts))
@@ -399,11 +418,13 @@ func (w *fleetRun) gap(d dist.Interarrival) int64 {
 // sensor), observing into o, and returns the run's event and capture
 // counts.
 //
-// The round-robin fleet shares one compiled activation table — the
-// in-charge sensor's decision state is global (h resets on every event,
-// the broadcast f on every capture, the slot phase is absolute) — so a
-// run of equal decisions covers whichever sensors own its slots. The loop
-// takes three kinds of step, chosen from the table alone:
+// The fleet shares one compiled activation table — the in-charge
+// sensor's decision state is global (h resets on every event, the
+// broadcast f on every capture, the slot phase is absolute) — so a run of
+// equal decisions covers whichever sensors own its slots. Slot t's owner
+// is ((t−1)/B) mod N, with B the plan's block length (1 for round-robin
+// fleets and single sensors). The loop takes three kinds of step, chosen
+// from the table alone:
 //
 //   - A sleep run (z zero-probability states) silences the whole fleet:
 //     no decision draws, no consumption, and all N batteries fast-forward
@@ -415,11 +436,11 @@ func (w *fleetRun) gap(d dist.Interarrival) int64 {
 //     falls inside, so each sensor's slots touch only its own recharge
 //     stream and battery, and the sensors advance one after another
 //     (fleetRun.alwaysOn). The run also stops at the slot-phase wrap, at
-//     Slots, and at the battery-sample countdown.
+//     Slots, at the battery-sample countdown and, in a block fleet, at
+//     the end of the block, so that one sensor owns all of it.
 //   - Any other slot — fractional probability, the event slot, or any
 //     slot of a traced run — is decided alone, replicating the reference
-//     engine's slot: every sensor recharges, the in-charge sensor
-//     (t−1) mod N decides.
+//     engine's slot: every sensor recharges, the owner decides.
 //
 // RNG stream layout (must equal the reference engine's for byte-identity
 // under deterministic recharge): root Reseed(seed, 0x5eed), event
@@ -455,7 +476,7 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 	}
 
 	table := plan.table
-	state, modulus := plan.state, plan.modulus
+	state, modulus, block := plan.state, plan.modulus, plan.block
 	d := cfg.Dist
 	slots := cfg.Slots
 	batteries := w.batteries
@@ -538,8 +559,13 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 		}
 		if r < 0 && !traced {
 			// Always-on run of −r states: it stops before the next event,
-			// which is decided alone, and at the next battery sample.
-			if run := min(-r, limit, nextEvent-t, countdown); run > 0 {
+			// which is decided alone, at the next battery sample, and at
+			// the end of a block fleet's block.
+			run := min(-r, limit, nextEvent-t, countdown)
+			if block > 1 {
+				run = min(run, block-(t-1)%block)
+			}
+			if run > 0 {
 				w.alwaysOn(t, run, cost, delta1, sensors)
 				o.alwaysOn(run)
 				countdown -= run
@@ -553,11 +579,13 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 		}
 
 		// Decided slot: replicate the reference engine's slot exactly —
-		// every sensor recharges, only the in-charge sensor decides. amt,
-		// sensor 0's delivery, is the traced record's (only single-sensor
-		// runs trace).
+		// every sensor recharges, only the owner decides. amt, sensor 0's
+		// delivery, is the traced record's (only single-sensor runs trace).
 		amt := w.recharge()
-		charge := int((t - 1) % int64(n))
+		charge := 0
+		if n > 1 {
+			charge = int((t - 1) / block % int64(n))
+		}
 		battery, stats := &batteries[charge], &sensors[charge]
 		event := t == nextEvent
 		p := table.At(int(st))

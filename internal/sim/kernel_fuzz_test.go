@@ -82,20 +82,25 @@ func encodeFuzzPrefix(prefix []float64) []byte {
 }
 
 // Fuzz flag bits: the information model (and with it the vector policy),
-// the vector's tail, and the recharge process (Bernoulli wins over
-// Periodic; neither bit selects Constant).
+// the vector's tail, the recharge process (Bernoulli wins over Periodic;
+// neither bit selects Constant), and the periodic baseline π_PE in place
+// of the vector policy.
 const (
 	fuzzPartialInfo = 1 << iota
 	fuzzTailOne
 	fuzzPeriodic
 	fuzzBernoulli
+	fuzzPhase
 )
 
 // fuzzKernelConfig decodes one fuzz input into a kernel-eligible
 // configuration: a VectorFI under FullInfo or a VectorPI under
-// PartialInfo over the decoded prefix, N = 1..4 round-robin sensors,
-// K in [7, 200], Slots in [1, 20000], Constant(e), Periodic(a, p) or
-// Bernoulli(q, c) recharge, Metrics and Stats on.
+// PartialInfo over the decoded prefix — or, with fuzzPhase, Periodic(θ1,
+// θ2) with θ1 the prefix's leading ones and θ2 its length (at least 1
+// and θ1) —, N = 1 + sensors%4 sensors, in round-robin when sensors/4 is
+// 0 and in blocks of sensors/4 slots otherwise, K in [7, 200], Slots in
+// [1, 20000], Constant(e), Periodic(a, p) or Bernoulli(q, c) recharge,
+// Metrics and Stats on.
 func fuzzKernelConfig(t *testing.T, flags, sensors uint8, k, slots uint16, rech, period uint8, seed uint64, prefix []byte) Config {
 	t.Helper()
 	d, err := dist.NewWeibull(40, 3)
@@ -111,6 +116,14 @@ func fuzzKernelConfig(t *testing.T, flags, sensors uint8, k, slots uint16, rech,
 	if flags&fuzzPartialInfo != 0 {
 		info = PartialInfo
 		newPolicy = func(int) Policy { return &VectorPI{Vector: v} }
+	}
+	if flags&fuzzPhase != 0 {
+		pe := &Periodic{Theta1: 1, Theta2: len(v.Prefix)}
+		for pe.Theta1 < len(v.Prefix) && v.Prefix[pe.Theta1] >= 1 {
+			pe.Theta1++
+		}
+		pe.Theta2 = max(pe.Theta2, pe.Theta1)
+		newPolicy = func(int) Policy { return pe }
 	}
 	newRecharge := func() energy.Recharge {
 		r, err := energy.NewConstant(float64(1+rech%32) / 16)
@@ -137,7 +150,7 @@ func fuzzKernelConfig(t *testing.T, flags, sensors uint8, k, slots uint16, rech,
 			return r
 		}
 	}
-	return Config{
+	cfg := Config{
 		Dist:        d,
 		Params:      core.DefaultParams(),
 		NewRecharge: newRecharge,
@@ -151,6 +164,10 @@ func fuzzKernelConfig(t *testing.T, flags, sensors uint8, k, slots uint16, rech,
 		Metrics:     true,
 		Stats:       true,
 	}
+	if b := int(sensors / 4); b > 0 {
+		cfg.Mode, cfg.BlockLen = ModeBlocks, b
+	}
+	return cfg
 }
 
 // FuzzKernelMatchesReference generates kernel-eligible configurations
@@ -196,6 +213,10 @@ func FuzzKernelMatchesReference(f *testing.F) {
 	// Interleaved zero, one and fractional runs with a zero tail, N = 2.
 	f.Add(uint8(fuzzPartialInfo), uint8(1), uint16(93), uint16(4999), uint8(3), uint8(0), uint64(5),
 		encodeFuzzPrefix([]float64{0, 0, 0, 1, 1, 0.25, 1, 1, 1, 0, 0.5, 1}))
+	// fig6's π_PE: periodic(3/8) on 8-slot blocks rotating over N = 4
+	// sensors (sensors = 8·4 + 3), K = 200, on a starved Constant(1/16).
+	f.Add(uint8(fuzzPartialInfo|fuzzPhase), uint8(35), uint16(193), uint16(19999), uint8(0), uint8(0), uint64(7),
+		encodeFuzzPrefix([]float64{1, 1, 1, 0, 0, 0, 0, 0}))
 	f.Fuzz(func(t *testing.T, flags, sensors uint8, k, slots uint16, rech, period uint8, seed uint64, prefix []byte) {
 		cfg := fuzzKernelConfig(t, flags, sensors, k, slots, rech, period, seed, prefix)
 		cfg.Engine = EngineReference

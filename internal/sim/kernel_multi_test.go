@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -21,12 +22,37 @@ func multiKernelConfig(t *testing.T, kc kernelCase, newRecharge func() energy.Re
 	return cfg
 }
 
+// fleetMode is one coordination the fleet kernel compiles: round-robin,
+// or blocks of blockLen slots rotating across the sensors. Blocks of one
+// slot are round-robin under the other mode; 8 is the θ2 of the
+// periodic(3/8) kernel case, so its blocks align with the policy's
+// phase, and 3 and 10 do not.
+type fleetMode struct {
+	name     string
+	mode     Mode
+	blockLen int
+}
+
+var fleetModes = []fleetMode{
+	{"roundrobin", ModeRoundRobin, 0},
+	{"blocks-1", ModeBlocks, 1},
+	{"blocks-3", ModeBlocks, 3},
+	{"blocks-8", ModeBlocks, 8},
+	{"blocks-10", ModeBlocks, 10},
+}
+
+// apply sets cfg's coordination to the mode's.
+func (fm fleetMode) apply(cfg *Config) {
+	cfg.Mode, cfg.BlockLen = fm.mode, fm.blockLen
+}
+
 // TestMultiKernelByteIdenticalDeterministicRecharge is the fleet version
 // of the kernel's core contract: under deterministic recharge every field
 // of Result — per-sensor counts, QoM, and the floating-point battery
 // totals — must match the reference engine bit for bit, for every
-// compilable policy shape, fleet sizes 2/4/8, and batteries both
-// comfortable and starved.
+// compilable policy shape, every fleetModes coordination (one parallel
+// subtest each), fleet sizes 2/4/8, and batteries both comfortable and
+// starved.
 func TestMultiKernelByteIdenticalDeterministicRecharge(t *testing.T) {
 	recharges := []struct {
 		name string
@@ -35,106 +61,121 @@ func TestMultiKernelByteIdenticalDeterministicRecharge(t *testing.T) {
 		{"uniform-0.5", func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }},
 		{"periodic-5-per-10", func() energy.Recharge { r, _ := energy.NewPeriodic(5, 10); return r }},
 	}
-	for _, kc := range kernelCases(t) {
-		for _, rc := range recharges {
-			for _, n := range []int{2, 4, 8} {
-				for _, batteryCap := range []float64{7, 100} {
-					for seed := uint64(1); seed <= 3; seed++ {
-						cfg := multiKernelConfig(t, kc, rc.make, n, batteryCap, seed)
+	for _, fm := range fleetModes {
+		t.Run(fm.name, func(t *testing.T) {
+			t.Parallel()
+			for _, kc := range kernelCases(t) {
+				for _, rc := range recharges {
+					for _, n := range []int{2, 4, 8} {
+						for _, batteryCap := range []float64{7, 100} {
+							for seed := uint64(1); seed <= 3; seed++ {
+								cfg := multiKernelConfig(t, kc, rc.make, n, batteryCap, seed)
+								fm.apply(&cfg)
+								name := fmt.Sprintf("%s/%s N=%d K=%g seed=%d", kc.name, rc.name, n, batteryCap, seed)
 
-						cfg.Engine = EngineReference
-						want, err := Run(cfg)
-						if err != nil {
-							t.Fatalf("%s/%s N=%d K=%g: reference: %v", kc.name, rc.name, n, batteryCap, err)
-						}
-						cfg.Engine = EngineKernel
-						got, err := Run(cfg)
-						if err != nil {
-							t.Fatalf("%s/%s N=%d K=%g: kernel: %v", kc.name, rc.name, n, batteryCap, err)
-						}
-						if got.Engine != EngineKernel || want.Engine != EngineReference {
-							t.Fatalf("%s/%s N=%d K=%g seed=%d: engines %v/%v, want kernel/reference",
-								kc.name, rc.name, n, batteryCap, seed, got.Engine, want.Engine)
-						}
-						got.Engine = want.Engine
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s/%s N=%d K=%g seed=%d:\nkernel    %+v\nreference %+v",
-								kc.name, rc.name, n, batteryCap, seed, got, want)
+								cfg.Engine = EngineReference
+								want, err := Run(cfg)
+								if err != nil {
+									t.Fatalf("%s: reference: %v", name, err)
+								}
+								cfg.Engine = EngineKernel
+								got, err := Run(cfg)
+								if err != nil {
+									t.Fatalf("%s: kernel: %v", name, err)
+								}
+								if got.Engine != EngineKernel || want.Engine != EngineReference {
+									t.Fatalf("%s: engines %v/%v, want kernel/reference", name, got.Engine, want.Engine)
+								}
+								got.Engine = want.Engine
+								if !reflect.DeepEqual(got, want) {
+									t.Errorf("%s:\nkernel    %+v\nreference %+v", name, got, want)
+								}
+							}
 						}
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestMultiKernelAutoSelectsKernel checks that EngineAuto routes an
+// eligible round-robin or block fleet through the fleet kernel.
+func TestMultiKernelAutoSelectsKernel(t *testing.T) {
+	kc := kernelCases(t)[0]
+	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }
+	for _, fm := range []fleetMode{fleetModes[0], {"blocks-5", ModeBlocks, 5}} {
+		cfg := multiKernelConfig(t, kc, newRech, 4, 100, 11)
+		fm.apply(&cfg)
+
+		cfg.Engine = EngineKernel
+		forced, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", fm.name, err)
+		}
+		cfg.Engine = EngineAuto
+		auto, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", fm.name, err)
+		}
+		if auto.Engine != EngineKernel {
+			t.Fatalf("%s: auto selected %v, want kernel", fm.name, auto.Engine)
+		}
+		if !reflect.DeepEqual(auto, forced) {
+			t.Errorf("%s: auto %+v != forced kernel %+v", fm.name, auto, forced)
 		}
 	}
 }
 
-// TestMultiKernelAutoSelectsKernel checks that EngineAuto now routes an
-// eligible round-robin fleet through the multi kernel.
-func TestMultiKernelAutoSelectsKernel(t *testing.T) {
-	kc := kernelCases(t)[0]
-	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }
-	cfg := multiKernelConfig(t, kc, newRech, 4, 100, 11)
-
-	cfg.Engine = EngineKernel
-	forced, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Engine = EngineAuto
-	auto, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Engine != EngineKernel {
-		t.Fatalf("auto selected %v, want kernel", auto.Engine)
-	}
-	if !reflect.DeepEqual(auto, forced) {
-		t.Errorf("auto %+v != forced kernel %+v", auto, forced)
-	}
-}
-
 // TestMultiKernelStatisticalEquivalenceBernoulli checks the fleet
-// stochastic-recharge contract on the fig6 shape: kernel and reference
+// stochastic-recharge contract on the fig6 shape, for every fleetModes
+// coordination (one parallel subtest each): kernel and reference
 // simulate the same process law, so across seeds the paired QoM
 // differences must be centered on zero, and the shared event stream must
 // never diverge.
 func TestMultiKernelStatisticalEquivalenceBernoulli(t *testing.T) {
 	newRech := func() energy.Recharge { r, _ := energy.NewBernoulli(0.5, 1); return r }
-	for _, kc := range kernelCases(t) {
-		const seeds = 16
-		var diffs []float64
-		for seed := uint64(1); seed <= seeds; seed++ {
-			cfg := multiKernelConfig(t, kc, newRech, 4, 100, seed)
-			cfg.Slots = 100_000
+	for _, fm := range fleetModes {
+		t.Run(fm.name, func(t *testing.T) {
+			t.Parallel()
+			for _, kc := range kernelCases(t) {
+				const seeds = 16
+				var diffs []float64
+				for seed := uint64(1); seed <= seeds; seed++ {
+					cfg := multiKernelConfig(t, kc, newRech, 4, 100, seed)
+					fm.apply(&cfg)
+					cfg.Slots = 100_000
 
-			cfg.Engine = EngineReference
-			ref, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+					cfg.Engine = EngineReference
+					ref, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Engine = EngineKernel
+					ker, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ker.Events != ref.Events {
+						t.Fatalf("%s seed=%d: event streams diverged (%d vs %d)", kc.name, seed, ker.Events, ref.Events)
+					}
+					diffs = append(diffs, ker.QoM-ref.QoM)
+				}
+				var mean, sd float64
+				for _, d := range diffs {
+					mean += d
+				}
+				mean /= float64(len(diffs))
+				for _, d := range diffs {
+					sd += (d - mean) * (d - mean)
+				}
+				sd = math.Sqrt(sd / float64(len(diffs)-1))
+				tol := 4*sd/math.Sqrt(float64(len(diffs))) + 5e-3
+				if math.Abs(mean) > tol {
+					t.Errorf("%s: mean QoM difference %v exceeds %v (sd %v)", kc.name, mean, tol, sd)
+				}
 			}
-			cfg.Engine = EngineKernel
-			ker, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ker.Events != ref.Events {
-				t.Fatalf("%s seed=%d: event streams diverged (%d vs %d)", kc.name, seed, ker.Events, ref.Events)
-			}
-			diffs = append(diffs, ker.QoM-ref.QoM)
-		}
-		var mean, sd float64
-		for _, d := range diffs {
-			mean += d
-		}
-		mean /= float64(len(diffs))
-		for _, d := range diffs {
-			sd += (d - mean) * (d - mean)
-		}
-		sd = math.Sqrt(sd / float64(len(diffs)-1))
-		tol := 4*sd/math.Sqrt(float64(len(diffs))) + 5e-3
-		if math.Abs(mean) > tol {
-			t.Errorf("%s: mean QoM difference %v exceeds %v (sd %v)", kc.name, mean, tol, sd)
-		}
+		})
 	}
 }
 
@@ -184,7 +225,6 @@ func TestMultiKernelForcedRejectsIneligible(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"mode-blocks", func(c *Config) { c.Mode = ModeBlocks; c.BlockLen = 5 }},
 		{"mode-all-full-info", func(c *Config) { c.Mode = ModeAll }},
 		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }},
 		{"fault injection", func(c *Config) { c.FailAt = map[int]int64{1: 10} }},
@@ -233,7 +273,6 @@ func TestEngineFallbackCounters(t *testing.T) {
 		slug   string
 		mutate func(*Config)
 	}{
-		{"blocks", "mode", func(c *Config) { c.Mode = ModeBlocks; c.BlockLen = 5 }},
 		{"decoupled", "mode", func(c *Config) {
 			// Uncoordinated partial-information fleet: the kernel declines
 			// it for its mode, and it runs on the reference engine.
@@ -258,18 +297,22 @@ func TestEngineFallbackCounters(t *testing.T) {
 			t.Errorf("%s: sim.engine.fallback.%s did not increment (diff %v)", tc.name, tc.slug, got)
 		}
 	}
-	// An eligible fleet must not record any fallback.
-	cfg := multiKernelConfig(t, kernelCases(t)[0], newRech, 3, 100, 1)
-	cfg.Slots = 2000
-	cfg.Engine = EngineAuto
-	before := obs.Snapshot()
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	diff := obs.Diff(before, obs.Snapshot())
-	for k, v := range diff {
-		if v > 0 && len(k) > len("sim.engine.fallback.") && k[:len("sim.engine.fallback.")] == "sim.engine.fallback." {
-			t.Errorf("eligible fleet recorded fallback %s = %v", k, v)
+	// Eligible fleets, round-robin or in blocks, must not record any
+	// fallback.
+	for _, fm := range []fleetMode{fleetModes[0], {"blocks-5", ModeBlocks, 5}} {
+		cfg := multiKernelConfig(t, kernelCases(t)[0], newRech, 3, 100, 1)
+		fm.apply(&cfg)
+		cfg.Slots = 2000
+		cfg.Engine = EngineAuto
+		before := obs.Snapshot()
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		diff := obs.Diff(before, obs.Snapshot())
+		for k, v := range diff {
+			if v > 0 && len(k) > len("sim.engine.fallback.") && k[:len("sim.engine.fallback.")] == "sim.engine.fallback." {
+				t.Errorf("eligible %s fleet recorded fallback %s = %v", fm.name, k, v)
+			}
 		}
 	}
 }

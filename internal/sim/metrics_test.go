@@ -18,10 +18,10 @@ type engineCase struct {
 // engineCases spans every path the run observer serves: the sequential
 // reference engine (single- and multi-sensor, coordinated modes, fault
 // injection, an uncoordinated partial-information fleet), the compiled
-// kernel for a single sensor and a round-robin fleet, the batch engine
-// (single sensor and fleet), and the per-replication batch fallback —
-// with batteries both comfortable and starved (K=7 forces the energy
-// gate, exercising MissNoEnergy).
+// kernel for a single sensor, a round-robin fleet and a block fleet, the
+// batch engine (single sensor and fleet), and the per-replication batch
+// fallback — with batteries both comfortable and starved (K=7 forces the
+// energy gate, exercising MissNoEnergy).
 func engineCases(t *testing.T) []engineCase {
 	t.Helper()
 	bernoulli := func() energy.Recharge {
@@ -56,7 +56,6 @@ func engineCases(t *testing.T) []engineCase {
 	indep.N = 3
 	indep.Mode = ModeAll
 	indep.Info = PartialInfo
-	indep.Workers = 2
 	cases = append(cases, engineCase{"independent", indep, true})
 
 	kern := kernelBaseConfig(t, kernelCases(t)[0], bernoulli, 100, 1)
@@ -72,6 +71,13 @@ func engineCases(t *testing.T) []engineCase {
 	}, 4, 100, 2)
 	fleet.Engine = EngineKernel
 	cases = append(cases, engineCase{"kernel-fleet", fleet, false})
+
+	// fig6's π_PE shape: periodic(3/8) on 8-slot blocks, where a sampling
+	// observer ends always-on runs that the unobserved run does not.
+	blocks := multiKernelConfig(t, kernelCases(t)[4], bernoulli, 3, 100, 4)
+	fleetModes[3].apply(&blocks)
+	blocks.Engine = EngineKernel
+	cases = append(cases, engineCase{"kernel-blocks", blocks, false})
 
 	batch := kernelBaseConfig(t, kernelCases(t)[0], bernoulli, 100, 7)
 	batch.Slots = 20_000

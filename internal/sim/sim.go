@@ -213,10 +213,10 @@ type Config struct {
 
 	// Engine selects the simulation engine. The default, EngineAuto, runs
 	// the compiled slot-skipping kernel whenever the configuration is
-	// eligible (a single sensor or a round-robin fleet, compilable
-	// stateless policy, fast-forwardable recharge, no fault injection)
-	// and the reference engine otherwise. See kernel.go for the
-	// equivalence contract.
+	// eligible (a single sensor, a round-robin or a block fleet,
+	// compilable stateless policy, fast-forwardable recharge, no fault
+	// injection) and the reference engine otherwise. See kernel.go for
+	// the equivalence contract.
 	Engine Engine
 
 	// Batch, when > 1, simulates that many statistically independent
