@@ -1,7 +1,7 @@
 # Development targets. `make check` is the gate a change must pass:
 # gofmt + vet + build + full test suite + the determinism/invariant lint
 # suite + race-enabled library tests + a one-iteration benchmark smoke
-# to catch bit-rot in the bench harness + the batch-engine and
+# to catch bit-rot in the bench harness + the compiled-batch and
 # fleet-kernel speedup gates and the stats probe's overhead gate.
 
 GO ?= go
@@ -92,7 +92,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core
 
 # The gates `make check` runs, from the one table of TestBenchGates
-# (bench_gates_test.go): the batch engine >=5x over B sequential kernel
+# (bench_gates_test.go): a kernel batch >=5x over B single kernel
 # runs, the fleet kernel >=3x over the reference loop (both with the
 # zero steady-state loop-allocation check) and the stats probe <=2% of
 # the reference slot loop. Each gate compares the median of interleaved

@@ -174,17 +174,33 @@ func sparse(engine sim.Engine, probe string) side {
 	}}
 }
 
-// replications times B = 10^4 replications of T = 10^4 sparse slots in
-// one op: short horizons are the batch engine's regime (replication
+// replications times B = 10^4 kernel replications of T = 10^4 sparse
+// slots in one op: short horizons are a batch's regime (replication
 // studies, confidence-interval sweeps), where per-run setup dominates a
-// loop of sim.Run calls. On EngineKernel the op is the sequential
-// fallback, B kernel runs at consecutive seeds: the baseline the batch
-// engine replaces, with equal-in-law aggregates on the same seeds.
-func replications(name string, engine sim.Engine) side {
+// loop of sim.Run calls. Batched, the op is one Batch = B call;
+// otherwise it is that loop, B single runs at consecutive seeds: the
+// baseline a batch replaces, running the same replications.
+func replications(batched bool) side {
+	const reps = 10_000
+	name := "sequential"
+	if batched {
+		name = "batch"
+	}
 	return side{name, func(tb testing.TB) func(uint64) error {
-		cfg := sparseConfig(tb, engine, 10_000)
-		cfg.Batch = 10_000
-		return runOp(cfg, false)
+		cfg := sparseConfig(tb, sim.EngineKernel, 10_000)
+		if batched {
+			cfg.Batch = reps
+			return runOp(cfg, false)
+		}
+		one := runOp(cfg, false)
+		return func(seed uint64) error {
+			for r := range uint64(reps) {
+				if err := one(seed + r); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}}
 }
 
@@ -354,10 +370,10 @@ var benchGates = []benchGate{
 		config:     sparseDesc + ", B=10000 replications x T=10000 slots",
 		slotsPerOp: 10_000 * 10_000,
 		comparisons: []comparison{{
-			base: replications("sequential", sim.EngineKernel), variant: replications("batch", sim.EngineBatch), minSpeedup: 5,
+			base: replications(false), variant: replications(true), minSpeedup: 5,
 		}},
 		loopAllocs: func(tb testing.TB) float64 {
-			cfg := sparseConfig(tb, sim.EngineBatch, 0)
+			cfg := sparseConfig(tb, sim.EngineKernel, 0)
 			cfg.Batch = 256
 			return loopAllocs(tb, cfg, 100, 50_000)
 		},
@@ -575,7 +591,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchSteadyStateAllocs checks the batch engine allocates nothing in
+// TestBatchSteadyStateAllocs checks a kernel batch allocates nothing in
 // steady state on every allocCases workload. Growing the horizon T at
 // fixed B must not change the allocation count (the slot loop is clean),
 // and growing B at a fixed chunk count must not change it either (all
@@ -586,7 +602,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 func TestBatchSteadyStateAllocs(t *testing.T) {
 	for _, ac := range allocCases(t) {
 		cfg := ac.cfg
-		cfg.Engine, cfg.Batch, cfg.Workers = sim.EngineBatch, 256, 2
+		cfg.Engine, cfg.Batch, cfg.Workers = sim.EngineKernel, 256, 2
 		if a := loopAllocs(t, cfg, 100, 50_000); a > 0 {
 			t.Errorf("%s: batch slot loop allocates: %v more allocs at T=50k than at T=100", ac.name, a)
 		}

@@ -19,11 +19,13 @@
 // The check verb is the bench-regression gate: it compares each
 // record's figure of merit (measurement.median_speedup, or the
 // top-level speedup for single-shot records) against the median of its
-// prior trajectory points and fails — exit nonzero — when the current
-// value falls below that median by more than the record's own measured
-// noise floor plus -margin percentage points. Records with no speedup
-// figure (the overhead records, gated by their in-test budgets) and
-// records with no history pass with a note.
+// prior trajectory points measured at the record's own gomaxprocs (a
+// speedup such as BenchmarkParallelSpeedup's scales with the CPU
+// count) and fails — exit nonzero — when the current value falls below
+// that median by more than the record's own measured noise floor plus
+// -margin percentage points. Records with no speedup figure (the
+// overhead records, gated by their in-test budgets) and records with no
+// history at their gomaxprocs pass with a note.
 package main
 
 import (
@@ -157,12 +159,14 @@ func runCheck(args []string, out io.Writer) error {
 			continue
 		}
 		checked++
-		// Prior points are the trajectory entries that differ from the
-		// record on disk — the fold step typically just appended the
-		// current record, which must not vouch for itself.
+		// Prior points are the trajectory entries measured at the same
+		// gomaxprocs that differ from the record on disk — the fold step
+		// typically just appended the current record, which must not
+		// vouch for itself.
+		procs := gomaxprocs(rec)
 		var priors []float64
 		for _, pt := range traj.Series[key] {
-			if bytesEqualCanonical(pt.Record, rec) {
+			if bytesEqualCanonical(pt.Record, rec) || gomaxprocs(pt.Record) != procs {
 				continue
 			}
 			if v, _, ok := figureOfMerit(pt.Record); ok {
@@ -170,7 +174,7 @@ func runCheck(args []string, out io.Writer) error {
 			}
 		}
 		if len(priors) == 0 {
-			fmt.Fprintf(out, "%-28s %.2fx, no prior points — pass\n", key+":", cur)
+			fmt.Fprintf(out, "%-28s %.2fx, no prior points at gomaxprocs %d — pass\n", key+":", cur, procs)
 			continue
 		}
 		prior := median(priors)
@@ -212,6 +216,16 @@ func figureOfMerit(rec json.RawMessage) (fom, floor float64, ok bool) {
 		return v, 0, true
 	}
 	return 0, 0, false
+}
+
+// gomaxprocs returns the GOMAXPROCS a record was measured at (0 when
+// the record does not say).
+func gomaxprocs(rec json.RawMessage) int {
+	var r struct {
+		GoMaxProcs int `json:"gomaxprocs"`
+	}
+	_ = json.Unmarshal(rec, &r)
+	return r.GoMaxProcs
 }
 
 // median returns the middle value (mean of the middle two for even n).

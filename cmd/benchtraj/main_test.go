@@ -223,6 +223,45 @@ func TestCheckUsesMedianOfPriors(t *testing.T) {
 	}
 }
 
+// TestCheckComparesSameGoMaxProcs: a speedup that scales with the CPU
+// count is judged only against priors measured at the record's own
+// gomaxprocs, in both directions.
+func TestCheckComparesSameGoMaxProcs(t *testing.T) {
+	at := func(procs int, speedup float64) map[string]any {
+		rec := medianRecord("BenchmarkParallelSpeedup", speedup, 4)
+		rec["gomaxprocs"] = procs
+		return rec
+	}
+	check := func(history []map[string]any, rec map[string]any) (string, error) {
+		t.Helper()
+		dir := t.TempDir()
+		path := filepath.Join(dir, "BENCH_parallel.json")
+		var sb strings.Builder
+		for _, h := range history {
+			writeJSON(t, path, h)
+			if err := run([]string{"-dir", dir}, &sb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writeJSON(t, path, rec)
+		err := run([]string{"check", "-dir", dir}, &sb)
+		return sb.String(), err
+	}
+	// A 1-CPU record after 2-CPU history has no prior to fall short of.
+	out, err := check([]map[string]any{at(2, 1.7), at(2, 1.75)}, at(1, 0.95))
+	if err != nil {
+		t.Fatalf("1-CPU record failed against 2-CPU priors: %v", err)
+	}
+	if !strings.Contains(out, "no prior points") {
+		t.Errorf("missing no-prior note:\n%s", out)
+	}
+	// A slowed pool on 2 CPUs fails against its 2-CPU prior, though the
+	// 1-CPU priors' median would let it pass.
+	if _, err := check([]map[string]any{at(1, 0.95), at(1, 0.96), at(1, 0.94), at(2, 1.8)}, at(2, 1.0)); err == nil {
+		t.Fatal("2-CPU regression passed against 1-CPU priors")
+	}
+}
+
 func TestCheckSkipsRecordsWithoutSpeedup(t *testing.T) {
 	dir := t.TempDir()
 	// Overhead-style record (BENCH_obs shape): no speedup anywhere.

@@ -65,8 +65,8 @@ func run(args []string, out io.Writer) error {
 		slots       = fs.Int64("slots", 0, "override simulation length T (default 1e6; 1e5 with -quick)")
 		seed        = fs.Uint64("seed", 1, "random seed")
 		workers     = fs.Int("workers", 0, "worker pool size for sweep points (0 = one per CPU; results are identical for any value)")
-		kernel      = fs.String("kernel", "auto", "simulation engine: auto (compiled kernel when eligible) | on (force kernel) | off (reference engine) | batch (force batch engine)")
-		batch       = fs.Int("batch", 0, "run each simulation as B independent replications at seeds seed..seed+B-1 and aggregate (batch engine when eligible)")
+		kernel      = fs.String("kernel", "auto", "simulation engine of every run and -batch replication: auto (compiled kernel when eligible) | on (force kernel) | off (reference engine)")
+		batch       = fs.Int("batch", 0, "run each simulation as B independent replications at seeds seed..seed+B-1 on the -kernel engine and aggregate them")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile to this file (a bare filename lands in -out)")
 		memProf     = fs.String("memprofile", "", "write a heap profile to this file (a bare filename lands in -out)")
 		progress    = fs.Duration("progress", 0, "print a live progress line to stderr at this interval (0 disables)")
@@ -358,7 +358,7 @@ func run(args []string, out io.Writer) error {
 					rp := r
 					man.Stats = &rp
 				}
-				man.EarlyStop = earlyStopInfo(coll.Decision())
+				man.EarlyStop = coll.Decision()
 			}
 			if journal != nil {
 				man.Journal = filepath.Base(journal.Path())
@@ -433,22 +433,6 @@ func runRecord(exp experiments.Experiment, digest string, p manifestParams, diff
 		Events:       int64(diff["sim.events"]),
 		Captures:     int64(diff["sim.captures"]),
 		Phases:       phases,
-	}
-}
-
-// earlyStopInfo converts a sim.StopDecision into its manifest mirror
-// (obs cannot import sim). Nil-safe.
-func earlyStopInfo(d *sim.StopDecision) *obs.EarlyStopInfo {
-	if d == nil {
-		return nil
-	}
-	return &obs.EarlyStopInfo{
-		TargetRelHW:  d.TargetRelHW,
-		MinReps:      d.MinReps,
-		MaxReps:      d.MaxReps,
-		Reps:         d.Reps,
-		RelHalfWidth: d.RelHalfWidth,
-		Stopped:      d.Stopped,
 	}
 }
 

@@ -62,8 +62,8 @@ func run(args []string, out io.Writer) error {
 		delta2     = fs.Float64("delta2", 6, "extra energy per capture")
 		theta1     = fs.Int("theta1", 3, "theta1 for the periodic policy")
 		workers    = fs.Int("workers", 0, "worker pool size for -batch replication chunks (0 = one per CPU)")
-		kernel     = fs.String("kernel", "auto", "simulation engine: auto (compiled kernel when eligible) | on (force kernel) | off (reference engine) | batch (force batch engine)")
-		batch      = fs.Int("batch", 0, "run B independent replications at seeds seed..seed+B-1 and aggregate (batch engine when eligible, sequential runs otherwise)")
+		kernel     = fs.String("kernel", "auto", "simulation engine of every run and -batch replication: auto (compiled kernel when eligible) | on (force kernel) | off (reference engine)")
+		batch      = fs.Int("batch", 0, "run B independent replications at seeds seed..seed+B-1 on the -kernel engine, in parallel chunks of -workers, and aggregate them")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = fs.String("memprofile", "", "write a heap profile to this file")
 		metrics    = fs.Bool("metrics", false, "collect and print run metrics (miss decomposition, battery occupancy; never changes results)")
@@ -277,7 +277,7 @@ func run(args []string, out io.Writer) error {
 	start := time.Now()
 	var (
 		res *sim.Result
-		dec *sim.StopDecision
+		dec *obs.EarlyStopInfo
 	)
 	if *targetHW > 0 {
 		res, dec, err = sim.RunWithEarlyStop(cfg, sim.EarlyStopOptions{TargetRelHW: *targetHW, MinReps: *minReps})
@@ -326,7 +326,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if tw != nil {
-		if err := writeTraceManifest(*traceFile, tw, flight != nil, cfg, engine, digest, start, elapsed, diff, root.Breakdown(), res.Stats, earlyStopInfo(dec)); err != nil {
+		if err := writeTraceManifest(*traceFile, tw, flight != nil, cfg, engine, digest, start, elapsed, diff, root.Breakdown(), res.Stats, dec); err != nil {
 			return err
 		}
 	}
@@ -481,20 +481,4 @@ func writeTraceManifest(tracePath string, tw *trace.Writer, withFlight bool, cfg
 		EarlyStop: early,
 	}
 	return man.Write(tracePath + ".manifest.json")
-}
-
-// earlyStopInfo converts a sim.StopDecision into its manifest mirror
-// (obs cannot import sim). Nil-safe.
-func earlyStopInfo(d *sim.StopDecision) *obs.EarlyStopInfo {
-	if d == nil {
-		return nil
-	}
-	return &obs.EarlyStopInfo{
-		TargetRelHW:  d.TargetRelHW,
-		MinReps:      d.MinReps,
-		MaxReps:      d.MaxReps,
-		Reps:         d.Reps,
-		RelHalfWidth: d.RelHalfWidth,
-		Stopped:      d.Stopped,
-	}
 }

@@ -264,7 +264,7 @@ func TestSimulateEarlyStopFlagValidation(t *testing.T) {
 // TestDecoupledFleetEngines: an uncoordinated partial-information fleet
 // (-mode all -info partial, n > 1) runs on the reference engine, so
 // -kernel auto and -kernel off print the same bytes, and forcing the
-// kernel or the batch engine fails with the kernel's mode reason.
+// kernel, for one run or a batch, fails with the kernel's mode reason.
 func TestDecoupledFleetEngines(t *testing.T) {
 	const reason = "3 sensors without round-robin coordination"
 	args := []string{"-n", "3", "-mode", "all", "-info", "partial", "-recharge", "constant:0.5", "-T", "20000", "-policy", "clustering"}
@@ -282,7 +282,7 @@ func TestDecoupledFleetEngines(t *testing.T) {
 	if strings.Contains(outs["off"], "captured 0\n") {
 		t.Errorf("clustering fleet captured nothing; comparison vacuous:\n%s", outs["off"])
 	}
-	for _, forced := range [][]string{{"-kernel", "on"}, {"-kernel", "batch", "-batch", "2"}} {
+	for _, forced := range [][]string{{"-kernel", "on"}, {"-kernel", "on", "-batch", "2"}} {
 		var sb strings.Builder
 		err := run(append(append([]string{}, args...), forced...), &sb)
 		if err == nil || !strings.Contains(err.Error(), reason) {

@@ -7,7 +7,7 @@ import (
 // InverseSampler is implemented by distributions whose Sample consumes
 // exactly one uniform and maps it to a gap through a deterministic,
 // nondecreasing function of u — the single-draw inversion samplers
-// (Weibull, Pareto). Exposing that map lets batch engines precompute an
+// (Weibull, Pareto). Exposing that map lets a batch precompute an
 // exact threshold table (QuantileTable) that reproduces Sample draw for
 // draw without the per-draw transcendentals.
 //

@@ -29,7 +29,7 @@ func quantileSamplers(t *testing.T) []InverseSampler {
 }
 
 // TestQuantileTableMatchesSampleUAtThresholds is the byte-identity proof
-// the batch engine leans on: at every tabulated cut — the exact grid
+// a compiled batch leans on: at every tabulated cut — the exact grid
 // uniform where the gap increments — and for several grid neighbors on
 // each side, Gap must agree with a direct SampleU evaluation. The cuts
 // are where rounding in the transcendental quantile could plausibly
@@ -66,7 +66,7 @@ func TestQuantileTableMatchesSampleUAtThresholds(t *testing.T) {
 
 // TestQuantileTableStreamEquivalence drives the table and the sampler
 // from identical source states: every draw must match bit for bit, which
-// is the form of the contract the batch engine actually uses.
+// is the form of the contract a compiled batch actually uses.
 func TestQuantileTableStreamEquivalence(t *testing.T) {
 	for _, s := range quantileSamplers(t) {
 		qt := NewQuantileTable(s)

@@ -42,8 +42,8 @@ type Options struct {
 	// worker-invariant).
 	Tracer *trace.Tracer
 	// Batch, when > 1, runs every simulation as B independent
-	// replications at seeds Seed..Seed+B-1 and aggregates (the batch
-	// engine when eligible, sequential per-replication runs otherwise).
+	// replications at seeds Seed..Seed+B-1 and aggregates them
+	// (sim.Config.Batch), on whichever engine runs the simulation.
 	// Sweep points then report replication-averaged QoM rather than a
 	// single trajectory.
 	Batch int
@@ -88,14 +88,14 @@ type StatsCollector struct {
 
 	mu      sync.Mutex
 	pool    stats.Pool
-	dec     *sim.StopDecision
+	dec     *obs.EarlyStopInfo
 	stopped int
 }
 
 // observe folds one finished simulation into the pool. dec is non-nil
 // only for early-stopped runs; the last decision wins (an experiment's
 // sweep points share one options block, so their monitors agree).
-func (c *StatsCollector) observe(res *sim.Result, dec *sim.StopDecision) {
+func (c *StatsCollector) observe(res *sim.Result, dec *obs.EarlyStopInfo) {
 	if c == nil || res == nil {
 		return
 	}
@@ -125,7 +125,7 @@ func (c *StatsCollector) Report() (stats.Report, bool) {
 
 // Decision returns the last early-stop decision, or nil when no run
 // used one.
-func (c *StatsCollector) Decision() *sim.StopDecision {
+func (c *StatsCollector) Decision() *obs.EarlyStopInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dec

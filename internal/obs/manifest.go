@@ -92,10 +92,11 @@ type Manifest struct {
 	EarlyStop *EarlyStopInfo `json:"early_stop,omitempty"`
 }
 
-// EarlyStopInfo mirrors sim.StopDecision for the manifest (obs cannot
-// import sim): the monitor's inputs, the replication count the run
-// settled on, and the relative half-width it reached. Stopped is false
-// when the run exhausted its replication budget instead.
+// EarlyStopInfo records how a CI-targeted early-stopped run ended
+// (sim.RunWithEarlyStop returns it): the monitor's inputs, the
+// replication count the run settled on, and the relative half-width it
+// reached. Stopped is false when the run exhausted its replication
+// budget instead.
 type EarlyStopInfo struct {
 	TargetRelHW  float64 `json:"target_rel_hw"`
 	MinReps      int     `json:"min_reps"`

@@ -307,13 +307,11 @@ var (
 	// Engine selection: how many sim.Run calls executed on each engine.
 	SimRunsKernel    = NewCounter("sim.runs.kernel")
 	SimRunsReference = NewCounter("sim.runs.reference")
-	SimRunsBatch     = NewCounter("sim.runs.batch")
 
-	// Engine-fallback diagnostics: why an EngineAuto dispatch declined a
-	// fast engine (compiled kernel or mega-batch) and ran an interpreted
-	// path instead, keyed by the structural reason. One increment per
-	// declined dispatch decision — a batch decline whose replications then
-	// fall back individually counts each decline — so slow-path runs are
+	// Engine-fallback diagnostics: why an EngineAuto dispatch declined the
+	// compiled kernel and ran the reference engine instead, keyed by the
+	// structural reason. One increment per declined sim.Run call — a
+	// batch's replications share its one dispatch — so slow-path runs are
 	// attributable in production instead of silent. The "sim." prefix
 	// carries these into the run-manifest metrics block automatically.
 	SimFallbackMode     = NewCounter("sim.engine.fallback.mode")

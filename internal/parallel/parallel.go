@@ -97,8 +97,8 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return mapPool(workers, n, fn, true)
 }
 
-// MapInner is Map for engine-internal fan-out: the batch engine's
-// replication chunks. The jobs still count into the pool.* metrics
+// MapInner is Map for engine-internal fan-out: a batch's replication
+// chunks. The jobs still count into the pool.* metrics
 // (they are real pool work), but the process Observer is not notified:
 // an outer job's wall time already includes its inner jobs, so
 // reporting both would inflate the progress job totals and

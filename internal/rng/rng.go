@@ -24,7 +24,7 @@
 //	              draw one per awake slot regardless of N)
 //	Split(100+s)  sensor s's recharge process, split in s order
 //
-// The batch engine applies the same layout per replication after
+// The compiled loop applies the same layout per replication after
 // Reseed(Seed+r, 0x5eed). Adding a consumer means appending a new id
 // range after the existing splits — reordering or interleaving the
 // table above silently changes every seed's results.
@@ -62,11 +62,11 @@ func New(seed, stream uint64) *Source {
 }
 
 // Reseed reinitializes s in place to the sequence New(seed, stream)
-// produces, discarding any prior state. It exists for batch engines that
-// sweep one Source value across many replication roots without allocating
-// per replication. Like New, every call site creates a fresh root stream,
-// so the seedflow analyzer audits Reseed calls on simulation paths exactly
-// as it audits New.
+// produces, discarding any prior state. It exists for the compiled loop,
+// which sweeps one Source value across a batch's replication roots
+// without allocating per replication. Like New, every call site creates
+// a fresh root stream, so the seedflow analyzer audits Reseed calls on
+// simulation paths exactly as it audits New.
 func (s *Source) Reseed(seed, stream uint64) {
 	s.reseed(seed, stream)
 }

@@ -42,7 +42,7 @@ func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 				fm.apply(&cfg)
 				cfg.Slots = 10_000
 				cfg.Metrics = metrics
-				cfg.Engine = EngineBatch
+				cfg.Engine = EngineKernel
 				cfg.Batch = reps
 				batch, err := Run(cfg)
 				if err != nil {
@@ -85,8 +85,9 @@ func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 }
 
 // foldReplicaMetrics folds one replication's Metrics into the running
-// batch aggregate agg under the batch convention: replication 0's copy,
-// then Metrics.mergeReplica. Nil stays nil (metrics off).
+// batch aggregate agg, replications in order, under the batch
+// convention: event-class and kernel counters sum, battery occupancy is
+// replication 0's. Nil stays nil (metrics off).
 func foldReplicaMetrics(agg, rep *Metrics) *Metrics {
 	if rep == nil {
 		return agg
@@ -95,7 +96,9 @@ func foldReplicaMetrics(agg, rep *Metrics) *Metrics {
 		c := *rep
 		return &c
 	}
-	agg.mergeReplica(rep)
+	later := *rep
+	later.ObservedSlots, later.BatteryFracSum, later.BatteryHist, later.EnergyOutageSlots = 0, 0, [batteryBins]int64{}, 0
+	agg.Merge(&later)
 	return agg
 }
 
@@ -109,7 +112,7 @@ func TestBatchMultiShardingInvariance(t *testing.T) {
 		cfg := multiKernelConfig(t, kernelCases(t)[0], newRech, 4, 100, 13)
 		cfg.Slots = 5_000
 		cfg.Metrics = true
-		cfg.Engine = EngineBatch
+		cfg.Engine = EngineKernel
 		cfg.Batch = 40
 		cfg.Workers = workers
 		res, err := Run(cfg)
@@ -127,10 +130,10 @@ func TestBatchMultiShardingInvariance(t *testing.T) {
 }
 
 // TestBatchMultiForcedRejectsIneligible enumerates the fleet-specific
-// batch rejections, each on a round-robin fleet the batch engine would
-// otherwise take, and checks that the error names the case's reason;
-// EngineAuto with Batch set must still run the configuration through the
-// per-replication fallback.
+// rejections of a batch forced onto EngineKernel, each on a round-robin
+// fleet the kernel would otherwise take, and checks that the error
+// names the case's reason; EngineAuto with Batch set must still run the
+// configuration, on the reference engine.
 func TestBatchMultiForcedRejectsIneligible(t *testing.T) {
 	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }
 	cases := []struct {
@@ -149,9 +152,9 @@ func TestBatchMultiForcedRejectsIneligible(t *testing.T) {
 		cfg.Slots = 2_000
 		cfg.Batch = 4
 		tc.mutate(&cfg)
-		cfg.Engine = EngineBatch
+		cfg.Engine = EngineKernel
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.reason) {
-			t.Errorf("%s: forced batch error %v, want one naming %q", tc.name, err, tc.reason)
+			t.Errorf("%s: forced kernel batch error %v, want one naming %q", tc.name, err, tc.reason)
 		}
 		cfg.Engine = EngineAuto
 		if _, err := Run(cfg); err != nil {

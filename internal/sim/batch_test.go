@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -8,13 +9,14 @@ import (
 	"eventcap/internal/trace"
 )
 
-// TestBatchSingleReplicationByteIdenticalToKernel is the batch engine's
-// anchor contract: with one replication the batch engine must reproduce
-// the kernel run at the same seed bit for bit — every count and every
-// floating-point battery total — for deterministic and Bernoulli
-// recharge alike, with metrics on or off (a replication runs the
-// kernel's own loop).
+// TestBatchSingleReplicationByteIdenticalToKernel is the compiled
+// batch's anchor contract: each replication of a Batch = 3 run must
+// reproduce the kernel run at its seed bit for bit — every count and
+// every floating-point battery total, and the Metrics under the batch
+// convention — for deterministic and Bernoulli recharge alike, with
+// metrics on or off (a replication runs the kernel's own loop).
 func TestBatchSingleReplicationByteIdenticalToKernel(t *testing.T) {
+	const reps = 3
 	recharges := []struct {
 		name    string
 		make    func() energy.Recharge
@@ -31,24 +33,36 @@ func TestBatchSingleReplicationByteIdenticalToKernel(t *testing.T) {
 					for seed := uint64(1); seed <= 3; seed++ {
 						cfg := kernelBaseConfig(t, kc, rc.make, batteryCap, seed)
 						cfg.Metrics = metrics
-
 						cfg.Engine = EngineKernel
-						want, err := Run(cfg)
-						if err != nil {
-							t.Fatalf("%s/%s K=%g: kernel: %v", kc.name, rc.name, batteryCap, err)
-						}
-						cfg.Engine = EngineBatch
+						cfg.Batch = reps
 						got, err := Run(cfg)
 						if err != nil {
 							t.Fatalf("%s/%s K=%g: batch: %v", kc.name, rc.name, batteryCap, err)
 						}
-						if got.Engine != EngineBatch {
+						if got.Engine != EngineKernel {
 							t.Fatalf("%s/%s: batch result reports engine %v", kc.name, rc.name, got.Engine)
 						}
-						got.Engine = want.Engine
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s/%s K=%g seed=%d metrics=%v:\nbatch  %+v\nkernel %+v",
-								kc.name, rc.name, batteryCap, seed, metrics, got, want)
+						var events, captures int64
+						var agg *Metrics
+						for r := 0; r < reps; r++ {
+							one := cfg
+							one.Batch = 0
+							one.Seed = seed + uint64(r)
+							want, err := Run(one)
+							if err != nil {
+								t.Fatalf("%s/%s K=%g: kernel: %v", kc.name, rc.name, batteryCap, err)
+							}
+							if got.Sensors[r] != want.Sensors[0] {
+								t.Errorf("%s/%s K=%g seed=%d metrics=%v replication %d:\nbatch  %+v\nkernel %+v",
+									kc.name, rc.name, batteryCap, seed, metrics, r, got.Sensors[r], want.Sensors[0])
+							}
+							events += want.Events
+							captures += want.Captures
+							agg = foldReplicaMetrics(agg, want.Metrics)
+						}
+						if got.Events != events || got.Captures != captures || !reflect.DeepEqual(got.Metrics, agg) {
+							t.Errorf("%s/%s K=%g seed=%d metrics=%v: batch totals %d/%d metrics %+v, kernel runs %d/%d metrics %+v",
+								kc.name, rc.name, batteryCap, seed, metrics, got.Events, got.Captures, got.Metrics, events, captures, agg)
 						}
 					}
 				}
@@ -72,7 +86,7 @@ func TestBatchMatchesIndependentRunsPairedSeeds(t *testing.T) {
 	cfg.Slots = 20_000
 	cfg.Metrics = true
 
-	cfg.Engine = EngineBatch
+	cfg.Engine = EngineKernel
 	cfg.Batch = reps
 	batch, err := Run(cfg)
 	if err != nil {
@@ -83,7 +97,7 @@ func TestBatchMatchesIndependentRunsPairedSeeds(t *testing.T) {
 	}
 
 	var events, captures int64
-	agg := &Metrics{}
+	var agg *Metrics
 	for r := 0; r < reps; r++ {
 		sub := kernelBaseConfig(t, kc, newRech, 100, 42+uint64(r))
 		sub.Slots = 20_000
@@ -98,11 +112,7 @@ func TestBatchMatchesIndependentRunsPairedSeeds(t *testing.T) {
 		}
 		events += one.Events
 		captures += one.Captures
-		if r == 0 {
-			*agg = *one.Metrics
-		} else {
-			agg.mergeReplica(one.Metrics)
-		}
+		agg = foldReplicaMetrics(agg, one.Metrics)
 	}
 	if batch.Events != events || batch.Captures != captures {
 		t.Errorf("batch totals %d/%d, independent sum %d/%d", batch.Events, batch.Captures, events, captures)
@@ -140,7 +150,7 @@ func TestBatchShardingInvariance(t *testing.T) {
 	kc := kernelCases(t)[0]
 	base := kernelBaseConfig(t, kc, newRech, 100, 7)
 	base.Slots = 10_000
-	base.Engine = EngineBatch
+	base.Engine = EngineKernel
 	base.Batch = reps
 
 	var want *Result
@@ -162,9 +172,10 @@ func TestBatchShardingInvariance(t *testing.T) {
 }
 
 // TestBatchAutoAndFallback checks engine selection around Batch: auto
-// with an eligible config picks the batch engine; auto with an ineligible
-// config and forced per-run engines aggregate the replications through
-// individual runs at the paired seeds.
+// with an eligible config runs the compiled batch, as forced
+// EngineKernel does; forced EngineReference, and auto with an
+// ineligible (stateful) policy, run the replications on the reference
+// engine, each reproducing the single reference run at its paired seed.
 func TestBatchAutoAndFallback(t *testing.T) {
 	const reps = 4
 	newRech := func() energy.Recharge { r, _ := energy.NewBernoulli(0.5, 1); return r }
@@ -174,7 +185,7 @@ func TestBatchAutoAndFallback(t *testing.T) {
 	base.Batch = reps
 
 	forced := base
-	forced.Engine = EngineBatch
+	forced.Engine = EngineKernel
 	want, err := Run(forced)
 	if err != nil {
 		t.Fatal(err)
@@ -186,57 +197,52 @@ func TestBatchAutoAndFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("auto with Batch=%d did not match forced batch engine", reps)
+		t.Errorf("auto with Batch=%d did not match the forced kernel batch", reps)
 	}
 
-	// Forced reference engine: the replications run individually.
 	ref := base
 	ref.Engine = EngineReference
-	agg, err := Run(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(agg.Sensors) != reps {
-		t.Fatalf("fallback returned %d sensor blocks, want %d", len(agg.Sensors), reps)
-	}
-	var events, captures int64
-	for r := 0; r < reps; r++ {
-		sub := base
-		sub.Batch = 0
-		sub.Seed = base.Seed + uint64(r)
-		sub.Engine = EngineReference
-		one, err := Run(sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if agg.Sensors[r] != one.Sensors[0] {
-			t.Errorf("fallback replication %d diverged", r)
-		}
-		events += one.Events
-		captures += one.Captures
-	}
-	if agg.Events != events || agg.Captures != captures {
-		t.Errorf("fallback totals %d/%d, want %d/%d", agg.Events, agg.Captures, events, captures)
-	}
-
-	// Auto with an ineligible (stateful) policy still honors Batch via
-	// the fallback.
 	stateful := base
 	stateful.Engine = EngineAuto
 	stateful.NewPolicy = func(int) Policy { return &EBCW{PYes: 0.9, PNo: 0.1} }
-	res, err := Run(stateful)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Sensors) != reps {
-		t.Errorf("ineligible auto batch returned %d sensor blocks, want %d", len(res.Sensors), reps)
+	for _, cfg := range []Config{ref, stateful} {
+		agg, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if agg.Engine != EngineReference || len(agg.Sensors) != reps {
+			t.Fatalf("policy %s: batch ran on %v with %d sensor blocks, want reference with %d",
+				cfg.NewPolicy(0).Name(), agg.Engine, len(agg.Sensors), reps)
+		}
+		var events, captures int64
+		for r := 0; r < reps; r++ {
+			sub := cfg
+			sub.Batch = 0
+			sub.Seed = base.Seed + uint64(r)
+			sub.Engine = EngineReference
+			one, err := Run(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if agg.Sensors[r] != one.Sensors[0] {
+				t.Errorf("policy %s: replication %d diverged", cfg.NewPolicy(0).Name(), r)
+			}
+			events += one.Events
+			captures += one.Captures
+		}
+		if agg.Events != events || agg.Captures != captures {
+			t.Errorf("policy %s: batch totals %d/%d, want %d/%d", cfg.NewPolicy(0).Name(), agg.Events, agg.Captures, events, captures)
+		}
 	}
 }
 
 // TestBatchForcedRejectsIneligible mirrors the kernel's enumeration: a
-// forced EngineBatch must refuse every ineligible configuration —
-// everything the kernel refuses, plus a slot tracer — rather than
-// silently degrading.
+// batch forced onto EngineKernel must refuse every configuration the
+// kernel refuses rather than silently degrading, and EngineAuto must
+// run it on the reference engine. A slot tracer is no rejection for a
+// single sensor: on the kernel and on the reference engine, a traced
+// batch returns the untraced Result (Metrics off: a traced kernel run
+// takes no always-on runs) and traces replication 0 alone.
 func TestBatchForcedRejectsIneligible(t *testing.T) {
 	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }
 	base := func() Config {
@@ -249,7 +255,6 @@ func TestBatchForcedRejectsIneligible(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"multiple sensors", func(c *Config) { c.N = 2 }},
-		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }},
 		{"fault injection", func(c *Config) { c.FailAt = map[int]int64{0: 10} }},
 		{"stateful policy", func(c *Config) {
 			c.NewPolicy = func(int) Policy { return &EBCW{PYes: 0.9, PNo: 0.1} }
@@ -262,15 +267,49 @@ func TestBatchForcedRejectsIneligible(t *testing.T) {
 	for _, tc := range cases {
 		cfg := base()
 		tc.mutate(&cfg)
-		cfg.Engine = EngineBatch
+		cfg.Engine = EngineKernel
 		if _, err := Run(cfg); err == nil {
-			t.Errorf("%s: forced batch engine did not reject", tc.name)
+			t.Errorf("%s: forced kernel batch did not reject", tc.name)
 		}
-		// EngineAuto must still honor Batch for the same config via the
-		// fallback paths.
 		cfg.Engine = EngineAuto
 		if _, err := Run(cfg); err != nil {
 			t.Errorf("%s: auto fallback failed: %v", tc.name, err)
+		}
+	}
+
+	for _, engine := range []Engine{EngineKernel, EngineReference} {
+		cfg := base()
+		cfg.Engine = engine
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		w := trace.NewWriter(&buf)
+		cfg.Tracer = trace.New(w, trace.NewFlightRecorder(32))
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%v: traced batch: %v", engine, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: tracing changed the batch:\nwith    %+v\nwithout %+v", engine, got, want)
+		}
+		rep0 := cfg
+		rep0.Batch, rep0.Tracer = 0, nil
+		one, err := Run(rep0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := trace.Replay(&buf)
+		if err != nil {
+			t.Fatalf("%v: replay: %v", engine, err)
+		}
+		if sum.Runs != 1 || sum.Events != one.Events || sum.Captures != one.Captures {
+			t.Errorf("%v: trace replays to %d run(s) with %d/%d events/captures, want 1 with replication 0's %d/%d",
+				engine, sum.Runs, sum.Events, sum.Captures, one.Events, one.Captures)
 		}
 	}
 }

@@ -4,16 +4,17 @@ package sim
 // in doubling rounds of replications and stop as soon as the QoM CI's
 // relative half-width reaches the target. Reproducibility contract:
 // a run that stops after R total replications is byte-identical to a
-// plain Batch=R run of the same Config — round k's replications run at
-// Seed + (replications already done), which is exactly the seed block
-// a single Batch=R call would give them, and per-round Results merge
-// the same way runBatchFallback merges per-replication runs. The
-// StopDecision records everything needed to re-run the realized
+// plain Batch=R run of the same Config, stats report included — the
+// rounds are consecutive replication ranges [done, done+size) of one
+// batch, run at the seeds a single Batch=R call would give them and fed
+// to one stats probe in replication order. The obs.EarlyStopInfo it
+// returns records everything needed to re-run the realized
 // configuration without the monitor.
 
 import (
 	"fmt"
 
+	"eventcap/internal/obs"
 	"eventcap/internal/stats"
 )
 
@@ -26,26 +27,13 @@ type EarlyStopOptions struct {
 	MinReps     int
 }
 
-// StopDecision records how an early-stopped run ended, for the run
-// manifest: the monitor's inputs, the replication count actually run,
-// and the relative half-width it reached.
-type StopDecision struct {
-	TargetRelHW  float64 `json:"target_rel_hw"`
-	MinReps      int     `json:"min_reps"`
-	MaxReps      int     `json:"max_reps"`
-	Reps         int     `json:"reps"`
-	RelHalfWidth float64 `json:"rel_half_width"`
-	// Stopped is true when the target was reached before MaxReps;
-	// false means the run exhausted its replication budget.
-	Stopped bool `json:"stopped"`
-}
-
 // RunWithEarlyStop executes cfg (which must have Batch > 1 — the
 // replication budget) in doubling rounds, evaluating the QoM CI after
 // each round and stopping once its relative half-width is at or under
 // opt.TargetRelHW. The Result aggregates exactly the replications run,
-// byte-identically to a plain Batch=R run at the realized R.
-func RunWithEarlyStop(cfg Config, opt EarlyStopOptions) (*Result, *StopDecision, error) {
+// byte-identically to a plain Batch=R run at the realized R; the
+// decision records how the run ended, for the run manifest.
+func RunWithEarlyStop(cfg Config, opt EarlyStopOptions) (*Result, *obs.EarlyStopInfo, error) {
 	if opt.TargetRelHW <= 0 {
 		return nil, nil, fmt.Errorf("sim: early stop needs a positive relative half-width target, got %g", opt.TargetRelHW)
 	}
@@ -53,18 +41,22 @@ func RunWithEarlyStop(cfg Config, opt EarlyStopOptions) (*Result, *StopDecision,
 	if maxReps < 2 {
 		return nil, nil, fmt.Errorf("sim: early stop needs Batch > 1 as the replication budget, got %d", cfg.Batch)
 	}
-	minReps := opt.MinReps
-	if minReps < 2 {
-		minReps = 2
+	minReps := min(max(opt.MinReps, 2), maxReps)
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
 	}
-	if minReps > maxReps {
-		minReps = maxReps
+	plan, quant, err := compile(&cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	mon := stats.ConvergenceMonitor{TargetRelHW: opt.TargetRelHW, MinCount: int64(minReps)}
-	sink := cfg.StatsSink
+	// The monitor reads the stats probe, which the Result keeps only
+	// when the caller asked for it.
+	keepStats := cfg.Stats || cfg.StatsSink != nil
+	cfg.Stats = true
+	b := newBatch(&cfg, plan, quant, maxReps)
+	defer b.ex.End()
 
-	agg := &Result{Slots: cfg.Slots, Engine: EngineBatch}
-	var reps stats.Welford
+	mon := stats.ConvergenceMonitor{TargetRelHW: opt.TargetRelHW, MinCount: int64(minReps)}
 	done := 0
 	var last stats.Report
 	for done < maxReps {
@@ -75,54 +67,26 @@ func RunWithEarlyStop(cfg Config, opt EarlyStopOptions) (*Result, *StopDecision,
 			// within 2×.
 			size = done
 		}
-		if left := maxReps - done; size > left {
-			size = left
-		}
-		// Round replications run at Seed+done .. Seed+done+size-1, the
-		// plain Batch=R layout, and merge like runBatchFallback's.
-		rr, err := runReplicas(cfg, agg, done, size, true)
-		if err != nil {
+		size = min(size, maxReps-done)
+		if err := b.run(&cfg, done, done+size); err != nil {
 			return nil, nil, fmt.Errorf("sim: early-stop round at %d replications: %w", done, err)
 		}
-		if rr.Stats == nil {
-			return nil, nil, fmt.Errorf("sim: early-stop round returned no stats report (engine %v)", rr.Engine)
-		}
-		// Fold the round's per-replication QoM samples in exactly (the
-		// report's Welford reconstruction is lossless). A final
-		// leftover round of size 1 runs the single-run path (Batch=1 is
-		// a plain run) and reports batch means; it contributes one
-		// replication sample, the same way ObserveReplica would.
-		if size == 1 {
-			if rr.Events > 0 {
-				reps.Add(float64(rr.Captures) / float64(rr.Events))
-			}
-		} else {
-			if rr.Stats.Method != stats.MethodReplication {
-				return nil, nil, fmt.Errorf("sim: early-stop round reported method %q, want replication", rr.Stats.Method)
-			}
-			reps.Merge(rr.Stats.Welford())
-		}
 		done += size
-
-		last = stats.ReplicationReport(reps, agg.Events, agg.Captures, stats.DefaultCILevel)
-		if sink != nil {
-			sink(last)
-		}
+		last = b.o.sp.Report()
 		if mon.Converged(last) {
 			break
 		}
 	}
-	if cfg.Stats || sink != nil {
-		r := last
-		agg.Stats = &r
+	res := b.finish(&cfg, done)
+	if !keepStats {
+		res.Stats = nil
 	}
-	dec := &StopDecision{
+	return res, &obs.EarlyStopInfo{
 		TargetRelHW:  opt.TargetRelHW,
 		MinReps:      minReps,
 		MaxReps:      maxReps,
 		Reps:         done,
 		RelHalfWidth: last.RelHalfWidth,
 		Stopped:      done < maxReps,
-	}
-	return agg, dec, nil
+	}, nil
 }

@@ -5,16 +5,20 @@ import (
 	"testing"
 )
 
+// earlyStopConfig has Stats on, so the reproducibility checks compare
+// the stats reports too.
 func earlyStopConfig(t *testing.T, batch int) Config {
 	cfg := kernelBaseConfig(t, kernelCases(t)[0], constantFactory(t, 0.5), 100, 1)
 	cfg.Slots = 20000
 	cfg.Batch = batch
+	cfg.Stats = true
 	return cfg
 }
 
 // TestEarlyStopExhaustedEqualsPlainBatch: with an unreachable target
 // the monitor never fires, every replication runs, and the Result must
-// be byte-identical to the plain Batch=B run of the same Config.
+// be byte-identical to the plain Batch=B run of the same Config, stats
+// report included.
 func TestEarlyStopExhaustedEqualsPlainBatch(t *testing.T) {
 	cfg := earlyStopConfig(t, 17) // odd budget: exercises the leftover size-1 round
 	cfg.Metrics = true
@@ -29,7 +33,6 @@ func TestEarlyStopExhaustedEqualsPlainBatch(t *testing.T) {
 	if dec.Stopped || dec.Reps != 17 || dec.MaxReps != 17 {
 		t.Fatalf("decision %+v, want exhausted at 17", dec)
 	}
-	got.Stats, plain.Stats = nil, nil // CI assembly differs (merged vs streamed Welford)
 	if !reflect.DeepEqual(got, plain) {
 		t.Errorf("exhausted early-stop run diverged from plain batch:\ngot   %+v\nplain %+v", got, plain)
 	}
@@ -37,7 +40,8 @@ func TestEarlyStopExhaustedEqualsPlainBatch(t *testing.T) {
 
 // TestEarlyStopStopsAndIsReproducible is the manifest contract: a run
 // that stops at R replications records R, and re-running the same
-// Config with Batch=R (no monitor) reproduces it byte-identically.
+// Config with Batch=R (no monitor) reproduces it byte-identically,
+// stats report included.
 func TestEarlyStopStopsAndIsReproducible(t *testing.T) {
 	cfg := earlyStopConfig(t, 64)
 	got, dec, err := RunWithEarlyStop(cfg, EarlyStopOptions{TargetRelHW: 0.5})
@@ -59,7 +63,6 @@ func TestEarlyStopStopsAndIsReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.Stats, want.Stats = nil, nil
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("stopped run is not reproducible from its decision:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -67,17 +70,21 @@ func TestEarlyStopStopsAndIsReproducible(t *testing.T) {
 
 func TestEarlyStopMinReps(t *testing.T) {
 	cfg := earlyStopConfig(t, 64)
-	_, dec, err := RunWithEarlyStop(cfg, EarlyStopOptions{TargetRelHW: 0.5, MinReps: 8})
+	cfg.Stats = false
+	res, dec, err := RunWithEarlyStop(cfg, EarlyStopOptions{TargetRelHW: 0.5, MinReps: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Reps < 8 {
 		t.Fatalf("stopped at %d replications, MinReps 8", dec.Reps)
 	}
+	if res.Stats != nil {
+		t.Fatal("early stop returned a stats report nobody asked for")
+	}
 
 	// Stats flow to the caller when requested.
 	cfg.Stats = true
-	res, _, err := RunWithEarlyStop(cfg, EarlyStopOptions{TargetRelHW: 0.5})
+	res, _, err = RunWithEarlyStop(cfg, EarlyStopOptions{TargetRelHW: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func engineGoldenLines(t *testing.T) []string {
 			for _, n := range []int{1, 3} {
 				cfg := multiKernelConfig(t, kc, bc.rech, n, 7, 3)
 				cfg.Slots = 20_000
-				cfg.Engine = EngineBatch
+				cfg.Engine = EngineKernel
 				cfg.Batch = 4
 				cfg.Workers = 2
 				cfg.Metrics = bc.metrics
@@ -122,7 +122,7 @@ func engineGoldenLines(t *testing.T) []string {
 }
 
 // TestEngineGolden pins the compiled engines bit for bit: the kernel for
-// one sensor and a round-robin fleet, the batch engine's replications
+// one sensor and a round-robin fleet, a compiled batch's replications
 // (single sensor and fleet), and the bytes of a traced
 // kernel run. Under Bernoulli recharge the compiled engines are
 // otherwise only checked against each other or in distribution, so this

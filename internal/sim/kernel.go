@@ -24,11 +24,6 @@ const (
 	// EngineKernel forces the compiled kernel; Run fails when the
 	// configuration is ineligible.
 	EngineKernel
-	// EngineBatch forces the mega-batch engine (Config.Batch replications
-	// of a compiled single-sensor configuration in one call); Run fails
-	// when the configuration is ineligible. EngineAuto picks it on its own
-	// whenever Batch > 1 and the configuration compiles.
-	EngineBatch
 )
 
 // ParseEngine maps the -kernel flag values onto engines.
@@ -40,10 +35,8 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineKernel, nil
 	case "off":
 		return EngineReference, nil
-	case "batch":
-		return EngineBatch, nil
 	}
-	return 0, fmt.Errorf("sim: unknown engine %q (want auto, on, off, or batch)", s)
+	return 0, fmt.Errorf("sim: unknown engine %q (want auto, on or off)", s)
 }
 
 // String implements fmt.Stringer.
@@ -53,8 +46,6 @@ func (e Engine) String() string {
 		return "reference"
 	case EngineKernel:
 		return "kernel"
-	case EngineBatch:
-		return "batch"
 	default:
 		return "auto"
 	}
@@ -257,39 +248,11 @@ func compileKernel(cfg *Config) (*kernelPlan, fallback) {
 	return plan, fallback{}
 }
 
-// runFleetKernel executes one compiled run of the plan through the shared
-// fleet loop (fleetRun.run), with tracing and the run's own recharge
-// instances. A single sensor is simply the N = 1 round-robin fleet
-// (PAPER.md §1: sensor s owns slots t = kN + s).
-func runFleetKernel(cfg Config, plan *kernelPlan) (*Result, error) {
-	n := plan.n
-	ex := cfg.Span.Child("exec.kernel")
-	defer ex.End()
-	ex.Count("slots", cfg.Slots)
-	ex.Count("sensors", int64(n))
-	defer cfg.Progress.FinishWork(cfg.Slots * int64(n))
-	w, err := newFleetRun(&cfg, plan, plan.recharges, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range plan.policies {
-		p.Reset()
-	}
-	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, n), Engine: EngineKernel}
-	o := newObserver(&cfg, trace.EngineKernel)
-	if o.tr != nil {
-		o.start(&cfg, n, plan.policies[0].Name(), plan.recharges[0].Name())
-	}
-	res.Events, res.Captures = w.run(&cfg, cfg.Seed, res.Sensors, &o)
-	o.finish(res)
-	return res, nil
-}
-
 // fleetRun is the reusable state of the compiled coordinated loop: RNG
 // values reseeded in place per run, one dense battery block, and one
-// recharge process per sensor. runFleetKernel builds one for its run;
-// the batch engine builds one per chunk and sweeps it across the chunk's
-// replications, so replications allocate nothing.
+// recharge process per sensor. A single kernel run builds one; a batch
+// builds one per chunk and sweeps it across the chunk's replications, so
+// replications allocate nothing.
 type fleetRun struct {
 	plan *kernelPlan
 	// quant replaces Dist.Sample's per-gap transcendentals with an exact
@@ -416,7 +379,7 @@ func (w *fleetRun) gap(d dist.Interarrival) int64 {
 
 // run simulates the plan once at seed into sensors (one block per
 // sensor), observing into o, and returns the run's event and capture
-// counts.
+// counts. A traced run opens and closes its own trace run.
 //
 // The fleet shares one compiled activation table — the in-charge
 // sensor's decision state is global (h resets on every event, the
@@ -490,6 +453,9 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 	// tracetool diff.
 	partialH := cfg.Info == PartialInfo
 	traced := o.tr != nil
+	if traced {
+		o.start(cfg, seed, n, plan.policies[0].Name(), w.rechs[0].Name())
+	}
 
 	// The paper assumes an event (and capture) at slot 0.
 	lastEvent, lastCapture := int64(0), int64(0)
@@ -643,6 +609,9 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 		st.EnergyConsumed = batteries[s].Consumed()
 		st.OverflowLost = batteries[s].OverflowLost()
 		st.FinalBattery = batteries[s].Level()
+	}
+	if traced {
+		o.tr.RunEnd(trace.RunEnd{Events: events, Captures: captures})
 	}
 	return events, captures
 }

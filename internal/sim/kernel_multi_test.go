@@ -253,7 +253,8 @@ func TestMultiKernelForcedRejectsIneligible(t *testing.T) {
 }
 
 // TestEngineFallbackCounters checks that declined EngineAuto dispatches
-// surface as sim.engine.fallback.* observability counters.
+// surface as sim.engine.fallback.* observability counters, one per Run
+// call: a batch's replications share its one dispatch.
 func TestEngineFallbackCounters(t *testing.T) {
 	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }
 	probe := func(name string, mutate func(*Config)) float64 {
@@ -291,10 +292,14 @@ func TestEngineFallbackCounters(t *testing.T) {
 			// Round-robin fleet whose policy cannot compile.
 			c.NewPolicy = func(int) Policy { return &EBCW{PYes: 0.9, PNo: 0.1} }
 		}},
+		{"batched policy", "policy", func(c *Config) {
+			c.NewPolicy = func(int) Policy { return &EBCW{PYes: 0.9, PNo: 0.1} }
+			c.Batch = 4
+		}},
 	}
 	for _, tc := range cases {
-		if got := probe(tc.slug, tc.mutate); got < 1 {
-			t.Errorf("%s: sim.engine.fallback.%s did not increment (diff %v)", tc.name, tc.slug, got)
+		if got := probe(tc.slug, tc.mutate); got != 1 {
+			t.Errorf("%s: sim.engine.fallback.%s moved by %v, want 1", tc.name, tc.slug, got)
 		}
 	}
 	// Eligible fleets, round-robin or in blocks, must not record any

@@ -216,13 +216,16 @@ func TestKernelForcedRejectsIneligible(t *testing.T) {
 
 // TestParseEngine covers the flag mapping.
 func TestParseEngine(t *testing.T) {
-	for in, want := range map[string]Engine{"auto": EngineAuto, "on": EngineKernel, "off": EngineReference, "batch": EngineBatch} {
+	for in, want := range map[string]Engine{"auto": EngineAuto, "on": EngineKernel, "off": EngineReference} {
 		got, err := ParseEngine(in)
 		if err != nil || got != want {
 			t.Errorf("ParseEngine(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseEngine("fast"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine")
+	// Batch is a replication count, not an engine.
+	for _, in := range []string{"fast", "batch"} {
+		if _, err := ParseEngine(in); err == nil {
+			t.Errorf("ParseEngine accepted the unknown engine %q", in)
+		}
 	}
 }

@@ -96,8 +96,9 @@ func (m *Metrics) MeanBatteryFrac() float64 {
 	return m.BatteryFracSum / float64(m.ObservedSlots)
 }
 
-// Merge adds o's counters into m (combining the batch engine's
-// per-chunk partials).
+// Merge adds o's counters into m (combining a batch's per-chunk
+// partials; only replication 0's part samples battery occupancy, so
+// batch occupancy is replication 0's).
 func (m *Metrics) Merge(o *Metrics) {
 	m.MissAsleep += o.MissAsleep
 	m.MissNoEnergy += o.MissNoEnergy
@@ -108,21 +109,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	for i := range m.BatteryHist {
 		m.BatteryHist[i] += o.BatteryHist[i]
 	}
-	m.KernelRuns += o.KernelRuns
-	m.KernelSlotsFastForwarded += o.KernelSlotsFastForwarded
-	m.KernelSlotsAlwaysOn += o.KernelSlotsAlwaysOn
-}
-
-// mergeReplica folds a later replication's Metrics into a batch
-// aggregate: the event-class and kernel counters sum across replications,
-// while the battery-occupancy fields (ObservedSlots, BatteryFracSum,
-// BatteryHist, EnergyOutageSlots) stay replication 0's — batch results
-// define occupancy on replication 0 only, mirroring the multi-sensor
-// engines' sensor-0 convention.
-func (m *Metrics) mergeReplica(o *Metrics) {
-	m.MissAsleep += o.MissAsleep
-	m.MissNoEnergy += o.MissNoEnergy
-	m.WastedActivations += o.WastedActivations
 	m.KernelRuns += o.KernelRuns
 	m.KernelSlotsFastForwarded += o.KernelSlotsFastForwarded
 	m.KernelSlotsAlwaysOn += o.KernelSlotsAlwaysOn
@@ -153,8 +139,6 @@ func recordEngine(e Engine) {
 	switch e {
 	case EngineKernel:
 		obs.SimRunsKernel.Inc()
-	case EngineBatch:
-		obs.SimRunsBatch.Inc()
 	default:
 		obs.SimRunsReference.Inc()
 	}

@@ -18,10 +18,10 @@ type engineCase struct {
 // engineCases spans every path the run observer serves: the sequential
 // reference engine (single- and multi-sensor, coordinated modes, fault
 // injection, an uncoordinated partial-information fleet), the compiled
-// kernel for a single sensor, a round-robin fleet and a block fleet, the
-// batch engine (single sensor and fleet), and the per-replication batch
-// fallback — with batteries both comfortable and starved (K=7 forces the
-// energy gate, exercising MissNoEnergy).
+// kernel for a single sensor, a round-robin fleet and a block fleet, and
+// batches of replications on the kernel (single sensor and fleet) and on
+// the reference engine — with batteries both comfortable and starved
+// (K=7 forces the energy gate, exercising MissNoEnergy).
 func engineCases(t *testing.T) []engineCase {
 	t.Helper()
 	bernoulli := func() energy.Recharge {
@@ -81,21 +81,22 @@ func engineCases(t *testing.T) []engineCase {
 
 	batch := kernelBaseConfig(t, kernelCases(t)[0], bernoulli, 100, 7)
 	batch.Slots = 20_000
-	batch.Engine = EngineBatch
+	batch.Engine = EngineKernel
 	batch.Batch = 16
 	batch.Workers = 2
 	cases = append(cases, engineCase{"batch", batch, false})
 
 	batchFleet := multiKernelConfig(t, kernelCases(t)[0], bernoulli, 3, 100, 3)
 	batchFleet.Slots = 20_000
-	batchFleet.Engine = EngineBatch
+	batchFleet.Engine = EngineKernel
 	batchFleet.Batch = 8
 	batchFleet.Workers = 2
 	cases = append(cases, engineCase{"batch-fleet", batchFleet, false})
 
-	fallback := multi
-	fallback.Batch = 3 // forced reference engine: sequential replications
-	cases = append(cases, engineCase{"batch-fallback", fallback, false})
+	refBatch := multi
+	refBatch.Batch = 3 // forced reference engine
+	refBatch.Workers = 2
+	cases = append(cases, engineCase{"batch-reference", refBatch, false})
 
 	return cases
 }

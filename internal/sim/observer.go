@@ -52,8 +52,8 @@ func newObserver(cfg *Config, engine uint8) observer {
 // newPart builds the observer of one unit of a fanned-out run (a batch
 // chunk): the tracer, a fresh Metrics partial the caller merges back,
 // and neither the stats probe nor battery sampling — the caller hands
-// those to the one unit that samples, and per-event or per-replication
-// observations stay on the run observer.
+// those to the one unit that samples (replication 0's, see only0), and
+// per-event or per-replication observations stay on the run observer.
 func newPart(cfg *Config, engine uint8) observer {
 	o := observer{
 		invCap:   1 / cfg.BatteryCap,
@@ -70,12 +70,21 @@ func newPart(cfg *Config, engine uint8) observer {
 	return o
 }
 
-// start opens a traced run. Engines call it only when o.tr != nil.
-func (o *observer) start(cfg *Config, sensors int, policy, recharge string) {
+// only0 ends a batch part's replication-0 observations once the part
+// moves past replication 0: batches sample battery occupancy and trace
+// replication 0 only.
+func (o *observer) only0() {
+	o.sampling = false
+	o.tr, o.w, o.fr = nil, nil, nil
+}
+
+// start opens a traced run at seed. Engines call it only when
+// o.tr != nil, and close the run with Tracer.RunEnd.
+func (o *observer) start(cfg *Config, seed uint64, sensors int, policy, recharge string) {
 	o.tr.RunStart(trace.RunInfo{
 		Engine:     o.engine,
 		Sensors:    sensors,
-		Seed:       cfg.Seed,
+		Seed:       seed,
 		Slots:      cfg.Slots,
 		BatteryCap: cfg.BatteryCap,
 		Cost:       cfg.Params.ActivationCost(),
@@ -211,15 +220,12 @@ func (o *observer) battery(lvl float64) {
 	}
 }
 
-// finish is every engine's epilogue: the pooled QoM, the trace's run
-// end, the engine count, the Metrics derived fields and process-wide
-// publication, and the stats report.
+// finish is every Run's epilogue: the pooled QoM, the engine count,
+// the Metrics derived fields and process-wide publication, and the
+// stats report.
 func (o *observer) finish(res *Result) {
 	if res.Events > 0 {
 		res.QoM = float64(res.Captures) / float64(res.Events)
-	}
-	if o.tr != nil {
-		o.tr.RunEnd(trace.RunEnd{Events: res.Events, Captures: res.Captures})
 	}
 	recordEngine(res.Engine)
 	if o.m != nil {

@@ -153,7 +153,9 @@ func (r *Result) LoadImbalance() float64 {
 
 // Config describes a simulation run. NewRecharge and NewPolicy are
 // factories so each sensor owns independent (possibly stateful)
-// instances.
+// instances. With Batch > 1 they may be called from several chunks at
+// once, so they must be safe for concurrent calls and return a fresh
+// instance whenever it carries state.
 type Config struct {
 	Dist   dist.Interarrival
 	Params core.Params
@@ -182,8 +184,8 @@ type Config struct {
 	// Info is the observation model (default FullInfo).
 	Info Info
 
-	// Workers bounds the worker pool of the batch engine's replication
-	// chunks. 0 means one worker per CPU; 1 forces sequential execution.
+	// Workers bounds the worker pool of a batch's replication chunks.
+	// 0 means one worker per CPU; 1 forces sequential execution.
 	// Results are identical for every value — the per-replication
 	// decomposition, not the worker count, fixes the random streams.
 	Workers int
@@ -208,32 +210,33 @@ type Config struct {
 	// is RNG-neutral like Metrics — it never consumes a random draw, so
 	// results are byte-identical with it attached or not (asserted by
 	// TestTracingDoesNotChangeResults). Traced fleets (N > 1) run the
-	// reference engine.
+	// reference engine. A batch traces replication 0 only.
 	Tracer *trace.Tracer
 
-	// Engine selects the simulation engine. The default, EngineAuto, runs
-	// the compiled slot-skipping kernel whenever the configuration is
+	// Engine selects the simulation engine, of a single run and of every
+	// replication of a batch alike. The default, EngineAuto, runs the
+	// compiled slot-skipping kernel whenever the configuration is
 	// eligible (a single sensor, a round-robin or a block fleet,
 	// compilable stateless policy, fast-forwardable recharge, no fault
-	// injection) and the reference engine otherwise. See kernel.go for
-	// the equivalence contract.
+	// injection, no tracer on a fleet) and the reference engine
+	// otherwise. See kernel.go for the equivalence contract.
 	Engine Engine
 
-	// Batch, when > 1, simulates that many statistically independent
-	// replications of this configuration in one call: replication r
-	// reproduces the run this Config would produce at Seed + r, and the
-	// Result aggregates all replications (summed Events/Captures, pooled
-	// QoM, one SensorStats block per replication). Under EngineAuto an
-	// eligible configuration runs on the mega-batch engine (see
-	// batch.go); otherwise — or under a forced per-run engine — the
-	// replications run individually and are aggregated. Batch <= 1
-	// leaves the single-run semantics untouched.
+	// Batch, when > 1, is a replication count: the call simulates that
+	// many statistically independent replications of this configuration
+	// on the engine Engine picks, in parallel chunks (see batch.go).
+	// Replication r reproduces the run this Config would produce at
+	// Seed + r, and the Result aggregates all replications (summed
+	// Events/Captures, pooled QoM, one SensorStats block per
+	// replication, Metrics occupancy from replication 0, and a
+	// per-replication stats report). Batch <= 1 is a single run.
 	Batch int
 
 	// Span, when non-nil, is the parent span this run records its phase
-	// timings under: a "compile" child around the engine probe, then one
-	// "exec.<engine>" child around execution (with per-chunk forks and
-	// an aggregation child on the batch engine). Spans wrap phases,
+	// timings under: a "compile" child around the kernel probe, then one
+	// "exec.kernel" or "exec.reference" child around a single run's
+	// execution, or one "exec.batch" child (with per-chunk forks and an
+	// aggregation child) around a batch's. Spans wrap phases,
 	// never the slot loop, and are RNG-neutral like Metrics and Tracer —
 	// results are byte-identical with or without one attached (asserted
 	// by TestSpansDoNotChangeResults).
@@ -248,7 +251,7 @@ type Config struct {
 
 	// Stats, when true, attaches the streaming statistics probe
 	// (DESIGN.md §16): online QoM batch means with a confidence
-	// interval, per-replication samples on the batch engines, and a
+	// interval (per-replication samples on a batch), and a single run's
 	// battery-occupancy summary, into Result.Stats. RNG-neutral under
 	// the same contract as Metrics — results are byte-identical with
 	// the probe on or off (asserted by TestStatsDoNotChangeResults).
@@ -329,55 +332,73 @@ func (c *Config) inCharge(t int64) int {
 	}
 }
 
-// Run executes the simulation.
+// Run executes the simulation: one run, or Config.Batch replications
+// of it, on the engine compile picks.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Each engine probe below runs under a "compile" child span; a probe
-	// that declines counts the structural reason on the span, mirroring
-	// the sim.engine.fallback.* counters.
-	if cfg.Engine == EngineBatch {
-		csp := cfg.Span.Child("compile")
-		plan, fb := compileBatch(&cfg, csp)
-		csp.End()
-		if plan == nil {
-			return nil, fmt.Errorf("sim: batch engine unavailable: %s", fb.reason)
-		}
-		return runBatch(cfg, plan)
+	plan, quant, err := compile(&cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Batch > 1 {
-		if cfg.Engine == EngineAuto {
-			csp := cfg.Span.Child("compile")
-			plan, fb := compileBatch(&cfg, csp)
-			if plan != nil {
-				csp.End()
-				return runBatch(cfg, plan)
-			}
-			// The per-replication fallback runs may record further kernel
-			// declines below; this one attributes the batch decline itself.
-			csp.Count("fallback."+fb.slug, 1)
-			csp.End()
-			fb.record()
-		}
-		return runBatchFallback(cfg)
+		return runBatch(cfg, plan, quant)
 	}
-	if cfg.Engine != EngineReference {
-		csp := cfg.Span.Child("compile")
-		plan, fb := compileKernel(&cfg)
-		if plan != nil {
-			csp.End()
-			return runFleetKernel(cfg, plan)
+	span, engine, code := "exec.reference", EngineReference, trace.EngineReference
+	if plan != nil {
+		span, engine, code = "exec.kernel", EngineKernel, trace.EngineKernel
+	}
+	ex := cfg.Span.Child(span)
+	defer ex.End()
+	ex.Count("slots", cfg.Slots)
+	ex.Count("sensors", int64(cfg.N))
+	defer cfg.Progress.FinishWork(cfg.Slots * int64(cfg.N))
+	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, cfg.N), Engine: engine}
+	o := newObserver(&cfg, code)
+	if plan != nil {
+		w, err := newFleetRun(&cfg, plan, plan.recharges, nil)
+		if err != nil {
+			return nil, err
 		}
+		res.Events, res.Captures = w.run(&cfg, cfg.Seed, res.Sensors, &o)
+	} else if res.Events, res.Captures, err = runReference(&cfg, cfg.Seed, res.Sensors, &o); err != nil {
+		return nil, err
+	}
+	o.finish(res)
+	return res, nil
+}
+
+// compile picks cfg's engine (cfg already validated) under a "compile"
+// span: the kernel plan, or nil for the reference engine. A batch's
+// plan comes with the quantile table its replications share. Under
+// EngineAuto a declined plan counts its structural reason on the span
+// and in the sim.engine.fallback.* counters; under EngineKernel it is
+// an error.
+func compile(cfg *Config) (*kernelPlan, *dist.QuantileTable, error) {
+	if cfg.Engine == EngineReference {
+		return nil, nil, nil
+	}
+	csp := cfg.Span.Child("compile")
+	defer csp.End()
+	plan, fb := compileKernel(cfg)
+	if plan == nil {
 		if cfg.Engine == EngineKernel {
-			csp.End()
-			return nil, fmt.Errorf("sim: kernel engine unavailable: %s", fb.reason)
+			return nil, nil, fmt.Errorf("sim: kernel engine unavailable: %s", fb.reason)
 		}
 		csp.Count("fallback."+fb.slug, 1)
-		csp.End()
 		fb.record()
+		return nil, nil, nil
 	}
-	return runReference(cfg)
+	var quant *dist.QuantileTable
+	if cfg.Batch > 1 {
+		tsp := csp.Child("batch.table")
+		if s := dist.AsInverseSampler(cfg.Dist); s != nil {
+			quant = dist.NewQuantileTable(s)
+		}
+		tsp.End()
+	}
+	return plan, quant, nil
 }
 
 // runReference is the interpreted per-slot engine: the semantic ground
@@ -385,14 +406,13 @@ func Run(cfg Config) (*Result, error) {
 // coordination modes, observation models, stateful policies and fault
 // injection. It also runs every fleet the kernel declines, the
 // uncoordinated ones (ModeAll) included: all sensors decide in sensor
-// order from the one shared decision stream.
-func runReference(cfg Config) (*Result, error) {
-	ex := cfg.Span.Child("exec.reference")
-	defer ex.End()
-	ex.Count("slots", cfg.Slots)
-	ex.Count("sensors", int64(cfg.N))
-	defer cfg.Progress.FinishWork(cfg.Slots * int64(cfg.N))
-	root := rng.New(cfg.Seed, 0x5eed) // seedflow:ok run-root: the reference engine's root stream, derived from Config.Seed
+// order from the one shared decision stream. Like fleetRun.run it
+// simulates one run at seed into sensors (one block per sensor),
+// observing into o, and returns the run's event and capture counts; it
+// builds fresh batteries, recharge processes and policies for every
+// run.
+func runReference(cfg *Config, seed uint64, sensors []SensorStats, o *observer) (events, captures int64, err error) {
+	root := rng.New(seed, 0x5eed) // seedflow:ok run-root: the reference engine's root stream, derived from Config.Seed (Seed + r for a batch's replication r)
 	eventSrc := root.Split(1)
 	decisionSrc := root.Split(2)
 
@@ -403,7 +423,7 @@ func runReference(cfg Config) (*Result, error) {
 	for s := 0; s < cfg.N; s++ {
 		b, err := energy.NewBattery(cfg.BatteryCap, cfg.InitialBattery)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		batteries[s] = b
 		recharges[s] = cfg.NewRecharge()
@@ -413,14 +433,12 @@ func runReference(cfg Config) (*Result, error) {
 	}
 
 	cost := cfg.Params.ActivationCost()
-	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, cfg.N), Engine: EngineReference}
-	o := newObserver(&cfg, trace.EngineReference)
 	// rechargeDraw keeps each sensor's last delivered energy for the
 	// trace records.
 	var rechargeDraw []float64
 	if o.tr != nil {
 		rechargeDraw = make([]float64, cfg.N)
-		o.start(&cfg, cfg.N, policies[0].Name(), recharges[0].Name())
+		o.start(cfg, seed, cfg.N, policies[0].Name(), recharges[0].Name())
 	}
 
 	// The paper assumes an event (and, for PI, a capture) at slot 0.
@@ -478,13 +496,13 @@ func runReference(cfg Config) (*Result, error) {
 		case p <= 0 || !decisionSrc.Bernoulli(p):
 			// Asleep: no draw consumed when p <= 0, one otherwise.
 		case !batteries[s].CanConsume(cost):
-			res.Sensors[s].Denied++
+			sensors[s].Denied++
 			denied = true
 			if event {
 				eventDenied = true
 			}
 		default:
-			stats := &res.Sensors[s]
+			stats := &sensors[s]
 			active = true
 			actions[s] = true
 			batteries[s].Consume(cfg.Params.Delta1)
@@ -569,13 +587,13 @@ func runReference(cfg Config) (*Result, error) {
 				o.recs = 0
 			}
 			if event {
-				res.Events++
+				events++
 				lastEvent = t
 				nextEvent = t + int64(cfg.Dist.Sample(eventSrc))
 				o.event(t, captured, eventDenied)
 			}
 			if captured {
-				res.Captures++
+				captures++
 				sharedLastCapture = t
 				for s := 0; s < cfg.N; s++ {
 					if actions[s] {
@@ -593,13 +611,15 @@ func runReference(cfg Config) (*Result, error) {
 	}
 
 	for s := 0; s < cfg.N; s++ {
-		st := &res.Sensors[s]
+		st := &sensors[s]
 		st.EnergyConsumed = batteries[s].Consumed()
 		st.OverflowLost = batteries[s].OverflowLost()
 		st.FinalBattery = batteries[s].Level()
 	}
-	o.finish(res)
-	return res, nil
+	if o.tr != nil {
+		o.tr.RunEnd(trace.RunEnd{Events: events, Captures: captures})
+	}
+	return events, captures, nil
 }
 
 func outcomeFor(info Info, active, event, captured bool) Outcome {

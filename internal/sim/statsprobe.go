@@ -20,7 +20,7 @@ const statsBatteryDecimate = 8
 
 // StatsProbe accumulates the streaming statistics of DESIGN.md §16
 // alongside a run: the per-event QoM indicator stream (batch means →
-// CI), per-replication QoM samples on the batch engines, and the
+// CI), per-replication QoM samples on batches, and the
 // sampled battery-occupancy stream. It is RNG-neutral under the same
 // contract as Metrics and Span — it never consumes a random draw and
 // never changes an engine's control flow, so results are
@@ -28,7 +28,7 @@ const statsBatteryDecimate = 8
 // TestStatsDoNotChangeResults).
 //
 // Engines feed it single-threaded: every observation happens on the
-// run's coordinating goroutine (the batch engine's chunks only record
+// run's coordinating goroutine (a batch's chunks only record
 // per-replication counts, fed to the probe after the join), so the
 // probe carries no locks.
 type StatsProbe struct {
@@ -99,11 +99,10 @@ func (sp *StatsProbe) ObserveBattery(frac float64) {
 	sp.p90.Add(frac)
 }
 
-// ObserveReplica folds one replication's event totals in (the batch
-// engines observe at replication granularity, mirroring
-// Metrics.mergeReplica). Replications are fed in replication order; a
-// replication without events contributes to the totals but not to the
-// per-replication QoM sample.
+// ObserveReplica folds one replication's event totals in (batches
+// observe at replication granularity). Replications are fed in
+// replication order; a replication without events contributes to the
+// totals but not to the per-replication QoM sample.
 func (sp *StatsProbe) ObserveReplica(events, captures int64) {
 	sp.repEvents += events
 	sp.repCaptures += captures

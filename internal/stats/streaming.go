@@ -29,7 +29,7 @@ const (
 	// MethodBatchMeans: one run's per-event indicator stream, batched
 	// into power-of-two batches whose means feed the CI.
 	MethodBatchMeans = "batch-means"
-	// MethodReplication: independent replications (the batch engine),
+	// MethodReplication: independent replications (a batched run),
 	// one QoM sample per replication.
 	MethodReplication = "replication"
 	// MethodPooled: several runs' reports pooled (an experiment series).
@@ -437,16 +437,6 @@ type BatteryReport struct {
 	P10    float64 `json:"p10"`
 	P50    float64 `json:"p50"`
 	P90    float64 `json:"p90"`
-}
-
-// Welford reconstructs the replication accumulator a Report was built
-// from (exact: M2 = Variance·(N−1)), so early-stop rounds can merge
-// per-round reports without keeping the accumulators alive.
-func (r Report) Welford() Welford {
-	if r.Count == 0 {
-		return Welford{}
-	}
-	return Welford{N: r.Count, Mean: r.SampleMean, M2: r.Variance * float64(r.Count-1)}
 }
 
 // QoMReport builds the batch-means Report for a 0/1 QoM indicator
