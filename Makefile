@@ -117,9 +117,11 @@ trace-verify:
 # Regenerate the paper (cmd/experiments -run all -seed 1, the full-size
 # suite, ~20 s on 2 vCPU) into a temporary directory and fail when any
 # CSV differs from the committed results/ or from the csv_sha256 its
-# committed manifest records. After a change that is meant to move
-# results, rerun `go run ./cmd/experiments -run all -seed 1 -out results`
-# and commit what it writes.
+# committed manifest records, or when a regenerated manifest's metrics
+# block (the sim.* counters) differs from the committed one. After a
+# change that is meant to move results or those counters, rerun
+# `go run ./cmd/experiments -run all -seed 1 -out results` and commit
+# what it writes.
 results-verify:
 	EVENTCAP_RESULTS_DIR=$(CURDIR)/results $(GO) test -run '^TestCommittedResultsReproduce$$' -count=1 -timeout 900s -v ./cmd/experiments
 

@@ -11,7 +11,10 @@
 // Each experiment prints a paper-style ASCII table; with -out set, a CSV
 // per experiment is written into the directory together with a JSON run
 // manifest (<id>.manifest.json) recording the configuration, code
-// version, wall time, and the run-level metrics behind the figure.
+// version, wall time, and the run-level metrics behind the figure, and
+// the same manifest is appended as one line to the run journal
+// (runs.jsonl). A failed experiment is journaled with its error and
+// writes no manifest file.
 // -progress renders a live jobs-done/ETA line to stderr; -metrics-addr
 // serves /debug/vars, /metrics (Prometheus text format), and
 // /debug/pprof while the sweep runs.
@@ -25,7 +28,8 @@
 // the manifest's early_stop block records the realized counts.
 //
 // -trace additionally writes a slot-level binary trace (<id>.evtrace,
-// hash-recorded in the manifest; verify with `tracetool replay`), and
+// hash-recorded in the manifest; verify with `tracetool replay`; refused
+// with -batch > 1, whose trace would hold replication 0 alone), and
 // -flight-recorder N arms a crash-recorder ring of the last N records
 // per sensor, dumped on invariant violations and at /debug/trace.
 // Neither changes any output byte.
@@ -72,7 +76,7 @@ func run(args []string, out io.Writer) error {
 		progress    = fs.Duration("progress", 0, "print a live progress line to stderr at this interval (0 disables)")
 		spansFlag   = fs.String("spans", "", "write the run's phase spans as Chrome trace-event JSON to this file (a bare filename lands in -out; open in chrome://tracing or Perfetto)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
-		traceFlag   = fs.Bool("trace", false, "write a slot-level trace (<id>.evtrace) and record it in the manifest; requires -out")
+		traceFlag   = fs.Bool("trace", false, "write a slot-level trace (<id>.evtrace) and record it in the manifest; requires -out, refused with -batch > 1")
 		flightSize  = fs.Int("flight-recorder", 0, "arm a flight recorder keeping the last N slot records per sensor (0 disables); dumps appear at /debug/trace with -metrics-addr")
 		statsFlag   = fs.Bool("stats", true, "collect streaming QoM statistics (point estimate and CI per experiment, recorded in manifests and the journal; never changes results)")
 		targetRelHW = fs.Float64("target-rel-hw", 0, "stop batched replications early once the QoM CI's relative half-width reaches this target (requires -batch > 1; changes how many replications run)")
@@ -87,6 +91,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *traceFlag && *outDir == "" {
 		return fmt.Errorf("-trace requires -out (traces are written next to the CSVs)")
+	}
+	if *traceFlag && *batch > 1 {
+		return fmt.Errorf("-trace with -batch > 1 is refused: the trace holds replication 0 alone, but the manifest's counters sum every replication, so tracetool replay could not verify it")
 	}
 	if *targetRelHW > 0 && *batch < 2 {
 		return fmt.Errorf("-target-rel-hw requires -batch > 1 (the replication budget it stops within)")
@@ -184,7 +191,7 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 
-	// The run journal appends one wide-event JSON line per experiment
+	// The run journal appends each experiment's manifest as one JSON line
 	// beside the CSVs; the run registry feeds /debug/runs.
 	var journal *obs.RunLog
 	if *outDir != "" {
@@ -196,36 +203,37 @@ func run(args []string, out io.Writer) error {
 	}
 	var spanRoots []*obs.Span
 
+	// Every experiment shares the configuration block, the profiles, and
+	// the digest parts after its id. Workers are excluded from the
+	// digest: results are worker-invariant, so two runs differing only
+	// in pool size share a digest (and must share a CSV hash).
+	cfg := obs.ManifestConfig{
+		Slots: *slots, Seed: *seed, Quick: *quick,
+		Workers: parallel.Workers(*workers), Engine: engine.String(),
+	}
+	digestParts := []string{
+		fmt.Sprintf("slots=%d", *slots),
+		fmt.Sprintf("seed=%d", *seed),
+		fmt.Sprintf("quick=%t", *quick),
+		"engine=" + engine.String(),
+	}
+	if *batch > 1 {
+		cfg.Batch = *batch
+		digestParts = append(digestParts, fmt.Sprintf("batch=%d", *batch))
+	}
+	if *targetRelHW > 0 {
+		digestParts = append(digestParts, fmt.Sprintf("target_rel_hw=%g", *targetRelHW), fmt.Sprintf("min_reps=%d", *minReps))
+	}
+	profiles := profileRefs(*outDir, cpuPath, memPath)
+
 	opts := experiments.Options{
 		Slots: *slots, Seed: *seed, Quick: *quick, Workers: *workers,
 		Engine: engine, Batch: *batch, Progress: prog,
 		TargetRelHW: *targetRelHW, MinReps: *minReps,
 	}
 	for _, exp := range selected {
-		before := obs.Snapshot()
-		start := time.Now()
-		params := manifestParams{
-			slots:   *slots,
-			seed:    *seed,
-			quick:   *quick,
-			workers: *workers,
-			batch:   *batch,
-			engine:  engine,
-			start:   start,
-			outDir:  *outDir,
-			cpuProf: cpuPath,
-			memProf: memPath,
-		}
-		// Workers are excluded from the digest: results are worker-
-		// invariant, so two runs differing only in pool size share a
-		// digest (and must share a CSV hash).
-		digest := obs.DigestConfig(
-			"experiment="+exp.ID,
-			fmt.Sprintf("slots=%d", *slots),
-			fmt.Sprintf("seed=%d", *seed),
-			fmt.Sprintf("quick=%t", *quick),
-			"engine="+engine.String(),
-		)
+		before, start := obs.Snapshot(), time.Now()
+		digest := obs.DigestConfig(append([]string{"experiment=" + exp.ID}, digestParts...)...)
 		// Phase spans: the experiment's root span with a "run" child
 		// around the driver (each simulation forks "sim.run" under it)
 		// and a "write" child around the CSV write below. The registry
@@ -234,7 +242,7 @@ func run(args []string, out io.Writer) error {
 		active := obs.DefaultRegistry.Begin(exp.ID, digest, prog, root)
 		// One stats collector per experiment (the manifest scope): interim
 		// reports stream to the registry's live view (dashboard + stats.*
-		// gauges); the pooled estimate lands in the manifest and journal.
+		// gauges); the pooled estimate lands in the manifest.
 		var coll *experiments.StatsCollector
 		if *statsFlag || *targetRelHW > 0 {
 			coll = &experiments.StatsCollector{Live: active.Stats.Publish}
@@ -243,153 +251,80 @@ func run(args []string, out io.Writer) error {
 		// Attach the tracer for this experiment: a fresh trace file per
 		// experiment (so each manifest hashes exactly its own runs), the
 		// shared flight recorder, or both.
-		var (
-			tw *trace.Writer
-			tf *os.File
-		)
+		var tf *trace.File
 		if *traceFlag {
-			tracePath := filepath.Join(*outDir, exp.ID+".evtrace")
-			tf, err = os.Create(tracePath)
-			if err != nil {
-				return fmt.Errorf("creating trace file: %w", err)
+			if tf, err = trace.Create(filepath.Join(*outDir, exp.ID+".evtrace"), flight); err != nil {
+				return err
 			}
-			tw = trace.NewWriter(tf)
-		}
-		if tw != nil || flight != nil {
-			opts.Tracer = trace.New(tw, flight)
+			opts.Tracer = tf.Tracer()
+		} else if flight != nil {
+			opts.Tracer = trace.New(nil, flight)
 		}
 		runSpan := root.Child("run")
 		opts.Span = runSpan
 		table, err := exp.Run(opts)
 		runSpan.End()
-		if err != nil {
-			// The run error is primary; the partial trace is best-effort,
-			// but the writer must still be closed ahead of the file or its
-			// buffered frames are silently dropped.
-			if tw != nil {
-				_ = tw.Close()
-			}
-			if tf != nil {
-				_ = tf.Close()
-			}
-			// Failed runs are journaled and completed too: the dashboard
-			// and the journal must account for every run, not just the
-			// successful ones.
-			root.End()
-			params.elapsed = time.Since(start)
-			rec := runRecord(exp, digest, params, obs.Diff(before, obs.Snapshot()), root.Breakdown())
-			rec.Status = "error"
-			rec.Error = err.Error()
-			if journal != nil {
-				journal.Record(rec)
-			}
-			active.Complete(rec)
-			return fmt.Errorf("running %s: %w", exp.ID, err)
-		}
 		elapsed := time.Since(start)
-		params.elapsed = elapsed
 		var traceInfo *obs.TraceInfo
-		if tw != nil {
-			if err := tw.Close(); err != nil {
-				if tf != nil {
-					_ = tf.Close()
-				}
-				return fmt.Errorf("%s trace: %w", exp.ID, err)
-			}
-		}
 		if tf != nil {
-			if err := tf.Close(); err != nil {
-				return fmt.Errorf("%s trace: %w", exp.ID, err)
+			// The run error is primary; a failed run's trace is best-effort.
+			var closeErr error
+			if traceInfo, closeErr = tf.Close(); err == nil {
+				err = closeErr
 			}
 		}
-		if tw != nil {
-			mode := "full"
-			if flight != nil {
-				mode = "full+flight"
-			}
-			c := tw.Counts()
-			traceInfo = &obs.TraceInfo{
-				File:    exp.ID + ".evtrace",
-				SHA256:  tw.SHA256(),
-				Mode:    mode,
-				Runs:    c.Runs,
-				Records: c.Records,
-				Spans:   c.Spans,
-			}
-		}
-		rounded := elapsed.Round(time.Millisecond)
-		// The "timing:" prefix marks the one note allowed to vary between
-		// runs; CSV output carries no notes, so it stays byte-identical
-		// for a fixed seed at any worker count.
-		table.Notes = append(table.Notes, fmt.Sprintf("timing: %v wall-clock with %d workers", rounded, parallel.Workers(*workers)))
-		fmt.Fprintln(out, table.ASCII())
-		fmt.Fprintf(out, "(%s finished in %v)\n\n", exp.ID, rounded)
-		if coll != nil {
-			if r, ok := coll.Report(); ok {
-				if r.Level != 0 {
-					fmt.Fprintf(out, "stats: qom %.6f ± %.6f (%.0f%% CI, rel %.4g, pooled over %d runs)\n",
-						r.Mean, r.HalfWidth, 100*r.Level, r.RelHalfWidth, r.Count)
-				} else {
-					fmt.Fprintf(out, "stats: qom %.6f (pooled over %d runs, no interval)\n", r.Mean, r.Count)
-				}
-			}
-			if d := coll.Decision(); d != nil {
-				fmt.Fprintf(out, "stats: early stop settled at %d/%d replications (target rel HW %g, reached %.4g; %d run(s) converged early)\n",
-					d.Reps, d.MaxReps, d.TargetRelHW, d.RelHalfWidth, coll.StoppedRuns())
-			}
-		}
-		params.trace = traceInfo
-		var rec obs.RunRecord
-		if *outDir != "" {
-			ws := root.Child("write")
-			csv := []byte(table.CSV())
-			path := filepath.Join(*outDir, exp.ID+".csv")
-			if err := os.WriteFile(path, csv, 0o644); err != nil {
+		var csv []byte
+		if err == nil {
+			rounded := elapsed.Round(time.Millisecond)
+			// The "timing:" prefix marks the one note allowed to vary between
+			// runs; CSV output carries no notes, so it stays byte-identical
+			// for a fixed seed at any worker count.
+			table.Notes = append(table.Notes, fmt.Sprintf("timing: %v wall-clock with %d workers", rounded, parallel.Workers(*workers)))
+			fmt.Fprintln(out, table.ASCII())
+			fmt.Fprintf(out, "(%s finished in %v)\n\n", exp.ID, rounded)
+			printStats(out, coll)
+			if *outDir != "" {
+				ws := root.Child("write")
+				csv = []byte(table.CSV())
+				err = os.WriteFile(filepath.Join(*outDir, exp.ID+".csv"), csv, 0o644)
 				ws.End()
-				return fmt.Errorf("writing %s: %w", path, err)
 			}
-			ws.End()
-			root.End()
-			diff := obs.Diff(before, obs.Snapshot())
-			man := manifestFor(exp, csv, diff, digest, params)
-			man.Phases = root.Breakdown()
-			if coll != nil {
-				if r, ok := coll.Report(); ok {
-					rp := r
-					man.Stats = &rp
-				}
-				man.EarlyStop = coll.Decision()
-			}
-			if journal != nil {
-				man.Journal = filepath.Base(journal.Path())
-			}
-			manPath := filepath.Join(*outDir, exp.ID+".manifest.json")
-			if err := man.Write(manPath); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", path)
-			fmt.Fprintf(out, "wrote %s\n\n", manPath)
-			rec = runRecord(exp, digest, params, diff, man.Phases)
-			rec.CSV = man.CSV
-			rec.CSVSHA256 = man.CSVSHA256
-		} else {
-			root.End()
-			rec = runRecord(exp, digest, params, obs.Diff(before, obs.Snapshot()), root.Breakdown())
 		}
+		root.End()
+		// Failed runs are journaled and completed too, with their error
+		// and no manifest file: the dashboard and the journal account for
+		// every run, not just the successful ones.
+		man := obs.NewManifest(exp.ID, exp.Title, cfg, digest, start, before, root.Breakdown())
+		man.Trace, man.Profiles = traceInfo, profiles
 		if coll != nil {
 			if r, ok := coll.Report(); ok {
-				rec.QoMMean, rec.QoMHalfWidth = r.Mean, r.HalfWidth
+				man.Stats = &r
 			}
-			if d := coll.Decision(); d != nil {
-				rec.EarlyStopReps = d.Reps
-			}
+			man.EarlyStop = coll.Decision()
 		}
 		if journal != nil {
-			if err := journal.Record(rec); err != nil {
-				return fmt.Errorf("recording %s in run journal: %w", exp.ID, err)
+			man.Journal = filepath.Base(journal.Path())
+		}
+		if err == nil && *outDir != "" {
+			man.CSV, man.CSVSHA256 = exp.ID+".csv", obs.SHA256Hex(csv)
+			manPath := filepath.Join(*outDir, exp.ID+".manifest.json")
+			if err = man.Write(manPath); err == nil {
+				fmt.Fprintf(out, "wrote %s\n", filepath.Join(*outDir, man.CSV))
+				fmt.Fprintf(out, "wrote %s\n\n", manPath)
 			}
 		}
-		active.Complete(rec)
+		if err != nil {
+			man.Error = err.Error()
+		}
+		if journal != nil {
+			if jerr := journal.Record(man); err == nil && jerr != nil {
+				err = fmt.Errorf("recording in run journal: %w", jerr)
+			}
+		}
+		active.Complete(man)
+		if err != nil {
+			return fmt.Errorf("running %s: %w", exp.ID, err)
+		}
 		spanRoots = append(spanRoots, root)
 	}
 	if spansPath != "" {
@@ -410,91 +345,43 @@ func run(args []string, out io.Writer) error {
 	return stopProfiles()
 }
 
-// runRecord assembles the journal/registry record for one experiment:
-// the manifest's identity and configuration facts plus the engine
-// attribution and event totals carved from the experiment's metrics
-// diff.
-func runRecord(exp experiments.Experiment, digest string, p manifestParams, diff map[string]float64, phases *obs.Phase) obs.RunRecord {
-	used, fallbacks := obs.EngineCounts(diff)
-	return obs.RunRecord{
-		Experiment:   exp.ID,
-		Title:        exp.Title,
-		ConfigDigest: digest,
-		Engine:       p.engine.String(),
-		Seed:         p.seed,
-		Slots:        p.slots,
-		Batch:        p.batch,
-		Workers:      parallel.Workers(p.workers),
-		Quick:        p.quick,
-		Status:       "ok",
-		WallMillis:   p.elapsed.Milliseconds(),
-		EnginesUsed:  used,
-		Fallbacks:    fallbacks,
-		Events:       int64(diff["sim.events"]),
-		Captures:     int64(diff["sim.captures"]),
-		Phases:       phases,
+// printStats prints an experiment's pooled QoM estimate and, when the
+// run stopped early, the replication count it settled on.
+func printStats(out io.Writer, coll *experiments.StatsCollector) {
+	if coll == nil {
+		return
+	}
+	if r, ok := coll.Report(); ok {
+		if r.Level != 0 {
+			fmt.Fprintf(out, "stats: qom %.6f ± %.6f (%.0f%% CI, rel %.4g, pooled over %d runs)\n",
+				r.Mean, r.HalfWidth, 100*r.Level, r.RelHalfWidth, r.Count)
+		} else {
+			fmt.Fprintf(out, "stats: qom %.6f (pooled over %d runs, no interval)\n", r.Mean, r.Count)
+		}
+	}
+	if d := coll.Decision(); d != nil {
+		fmt.Fprintf(out, "stats: early stop settled at %d/%d replications (target rel HW %g, reached %.4g; %d run(s) converged early)\n",
+			d.Reps, d.MaxReps, d.TargetRelHW, d.RelHalfWidth, coll.StoppedRuns())
 	}
 }
 
-// manifestParams carries the per-invocation facts manifestFor records.
-type manifestParams struct {
-	slots   int64
-	seed    uint64
-	quick   bool
-	workers int
-	batch   int
-	engine  sim.Engine
-	start   time.Time
-	elapsed time.Duration
-	outDir  string
-	cpuProf string
-	memProf string
-	trace   *obs.TraceInfo
-}
-
-// manifestFor assembles the JSON sidecar for one experiment's CSV. The
-// metrics block is the experiment's own share of the process counters
-// (the Snapshot diff around its Run call), carved by prefix into
-// run-level ("sim.") and process-level ("cache.", "core.", "pool.")
-// blocks.
-func manifestFor(exp experiments.Experiment, csv []byte, diff map[string]float64, digest string, p manifestParams) *obs.Manifest {
-	man := &obs.Manifest{
-		Schema:     obs.ManifestSchema,
-		Experiment: exp.ID,
-		Title:      exp.Title,
-		CSV:        exp.ID + ".csv",
-		CSVSHA256:  obs.SHA256Hex(csv),
-		Config: obs.ManifestConfig{
-			Slots:   p.slots,
-			Seed:    p.seed,
-			Quick:   p.quick,
-			Workers: parallel.Workers(p.workers),
-			Engine:  p.engine.String(),
-		},
-		ConfigDigest:  digest,
-		StartedAt:     p.start.UTC().Format(time.RFC3339),
-		WallMillis:    p.elapsed.Milliseconds(),
-		GoVersion:     obs.GoVersion(),
-		BinaryVersion: obs.BinaryVersion(),
-		Metrics:       obs.FilterPrefix(diff, "sim."),
-		Process:       obs.FilterPrefix(diff, "cache.", "core.", "pool."),
-		Trace:         p.trace,
+// profileRefs names the run's pprof files for the manifests: by base
+// name when a profile lies in the output directory beside them, else
+// by the path as given. Nil when no profile was requested.
+func profileRefs(outDir, cpuPath, memPath string) map[string]string {
+	var refs map[string]string
+	for _, p := range [...]struct{ kind, path string }{{"cpu", cpuPath}, {"mem", memPath}} {
+		if p.path == "" {
+			continue
+		}
+		if refs == nil {
+			refs = make(map[string]string)
+		}
+		if filepath.Dir(p.path) == filepath.Clean(outDir) {
+			refs[p.kind] = filepath.Base(p.path)
+		} else {
+			refs[p.kind] = p.path
+		}
 	}
-	addProfile := func(kind, path string) {
-		if path == "" {
-			return
-		}
-		if man.Profiles == nil {
-			man.Profiles = make(map[string]string)
-		}
-		// Point at the sibling file by base name when the profile lives in
-		// the output directory, else record the path as given.
-		if filepath.Dir(path) == filepath.Clean(p.outDir) {
-			path = filepath.Base(path)
-		}
-		man.Profiles[kind] = path
-	}
-	addProfile("cpu", p.cpuProf)
-	addProfile("mem", p.memProf)
-	return man
+	return refs
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -70,7 +71,9 @@ func TestWorkersFlagByteIdenticalCSV(t *testing.T) {
 
 // TestRunWritesManifest: every CSV gets a JSON sidecar whose hash
 // matches the CSV bytes and whose metrics block satisfies the event
-// classification invariant.
+// classification invariant. An unbatched run keeps the digest scheme
+// of every manifest in results/; a batched one records its batch in
+// the config block and in the digest.
 func TestRunWritesManifest(t *testing.T) {
 	dir := t.TempDir()
 	var sb strings.Builder
@@ -91,11 +94,14 @@ func TestRunWritesManifest(t *testing.T) {
 	if got := obs.SHA256Hex(csv); got != man.CSVSHA256 {
 		t.Errorf("csv hash %s != manifest %s", got, man.CSVSHA256)
 	}
-	if man.Config.Seed != 2 || !man.Config.Quick || man.Config.Engine != "auto" {
+	if man.Config.Seed != 2 || !man.Config.Quick || man.Config.Engine != "auto" || man.Config.Batch != 0 {
 		t.Errorf("manifest config: %+v", man.Config)
 	}
-	if !strings.HasPrefix(man.ConfigDigest, "sha256:") || man.GoVersion == "" || man.BinaryVersion == "" {
-		t.Errorf("manifest provenance: digest=%q go=%q bin=%q", man.ConfigDigest, man.GoVersion, man.BinaryVersion)
+	if want := obs.DigestConfig("experiment=fig3a", "slots=0", "seed=2", "quick=true", "engine=auto"); man.ConfigDigest != want {
+		t.Errorf("manifest digest %s, want %s", man.ConfigDigest, want)
+	}
+	if man.GoVersion == "" || man.BinaryVersion == "" {
+		t.Errorf("manifest provenance: go=%q bin=%q", man.GoVersion, man.BinaryVersion)
 	}
 	m := man.Metrics
 	events, captures := m["sim.events"], m["sim.captures"]
@@ -107,6 +113,18 @@ func TestRunWritesManifest(t *testing.T) {
 	}
 	if man.Process["pool.jobs.done"] == 0 {
 		t.Error("manifest process block recorded no pool jobs")
+	}
+
+	bdir := t.TempDir()
+	if err := run([]string{"-run", "fig3a", "-quick", "-seed", "2", "-out", bdir, "-batch", "2"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	batched, err := obs.ReadManifest(filepath.Join(bdir, "fig3a.manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batched.Config.Batch != 2 || batched.ConfigDigest == man.ConfigDigest {
+		t.Errorf("-batch 2 manifest: config %+v, digest %s (unbatched %s)", batched.Config, batched.ConfigDigest, man.ConfigDigest)
 	}
 }
 
@@ -271,9 +289,10 @@ func TestSpansFlagKeepsCSVByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunWritesJournalAndPhases: every -out run journals one wide-event
-// JSON line per experiment and embeds the phase breakdown in a schema-v3
-// manifest that names the journal.
+// TestRunWritesJournalAndPhases: every -out run journals its manifest
+// as one JSON line, the manifest embeds the phase breakdown and names
+// the journal, and a failed run is journaled with its error and writes
+// no manifest file.
 func TestRunWritesJournalAndPhases(t *testing.T) {
 	dir := t.TempDir()
 	var sb strings.Builder
@@ -304,33 +323,42 @@ func TestRunWritesJournalAndPhases(t *testing.T) {
 		t.Fatalf("phase tree missing merged sim.run phases: %+v", man.Phases.Phases[0])
 	}
 
+	if lines := journalLines(t, dir); len(lines) != 1 || !reflect.DeepEqual(lines[0], man) {
+		t.Fatalf("journal lines %+v, want the manifest %+v", lines, man)
+	}
+
+	// EBCW does not compile, so forcing the kernel fails fig5a.
+	err = run([]string{"-run", "fig5a", "-quick", "-kernel", "on", "-out", dir}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "not compilable") {
+		t.Fatalf("fig5a -kernel on: error %v, want the kernel's refusal", err)
+	}
+	lines := journalLines(t, dir)
+	if len(lines) != 2 || lines[1].Experiment != "fig5a" || !strings.Contains(lines[1].Error, "not compilable") {
+		t.Fatalf("failed run journaled as %+v, error %q", lines[len(lines)-1], err)
+	}
+	for _, name := range []string{"fig5a.manifest.json", "fig5a.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("failed run left %s (stat: %v)", name, err)
+		}
+	}
+}
+
+// journalLines decodes every line of dir's run journal.
+func journalLines(t *testing.T, dir string) []*obs.Manifest {
+	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, "runs.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
-	if len(lines) != 1 {
-		t.Fatalf("journal lines = %d, want 1", len(lines))
+	var out []*obs.Manifest
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var m obs.Manifest
+		if err := json.Unmarshal(line, &m); err != nil {
+			t.Fatalf("journal line not JSON: %v\n%s", err, line)
+		}
+		out = append(out, &m)
 	}
-	var rec map[string]any
-	if err := json.Unmarshal(lines[0], &rec); err != nil {
-		t.Fatalf("journal line not JSON: %v", err)
-	}
-	if rec["experiment"] != "fig3a" || rec["status"] != "ok" {
-		t.Fatalf("journal record = %v", rec)
-	}
-	if rec["csv"] != "fig3a.csv" || rec["config_digest"] != man.ConfigDigest {
-		t.Fatalf("journal identity = %v", rec)
-	}
-	if rec["events"] == float64(0) {
-		t.Fatal("journal recorded no events")
-	}
-	if eng, _ := rec["engines_used"].(map[string]any); len(eng) == 0 {
-		t.Fatalf("journal engines_used = %v", rec["engines_used"])
-	}
-	if ph, _ := rec["phases"].(map[string]any); ph["name"] != "fig3a" {
-		t.Fatalf("journal phases = %v", rec["phases"])
-	}
+	return out
 }
 
 // TestStatsFlagKeepsCSVByteIdentical: the streaming-statistics probe is
@@ -425,19 +453,8 @@ func TestEarlyStopRecordedInManifest(t *testing.T) {
 		t.Fatal("early-stopped run lost its stats block")
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, "runs.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal(bytes.TrimSpace(data), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := rec["early_stop_reps"].(float64); int(got) != es.Reps {
-		t.Errorf("journal early_stop_reps = %v, manifest %d", rec["early_stop_reps"], es.Reps)
-	}
-	if qom, _ := rec["qom_mean"].(float64); qom <= 0 {
-		t.Errorf("journal qom_mean = %v", rec["qom_mean"])
+	if lines := journalLines(t, dir); len(lines) != 1 || !reflect.DeepEqual(lines[0], man) {
+		t.Errorf("journal lines %+v, want the manifest %+v", lines, man)
 	}
 	if !strings.Contains(sb.String(), "stats: early stop settled at ") {
 		t.Errorf("stdout missing the early-stop line:\n%s", sb.String())
@@ -451,5 +468,11 @@ func TestEarlyStopFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-run", "fig3a", "-quick", "-min-reps", "4"}, &sb); err == nil {
 		t.Fatal("-min-reps without -target-rel-hw accepted")
+	}
+	// The trace would hold replication 0 while the manifest's counters
+	// sum every replication.
+	err := run([]string{"-run", "fig3a", "-quick", "-trace", "-out", t.TempDir(), "-batch", "2"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "replication 0") {
+		t.Fatalf("-trace with -batch 2: error %v, want the refusal", err)
 	}
 }

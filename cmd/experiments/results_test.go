@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -16,9 +17,14 @@ import (
 // the full-size suite) into a temporary directory and checks it against
 // a committed results directory: the same set of CSVs, each
 // byte-identical to its committed copy and to the csv_sha256 that the
-// committed manifest records. The full suite takes tens of seconds, so
-// the test runs only when EVENTCAP_RESULTS_DIR names the directory to
-// check; `make results-verify` sets it to results/.
+// committed manifest records, and each regenerated manifest's metrics
+// block (the sim.* counters: events, the miss decomposition, battery
+// occupancy, the engine of every run) equal to the committed one, so a
+// change that moves a run onto another engine fails here even when the
+// CSVs match. The process block holds timings and is not compared. The
+// full suite takes tens of seconds, so the test runs only when
+// EVENTCAP_RESULTS_DIR names the directory to check; `make
+// results-verify` sets it to results/.
 func TestCommittedResultsReproduce(t *testing.T) {
 	dir := os.Getenv("EVENTCAP_RESULTS_DIR")
 	if dir == "" {
@@ -57,6 +63,12 @@ func TestCommittedResultsReproduce(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s differs from the regenerated run:\n%s", name, lineDiff(want, got))
+		}
+		if regen, err := obs.ReadManifest(filepath.Join(fresh, id+".manifest.json")); err != nil {
+			t.Error(err)
+		} else if man != nil && !reflect.DeepEqual(regen.Metrics, man.Metrics) {
+			t.Errorf("%s: metrics block differs from its committed manifest's:\n  committed:   %v\n  regenerated: %v",
+				id, man.Metrics, regen.Metrics)
 		}
 	}
 }

@@ -13,12 +13,14 @@
 //
 // -trace writes a slot-level trace (internal/trace format) plus a
 // <file>.manifest.json sidecar that cmd/tracetool's replay subcommand
-// verifies. -flight-recorder keeps the last N slot records per sensor
-// in memory and dumps them on invariant violations, sensor faults, and
-// the first energy-denied miss; -flight-dump writes the collected dumps
-// as JSON, and -metrics-addr serves them live at /debug/trace (plus the
-// run dashboard at /debug/runs). -spans exports the run's phase spans
-// as Chrome trace-event JSON for chrome://tracing or Perfetto.
+// verifies; it is refused with -batch > 1, whose trace would hold
+// replication 0 alone. -flight-recorder keeps the last N slot records
+// per sensor in memory and dumps them on invariant violations, sensor
+// faults, and the first energy-denied miss; -flight-dump writes the
+// collected dumps as JSON, and -metrics-addr serves them live at
+// /debug/trace (plus the run dashboard at /debug/runs, whose completed
+// entries are the runs' manifests). -spans exports the run's phase
+// spans as Chrome trace-event JSON for chrome://tracing or Perfetto.
 package main
 
 import (
@@ -27,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"eventcap/internal/cliutil"
@@ -35,7 +36,6 @@ import (
 	"eventcap/internal/dist"
 	"eventcap/internal/obs"
 	"eventcap/internal/sim"
-	"eventcap/internal/stats"
 	"eventcap/internal/trace"
 )
 
@@ -68,7 +68,7 @@ func run(args []string, out io.Writer) error {
 		memProf    = fs.String("memprofile", "", "write a heap profile to this file")
 		metrics    = fs.Bool("metrics", false, "collect and print run metrics (miss decomposition, battery occupancy; never changes results)")
 		mAddr      = fs.String("metrics-addr", "", "serve /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
-		traceFile  = fs.String("trace", "", "write a slot-level trace to this file plus a .manifest.json sidecar (implies -metrics; never changes results)")
+		traceFile  = fs.String("trace", "", "write a slot-level trace to this file plus a .manifest.json sidecar (implies -metrics; never changes results; refused with -batch > 1)")
 		spansFlag  = fs.String("spans", "", "write the run's phase spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto; never changes results)")
 		flightSize = fs.Int("flight-recorder", 0, "arm a flight recorder keeping the last N slot records per sensor (0 disables)")
 		flightDump = fs.String("flight-dump", "", "write flight-recorder dumps as JSON to this file (requires -flight-recorder)")
@@ -85,6 +85,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *flightDump != "" && *flightSize <= 0 {
 		return fmt.Errorf("-flight-dump requires -flight-recorder")
+	}
+	if *traceFile != "" && *batch > 1 {
+		return fmt.Errorf("-trace with -batch > 1 is refused: the trace holds replication 0 alone, but the manifest's counters sum every replication, so tracetool replay could not verify it")
 	}
 	if *targetHW > 0 && *batch < 2 {
 		return fmt.Errorf("-target-rel-hw requires -batch > 1 (the replication budget it stops within)")
@@ -239,30 +242,20 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("mode blocks is only meaningful with -policy periodic")
 	}
 
-	var (
-		tw *trace.Writer
-		tf *os.File
-	)
+	var tf *trace.File
 	if *traceFile != "" {
-		tf, err = os.Create(*traceFile)
-		if err != nil {
-			return fmt.Errorf("creating trace file: %w", err)
+		if tf, err = trace.Create(*traceFile, flight); err != nil {
+			return err
 		}
-		tw = trace.NewWriter(tf)
-	}
-	if tw != nil || flight != nil {
-		cfg.Tracer = trace.New(tw, flight)
+		cfg.Tracer = tf.Tracer()
+	} else if flight != nil {
+		cfg.Tracer = trace.New(nil, flight)
 	}
 
 	// The phase span is always attached (spans are RNG-neutral and wrap
 	// phases, not slots); the run registers on /debug/runs so a
 	// -metrics-addr server shows it live, and -spans exports the tree.
-	digest := obs.DigestConfig(
-		"experiment=simulate",
-		fmt.Sprintf("slots=%d", cfg.Slots),
-		fmt.Sprintf("seed=%d", cfg.Seed),
-		"engine="+engine.String(),
-	)
+	digest := configDigest(fs)
 	root := obs.BeginSpan("simulate")
 	active := obs.DefaultRegistry.Begin("simulate", digest, nil, root)
 	cfg.Span = root
@@ -273,8 +266,7 @@ func run(args []string, out io.Writer) error {
 		cfg.StatsSink = active.Stats.Publish
 	}
 
-	before := obs.Snapshot()
-	start := time.Now()
+	before, start := obs.Snapshot(), time.Now()
 	var (
 		res *sim.Result
 		dec *obs.EarlyStopInfo
@@ -285,48 +277,34 @@ func run(args []string, out io.Writer) error {
 		res, err = sim.Run(cfg)
 	}
 	root.End()
-	elapsed := time.Since(start)
-	diff := obs.Diff(before, obs.Snapshot())
-	rec := runRecord(cfg, engine, digest, elapsed, diff, root.Breakdown())
+	// Close the trace before any other output file is written: the
+	// stream's write errors surface only there.
+	var traceInfo *obs.TraceInfo
+	if tf != nil {
+		// The run error is primary; a failed run's trace is best-effort.
+		var closeErr error
+		if traceInfo, closeErr = tf.Close(); err == nil {
+			err = closeErr
+		}
+	}
+	man := obs.NewManifest("simulate", "", obs.ManifestConfig{
+		Slots: cfg.Slots, Seed: cfg.Seed, Workers: cfg.Workers, Engine: engine.String(),
+	}, digest, start, before, root.Breakdown())
+	if *batch > 1 {
+		man.Config.Batch = *batch
+	}
+	man.Trace = traceInfo
 	if err != nil {
-		rec.Status, rec.Error = "error", err.Error()
-		active.Complete(rec)
-		// The run error is primary; the partial trace is best-effort.
-		if tw != nil {
-			_ = tw.Close()
-		}
-		if tf != nil {
-			_ = tf.Close()
-		}
+		man.Error = err.Error()
+		active.Complete(man)
 		return err
 	}
-	if res.Stats != nil {
-		rec.QoMMean, rec.QoMHalfWidth = res.Stats.Mean, res.Stats.HalfWidth
-	}
-	if dec != nil {
-		rec.EarlyStopReps = dec.Reps
-	}
-	active.Complete(rec)
-
-	// Close the trace stream before any other output file is written:
-	// Writer errors are sticky and only surface at Close, and an early
-	// return from the spans write below must not leak the stream (or
-	// silently drop its buffered frames).
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			if tf != nil {
-				_ = tf.Close()
-			}
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
+	man.Stats, man.EarlyStop = res.Stats, dec
+	active.Complete(man)
+	// The sidecar sits next to the trace, so the pair stays relocatable
+	// and cmd/tracetool replay verifies it like an experiment's.
 	if tf != nil {
-		if err := tf.Close(); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
-	if tw != nil {
-		if err := writeTraceManifest(*traceFile, tw, flight != nil, cfg, engine, digest, start, elapsed, diff, root.Breakdown(), res.Stats, dec); err != nil {
+		if err := man.Write(*traceFile + ".manifest.json"); err != nil {
 			return err
 		}
 	}
@@ -393,8 +371,8 @@ func run(args []string, out io.Writer) error {
 				m.KernelRuns, m.KernelSlotsFastForwarded, 100*float64(m.KernelSlotsFastForwarded)/float64(res.Slots))
 		}
 	}
-	if tw != nil {
-		c := tw.Counts()
+	if tf != nil {
+		c := tf.Counts()
 		fmt.Fprintf(out, "trace      %s: %d records, %d spans, %d bytes (manifest %s)\n",
 			*traceFile, c.Records, c.Spans, c.Bytes, *traceFile+".manifest.json")
 	}
@@ -418,67 +396,23 @@ func run(args []string, out io.Writer) error {
 	return stopProfiles()
 }
 
-// runRecord assembles the run's registry record: identity, engine
-// attribution, event totals, and the phase breakdown. Status starts
-// "ok"; the error path overwrites it.
-func runRecord(cfg sim.Config, engine sim.Engine, digest string, elapsed time.Duration, diff map[string]float64, phases *obs.Phase) obs.RunRecord {
-	used, fallbacks := obs.EngineCounts(diff)
-	return obs.RunRecord{
-		Experiment:   "simulate",
-		ConfigDigest: digest,
-		Engine:       engine.String(),
-		Seed:         cfg.Seed,
-		Slots:        cfg.Slots,
-		Batch:        cfg.Batch,
-		Workers:      cfg.Workers,
-		Status:       "ok",
-		WallMillis:   elapsed.Milliseconds(),
-		EnginesUsed:  used,
-		Fallbacks:    fallbacks,
-		Events:       int64(diff["sim.events"]),
-		Captures:     int64(diff["sim.captures"]),
-		Phases:       phases,
-	}
+// observationFlags choose outputs and observers only, never a result;
+// the config digest leaves them out.
+var observationFlags = map[string]bool{
+	"workers": true, "cpuprofile": true, "memprofile": true,
+	"metrics": true, "metrics-addr": true, "trace": true, "spans": true,
+	"flight-recorder": true, "flight-dump": true, "stats": true,
 }
 
-// writeTraceManifest writes the <trace>.manifest.json sidecar tying the
-// trace bytes to the run's configuration, metrics, and phase breakdown,
-// in the same schema cmd/experiments uses, so cmd/tracetool replay
-// verifies simulate traces too.
-func writeTraceManifest(tracePath string, tw *trace.Writer, withFlight bool, cfg sim.Config, engine sim.Engine, digest string, start time.Time, elapsed time.Duration, diff map[string]float64, phases *obs.Phase, st *stats.Report, early *obs.EarlyStopInfo) error {
-	mode := "full"
-	if withFlight {
-		mode = "full+flight"
-	}
-	c := tw.Counts()
-	man := &obs.Manifest{
-		Experiment: "simulate",
-		Config: obs.ManifestConfig{
-			Slots:   cfg.Slots,
-			Seed:    cfg.Seed,
-			Workers: cfg.Workers,
-			Engine:  engine.String(),
-		},
-		ConfigDigest:  digest,
-		StartedAt:     start.UTC().Format(time.RFC3339),
-		WallMillis:    elapsed.Milliseconds(),
-		GoVersion:     obs.GoVersion(),
-		BinaryVersion: obs.BinaryVersion(),
-		Metrics:       obs.FilterPrefix(diff, "sim."),
-		Process:       obs.FilterPrefix(diff, "cache.", "core.", "pool."),
-		Trace: &obs.TraceInfo{
-			// The sidecar sits next to the trace, so the base name keeps
-			// the pair relocatable.
-			File:    filepath.Base(tracePath),
-			SHA256:  tw.SHA256(),
-			Mode:    mode,
-			Runs:    c.Runs,
-			Records: c.Records,
-			Spans:   c.Spans,
-		},
-		Phases:    phases,
-		Stats:     st,
-		EarlyStop: early,
-	}
-	return man.Write(tracePath + ".manifest.json")
+// configDigest hashes every flag that shapes the run's results (every
+// flag but the observation ones, defaults included) into the
+// manifest's config digest.
+func configDigest(fs *flag.FlagSet) string {
+	parts := []string{"experiment=simulate"}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !observationFlags[f.Name] {
+			parts = append(parts, f.Name+"="+f.Value.String())
+		}
+	})
+	return obs.DigestConfig(parts...)
 }

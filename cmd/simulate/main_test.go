@@ -219,22 +219,31 @@ func TestStatsFlagIsOutputNeutral(t *testing.T) {
 	}
 }
 
+// lastManifest returns the manifest of the most recent run in the
+// registry that /debug/runs renders.
+func lastManifest(t *testing.T) *obs.Manifest {
+	t.Helper()
+	done := obs.DefaultRegistry.CompletedRuns()
+	if len(done) == 0 {
+		t.Fatal("no completed run in the registry")
+	}
+	return done[0].Manifest
+}
+
 // TestEarlyStopOutputAndManifest: a loose CI target stops inside the
 // budget and records the decision in both stdout and the manifest.
 func TestEarlyStopOutputAndManifest(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "run.evtrace")
 	var sb strings.Builder
-	args := []string{"-T", "20000", "-seed", "9", "-batch", "32",
-		"-target-rel-hw", "0.5", "-trace", tracePath}
+	args := []string{"-T", "20000", "-seed", "9", "-batch", "32", "-target-rel-hw", "0.5"}
 	if err := run(args, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "stats      early stop at ") {
 		t.Fatalf("stdout missing early-stop line:\n%s", sb.String())
 	}
-	man, err := obs.ReadManifest(tracePath + ".manifest.json")
-	if err != nil {
-		t.Fatal(err)
+	man := lastManifest(t)
+	if man.Error != "" || man.Config.Batch != 32 {
+		t.Fatalf("manifest error %q, config %+v", man.Error, man.Config)
 	}
 	es := man.EarlyStop
 	if es == nil {
@@ -258,6 +267,48 @@ func TestSimulateEarlyStopFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-T", "1000", "-batch", "4", "-min-reps", "2"}, &sb); err == nil {
 		t.Fatal("-min-reps without -target-rel-hw accepted")
+	}
+	// The trace would hold replication 0 while the manifest's counters
+	// sum every replication.
+	err := run([]string{"-T", "1000", "-batch", "2", "-trace", filepath.Join(t.TempDir(), "run.evtrace")}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "replication 0") {
+		t.Fatalf("-trace with -batch 2: error %v, want the refusal", err)
+	}
+}
+
+// TestConfigDigestCoversResultFlags: a flag that shapes the results
+// changes the run's config digest, and an observation flag does not.
+func TestConfigDigestCoversResultFlags(t *testing.T) {
+	base := []string{"-T", "2000", "-seed", "9"}
+	digest := func(extra ...string) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := run(append(append([]string{}, base...), extra...), &sb); err != nil {
+			t.Fatal(err)
+		}
+		return lastManifest(t).ConfigDigest
+	}
+	want := digest()
+	for _, extra := range [][]string{
+		{"-policy", "aggressive"},
+		{"-k", "50"},
+		{"-dist", "pareto:2,10"},
+		{"-batch", "2"},
+	} {
+		if got := digest(extra...); got == want {
+			t.Errorf("%v: digest unchanged (%s)", extra, got)
+		}
+	}
+	for _, extra := range [][]string{
+		{"-metrics"},
+		{"-stats=false"},
+		{"-workers", "1"},
+		{"-spans", filepath.Join(t.TempDir(), "spans.json")},
+		{"-trace", filepath.Join(t.TempDir(), "run.evtrace")},
+	} {
+		if got := digest(extra...); got != want {
+			t.Errorf("%v: digest %s, want %s", extra, got, want)
+		}
 	}
 }
 

@@ -17,9 +17,9 @@ const ClosecheckMarker = "closecheck:ok"
 // packages that create trace streams and files: cmd/* and
 // internal/trace (see the scope policy in For). Two rules:
 //
-//  1. Every os.File (Create/Open/OpenFile/CreateTemp) and trace.Writer
-//     (NewWriter) bound to a local variable must reach Close on every
-//     path out of the creating function — explicit, deferred, or inside
+//  1. Every os.File (Create/Open/OpenFile/CreateTemp), trace.Writer
+//     (NewWriter) and trace.File (Create) bound to a local variable
+//     must reach Close on every path out of the creating function — explicit, deferred, or inside
 //     a deferred closure. The analysis is path-sensitive over the
 //     function's CFG and understands the idioms around acquisition:
 //     on edges where the creation's companion error is known non-nil,
@@ -28,8 +28,9 @@ const ClosecheckMarker = "closecheck:ok"
 //     responsibility (writers are threaded through configs while the
 //     creator still closes them); returning or storing it does.
 //
-//  2. trace.Writer.Close results must be consumed. Writer write errors
-//     are sticky and only surface at Close, so a bare `w.Close()`
+//  2. trace.Writer.Close and trace.File.Close results must be
+//     consumed. Writer write errors are sticky and only surface at
+//     Close (a File's Close closes its Writer), so a bare `w.Close()`
 //     statement (or a bare `defer w.Close()`) silently discards the
 //     one signal that the trace on disk is incomplete. Assign it,
 //     check it, return it — or make the discard explicit and reviewed
@@ -42,8 +43,8 @@ const ClosecheckMarker = "closecheck:ok"
 // ownership handoff to a registry or background goroutine.
 var Closecheck = &analysis.Analyzer{
 	Name: "closecheck",
-	Doc: "os.File/trace.Writer created in cmd and trace paths must reach Close on " +
-		"every path, and trace.Writer.Close's sticky error must be consumed; " +
+	Doc: "os.File/trace.Writer/trace.File created in cmd and trace paths must reach Close on " +
+		"every path, and the sticky error of trace.Writer.Close and trace.File.Close must be consumed; " +
 		"// closecheck:ok <reason> suppresses",
 	Run: runClosecheck,
 }
@@ -66,7 +67,7 @@ func isCloseableCreation(pass *analysis.Pass, call *ast.CallExpr) bool {
 			return true
 		}
 	}
-	return pass.CalleeIn(call, "internal/trace", "NewWriter")
+	return pass.CalleeIn(call, "internal/trace", "NewWriter") || pass.CalleeIn(call, "internal/trace", "Create")
 }
 
 // closeCallOn returns the tracked object a Close call releases, if any.
@@ -247,8 +248,9 @@ func refineErrEdges(pass *analysis.Pass, b *cfg.Block, succ int, out resFacts[ty
 }
 
 // closecheckStickyErrors is the flow-insensitive half: every
-// trace.Writer.Close whose result is dropped by a bare statement or a
-// bare defer, anywhere in the file, tracked variable or not.
+// trace.Writer.Close or trace.File.Close whose result is dropped by a
+// bare statement or a bare defer, anywhere in the file, tracked
+// variable or not.
 func closecheckStickyErrors(pass *analysis.Pass, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		var call *ast.CallExpr
@@ -271,13 +273,14 @@ func closecheckStickyErrors(pass *analysis.Pass, file *ast.File) {
 			return true
 		}
 		if !justifiedFlow(pass, call.Pos(), ClosecheckMarker) {
-			pass.Reportf(call.Pos(), "trace.Writer.Close error discarded: write errors are sticky and only surface at Close (check it, or make the discard explicit with _ =; // %s <reason> to suppress)", ClosecheckMarker)
+			pass.Reportf(call.Pos(), "trace Close error discarded: write errors are sticky and only surface at Close (check it, or make the discard explicit with _ =; // %s <reason> to suppress)", ClosecheckMarker)
 		}
 		return true
 	})
 }
 
-// isWriterClose reports whether call is Close on a *trace.Writer.
+// isWriterClose reports whether call is Close on a *trace.Writer or a
+// *trace.File.
 func isWriterClose(pass *analysis.Pass, call *ast.CallExpr) bool {
 	recv, name, ok := receiverOfCall(call)
 	if !ok || name != "Close" {
@@ -291,6 +294,7 @@ func isWriterClose(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	return named.Obj().Name() == "Writer" &&
+	name = named.Obj().Name()
+	return (name == "Writer" || name == "File") &&
 		analysis.PathHasSuffix(named.Obj().Pkg().Path(), "internal/trace")
 }

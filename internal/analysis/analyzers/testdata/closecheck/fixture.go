@@ -1,12 +1,14 @@
-// Package fixture exercises the closecheck analyzer: files and trace
-// writers must reach Close on every path, and trace.Writer.Close's
-// sticky error must be consumed.
+// Package fixture exercises the closecheck analyzer: files, trace
+// writers and trace files must reach Close on every path, and the
+// sticky error of trace.Writer.Close and trace.File.Close must be
+// consumed.
 package fixture
 
 import (
 	"fmt"
 	"os"
 
+	"eventcap/internal/obs"
 	"eventcap/internal/trace"
 )
 
@@ -123,4 +125,36 @@ func deferSloppy(f *os.File) {
 func explicitDiscard(f *os.File) {
 	w := trace.NewWriter(f)
 	_ = w.Close() // reviewed, visible discard: quiet
+}
+
+func traceFile(p string, run func(*trace.Tracer) error) (*obs.TraceInfo, error) {
+	tf, err := trace.Create(p, nil)
+	if err != nil {
+		return nil, err // creation failed: nothing to close
+	}
+	if err := run(tf.Tracer()); err != nil {
+		_, _ = tf.Close() // the run error is primary
+		return nil, err
+	}
+	return tf.Close()
+}
+
+func traceFileLeak(p string, run func(*trace.Tracer) error) error {
+	tf, err := trace.Create(p, nil) // want `may not be Closed on every path`
+	if err != nil {
+		return err
+	}
+	if err := run(tf.Tracer()); err != nil {
+		return err // leaks tf and its buffered frames
+	}
+	_, err = tf.Close()
+	return err
+}
+
+func traceFileSloppy(p string) {
+	tf, err := trace.Create(p, nil)
+	if err != nil {
+		return
+	}
+	tf.Close() // want `Close error discarded`
 }

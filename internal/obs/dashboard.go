@@ -6,6 +6,8 @@ import (
 	"html/template"
 	"net/http"
 	"time"
+
+	"eventcap/internal/stats"
 )
 
 // dashboardTmpl renders /debug/runs: active runs with their live
@@ -104,17 +106,14 @@ type dashCompleted struct {
 	Phases []dashPhase
 }
 
-// fmtQoM renders a point estimate with its CI half-width ("0.8123 ±
-// 0.0042"); hasCI=false drops the band, mean<=0 with no captures at all
-// renders as a dash.
-func fmtQoM(mean, halfWidth float64, hasCI bool) string {
-	if mean == 0 && halfWidth == 0 && !hasCI {
-		return "–"
+// fmtQoM renders a report's point estimate with its CI half-width
+// ("0.8123 ± 0.0042"), or the estimate alone when the report has no
+// interval.
+func fmtQoM(r stats.Report) string {
+	if r.Level == 0 {
+		return fmt.Sprintf("%.4f", r.Mean)
 	}
-	if !hasCI {
-		return fmt.Sprintf("%.4f", mean)
-	}
-	return fmt.Sprintf("%.4f ± %.4f", mean, halfWidth)
+	return fmt.Sprintf("%.4f ± %.4f", r.Mean, r.HalfWidth)
 }
 
 type dashData struct {
@@ -171,7 +170,7 @@ func (r *Registry) Handler() http.Handler {
 				v.Progress = "running"
 			}
 			if r, ok := a.Stats.Last(); ok {
-				v.QoM = fmtQoM(r.Mean, r.HalfWidth, r.Level != 0)
+				v.QoM = fmtQoM(r)
 				v.Spark = a.Stats.Sparkline()
 			} else {
 				v.QoM = "–"
@@ -179,16 +178,22 @@ func (r *Registry) Handler() http.Handler {
 			data.Active = append(data.Active, v)
 		}
 		for _, c := range r.CompletedRuns() {
-			rec := c.Record
-			data.Completed = append(data.Completed, dashCompleted{
-				Name:   rec.Experiment,
-				Status: rec.Status,
-				Failed: rec.Status != "ok",
-				Engine: rec.Engine,
-				Wall:   (time.Duration(rec.WallMillis) * time.Millisecond).String(),
-				QoM:    fmtQoM(rec.QoMMean, rec.QoMHalfWidth, rec.QoMHalfWidth > 0),
-				Phases: phaseBars(rec.Phases),
-			})
+			m := c.Manifest
+			v := dashCompleted{
+				Name:   m.Experiment,
+				Status: "ok",
+				Engine: m.Config.Engine,
+				Wall:   (time.Duration(m.WallMillis) * time.Millisecond).String(),
+				QoM:    "–",
+				Phases: phaseBars(m.Phases),
+			}
+			if m.Error != "" {
+				v.Status, v.Failed = "error", true
+			}
+			if s := m.Stats; s != nil {
+				v.QoM = fmtQoM(*s)
+			}
+			data.Completed = append(data.Completed, v)
 		}
 		var buf bytes.Buffer
 		if err := dashboardTmpl.Execute(&buf, data); err != nil {

@@ -52,10 +52,9 @@ func TestDashboardRendersActiveAndCompleted(t *testing.T) {
 	r.Begin("fig6a", "sha256:deadbeef", prog, span)
 
 	done := r.Begin("fig3a", "sha256:feedface", nil, nil)
-	done.Complete(RunRecord{
+	done.Complete(&Manifest{
 		Experiment: "fig3a",
-		Status:     "ok",
-		Engine:     "auto",
+		Config:     ManifestConfig{Engine: "auto"},
 		WallMillis: 1500,
 		Phases: &Phase{
 			Name: "fig3a", Count: 1, WallMicros: 1_500_000,
@@ -66,7 +65,7 @@ func TestDashboardRendersActiveAndCompleted(t *testing.T) {
 		},
 	})
 	failed := r.Begin("fig4a", "", nil, nil)
-	failed.Complete(RunRecord{Experiment: "fig4a", Status: "error", Engine: "auto"})
+	failed.Complete(&Manifest{Experiment: "fig4a", Config: ManifestConfig{Engine: "auto"}, Error: "boom"})
 
 	body := getDashboard(t, r)
 	for _, want := range []string{
@@ -103,7 +102,7 @@ func TestDashboardConcurrentRegistration(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
 				a := r.Begin(fmt.Sprintf("run%d.%d", i, j), "", NewProgress(), BeginSpan("x"))
-				a.Complete(RunRecord{Experiment: "x", Status: "ok"})
+				a.Complete(&Manifest{Experiment: "x"})
 			}
 		}(i)
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"time"
 
 	"eventcap/internal/stats"
 )
@@ -16,7 +17,9 @@ import (
 // changes. v4 adds the optional streaming-statistics block (QoM CI and
 // early-stop decision); v3 added the phase-breakdown and journal
 // fields; v2 added the trace block. ReadManifest accepts v4 only: every
-// committed manifest is a v4 run.
+// committed manifest is a v4 run. The optional config.batch and error
+// fields came later without a bump: a v4 reader that ignores them reads
+// every unbatched, successful run as before.
 const ManifestSchema = "eventcap/run-manifest/v4"
 
 // ManifestConfig is the experiment configuration block: everything
@@ -31,12 +34,19 @@ type ManifestConfig struct {
 	// engines actually used are in the metrics block
 	// (sim.runs.kernel / sim.runs.reference).
 	Engine string `json:"engine"`
+	// Batch is the replication count B of every simulation, recorded
+	// only when B > 1 (a batch of one is a single run).
+	Batch int `json:"batch,omitempty"`
 }
 
-// Manifest is the JSON sidecar written next to every experiment CSV: a
-// reproducibility and audit record tying the output bytes to the exact
-// configuration, code version, and the energy accounting behind the
-// figure.
+// Manifest is the one record of a run: a reproducibility and audit
+// record tying the output bytes to the exact configuration, code
+// version, and the energy accounting behind the figure. NewManifest
+// builds it, and the binaries write it to up to three places: the JSON
+// sidecar beside the CSV or trace (Write), one line of the run journal
+// (RunLog.Record), and the registry's completed entry that /debug/runs
+// renders (ActiveRun.Complete). A failed run carries Error and gets no
+// sidecar.
 type Manifest struct {
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
@@ -78,8 +88,8 @@ type Manifest struct {
 	// phase by phase (schema v3). See Span.Breakdown.
 	Phases *Phase `json:"phases,omitempty"`
 
-	// Journal is the base name of the run journal holding this run's
-	// wide-event record, when one was written (schema v3).
+	// Journal is the base name of the run journal whose line repeats
+	// this manifest, when one was written (schema v3).
 	Journal string `json:"journal,omitempty"`
 
 	// Stats is the run's streaming QoM report — point estimate,
@@ -90,6 +100,36 @@ type Manifest struct {
 	// EarlyStop records the CI-targeted early-stop decision when the run
 	// used one (schema v4).
 	EarlyStop *EarlyStopInfo `json:"early_stop,omitempty"`
+
+	// Error is the failure of a run that did not complete; empty on
+	// success.
+	Error string `json:"error,omitempty"`
+}
+
+// NewManifest builds the record of a run that started at start, when
+// the process counters read before: its identity, configuration and
+// digest, the start and wall time, the toolchain and binary versions,
+// the run's share of the counters (the Snapshot diff since before,
+// carved into the run-level "sim." metrics block and the process-level
+// "cache.", "core." and "pool." block) and its phase breakdown. The
+// caller adds what only it knows: the output files, the trace block,
+// the statistics, the journal's name, or the error.
+func NewManifest(experiment, title string, cfg ManifestConfig, digest string, start time.Time, before map[string]float64, phases *Phase) *Manifest {
+	diff := Diff(before, Snapshot())
+	return &Manifest{
+		Schema:        ManifestSchema,
+		Experiment:    experiment,
+		Title:         title,
+		Config:        cfg,
+		ConfigDigest:  digest,
+		StartedAt:     start.UTC().Format(time.RFC3339),
+		WallMillis:    time.Since(start).Milliseconds(),
+		GoVersion:     GoVersion(),
+		BinaryVersion: BinaryVersion(),
+		Metrics:       FilterPrefix(diff, "sim."),
+		Process:       FilterPrefix(diff, "cache.", "core.", "pool."),
+		Phases:        phases,
+	}
 }
 
 // EarlyStopInfo records how a CI-targeted early-stopped run ended
@@ -124,7 +164,8 @@ type TraceInfo struct {
 }
 
 // FilterPrefix returns the subset of snap whose keys start with any of
-// the given prefixes (for carving Snapshot diffs into manifest blocks).
+// the given prefixes (NewManifest carves Snapshot diffs into manifest
+// blocks with it).
 func FilterPrefix(snap map[string]float64, prefixes ...string) map[string]float64 {
 	out := make(map[string]float64)
 	for k, v := range snap {

@@ -15,7 +15,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		Title:        "Fig 3(a)",
 		CSV:          "fig3a.csv",
 		CSVSHA256:    SHA256Hex([]byte("x,y\n1,2\n")),
-		Config:       ManifestConfig{Slots: 100000, Seed: 3, Quick: true, Workers: 4, Engine: "auto"},
+		Config:       ManifestConfig{Slots: 100000, Seed: 3, Quick: true, Workers: 4, Engine: "auto", Batch: 2},
 		ConfigDigest: DigestConfig("experiment=fig3a", "seed=3"),
 		StartedAt:    "2026-08-05T12:00:00Z",
 		WallMillis:   1234,

@@ -163,8 +163,18 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 // Max returns the high-water mark.
 func (g *Gauge) Max() int64 { return g.max.Load() }
 
-// FloatCounter is a monotone float accumulator (battery-fraction sums).
-type FloatCounter struct{ bits atomic.Uint64 }
+// floatCounterUnit is FloatCounter's fixed-point resolution: it counts
+// in units of 2^-20.
+const floatCounterUnit = 1 << 20
+
+// FloatCounter is a monotone accumulator of fractions (battery-fraction
+// sums), kept in fixed point: Add rounds its value to a whole number of
+// 2^-20 units and adds that integer atomically. Integer addition is
+// associative, so the total, and every Snapshot diff of it, is the same
+// whatever order concurrent runs add in and whatever had accumulated
+// before (a float sum's last digits depend on both). Totals stay exact
+// in float64 below 2^33.
+type FloatCounter struct{ units atomic.Int64 }
 
 // NewFloatCounter registers and returns a float accumulator.
 func NewFloatCounter(name string) *FloatCounter {
@@ -174,19 +184,11 @@ func NewFloatCounter(name string) *FloatCounter {
 	return f
 }
 
-// Add accumulates v with a compare-and-swap loop.
-func (f *FloatCounter) Add(v float64) {
-	for {
-		old := f.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
+// Add accumulates v, rounded to the nearest 2^-20.
+func (f *FloatCounter) Add(v float64) { f.units.Add(int64(math.Round(v * floatCounterUnit))) }
 
 // Load returns the accumulated sum.
-func (f *FloatCounter) Load() float64 { return math.Float64frombits(f.bits.Load()) }
+func (f *FloatCounter) Load() float64 { return float64(f.units.Load()) / floatCounterUnit }
 
 // FloatGauge is an instantaneous float level (the stats.* estimates:
 // last-published QoM mean and CI half-widths).

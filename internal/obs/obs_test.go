@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -47,6 +48,34 @@ func TestFloatCounter(t *testing.T) {
 	f.Add(0.5)
 	if got := f.Load(); got != 0.75 {
 		t.Fatalf("float counter = %v, want 0.75", got)
+	}
+}
+
+// TestFloatCounterOrderFree: the same values added in two orders give
+// bit-identical sums, and bit-identical Snapshot diffs when one side
+// adds on top of an earlier total. As float additions they differ in
+// the last digits.
+func TestFloatCounterOrderFree(t *testing.T) {
+	fwd := NewFloatCounter("test.float_order.fwd")
+	rev := NewFloatCounter("test.float_order.rev")
+	later := NewFloatCounter("test.float_order.later")
+	later.Add(6573.06) // an earlier run's total, before the snapshot
+	vals := []float64{0.1, 0.2, 0.3}
+	before := Snapshot()
+	for i := range vals {
+		fwd.Add(vals[i])
+		rev.Add(vals[len(vals)-1-i])
+		later.Add(vals[len(vals)-1-i])
+	}
+	if f, r := fwd.Load(), rev.Load(); math.Float64bits(f) != math.Float64bits(r) {
+		t.Fatalf("sums %v and %v differ by summation order", f, r)
+	}
+	diff := Diff(before, Snapshot())
+	if f, l := diff["test.float_order.fwd"], diff["test.float_order.later"]; math.Float64bits(f) != math.Float64bits(l) {
+		t.Fatalf("diffs %v and %v differ by order and earlier total", f, l)
+	}
+	if got := fwd.Load(); math.Abs(got-0.6) > 1e-6 {
+		t.Fatalf("sum = %v, want 0.6 to within the 2^-20 unit", got)
 	}
 }
 

@@ -23,10 +23,10 @@ const completedRingSize = 64
 
 // Registry tracks the process's runs for the /debug/runs dashboard:
 // active runs (with their live Progress and span tree) and a bounded
-// ring of completed ones (their final RunRecords). A driver Begins a
-// run before executing it and Completes it with the same record it
-// journals; the long-running daemon of ROADMAP's
-// simulation-as-a-service item gets its status surface from this type.
+// ring of completed ones (their manifests). A binary Begins a run
+// before executing it and Completes it with the manifest it journals;
+// the long-running daemon of ROADMAP's simulation-as-a-service item
+// gets its status surface from this type.
 type Registry struct {
 	mu        sync.Mutex
 	nextID    int64
@@ -139,11 +139,11 @@ func (v *StatsView) Sparkline() string {
 	return b.String()
 }
 
-// CompletedRun is one finished run: when it finished and its final
-// journal record.
+// CompletedRun is one finished run: when it finished and its
+// manifest.
 type CompletedRun struct {
 	Finished time.Time
-	Record   RunRecord
+	Manifest *Manifest
 }
 
 // Begin registers an in-flight run. prog and span may be nil.
@@ -168,9 +168,9 @@ func (r *Registry) Begin(name, digest string, prog *Progress, span *Span) *Activ
 }
 
 // Complete moves the run from active to the completed ring with its
-// final record. Nil-safe and idempotent (the second call is a no-op),
-// so error paths can Complete unconditionally.
-func (a *ActiveRun) Complete(rec RunRecord) {
+// manifest. Nil-safe and idempotent (the second call is a no-op), so
+// error paths can Complete unconditionally.
+func (a *ActiveRun) Complete(m *Manifest) {
 	if a == nil {
 		return
 	}
@@ -181,7 +181,7 @@ func (a *ActiveRun) Complete(rec RunRecord) {
 		return
 	}
 	delete(r.active, a.id)
-	r.completed = append(r.completed, CompletedRun{Finished: time.Now(), Record: rec})
+	r.completed = append(r.completed, CompletedRun{Finished: time.Now(), Manifest: m})
 	if len(r.completed) > completedRingSize {
 		r.completed = r.completed[len(r.completed)-completedRingSize:]
 	}

@@ -66,12 +66,11 @@ func TestDashboardShowsQoM(t *testing.T) {
 	a.Stats.Publish(exampleReport(0.8125, 0.0312))
 
 	done := reg.Begin("dash-done", "sha256:dead", nil, nil)
-	done.Complete(RunRecord{
-		Experiment:   "dash-done",
-		Status:       "ok",
-		Engine:       "kernel",
-		QoMMean:      0.75,
-		QoMHalfWidth: 0.01,
+	final := exampleReport(0.75, 0.01)
+	done.Complete(&Manifest{
+		Experiment: "dash-done",
+		Config:     ManifestConfig{Engine: "kernel"},
+		Stats:      &final,
 	})
 
 	srv := httptest.NewServer(reg.Handler())
@@ -95,5 +94,5 @@ func TestDashboardShowsQoM(t *testing.T) {
 	if !strings.Contains(body, "0.7500 ± 0.0100") {
 		t.Errorf("completed run CI band missing from dashboard")
 	}
-	a.Complete(RunRecord{Experiment: "dash-stats", Status: "ok"})
+	a.Complete(&Manifest{Experiment: "dash-stats"})
 }

@@ -15,8 +15,8 @@ func TestRegistryBeginComplete(t *testing.T) {
 		t.Fatalf("active = %v", active)
 	}
 
-	a.Complete(RunRecord{Experiment: "fig3a", Status: "ok"})
-	b.Complete(RunRecord{Experiment: "fig3b", Status: "error", Error: "boom"})
+	a.Complete(&Manifest{Experiment: "fig3a"})
+	b.Complete(&Manifest{Experiment: "fig3b", Error: "boom"})
 	if len(r.ActiveRuns()) != 0 {
 		t.Fatal("completed runs still active")
 	}
@@ -25,8 +25,8 @@ func TestRegistryBeginComplete(t *testing.T) {
 		t.Fatalf("completed = %d", len(done))
 	}
 	// Most recent first.
-	if done[0].Record.Experiment != "fig3b" || done[1].Record.Experiment != "fig3a" {
-		t.Fatalf("completed order = %s, %s", done[0].Record.Experiment, done[1].Record.Experiment)
+	if done[0].Manifest.Experiment != "fig3b" || done[1].Manifest.Experiment != "fig3a" {
+		t.Fatalf("completed order = %s, %s", done[0].Manifest.Experiment, done[1].Manifest.Experiment)
 	}
 	if done[0].Finished.IsZero() {
 		t.Fatal("completed run missing finish time")
@@ -36,27 +36,27 @@ func TestRegistryBeginComplete(t *testing.T) {
 func TestRegistryCompleteIdempotentAndNilSafe(t *testing.T) {
 	r := NewRegistry()
 	a := r.Begin("x", "", nil, nil)
-	a.Complete(RunRecord{Experiment: "x", Status: "ok"})
-	a.Complete(RunRecord{Experiment: "x", Status: "error"}) // no-op
-	if done := r.CompletedRuns(); len(done) != 1 || done[0].Record.Status != "ok" {
+	a.Complete(&Manifest{Experiment: "x"})
+	a.Complete(&Manifest{Experiment: "x", Error: "late"}) // no-op
+	if done := r.CompletedRuns(); len(done) != 1 || done[0].Manifest.Error != "" {
 		t.Fatalf("completed = %v", done)
 	}
 	var nilRun *ActiveRun
-	nilRun.Complete(RunRecord{}) // must not panic
+	nilRun.Complete(&Manifest{}) // must not panic
 }
 
 func TestRegistryCompletedRingBounded(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < completedRingSize+10; i++ {
 		a := r.Begin(fmt.Sprintf("run%d", i), "", nil, nil)
-		a.Complete(RunRecord{Experiment: fmt.Sprintf("run%d", i), Status: "ok"})
+		a.Complete(&Manifest{Experiment: fmt.Sprintf("run%d", i)})
 	}
 	done := r.CompletedRuns()
 	if len(done) != completedRingSize {
 		t.Fatalf("ring = %d, want %d", len(done), completedRingSize)
 	}
-	if done[0].Record.Experiment != fmt.Sprintf("run%d", completedRingSize+9) {
-		t.Fatalf("newest = %s", done[0].Record.Experiment)
+	if done[0].Manifest.Experiment != fmt.Sprintf("run%d", completedRingSize+9) {
+		t.Fatalf("newest = %s", done[0].Manifest.Experiment)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			a := r.Begin(fmt.Sprintf("run%d", i), "", nil, nil)
-			a.Complete(RunRecord{Experiment: fmt.Sprintf("run%d", i), Status: "ok"})
+			a.Complete(&Manifest{Experiment: fmt.Sprintf("run%d", i)})
 		}(i)
 	}
 	wg.Wait()
@@ -87,7 +87,7 @@ func TestRegistryMetrics(t *testing.T) {
 	if RunsActive.Load() != act+1 {
 		t.Fatalf("runs.active = %d, want %d", RunsActive.Load(), act+1)
 	}
-	a.Complete(RunRecord{Experiment: "m", Status: "ok"})
+	a.Complete(&Manifest{Experiment: "m"})
 	if RunsRegistered.Load() != reg+1 || RunsActive.Load() != act || RunsCompleted.Load() != comp+1 {
 		t.Fatalf("metrics = %d/%d/%d", RunsRegistered.Load(), RunsActive.Load(), RunsCompleted.Load())
 	}

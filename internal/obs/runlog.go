@@ -1,116 +1,20 @@
 package obs
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
-	"log/slog"
 	"os"
-	"strings"
 	"sync"
 )
 
-// RunRecord is one wide event in the run journal: everything operations
-// needs to answer "what ran, on what engine, how long, and where did
-// the time go" about a single driver run, in one JSON line. The same
-// record feeds the run registry's completed list (the /debug/runs
-// dashboard).
-type RunRecord struct {
-	// Experiment is the run's id (experiment id, or a CLI run label).
-	Experiment string `json:"experiment"`
-	Title      string `json:"title,omitempty"`
-	// ConfigDigest ties the record to the manifest with the same digest.
-	ConfigDigest string `json:"config_digest"`
-
-	// Engine is the engine requested (auto/kernel/reference/batch); the
-	// engines actually used are in EnginesUsed.
-	Engine  string `json:"engine"`
-	Seed    uint64 `json:"seed"`
-	Slots   int64  `json:"slots"`
-	Batch   int    `json:"batch,omitempty"`
-	Workers int    `json:"workers"`
-	Quick   bool   `json:"quick,omitempty"`
-
-	// Status is "ok" or "error"; Error carries the failure.
-	Status string `json:"status"`
-	Error  string `json:"error,omitempty"`
-
-	WallMillis int64 `json:"wall_ms"`
-
-	// CSV/CSVSHA256 mirror the manifest's output identity (empty when no
-	// output file was written).
-	CSV       string `json:"csv,omitempty"`
-	CSVSHA256 string `json:"csv_sha256,omitempty"`
-
-	// EnginesUsed counts the run's sim.Run calls by executing engine
-	// (the "sim.runs.*" diff); Fallbacks counts EngineAuto declines by
-	// structural reason (the nonzero "sim.engine.fallback.*" diff).
-	EnginesUsed map[string]int64 `json:"engines_used,omitempty"`
-	Fallbacks   map[string]int64 `json:"fallbacks,omitempty"`
-
-	// Events/Captures are the run's share of the sim totals.
-	Events   int64 `json:"events"`
-	Captures int64 `json:"captures"`
-
-	// QoMMean/QoMHalfWidth are the run's streaming QoM estimate and CI
-	// half-width (zero when stats collection was off); EarlyStopReps is
-	// the replication count a CI-targeted early stop settled on (zero
-	// when no early stop ran).
-	QoMMean       float64 `json:"qom_mean,omitempty"`
-	QoMHalfWidth  float64 `json:"qom_half_width,omitempty"`
-	EarlyStopReps int     `json:"early_stop_reps,omitempty"`
-
-	// Phases is the run's span breakdown (the manifest's schema-v3
-	// phases block).
-	Phases *Phase `json:"phases,omitempty"`
-}
-
-// EngineCounts carves a Snapshot diff into the journal's engine
-// attribution maps: engine name → sim.Run calls ("sim.runs." keys) and
-// fallback reason → declines (nonzero "sim.engine.fallback." keys).
-func EngineCounts(diff map[string]float64) (used, fallbacks map[string]int64) {
-	for k, v := range diff {
-		if v <= 0 {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(k, "sim.runs."); ok {
-			if used == nil {
-				used = make(map[string]int64)
-			}
-			used[rest] = int64(v)
-		} else if rest, ok := strings.CutPrefix(k, "sim.engine.fallback."); ok {
-			if fallbacks == nil {
-				fallbacks = make(map[string]int64)
-			}
-			fallbacks[rest] = int64(v)
-		}
-	}
-	return used, fallbacks
-}
-
-// errCaptureWriter wraps the journal file so write failures — which
-// slog handlers swallow — surface on the next Record call.
-type errCaptureWriter struct {
-	f   *os.File
-	err error
-}
-
-func (w *errCaptureWriter) Write(p []byte) (int, error) {
-	n, err := w.f.Write(p)
-	if err != nil && w.err == nil {
-		w.err = err
-	}
-	return n, err
-}
-
-// RunLog is an append-only structured run journal: one JSON line per
-// driver run (slog wide events), written beside the CSVs so the journal
-// travels with the results it describes. Safe for concurrent Record
-// calls.
+// RunLog is an append-only run journal: one line per run, each the
+// run's manifest as compact JSON, written beside the CSVs so the
+// journal travels with the results it describes. Safe for concurrent
+// Record calls.
 type RunLog struct {
 	path string
 	mu   sync.Mutex
-	w    *errCaptureWriter
-	log  *slog.Logger
+	f    *os.File
 }
 
 // OpenRunLog opens (appending) or creates the journal at path.
@@ -119,55 +23,33 @@ func OpenRunLog(path string) (*RunLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: opening run journal: %w", err)
 	}
-	w := &errCaptureWriter{f: f}
-	return &RunLog{
-		path: path,
-		w:    w,
-		log:  slog.New(slog.NewJSONHandler(w, nil)),
-	}, nil
+	return &RunLog{path: path, f: f}, nil
 }
 
 // Path returns the journal's file path.
 func (l *RunLog) Path() string { return l.path }
 
-// Record appends one run record as a single JSON line. The error
-// reports the first underlying write failure, possibly from an earlier
-// call (slog handlers do not propagate writer errors synchronously).
-func (l *RunLog) Record(rec RunRecord) error {
+// Record appends the run's manifest as one JSON line, in a single
+// write, and returns that write's error.
+func (l *RunLog) Record(m *Manifest) error {
+	line, err := json.Marshal(m)
+	if err != nil {
+		return fmt.Errorf("obs: marshaling journal line: %w", err)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.log.LogAttrs(context.Background(), slog.LevelInfo, "run",
-		slog.String("experiment", rec.Experiment),
-		slog.String("config_digest", rec.ConfigDigest),
-		slog.String("engine", rec.Engine),
-		slog.Uint64("seed", rec.Seed),
-		slog.Int64("slots", rec.Slots),
-		slog.Int("batch", rec.Batch),
-		slog.Int("workers", rec.Workers),
-		slog.Bool("quick", rec.Quick),
-		slog.String("status", rec.Status),
-		slog.String("error", rec.Error),
-		slog.Int64("wall_ms", rec.WallMillis),
-		slog.String("csv", rec.CSV),
-		slog.String("csv_sha256", rec.CSVSHA256),
-		slog.Any("engines_used", rec.EnginesUsed),
-		slog.Any("fallbacks", rec.Fallbacks),
-		slog.Int64("events", rec.Events),
-		slog.Int64("captures", rec.Captures),
-		slog.Float64("qom_mean", rec.QoMMean),
-		slog.Float64("qom_half_width", rec.QoMHalfWidth),
-		slog.Int("early_stop_reps", rec.EarlyStopReps),
-		slog.Any("phases", rec.Phases),
-	)
-	return l.w.err
+	if _, err := l.f.Write(append(line, '\n')); err != nil {
+		return fmt.Errorf("obs: writing run journal: %w", err)
+	}
+	return nil
 }
 
 // Close closes the journal file.
 func (l *RunLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.f.Close(); err != nil {
+	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("obs: closing run journal: %w", err)
 	}
-	return l.w.err
+	return nil
 }

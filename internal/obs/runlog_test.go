@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
+// TestRunLogRecordsJSONLines: each Record appends the manifest as one
+// JSON line that decodes back to it, a failed run's error included, and
+// a write the journal cannot make is reported by that Record call.
 func TestRunLogRecordsJSONLines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	l, err := OpenRunLog(path)
@@ -18,30 +22,32 @@ func TestRunLogRecordsJSONLines(t *testing.T) {
 	if l.Path() != path {
 		t.Fatalf("path = %q", l.Path())
 	}
-	ok := RunRecord{
-		Experiment:   "fig3a",
-		ConfigDigest: "sha256:abc",
-		Engine:       "auto",
-		Seed:         1,
-		Slots:        100_000,
-		Workers:      4,
-		Status:       "ok",
-		WallMillis:   1234,
-		CSV:          "fig3a.csv",
-		CSVSHA256:    "sha256:def",
-		EnginesUsed:  map[string]int64{"kernel": 30},
-		Events:       5000,
-		Captures:     2500,
-		Phases:       &Phase{Name: "fig3a", Count: 1, WallMicros: 42},
+	want := []*Manifest{
+		{
+			Schema:       ManifestSchema,
+			Experiment:   "fig3a",
+			CSV:          "fig3a.csv",
+			CSVSHA256:    "def",
+			Config:       ManifestConfig{Slots: 100_000, Seed: 1, Workers: 4, Engine: "auto", Batch: 2},
+			ConfigDigest: "sha256:abc",
+			WallMillis:   1234,
+			Metrics:      map[string]float64{"sim.events": 5000, "sim.captures": 2500, "sim.runs.kernel": 30},
+			Process:      map[string]float64{},
+			Phases:       &Phase{Name: "fig3a", Count: 1, WallMicros: 42},
+			Journal:      "runs.jsonl",
+		},
+		{Schema: ManifestSchema, Experiment: "fig3b", Error: "boom"},
 	}
-	if err := l.Record(ok); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Record(RunRecord{Experiment: "fig3b", Status: "error", Error: "boom"}); err != nil {
-		t.Fatal(err)
+	for _, m := range want {
+		if err := l.Record(m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := l.Record(want[0]); err == nil {
+		t.Fatal("Record on a closed journal reported no error")
 	}
 
 	f, err := os.Open(path)
@@ -49,39 +55,20 @@ func TestRunLogRecordsJSONLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var lines []map[string]any
+	var got []*Manifest
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		var m map[string]any
+		var m Manifest
 		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
 			t.Fatalf("line not JSON: %v\n%s", err, sc.Text())
 		}
-		lines = append(lines, m)
+		got = append(got, &m)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("journal lines = %d, want 2", len(lines))
-	}
-	first := lines[0]
-	if first["msg"] != "run" || first["experiment"] != "fig3a" || first["status"] != "ok" {
-		t.Fatalf("first line = %v", first)
-	}
-	if first["wall_ms"] != float64(1234) || first["captures"] != float64(2500) {
-		t.Fatalf("first line numerics = %v", first)
-	}
-	if _, hasTime := first["time"]; !hasTime {
-		t.Fatal("slog line missing timestamp")
-	}
-	if eng, _ := first["engines_used"].(map[string]any); eng["kernel"] != float64(30) {
-		t.Fatalf("engines_used = %v", first["engines_used"])
-	}
-	if ph, _ := first["phases"].(map[string]any); ph["name"] != "fig3a" {
-		t.Fatalf("phases = %v", first["phases"])
-	}
-	if lines[1]["status"] != "error" || lines[1]["error"] != "boom" {
-		t.Fatalf("second line = %v", lines[1])
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("journal lines decode to\n%+v\nwant\n%+v", got, want)
 	}
 }
 
@@ -92,7 +79,7 @@ func TestRunLogAppends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Record(RunRecord{Experiment: "x", Status: "ok"}); err != nil {
+		if err := l.Record(&Manifest{Experiment: "x"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -105,26 +92,5 @@ func TestRunLogAppends(t *testing.T) {
 	}
 	if n := bytes.Count(data, []byte("\n")); n != 2 {
 		t.Fatalf("reopened journal has %d lines, want 2 (append, not truncate)", n)
-	}
-}
-
-func TestEngineCounts(t *testing.T) {
-	used, fb := EngineCounts(map[string]float64{
-		"sim.runs.kernel":              30,
-		"sim.runs.batch":               2,
-		"sim.runs.reference":           0, // zero entries are dropped
-		"sim.engine.fallback.tracer":   3,
-		"sim.engine.fallback.periodic": 0,
-		"sim.events":                   9999, // unrelated keys ignored
-	})
-	if len(used) != 2 || used["kernel"] != 30 || used["batch"] != 2 {
-		t.Fatalf("used = %v", used)
-	}
-	if len(fb) != 1 || fb["tracer"] != 3 {
-		t.Fatalf("fallbacks = %v", fb)
-	}
-	used, fb = EngineCounts(nil)
-	if used != nil || fb != nil {
-		t.Fatalf("empty diff should yield nil maps, got %v / %v", used, fb)
 	}
 }

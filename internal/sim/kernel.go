@@ -278,7 +278,7 @@ type fleetRun struct {
 // newFleetRun builds the loop state for plan over the given per-sensor
 // recharge processes, which the fleetRun owns from then on.
 func newFleetRun(cfg *Config, plan *kernelPlan, rechs []energy.FastForwarder, quant *dist.QuantileTable) (*fleetRun, error) {
-	b, err := energy.NewBattery(cfg.BatteryCap, cfg.InitialBattery)
+	b, err := energy.NewBattery(cfg.BatteryCap, cfg.BatteryCap/2)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +432,7 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 	w.root.SplitInto(&w.decisionSrc, 2)
 	for s := 0; s < n; s++ {
 		w.root.SplitInto(&w.rechargeSrcs[s], uint64(100+s))
-		w.batteries[s].Reset(cfg.InitialBattery)
+		w.batteries[s].Reset(cfg.BatteryCap / 2)
 	}
 	for _, rst := range w.resets {
 		rst.Reset()

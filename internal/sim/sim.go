@@ -172,10 +172,9 @@ type Config struct {
 	// BlockLen is the block size for ModeBlocks.
 	BlockLen int
 
-	// BatteryCap is K. InitialBattery defaults to K/2 when zero (the
+	// BatteryCap is K. Every sensor starts half full, at K/2 (the
 	// paper's setting).
-	BatteryCap     float64
-	InitialBattery float64
+	BatteryCap float64
 
 	// Slots is the duration T.
 	Slots int64
@@ -303,9 +302,6 @@ func (c *Config) validate() error {
 	if !(c.BatteryCap > 0) {
 		return fmt.Errorf("sim: BatteryCap must be positive, got %g", c.BatteryCap)
 	}
-	if c.InitialBattery == 0 {
-		c.InitialBattery = c.BatteryCap / 2
-	}
 	if c.Slots < 1 {
 		return fmt.Errorf("sim: Slots must be >= 1, got %d", c.Slots)
 	}
@@ -421,7 +417,7 @@ func runReference(cfg *Config, seed uint64, sensors []SensorStats, o *observer) 
 	rechargeSrcs := make([]*rng.Source, cfg.N)
 	policies := make([]Policy, cfg.N)
 	for s := 0; s < cfg.N; s++ {
-		b, err := energy.NewBattery(cfg.BatteryCap, cfg.InitialBattery)
+		b, err := energy.NewBattery(cfg.BatteryCap, cfg.BatteryCap/2)
 		if err != nil {
 			return 0, 0, err
 		}

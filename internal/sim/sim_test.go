@@ -308,7 +308,6 @@ func TestBatteryGateDeniesWhenEmpty(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.NewRecharge = constantFactory(t, 0.01) // starved
 	cfg.BatteryCap = 7
-	cfg.InitialBattery = 7
 	cfg.Slots = 10000
 	res, err := Run(cfg)
 	if err != nil {
@@ -317,8 +316,8 @@ func TestBatteryGateDeniesWhenEmpty(t *testing.T) {
 	if res.Sensors[0].Denied == 0 {
 		t.Fatal("starved aggressive sensor was never denied")
 	}
-	// It can still afford roughly slots*e/(δ1) activations at most.
-	if res.Sensors[0].EnergyConsumed > 7+0.01*float64(cfg.Slots)+1e-9 {
+	// It can spend at most its initial K/2 plus what it harvested.
+	if res.Sensors[0].EnergyConsumed > cfg.BatteryCap/2+0.01*float64(cfg.Slots)+1e-9 {
 		t.Fatal("sensor spent energy it never had")
 	}
 }

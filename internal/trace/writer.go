@@ -9,6 +9,10 @@ import (
 	"hash"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
+
+	"eventcap/internal/obs"
 )
 
 // The binary trace format. A file is the magic string followed by a
@@ -168,3 +172,56 @@ func (w *Writer) SHA256() string {
 
 // Counts reports what the writer emitted (Bytes is set by Close).
 func (w *Writer) Counts() Counts { return w.counts }
+
+// File is a full trace streamed into a file on disk, with the flight
+// recorder (if any) that rides on the same Tracer.
+type File struct {
+	f      *os.File
+	w      *Writer
+	flight *FlightRecorder
+}
+
+// Create creates the trace file at path and starts a Writer on it;
+// flight may be nil.
+func Create(path string, flight *FlightRecorder) (*File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("trace: creating trace file: %w", err)
+	}
+	return &File{f: f, w: NewWriter(f), flight: flight}, nil
+}
+
+// Tracer returns the tracer a run records through: the file's Writer
+// and the flight recorder.
+func (t *File) Tracer() *Tracer { return New(t.w, t.flight) }
+
+// Counts reports what the Writer emitted (Bytes is set by Close).
+func (t *File) Counts() Counts { return t.w.Counts() }
+
+// Close closes the Writer, then the file: the Writer flushes its
+// buffered frames and reports the stream's sticky error only at Close,
+// so closing the file first would lose both. It returns the manifest's
+// trace block: the file's base name (a manifest sits beside its trace),
+// its SHA-256, the attached sinks and the frame counts.
+func (t *File) Close() (*obs.TraceInfo, error) {
+	err := t.w.Close()
+	if cerr := t.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("trace: closing trace file: %w", cerr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	mode := "full"
+	if t.flight != nil {
+		mode = "full+flight"
+	}
+	c := t.w.Counts()
+	return &obs.TraceInfo{
+		File:    filepath.Base(t.f.Name()),
+		SHA256:  t.w.SHA256(),
+		Mode:    mode,
+		Runs:    c.Runs,
+		Records: c.Records,
+		Spans:   c.Spans,
+	}, nil
+}
