@@ -118,8 +118,9 @@ trace-verify:
 # suite, ~20 s on 2 vCPU) into a temporary directory and fail when any
 # CSV differs from the committed results/ or from the csv_sha256 its
 # committed manifest records, or when a regenerated manifest's metrics
-# block (the sim.* counters) differs from the committed one. After a
-# change that is meant to move results or those counters, rerun
+# block (the sim.* counters) or stats block (the pooled QoM estimate)
+# differs from the committed one. After a change that is meant to move
+# results, those counters or those estimates, rerun
 # `go run ./cmd/experiments -run all -seed 1 -out results` and commit
 # what it writes.
 results-verify:

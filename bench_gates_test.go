@@ -123,14 +123,14 @@ func (s side) bench(b *testing.B) {
 }
 
 // runOp runs cfg at the seed it is given. With spans, every run gets a
-// fresh root span and progress counter, as cmd/experiments attaches them.
+// fresh root span, as cmd/experiments attaches one.
 func runOp(cfg sim.Config, spans bool) func(uint64) error {
 	return func(seed uint64) error {
 		cfg.Seed = seed
 		if spans {
 			root := obs.BeginSpan("bench")
 			defer root.End()
-			cfg.Span, cfg.Progress = root, obs.NewProgress()
+			cfg.Span = root
 		}
 		res, err := sim.Run(cfg)
 		switch {

@@ -6,7 +6,7 @@
 //	experiments -list
 //	experiments -run fig3a,fig4b
 //	experiments -run all -out results -quick
-//	experiments -run all -out results -progress 5s -metrics-addr localhost:6060
+//	experiments -run all -out results -metrics-addr localhost:6060
 //
 // Each experiment prints a paper-style ASCII table; with -out set, a CSV
 // per experiment is written into the directory together with a JSON run
@@ -14,15 +14,12 @@
 // version, wall time, and the run-level metrics behind the figure, and
 // the same manifest is appended as one line to the run journal
 // (runs.jsonl). A failed experiment is journaled with its error and
-// writes no manifest file.
-// -progress renders a live jobs-done/ETA line to stderr; -metrics-addr
-// serves /debug/vars, /metrics (Prometheus text format), and
+// writes no manifest file. -metrics-addr serves /debug/vars and
 // /debug/pprof while the sweep runs.
 //
 // Streaming statistics are on by default (-stats=false disables them):
 // every experiment's manifest and journal line record the pooled QoM
-// point estimate with its confidence interval, and /debug/runs shows
-// the live CI band while the sweep runs. With -batch B and
+// point estimate with its confidence interval. With -batch B and
 // -target-rel-hw R, replications stop early once the QoM CI's relative
 // half-width reaches R (at least -min-reps replications run first);
 // the manifest's early_stop block records the realized counts.
@@ -73,7 +70,6 @@ func run(args []string, out io.Writer) error {
 		batch       = fs.Int("batch", 0, "run each simulation as B independent replications at seeds seed..seed+B-1 on the -kernel engine and aggregate them")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile to this file (a bare filename lands in -out)")
 		memProf     = fs.String("memprofile", "", "write a heap profile to this file (a bare filename lands in -out)")
-		progress    = fs.Duration("progress", 0, "print a live progress line to stderr at this interval (0 disables)")
 		spansFlag   = fs.String("spans", "", "write the run's phase spans as Chrome trace-event JSON to this file (a bare filename lands in -out; open in chrome://tracing or Perfetto)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
 		traceFlag   = fs.Bool("trace", false, "write a slot-level trace (<id>.evtrace) and record it in the manifest; requires -out, refused with -batch > 1")
@@ -164,35 +160,8 @@ func run(args []string, out io.Writer) error {
 		defer stopServe()
 	}
 
-	// One Progress across the whole invocation: the pool observer when
-	// -progress asks for a live line, and the work-unit/ETA source for
-	// the /debug/runs dashboard either way.
-	prog := obs.NewProgress()
-	if *progress > 0 {
-		parallel.SetObserver(prog)
-		ticker := time.NewTicker(*progress)
-		stopTicker := make(chan struct{})
-		go func() {
-			for {
-				select {
-				case <-stopTicker:
-					return
-				case <-ticker.C:
-					fmt.Fprintln(os.Stderr, prog.Line())
-				}
-			}
-		}()
-		defer func() {
-			ticker.Stop()
-			close(stopTicker)
-			parallel.SetObserver(nil)
-			done, total := prog.Done()
-			fmt.Fprintf(os.Stderr, "progress: finished %d/%d jobs\n", done, total)
-		}()
-	}
-
 	// The run journal appends each experiment's manifest as one JSON line
-	// beside the CSVs; the run registry feeds /debug/runs.
+	// beside the CSVs.
 	var journal *obs.RunLog
 	if *outDir != "" {
 		journal, err = obs.OpenRunLog(filepath.Join(*outDir, "runs.jsonl"))
@@ -228,7 +197,7 @@ func run(args []string, out io.Writer) error {
 
 	opts := experiments.Options{
 		Slots: *slots, Seed: *seed, Quick: *quick, Workers: *workers,
-		Engine: engine, Batch: *batch, Progress: prog,
+		Engine: engine, Batch: *batch,
 		TargetRelHW: *targetRelHW, MinReps: *minReps,
 	}
 	for _, exp := range selected {
@@ -236,16 +205,13 @@ func run(args []string, out io.Writer) error {
 		digest := obs.DigestConfig(append([]string{"experiment=" + exp.ID}, digestParts...)...)
 		// Phase spans: the experiment's root span with a "run" child
 		// around the driver (each simulation forks "sim.run" under it)
-		// and a "write" child around the CSV write below. The registry
-		// entry makes the run visible at /debug/runs while it executes.
+		// and a "write" child around the CSV write below.
 		root := obs.BeginSpan(exp.ID)
-		active := obs.DefaultRegistry.Begin(exp.ID, digest, prog, root)
-		// One stats collector per experiment (the manifest scope): interim
-		// reports stream to the registry's live view (dashboard + stats.*
-		// gauges); the pooled estimate lands in the manifest.
+		// One stats collector per experiment (the manifest scope): the
+		// pooled estimate lands in the manifest.
 		var coll *experiments.StatsCollector
 		if *statsFlag || *targetRelHW > 0 {
-			coll = &experiments.StatsCollector{Live: active.Stats.Publish}
+			coll = &experiments.StatsCollector{}
 		}
 		opts.Stats = coll
 		// Attach the tracer for this experiment: a fresh trace file per
@@ -291,9 +257,9 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		root.End()
-		// Failed runs are journaled and completed too, with their error
-		// and no manifest file: the dashboard and the journal account for
-		// every run, not just the successful ones.
+		// Failed runs are journaled too, with their error and no manifest
+		// file: the journal accounts for every run, not just the
+		// successful ones.
 		man := obs.NewManifest(exp.ID, exp.Title, cfg, digest, start, before, root.Breakdown())
 		man.Trace, man.Profiles = traceInfo, profiles
 		if coll != nil {
@@ -321,7 +287,6 @@ func run(args []string, out io.Writer) error {
 				err = fmt.Errorf("recording in run journal: %w", jerr)
 			}
 		}
-		active.Complete(man)
 		if err != nil {
 			return fmt.Errorf("running %s: %w", exp.ID, err)
 		}

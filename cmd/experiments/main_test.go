@@ -150,9 +150,6 @@ func TestMetricsAddrKeepsCSVByteIdentical(t *testing.T) {
 	if got := csvFor("-metrics-addr", "127.0.0.1:0"); !bytes.Equal(got, base) {
 		t.Errorf("-metrics-addr changed the CSV:\n%s\nvs\n%s", got, base)
 	}
-	if got := csvFor("-progress", "1h"); !bytes.Equal(got, base) {
-		t.Errorf("-progress changed the CSV:\n%s\nvs\n%s", got, base)
-	}
 }
 
 func TestRunRejectsUnknownID(t *testing.T) {

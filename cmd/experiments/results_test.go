@@ -21,9 +21,11 @@ import (
 // block (the sim.* counters: events, the miss decomposition, battery
 // occupancy, the engine of every run) equal to the committed one, so a
 // change that moves a run onto another engine fails here even when the
-// CSVs match. The process block holds timings and is not compared. The
-// full suite takes tens of seconds, so the test runs only when
-// EVENTCAP_RESULTS_DIR names the directory to check; `make
+// CSVs match. The stats block (the pooled QoM estimate and its
+// interval) must match too: it does not depend on the order sweep
+// points finish in. The process block holds timings and is not
+// compared. The full suite takes tens of seconds, so the test runs only
+// when EVENTCAP_RESULTS_DIR names the directory to check; `make
 // results-verify` sets it to results/.
 func TestCommittedResultsReproduce(t *testing.T) {
 	dir := os.Getenv("EVENTCAP_RESULTS_DIR")
@@ -66,9 +68,15 @@ func TestCommittedResultsReproduce(t *testing.T) {
 		}
 		if regen, err := obs.ReadManifest(filepath.Join(fresh, id+".manifest.json")); err != nil {
 			t.Error(err)
-		} else if man != nil && !reflect.DeepEqual(regen.Metrics, man.Metrics) {
-			t.Errorf("%s: metrics block differs from its committed manifest's:\n  committed:   %v\n  regenerated: %v",
-				id, man.Metrics, regen.Metrics)
+		} else if man != nil {
+			if !reflect.DeepEqual(regen.Metrics, man.Metrics) {
+				t.Errorf("%s: metrics block differs from its committed manifest's:\n  committed:   %v\n  regenerated: %v",
+					id, man.Metrics, regen.Metrics)
+			}
+			if !reflect.DeepEqual(regen.Stats, man.Stats) {
+				t.Errorf("%s: stats block differs from its committed manifest's:\n  committed:   %+v\n  regenerated: %+v",
+					id, man.Stats, regen.Stats)
+			}
 		}
 	}
 }

@@ -18,9 +18,8 @@
 // per sensor in memory and dumps them on invariant violations, sensor
 // faults, and the first energy-denied miss; -flight-dump writes the
 // collected dumps as JSON, and -metrics-addr serves them live at
-// /debug/trace (plus the run dashboard at /debug/runs, whose completed
-// entries are the runs' manifests). -spans exports the run's phase
-// spans as Chrome trace-event JSON for chrome://tracing or Perfetto.
+// /debug/trace. -spans exports the run's phase spans as Chrome
+// trace-event JSON for chrome://tracing or Perfetto.
 package main
 
 import (
@@ -253,18 +252,11 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// The phase span is always attached (spans are RNG-neutral and wrap
-	// phases, not slots); the run registers on /debug/runs so a
-	// -metrics-addr server shows it live, and -spans exports the tree.
-	digest := configDigest(fs)
+	// phases, not slots): the trace sidecar records its breakdown, and
+	// -spans exports the tree.
 	root := obs.BeginSpan("simulate")
-	active := obs.DefaultRegistry.Begin("simulate", digest, nil, root)
 	cfg.Span = root
-	if *statsFlag || *targetHW > 0 {
-		cfg.Stats = true
-		// Interim reports feed the /debug/runs live view and the stats.*
-		// gauges while the run executes.
-		cfg.StatsSink = active.Stats.Publish
-	}
+	cfg.Stats = *statsFlag || *targetHW > 0
 
 	before, start := obs.Snapshot(), time.Now()
 	var (
@@ -287,23 +279,18 @@ func run(args []string, out io.Writer) error {
 			err = closeErr
 		}
 	}
-	man := obs.NewManifest("simulate", "", obs.ManifestConfig{
-		Slots: cfg.Slots, Seed: cfg.Seed, Workers: cfg.Workers, Engine: engine.String(),
-	}, digest, start, before, root.Breakdown())
-	if *batch > 1 {
-		man.Config.Batch = *batch
-	}
-	man.Trace = traceInfo
 	if err != nil {
-		man.Error = err.Error()
-		active.Complete(man)
 		return err
 	}
-	man.Stats, man.EarlyStop = res.Stats, dec
-	active.Complete(man)
-	// The sidecar sits next to the trace, so the pair stays relocatable
-	// and cmd/tracetool replay verifies it like an experiment's.
+	// The manifest is written only as the trace's sidecar, which sits
+	// next to the trace so the pair stays relocatable and cmd/tracetool
+	// replay verifies it like an experiment's. -trace is refused with
+	// -batch > 1, so the run is never batched or early-stopped here.
 	if tf != nil {
+		man := obs.NewManifest("simulate", "", obs.ManifestConfig{
+			Slots: cfg.Slots, Seed: cfg.Seed, Workers: cfg.Workers, Engine: engine.String(),
+		}, configDigest(fs), start, before, root.Breakdown())
+		man.Trace, man.Stats = traceInfo, res.Stats
 		if err := man.Write(*traceFile + ".manifest.json"); err != nil {
 			return err
 		}

@@ -20,9 +20,11 @@ const ExpvarnameMarker = "expvarname:ok"
 var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 
 // metricSubsystems is the closed set of first segments a metric name
-// may use. Dashboards group by this prefix, so a typo'd or ad-hoc
-// subsystem silently forks the dashboard tree. Adding a real subsystem
-// means adding it here (one line) in the same PR that introduces it.
+// may use: the subsystems that register metrics. Run manifests carve
+// their metrics and process blocks by this prefix, so a typo'd or
+// ad-hoc subsystem silently drops out of them. Adding a real subsystem
+// means adding it here (one line) in the same change that introduces
+// it.
 var metricSubsystems = map[string]bool{
 	"sim":   true, // engine counters: events, captures, fallbacks, batteries
 	"pool":  true, // worker-pool gauges and latency histograms
@@ -30,8 +32,6 @@ var metricSubsystems = map[string]bool{
 	"cache": true, // policy/plan cache hit rates
 	"core":  true, // partial-information solver work (core.pi.evaluations, …)
 	"span":  true, // phase-span tracer lifecycle (span.begun, span.ended)
-	"runs":  true, // run registry for the /debug/runs dashboard
-	"stats": true, // streaming-estimator surface (stats.qom.mean, …)
 }
 
 // metricConstructors are the entry points that register a metric (or a
@@ -46,7 +46,6 @@ var metricConstructors = []struct {
 	{"internal/obs", "NewFloatCounter"},
 	{"internal/obs", "NewCounterVec"},
 	{"internal/obs", "NewDurationHist"},
-	{"internal/obs", "NewFloatGauge"},
 	{"internal/trace", "NewDumpReason"},
 }
 

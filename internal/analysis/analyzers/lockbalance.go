@@ -81,7 +81,7 @@ func lockOp(pass *analysis.Pass, call *ast.CallExpr) (key string, acquire, ok bo
 
 // lockKey canonicalizes a lock expression: a chain of identifiers and
 // field selections rooted at a resolvable object ("s.mu", "regMu",
-// "obs.DefaultRegistry.mu"). Anything else (index expressions, call
+// "clusterCache.mu"). Anything else (index expressions, call
 // results) is not keyable.
 func lockKey(pass *analysis.Pass, e ast.Expr) (string, bool) {
 	switch e := ast.Unparen(e).(type) {

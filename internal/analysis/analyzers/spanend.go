@@ -18,9 +18,9 @@ const SpanendMarker = "spanend:ok"
 // Span.Child or Span.Fork and kept in a local variable must reach End
 // on every path out of the function — via an explicit call, a defer, or
 // a deferred closure. A span that escapes the function (returned,
-// stored, or passed to another call, as when a root span is handed to
-// the run registry or a Config) transfers End responsibility with it
-// and is not checked here.
+// stored, or passed to another call, as when a span is handed to a
+// Config) transfers End responsibility with it and is not checked
+// here.
 //
 // The analysis is path-sensitive: it solves a forward dataflow problem
 // over the function's CFG (internal/analysis/cfg), so an End that only

@@ -102,6 +102,8 @@ func runAblationWindows(opts Options) (*Table, error) {
 			copts.CoarsePoints = 8
 			copts.MaxGap = 512
 		}
+		solved := opts.SolvePhase()
+		defer solved()
 		b, err := core.OptimizeClusteringCached(d, es[i], p, copts)
 		if err != nil {
 			return nil, err

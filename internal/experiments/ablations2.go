@@ -207,12 +207,16 @@ func runAblationMultiPoI(opts Options) (*Table, error) {
 	rows, err := parallel.Map(opts.Workers, len(es), func(i int) ([]float64, error) {
 		ys := make([]float64, 3)
 		e := es[i]
+		solved := opts.SolvePhase()
 		cal, err := core.OptimizeMultiPoI(dists, e, p)
+		solved()
 		if err != nil {
 			return nil, err
 		}
 		ys[0] = cal.CaptureProb
 		run := func(pol sim.PoIPolicy, seedOff uint64) (float64, error) {
+			sp := opts.Span.Fork("sim.run")
+			defer sp.End()
 			res, err := sim.RunMultiPoI(sim.MultiPoIConfig{
 				Dists:  dists,
 				Params: p,

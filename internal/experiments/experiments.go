@@ -53,16 +53,10 @@ type Options struct {
 	// an explicit policy-solve step mark it with SolvePhase. RNG-neutral
 	// like Tracer — CSVs are byte-identical with or without it.
 	Span *obs.Span
-	// Progress, when non-nil, receives slot-unit work accounting
-	// (B×T×N per simulation) so a live progress line reports true
-	// throughput and ETA under -batch and multi-sensor sweeps. The same
-	// Progress is typically also installed as the pool observer.
-	Progress *obs.Progress
 	// Stats, when non-nil, turns on streaming statistics for every
 	// simulation the experiment performs and pools the per-run QoM
 	// reports into one experiment-level estimate. RNG-neutral like
-	// Tracer/Span/Progress: results are byte-identical with or without
-	// it.
+	// Tracer and Span: results are byte-identical with or without it.
 	Stats *StatsCollector
 	// TargetRelHW, when > 0 together with Batch > 1, runs every
 	// simulation under CI-targeted early stop (sim.RunWithEarlyStop):
@@ -79,13 +73,10 @@ type Options struct {
 // StatsCollector pools the streaming QoM reports of every simulation an
 // experiment performs into one experiment-level estimate, and remembers
 // the early-stop decisions taken along the way. Sweep points run
-// concurrently, so all mutation is mutex-guarded; Live, when set,
-// additionally receives every interim report the engines publish (the
-// CLI points it at the run registry's StatsView) and must itself be
-// safe for concurrent calls.
+// concurrently, so all mutation is mutex-guarded, and what it returns
+// does not depend on the order they finish in. The zero value is ready
+// to use.
 type StatsCollector struct {
-	Live func(stats.Report)
-
 	mu      sync.Mutex
 	pool    stats.Pool
 	dec     *obs.EarlyStopInfo
@@ -93,8 +84,11 @@ type StatsCollector struct {
 }
 
 // observe folds one finished simulation into the pool. dec is non-nil
-// only for early-stopped runs; the last decision wins (an experiment's
-// sweep points share one options block, so their monitors agree).
+// only for early-stopped runs. The kept decision is the one that needed
+// the most replications, ties going to the larger relative half-width:
+// the sweep point furthest from converging, whatever order the points
+// finish in (their monitors share one options block, so every other
+// field agrees).
 func (c *StatsCollector) observe(res *sim.Result, dec *obs.EarlyStopInfo) {
 	if c == nil || res == nil {
 		return
@@ -105,7 +99,10 @@ func (c *StatsCollector) observe(res *sim.Result, dec *obs.EarlyStopInfo) {
 		c.pool.Add(*res.Stats)
 	}
 	if dec != nil {
-		c.dec = dec
+		if c.dec == nil || dec.Reps > c.dec.Reps ||
+			dec.Reps == c.dec.Reps && dec.RelHalfWidth > c.dec.RelHalfWidth {
+			c.dec = dec
+		}
 		if dec.Stopped {
 			c.stopped++
 		}
@@ -123,8 +120,8 @@ func (c *StatsCollector) Report() (stats.Report, bool) {
 	return c.pool.Report(stats.DefaultCILevel), true
 }
 
-// Decision returns the last early-stop decision, or nil when no run
-// used one.
+// Decision returns the kept early-stop decision (see observe), or nil
+// when no run used one.
 func (c *StatsCollector) Decision() *obs.EarlyStopInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -158,39 +155,20 @@ func (o Options) withDefaults() Options {
 // runSim is the one simulation entry point the experiment drivers use:
 // sim.Run with metrics collection enabled, so every run of every
 // experiment feeds the process-wide obs totals that cmd/experiments
-// snapshots into run manifests, plus the options' tracer, span, and
-// work accounting when attached. All are RNG-neutral (sim.Config
-// .Metrics/.Tracer/.Span/.Progress), so results are identical to a
-// bare sim.Run.
+// snapshots into run manifests, plus the options' tracer, span and
+// stats probe when attached. All are RNG-neutral (sim.Config
+// .Metrics/.Tracer/.Span/.Stats), so results are identical to a bare
+// sim.Run.
 func runSim(opts Options, cfg sim.Config) (*sim.Result, error) {
 	cfg.Metrics = true
 	cfg.Tracer = opts.Tracer
 	if opts.Batch > 1 {
 		cfg.Batch = opts.Batch
 	}
-	if opts.Stats != nil {
-		cfg.Stats = true
-		cfg.StatsSink = opts.Stats.Live
-	}
+	cfg.Stats = opts.Stats != nil
 	sp := opts.Span.Fork("sim.run")
 	defer sp.End()
 	cfg.Span = sp
-	if opts.Progress != nil {
-		// One work unit per simulated slot: Slots × replications ×
-		// sensors. The engines report completions at chunk/sensor/run
-		// granularity through cfg.Progress. An early-stopped run
-		// completes less than the work added here; the progress line
-		// then under-reports done, never over.
-		n, b := cfg.N, cfg.Batch
-		if n < 1 {
-			n = 1
-		}
-		if b < 1 {
-			b = 1
-		}
-		opts.Progress.AddWork(cfg.Slots * int64(n) * int64(b))
-		cfg.Progress = opts.Progress
-	}
 	if opts.TargetRelHW > 0 && cfg.Batch > 1 {
 		res, dec, err := sim.RunWithEarlyStop(cfg, sim.EarlyStopOptions{
 			TargetRelHW: opts.TargetRelHW,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"eventcap/internal/obs"
+	"eventcap/internal/sim"
 )
 
 func quickOpts() Options { return Options{Quick: true, Seed: 42} }
@@ -337,14 +338,17 @@ func TestAblationMultiPoIShape(t *testing.T) {
 
 // TestSolveSpansForkLanes: every policy solve of a figure runs in a
 // "solve" span on a lane of its own, since sweep points solve
-// concurrently. fig4b's three quick sweep points each solve a base and
-// a gap-capped clustering policy in one solve (one evaluator serves
-// both); fig6a's three add a greedy FI solve.
+// concurrently, and every simulation in a "sim.run" span. fig4b's three
+// quick sweep points each solve a base and a gap-capped clustering
+// policy in one solve (one evaluator serves both); fig6a's three add a
+// greedy FI solve. ablation-windows solves and refines once per rate;
+// ablation-multipoi calibrates once per rate and simulates two
+// policies.
 func TestSolveSpansForkLanes(t *testing.T) {
 	for _, c := range []struct {
-		id   string
-		want int
-	}{{"fig4b", 3}, {"fig6a", 6}} {
+		id         string
+		want, runs int
+	}{{"fig4b", 3, 11}, {"fig6a", 6, 12}, {"ablation-windows", 2, 0}, {"ablation-multipoi", 2, 4}} {
 		e, ok := ByID(c.id)
 		if !ok {
 			t.Fatalf("%s not registered", c.id)
@@ -371,7 +375,7 @@ func TestSolveSpansForkLanes(t *testing.T) {
 		}
 		var rootLane int64
 		lanes := make(map[int64]bool)
-		solves := 0
+		solves, runs := 0, 0
 		for _, ev := range trace.TraceEvents {
 			switch ev.Name {
 			case c.id:
@@ -379,13 +383,39 @@ func TestSolveSpansForkLanes(t *testing.T) {
 			case "solve":
 				solves++
 				lanes[ev.Tid] = true
+			case "sim.run":
+				runs++
 			}
 		}
-		if solves != c.want {
-			t.Errorf("%s: %d solve spans, want %d", c.id, solves, c.want)
+		if solves != c.want || runs != c.runs {
+			t.Errorf("%s: %d solve and %d sim.run spans, want %d and %d", c.id, solves, runs, c.want, c.runs)
 		}
 		if len(lanes) != solves || lanes[rootLane] {
 			t.Errorf("%s: %d solve spans on %d lanes (root lane %d among them: %t), want one lane each", c.id, solves, len(lanes), rootLane, lanes[rootLane])
 		}
+	}
+}
+
+// TestStatsCollectorOrderFree: sweep points finish in any order, and a
+// collector fed the same runs in two orders keeps the same early-stop
+// decision (the run that needed the most replications, ties to the
+// larger relative half-width) and the same stopped count.
+func TestStatsCollectorOrderFree(t *testing.T) {
+	decs := []*obs.EarlyStopInfo{
+		{TargetRelHW: 0.3, MinReps: 2, MaxReps: 16, Reps: 4, RelHalfWidth: 0.29, Stopped: true},
+		{TargetRelHW: 0.3, MinReps: 2, MaxReps: 16, Reps: 16, RelHalfWidth: 0.31},
+		{TargetRelHW: 0.3, MinReps: 2, MaxReps: 16, Reps: 16, RelHalfWidth: 0.35},
+		{TargetRelHW: 0.3, MinReps: 2, MaxReps: 16, Reps: 8, RelHalfWidth: 0.2, Stopped: true},
+	}
+	var fwd, rev StatsCollector
+	for i := range decs {
+		fwd.observe(&sim.Result{}, decs[i])
+		rev.observe(&sim.Result{}, decs[len(decs)-1-i])
+	}
+	if f, r := fwd.Decision(), rev.Decision(); f != decs[2] || r != decs[2] {
+		t.Fatalf("kept decisions %+v (forward) and %+v (reverse), want %+v", f, r, decs[2])
+	}
+	if f, r := fwd.StoppedRuns(), rev.StoppedRuns(); f != 2 || r != 2 {
+		t.Fatalf("stopped runs %d (forward) and %d (reverse), want 2", f, r)
 	}
 }

@@ -42,10 +42,9 @@ type ManifestConfig struct {
 // Manifest is the one record of a run: a reproducibility and audit
 // record tying the output bytes to the exact configuration, code
 // version, and the energy accounting behind the figure. NewManifest
-// builds it, and the binaries write it to up to three places: the JSON
-// sidecar beside the CSV or trace (Write), one line of the run journal
-// (RunLog.Record), and the registry's completed entry that /debug/runs
-// renders (ActiveRun.Complete). A failed run carries Error and gets no
+// builds it, and the binaries write it to up to two places: the JSON
+// sidecar beside the CSV or trace (Write) and one line of the run
+// journal (RunLog.Record). A failed run carries Error and gets no
 // sidecar.
 type Manifest struct {
 	Schema     string `json:"schema"`

@@ -37,23 +37,7 @@ const BatteryBins = 10
 var (
 	regMu sync.Mutex
 	reg   = make(map[string]func() float64)
-
-	// Family metadata for the Prometheus exposition (prom.go): flat
-	// expvar names don't say whether a metric is a counter, a gauge, a
-	// binned vector or a latency histogram, so the constructors record
-	// it here. Guarded by regMu like reg.
-	promCounters []string
-	promGauges   []string
-	promVecs     []promVecInfo
-	promHists    []string
 )
-
-// promVecInfo describes one CounterVec family: its base name and bin
-// count (bins are registered as "<name>.00" … "<name>.NN").
-type promVecInfo struct {
-	name string
-	n    int
-}
 
 func register(name string, load func() float64) {
 	regMu.Lock()
@@ -62,12 +46,6 @@ func register(name string, load func() float64) {
 		panic("obs: duplicate metric " + name)
 	}
 	reg[name] = load
-}
-
-func recordFamily(list *[]string, name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	*list = append(*list, name)
 }
 
 func init() {
@@ -118,7 +96,6 @@ type Counter struct{ v atomic.Int64 }
 func NewCounter(name string) *Counter {
 	c := &Counter{}
 	register(name, func() float64 { return float64(c.v.Load()) })
-	recordFamily(&promCounters, name)
 	return c
 }
 
@@ -140,8 +117,6 @@ func NewGauge(name string) *Gauge {
 	g := &Gauge{}
 	register(name, func() float64 { return float64(g.v.Load()) })
 	register(name+".max", func() float64 { return float64(g.max.Load()) })
-	recordFamily(&promGauges, name)
-	recordFamily(&promGauges, name+".max")
 	return g
 }
 
@@ -180,7 +155,6 @@ type FloatCounter struct{ units atomic.Int64 }
 func NewFloatCounter(name string) *FloatCounter {
 	f := &FloatCounter{}
 	register(name, f.Load)
-	recordFamily(&promCounters, name)
 	return f
 }
 
@@ -189,24 +163,6 @@ func (f *FloatCounter) Add(v float64) { f.units.Add(int64(math.Round(v * floatCo
 
 // Load returns the accumulated sum.
 func (f *FloatCounter) Load() float64 { return float64(f.units.Load()) / floatCounterUnit }
-
-// FloatGauge is an instantaneous float level (the stats.* estimates:
-// last-published QoM mean and CI half-widths).
-type FloatGauge struct{ bits atomic.Uint64 }
-
-// NewFloatGauge registers and returns a float gauge.
-func NewFloatGauge(name string) *FloatGauge {
-	g := &FloatGauge{}
-	register(name, g.Value)
-	recordFamily(&promGauges, name)
-	return g
-}
-
-// Set replaces the gauge's value.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // CounterVec is a fixed-length vector of counters (histogram bins),
 // registered as "<name>.00" … "<name>.NN".
@@ -219,9 +175,6 @@ func NewCounterVec(name string, n int) *CounterVec {
 		c := &v.bins[i]
 		register(fmt.Sprintf("%s.%02d", name, i), func() float64 { return float64(c.Load()) })
 	}
-	regMu.Lock()
-	promVecs = append(promVecs, promVecInfo{name: name, n: n})
-	regMu.Unlock()
 	return v
 }
 
@@ -265,7 +218,6 @@ type DurationHist struct {
 // NewDurationHist registers and returns a latency histogram.
 func NewDurationHist(name string) *DurationHist {
 	h := &DurationHist{}
-	recordFamily(&promHists, name)
 	for i := range durationBuckets {
 		c := &h.buckets[i]
 		register(name+"."+durationBuckets[i].label, func() float64 { return float64(c.Load()) })
@@ -361,15 +313,6 @@ var (
 	PoolPending      = NewGauge("pool.pending")
 	PoolInFlight     = NewGauge("pool.inflight")
 	PoolLatency      = NewDurationHist("pool.latency")
-
-	// Streaming-statistics surface: the last QoM confidence interval
-	// published by a driver's stats collector (internal/sim's StatsProbe
-	// feeds these through the CLI sink). Gauges, not counters — each run
-	// overwrites the estimate of the one before it.
-	StatsReports         = NewCounter("stats.reports")
-	StatsQoMMean         = NewFloatGauge("stats.qom.mean")
-	StatsQoMHalfWidth    = NewFloatGauge("stats.qom.half_width")
-	StatsQoMRelHalfWidth = NewFloatGauge("stats.qom.rel_half_width")
 )
 
 // DigestConfig hashes an ordered list of "key=value" strings into the

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -173,123 +170,5 @@ func TestDigestConfigStableAndSeparatorSafe(t *testing.T) {
 	// The NUL separator must keep part boundaries from aliasing.
 	if DigestConfig("ab", "c") == DigestConfig("a", "bc") {
 		t.Fatal("digest aliases across part boundaries")
-	}
-}
-
-func TestProgressLine(t *testing.T) {
-	now := time.Unix(1000, 0)
-	p := &Progress{nowFunc: func() time.Time { return now }}
-	if got := p.Line(); got != "progress: no jobs enqueued yet" {
-		t.Fatalf("empty line = %q", got)
-	}
-	p.Enqueued(8)
-	p.Started()
-	p.Finished(100*time.Millisecond, nil)
-	p.Started()
-	p.Finished(300*time.Millisecond, fmt.Errorf("boom"))
-	done, total := p.Done()
-	if done != 2 || total != 8 {
-		t.Fatalf("done/total = %d/%d", done, total)
-	}
-	// 2/8 jobs completed in 2s of wall time → the whole-job
-	// extrapolation prices the remaining 6 at 2s × 6/2 = 6s.
-	now = now.Add(2 * time.Second)
-	line := p.Line()
-	for _, want := range []string{"2/8 jobs", "25%", "avg 200ms/job", "eta 6s", "1 failed"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("line %q missing %q", line, want)
-		}
-	}
-}
-
-func TestProgressWorkUnitsDriveThroughputAndETA(t *testing.T) {
-	now := time.Unix(2000, 0)
-	p := &Progress{nowFunc: func() time.Time { return now }}
-	p.Enqueued(1)
-	p.Started()
-	p.AddWork(4_000_000)
-	p.FinishWork(1_000_000)
-	if wd, wt := p.Work(); wd != 1_000_000 || wt != 4_000_000 {
-		t.Fatalf("work = %d/%d", wd, wt)
-	}
-	// No job has finished, so the whole-job estimate is silent; the
-	// slot-unit rate (1M slots in 10s, 3M left) still yields an ETA.
-	now = now.Add(10 * time.Second)
-	line := p.Line()
-	for _, want := range []string{"0/1 jobs", "1M slots", "@ 100k/s", "eta 30s"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("line %q missing %q", line, want)
-		}
-	}
-}
-
-func TestProgressETATakesLargerEstimate(t *testing.T) {
-	now := time.Unix(3000, 0)
-	p := &Progress{nowFunc: func() time.Time { return now }}
-	p.Enqueued(2)
-	p.Started()
-	p.Finished(time.Second, nil)
-	p.AddWork(10_000_000)
-	p.FinishWork(1_000_000)
-	now = now.Add(4 * time.Second)
-	// Job estimate: 4s × 1/1 = 4s. Slot estimate: 4s × 9M/1M = 36s.
-	if line := p.Line(); !strings.Contains(line, "eta 36s") {
-		t.Errorf("line %q: want the larger (slot-unit) eta 36s", line)
-	}
-}
-
-func TestProgressWorkNilSafe(t *testing.T) {
-	var p *Progress
-	p.AddWork(5)    // must not panic
-	p.FinishWork(5) // must not panic
-}
-
-func TestHumanCount(t *testing.T) {
-	for n, want := range map[float64]string{
-		900:           "900",
-		12_500:        "12.5k",
-		1_000_000:     "1M",
-		2_500_000_000: "2.5G",
-	} {
-		if got := humanCount(n); got != want {
-			t.Errorf("humanCount(%v) = %q, want %q", n, got, want)
-		}
-	}
-}
-
-func TestServeMetricsExposesVarsAndPprof(t *testing.T) {
-	marker := NewCounter("test.serve.marker")
-	marker.Add(123)
-	addr, stop, err := ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := stop(); err != nil {
-			t.Errorf("stop: %v", err)
-		}
-	}()
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s", path, resp.Status)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-	vars := get("/debug/vars")
-	if !strings.Contains(vars, `"eventcap"`) || !strings.Contains(vars, `"test.serve.marker":123`) {
-		t.Errorf("/debug/vars missing eventcap metrics:\n%.400s", vars)
-	}
-	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
-		t.Errorf("/debug/pprof/ index missing profiles:\n%.400s", idx)
 	}
 }

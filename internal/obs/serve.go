@@ -30,15 +30,12 @@ func HandleDebug(pattern string, h http.Handler) {
 }
 
 // DebugMux builds the diagnostics mux served by ServeMetrics: the expvar
-// map at /debug/vars, its Prometheus text exposition at /metrics, the
-// pprof handlers under /debug/pprof/, the run dashboard at /debug/runs,
-// and every handler registered with HandleDebug. Exported so tests can drive the routes through httptest
-// without binding a socket.
+// map at /debug/vars, the pprof handlers under /debug/pprof/, and every
+// handler registered with HandleDebug. Exported so tests can drive the
+// routes through httptest without binding a socket.
 func DebugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.Handle("/metrics", PrometheusHandler())
-	mux.Handle("/debug/runs", DefaultRegistry.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

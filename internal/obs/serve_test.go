@@ -88,6 +88,36 @@ func TestHandleDebugRegistersRoute(t *testing.T) {
 	}
 }
 
+// TestDebugMuxServesOnlyDiagnostics: expvar, pprof and HandleDebug
+// routes serve; the removed Prometheus exposition and run dashboard
+// routes are not found.
+func TestDebugMuxServesOnlyDiagnostics(t *testing.T) {
+	HandleDebug("/debug/testserve3", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok"))
+	}))
+	srv := httptest.NewServer(DebugMux())
+	defer srv.Close()
+	for _, c := range []struct {
+		path   string
+		status int
+	}{
+		{"/debug/vars", http.StatusOK},
+		{"/debug/pprof/", http.StatusOK},
+		{"/debug/testserve3", http.StatusOK},
+		{"/metrics", http.StatusNotFound},
+		{"/debug/runs", http.StatusNotFound},
+	} {
+		resp, err := http.Get(srv.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("GET %s: status %d, want %d", c.path, resp.StatusCode, c.status)
+		}
+	}
+}
+
 func TestServeMetricsIncludesDebugHandlers(t *testing.T) {
 	HandleDebug("/debug/testserve2", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("live-server-ok"))
@@ -105,5 +135,42 @@ func TestServeMetricsIncludesDebugHandlers(t *testing.T) {
 	data, _ := io.ReadAll(resp.Body)
 	if string(data) != "live-server-ok" {
 		t.Fatalf("ServeMetrics custom route body = %q", data)
+	}
+}
+
+func TestServeMetricsExposesVarsAndPprof(t *testing.T) {
+	marker := NewCounter("test.serve.marker")
+	marker.Add(123)
+	addr, stop, err := ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	}()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	vars := get("/debug/vars")
+	if !strings.Contains(vars, `"eventcap"`) || !strings.Contains(vars, `"test.serve.marker":123`) {
+		t.Errorf("/debug/vars missing eventcap metrics:\n%.400s", vars)
+	}
+	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
+		t.Errorf("/debug/pprof/ index missing profiles:\n%.400s", idx)
 	}
 }

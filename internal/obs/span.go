@@ -151,8 +151,7 @@ func (s *Span) Wall() time.Duration {
 // sibling spans merge into one Phase (summed wall time and counters,
 // recursively merged children), so a batch run's 40 "chunk" forks
 // export as one phase with Count 40 rather than 40 manifest entries.
-// This is the manifest's schema-v3 "phases" block and the dashboard's
-// phase-bar source.
+// This is the manifest's "phases" block.
 type Phase struct {
 	Name string `json:"name"`
 	// Count is how many spans merged into this phase.

@@ -51,42 +51,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: job %d panicked: %v\n%s", e.Job, e.Value, e.Stack)
 }
 
-// Observer receives pool lifecycle callbacks for live progress
-// reporting: Enqueued(n) when a Map call admits n jobs, Started when a
-// job begins executing, and Finished with the job's wall time (and its
-// error, nil on success) when it completes. Callbacks may arrive
-// concurrently from every worker goroutine, so implementations must be
-// safe for concurrent use; obs.Progress is the canonical one. Jobs
-// cancelled by an earlier failure are never Started, so a batch may
-// finish with fewer Finished calls than were Enqueued.
-type Observer interface {
-	Enqueued(n int)
-	Started()
-	Finished(d time.Duration, err error)
-}
-
-// observer is the process-wide pool observer (nil when unset). Stored
-// behind a pointer so Load/Store stay atomic for an interface value.
-var observer atomic.Pointer[Observer]
-
-// SetObserver installs o as the pool observer for subsequent Map calls
-// (nil uninstalls). Intended to be set once at process start by the
-// experiment driver; Map calls already in flight may miss the change.
-func SetObserver(o Observer) {
-	if o == nil {
-		observer.Store(nil)
-		return
-	}
-	observer.Store(&o)
-}
-
-func loadObserver() Observer {
-	if p := observer.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // Map runs fn(i) for every i in [0, n) on at most Workers(workers)
 // goroutines and returns the results in index order. The first failing
 // job (lowest index among jobs that ran) cancels dispatch of not-yet
@@ -94,21 +58,6 @@ func loadObserver() Observer {
 // completion. A panic inside fn is captured as a *PanicError for that
 // job rather than crashing the pool.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return mapPool(workers, n, fn, true)
-}
-
-// MapInner is Map for engine-internal fan-out: a batch's replication
-// chunks. The jobs still count into the pool.* metrics
-// (they are real pool work), but the process Observer is not notified:
-// an outer job's wall time already includes its inner jobs, so
-// reporting both would inflate the progress job totals and
-// double-count busy time, which is exactly what made -progress ETAs
-// wrong under -batch.
-func MapInner[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return mapPool(workers, n, fn, false)
-}
-
-func mapPool[T any](workers, n int, fn func(i int) (T, error), notify bool) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -116,15 +65,8 @@ func mapPool[T any](workers, n int, fn func(i int) (T, error), notify bool) ([]T
 	if w > n {
 		w = n
 	}
-	var o Observer
-	if notify {
-		o = loadObserver()
-	}
 	obs.PoolJobsEnqueued.Add(int64(n))
 	obs.PoolPending.Add(int64(n))
-	if o != nil {
-		o.Enqueued(n)
-	}
 	// Each dispatched job moves itself from pending to in-flight; jobs an
 	// early error left undispatched drain from the pending gauge here.
 	var dispatched atomic.Int64
@@ -136,7 +78,7 @@ func mapPool[T any](workers, n int, fn func(i int) (T, error), notify bool) ([]T
 		// first error), no goroutine overhead.
 		for i := 0; i < n; i++ {
 			dispatched.Add(1)
-			v, err := runJobObserved(i, fn, o)
+			v, err := runJobObserved(i, fn)
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +117,7 @@ func mapPool[T any](workers, n int, fn func(i int) (T, error), notify bool) ([]T
 					return
 				}
 				dispatched.Add(1)
-				v, err := runJobObserved(i, fn, o)
+				v, err := runJobObserved(i, fn)
 				if err != nil {
 					record(i, err)
 					return
@@ -193,12 +135,9 @@ func mapPool[T any](workers, n int, fn func(i int) (T, error), notify bool) ([]T
 
 // runJobObserved wraps runJob with the pending → in-flight → done
 // bookkeeping and the latency observation shared by both Map paths.
-func runJobObserved[T any](i int, fn func(int) (T, error), o Observer) (T, error) {
+func runJobObserved[T any](i int, fn func(int) (T, error)) (T, error) {
 	obs.PoolPending.Add(-1)
 	obs.PoolInFlight.Add(1)
-	if o != nil {
-		o.Started()
-	}
 	start := time.Now()
 	v, err := runJob(i, fn)
 	d := time.Since(start)
@@ -207,9 +146,6 @@ func runJobObserved[T any](i int, fn func(int) (T, error), o Observer) (T, error
 	obs.PoolLatency.Observe(d)
 	if err != nil {
 		obs.PoolJobErrors.Inc()
-	}
-	if o != nil {
-		o.Finished(d, err)
 	}
 	return v, err
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"eventcap/internal/obs"
 	"eventcap/internal/rng"
 )
 
@@ -195,5 +196,50 @@ func TestMapSeededDeterministic(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("%d of 64 jobs drew identical values under different seeds", same)
+	}
+}
+
+// TestPoolCountersDrainPending: the pool gauges must return to their
+// starting level after every Map call — including one cut short by an
+// error, where undispatched jobs drain in bulk.
+func TestPoolCountersDrainPending(t *testing.T) {
+	pending0 := obs.PoolPending.Load()
+	inflight0 := obs.PoolInFlight.Load()
+	done0 := obs.PoolJobsDone.Load()
+	enq0 := obs.PoolJobsEnqueued.Load()
+	errs0 := obs.PoolJobErrors.Load()
+
+	if _, err := Map(4, 30, func(i int) (int, error) { return i, nil }); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Map(2, 1000, func(i int) (int, error) {
+		if i == 0 {
+			return 0, errors.New("boom")
+		}
+		time.Sleep(time.Microsecond)
+		return i, nil
+	})
+	if err == nil {
+		t.Fatal("expected error")
+	}
+
+	if got := obs.PoolPending.Load(); got != pending0 {
+		t.Errorf("pending gauge leaked: %d, started at %d", got, pending0)
+	}
+	if got := obs.PoolInFlight.Load(); got != inflight0 {
+		t.Errorf("inflight gauge leaked: %d, started at %d", got, inflight0)
+	}
+	if got := obs.PoolJobsEnqueued.Load() - enq0; got != 1030 {
+		t.Errorf("enqueued delta = %d, want 1030", got)
+	}
+	if got := obs.PoolJobErrors.Load() - errs0; got < 1 {
+		t.Errorf("error counter delta = %d", got)
+	}
+	done := obs.PoolJobsDone.Load() - done0
+	if done < 31 || done > 1030 {
+		t.Errorf("done delta = %d, want in [31, 1030]", done)
+	}
+	if obs.PoolLatency.Count() == 0 {
+		t.Error("latency histogram empty")
 	}
 }

@@ -100,7 +100,7 @@ func (b *batch) run(cfg *Config, lo, hi int) error {
 	ex.Count("chunks", int64(numChunks))
 	ex.Count("slots", cfg.Slots*int64(hi-lo)*int64(n))
 
-	parts, err := parallel.MapInner(workers, numChunks, func(ci int) (*Metrics, error) {
+	parts, err := parallel.Map(workers, numChunks, func(ci int) (*Metrics, error) {
 		csp := ex.Fork("chunk")
 		defer csp.End()
 		var w *fleetRun
@@ -129,7 +129,6 @@ func (b *batch) run(cfg *Config, lo, hi int) error {
 				return nil, fmt.Errorf("sim: batch replication %d: %w", r, err)
 			}
 		}
-		cfg.Progress.FinishWork(cfg.Slots * int64(last-first) * int64(n))
 		return co.m, nil
 	})
 	if err != nil {

@@ -51,7 +51,7 @@ func RunWithEarlyStop(cfg Config, opt EarlyStopOptions) (*Result, *obs.EarlyStop
 	}
 	// The monitor reads the stats probe, which the Result keeps only
 	// when the caller asked for it.
-	keepStats := cfg.Stats || cfg.StatsSink != nil
+	keepStats := cfg.Stats
 	cfg.Stats = true
 	b := newBatch(&cfg, plan, quant, maxReps)
 	defer b.ex.End()

@@ -122,8 +122,8 @@ type Result struct {
 	// Config.Metrics is set, nil otherwise.
 	Metrics *Metrics
 	// Stats holds the streaming-statistics report (QoM point estimate,
-	// CI, battery summary — DESIGN.md §16) when Config.Stats or
-	// Config.StatsSink is set, nil otherwise.
+	// CI, battery summary — DESIGN.md §16) when Config.Stats is set, nil
+	// otherwise.
 	Stats *stats.Report
 }
 
@@ -241,13 +241,6 @@ type Config struct {
 	// by TestSpansDoNotChangeResults).
 	Span *obs.Span
 
-	// Progress, when non-nil, receives slot-unit work completions
-	// (obs.Progress.FinishWork) at engine phase boundaries — per batch
-	// chunk, per fleet sensor, per run — so a live progress line moves
-	// inside long runs. RNG-neutral; reporting granularity never touches
-	// a random stream.
-	Progress *obs.Progress
-
 	// Stats, when true, attaches the streaming statistics probe
 	// (DESIGN.md §16): online QoM batch means with a confidence
 	// interval (per-replication samples on a batch), and a single run's
@@ -255,12 +248,6 @@ type Config struct {
 	// the same contract as Metrics — results are byte-identical with
 	// the probe on or off (asserted by TestStatsDoNotChangeResults).
 	Stats bool
-
-	// StatsSink, when non-nil, receives interim streaming reports
-	// during the run (every statsPublishStride QoM observations) and
-	// the final one; it implies the probe even when Stats is false.
-	// Called synchronously from the engine's coordinating goroutine.
-	StatsSink func(stats.Report)
 }
 
 func (c *Config) validate() error {
@@ -349,7 +336,6 @@ func Run(cfg Config) (*Result, error) {
 	defer ex.End()
 	ex.Count("slots", cfg.Slots)
 	ex.Count("sensors", int64(cfg.N))
-	defer cfg.Progress.FinishWork(cfg.Slots * int64(cfg.N))
 	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, cfg.N), Engine: engine}
 	o := newObserver(&cfg, code)
 	if plan != nil {

@@ -2,12 +2,6 @@ package sim
 
 import "eventcap/internal/stats"
 
-// statsPublishStride is how many QoM observations (events, or events
-// inside merged replications) accumulate between interim StatsSink
-// reports. A power of two, purely a publishing cadence: the probe's
-// accumulators see every observation regardless.
-const statsPublishStride = 1 << 14
-
 // statsBatteryDecimate thins the battery-occupancy stream inside the
 // probe: engines hand over every batterySampleStride-th slot (the
 // stream Metrics histograms), and the probe keeps every
@@ -41,22 +35,18 @@ type StatsProbe struct {
 	bat           stats.Welford
 	batSkip       int
 	p10, p50, p90 *stats.P2Quantile
-
-	sink      func(stats.Report)
-	sinceSink int64
 }
 
-// newStatsProbe returns the run's probe, or nil when neither
-// Config.Stats nor Config.StatsSink asks for one.
+// newStatsProbe returns the run's probe, or nil unless Config.Stats
+// asks for one.
 func newStatsProbe(cfg *Config) *StatsProbe {
-	if !cfg.Stats && cfg.StatsSink == nil {
+	if !cfg.Stats {
 		return nil
 	}
 	return &StatsProbe{
-		p10:  stats.NewP2Quantile(0.10),
-		p50:  stats.NewP2Quantile(0.50),
-		p90:  stats.NewP2Quantile(0.90),
-		sink: cfg.StatsSink,
+		p10: stats.NewP2Quantile(0.10),
+		p50: stats.NewP2Quantile(0.50),
+		p90: stats.NewP2Quantile(0.90),
 	}
 }
 
@@ -68,7 +58,6 @@ func (sp *StatsProbe) ObserveEvent(captured bool) {
 	} else {
 		sp.qom.Add(0)
 	}
-	sp.maybePublish(1)
 }
 
 // ObserveMisses folds n missed events in at once — the kernel's
@@ -79,7 +68,6 @@ func (sp *StatsProbe) ObserveMisses(n int64) {
 		return
 	}
 	sp.qom.AddN(0, n)
-	sp.maybePublish(n)
 }
 
 // ObserveBattery folds one battery-occupancy sample (fraction of
@@ -109,20 +97,6 @@ func (sp *StatsProbe) ObserveReplica(events, captures int64) {
 	if events > 0 {
 		sp.reps.Add(float64(captures) / float64(events))
 	}
-	sp.maybePublish(events)
-}
-
-// maybePublish sends an interim report to the sink every
-// statsPublishStride QoM observations.
-func (sp *StatsProbe) maybePublish(n int64) {
-	if sp.sink == nil {
-		return
-	}
-	sp.sinceSink += n
-	if sp.sinceSink >= statsPublishStride {
-		sp.sinceSink = 0
-		sp.sink(sp.Report())
-	}
 }
 
 // Report builds the probe's current report: the replication method
@@ -148,15 +122,12 @@ func (sp *StatsProbe) Report() stats.Report {
 	return r
 }
 
-// finish attaches the final report to res and sends it to the sink.
-// Nil-safe so engine epilogues can call it unconditionally.
+// finish attaches the final report to res. Nil-safe so engine
+// epilogues can call it unconditionally.
 func (sp *StatsProbe) finish(res *Result) {
 	if sp == nil {
 		return
 	}
 	r := sp.Report()
 	res.Stats = &r
-	if sp.sink != nil {
-		sp.sink(r)
-	}
 }

@@ -144,31 +144,3 @@ func TestKernelStatsMatchReference(t *testing.T) {
 		}
 	}
 }
-
-// TestStatsSink: interim reports stream during the run and the final
-// sink report equals Result.Stats.
-func TestStatsSink(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Engine = EngineReference
-	var got []stats.Report
-	cfg.StatsSink = func(r stats.Report) { got = append(got, r) }
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats == nil {
-		t.Fatal("StatsSink alone must imply the probe")
-	}
-	if len(got) == 0 {
-		t.Fatal("sink saw no reports")
-	}
-	last := got[len(got)-1]
-	if !reflect.DeepEqual(last, *res.Stats) {
-		t.Fatalf("final sink report %+v != Result.Stats %+v", last, *res.Stats)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Events < got[i-1].Events {
-			t.Fatalf("report %d went backwards: %d < %d events", i, got[i].Events, got[i-1].Events)
-		}
-	}
-}

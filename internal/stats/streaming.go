@@ -20,8 +20,8 @@ import (
 )
 
 // DefaultCILevel is the confidence level used for every streaming CI.
-// Fixed rather than configurable: one level keeps manifests, the
-// dashboard, and tracetool mutually comparable.
+// Fixed rather than configurable: one level keeps manifests and
+// tracetool mutually comparable.
 const DefaultCILevel = 0.95
 
 // Report methods: how the CI in a Report was obtained.
@@ -514,13 +514,14 @@ func (c ConvergenceMonitor) Converged(r Report) bool {
 // Pool combines per-run Reports into one pooled estimate for an
 // experiment series: exact pooled mean Σcaptures/Σevents, and a
 // half-width from the event-weighted per-run half-widths
-// (√Σ(eᵢ·hwᵢ)²/Σe — exact for independent runs). The zero value is
-// ready to use.
+// (√Σ(eᵢ·hwᵢ)²/Σe — exact for independent runs). The pooled report
+// does not depend on the order runs are added in, so concurrent sweep
+// points pool to the same bits. The zero value is ready to use.
 type Pool struct {
 	runs     int64
 	events   int64
 	captures int64
-	wHW2     float64 // Σ (events_i · hw_i)²
+	wHW2     []float64 // (events_i · hw_i)² per run, summed in sorted order by Report
 	of       string
 	noCI     bool // some run had no CI → pooled half-width unavailable
 }
@@ -534,7 +535,7 @@ func (p *Pool) Add(r Report) {
 		p.noCI = true
 	} else {
 		w := float64(r.Events) * r.HalfWidth
-		p.wHW2 += w * w
+		p.wHW2 = append(p.wHW2, w*w)
 	}
 	method := r.Method
 	if r.Method == MethodPooled {
@@ -565,8 +566,16 @@ func (p *Pool) Report(level float64) Report {
 		r.Mean = float64(p.captures) / float64(p.events)
 	}
 	if p.runs > 0 && !p.noCI && p.events > 0 {
+		// A float sum depends on its order; sorting the terms first
+		// makes it depend on the set of runs alone.
+		terms := append([]float64(nil), p.wHW2...)
+		sort.Float64s(terms)
+		var sum float64
+		for _, t := range terms {
+			sum += t
+		}
 		r.Level = level
-		r.HalfWidth = math.Sqrt(p.wHW2) / float64(p.events)
+		r.HalfWidth = math.Sqrt(sum) / float64(p.events)
 		if r.Mean > 0 {
 			r.RelHalfWidth = r.HalfWidth / r.Mean
 		}

@@ -363,3 +363,24 @@ func TestPool(t *testing.T) {
 		t.Fatalf("empty pool %+v", r)
 	}
 }
+
+// TestPoolOrderFree: the same reports pooled in two orders give
+// bit-identical reports. Terms (eᵢ·hwᵢ)² of 1, 1e-12 and 1e-12 sum to
+// floats that differ in the last bit in those orders, and the
+// difference survives the square root, so only a sorted sum agrees.
+func TestPoolOrderFree(t *testing.T) {
+	reports := []Report{
+		{Method: MethodReplication, Events: 1, Captures: 1, Mean: 1, Level: 0.95, HalfWidth: 1},
+		{Method: MethodBatchMeans, Events: 1, Captures: 1, Mean: 1, Level: 0.95, HalfWidth: 1e-6},
+		{Method: MethodBatchMeans, Events: 1, Captures: 0, Level: 0.95, HalfWidth: 1e-6},
+	}
+	var fwd, rev Pool
+	for i := range reports {
+		fwd.Add(reports[i])
+		rev.Add(reports[len(reports)-1-i])
+	}
+	f, r := fwd.Report(0.95), rev.Report(0.95)
+	if f != r {
+		t.Fatalf("pooled report depends on order:\nforward %+v\nreverse %+v", f, r)
+	}
+}
