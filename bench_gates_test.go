@@ -147,9 +147,7 @@ func runOp(cfg sim.Config, spans bool) func(uint64) error {
 
 // sparse times 10^6 slots of the sparse workload on engine with probe
 // switched on: "" or "<probe>=off" for none, "metrics=on", "stats=on",
-// "spans=on", "flight" (a 256-slot flight recorder, built once, as one
-// recorder outlives a whole sweep) or "full" (the full trace to
-// io.Discard).
+// "spans=on" or "full" (the full trace to io.Discard).
 func sparse(engine sim.Engine, probe string) side {
 	name := engine.String()
 	if probe != "" {
@@ -163,10 +161,8 @@ func sparse(engine sim.Engine, probe string) side {
 			cfg.Metrics = true
 		case "stats=on":
 			cfg.Stats = true
-		case "flight":
-			cfg.Tracer = trace.New(nil, trace.NewFlightRecorder(256))
 		case "full":
-			cfg.Tracer = trace.New(trace.NewWriter(io.Discard), nil)
+			cfg.Tracer = trace.NewWriter(io.Discard)
 		default:
 			tb.Fatalf("unknown probe %q", probe)
 		}
@@ -351,8 +347,6 @@ type benchGate struct {
 	// loopAllocs, when set, counts the variant engine's steady-state loop
 	// allocations, which must be 0.
 	loopAllocs func(testing.TB) float64
-	// check, when set, is a bound across the named comparisons.
-	check func(map[string]measurement) error
 }
 
 const sparseDesc = "greedy-FI (fig3a policy family), Weibull(40,3), Bernoulli(0.1,1) recharge, K=1000"
@@ -392,26 +386,12 @@ var benchGates = []benchGate{
 	{row: "stats", benchmark: "BenchmarkStatsOverhead", config: sparseDesc, slotsPerOp: 1_000_000, rounds: 5, comparisons: probeCost("stats", 0)},
 	// Spans wrap phases, never slots: their cost per run is constant.
 	{row: "span", benchmark: "BenchmarkSpanOverhead", config: sparseDesc, slotsPerOp: 1_000_000, rounds: 5, comparisons: probeCost("spans", 2)},
+	// The full trace is priced per debugging run, not left on: the row
+	// records what it costs the reference engine and gates nothing.
 	{
-		// The flight recorder is budgeted because it is meant to be left
-		// on; the full trace is priced per debugging run. The kernel's
-		// armed recorder is not held to 2%: it costs a few ns per recorded
-		// slot, while the kernel spends ~7 ns per slot in all by skipping
-		// sleep runs, so any such cost is a large share of an engine ~5×
-		// faster than the budget's denominator. It must instead keep most
-		// of its lead over the untraced reference engine.
 		row: "trace", benchmark: "BenchmarkTraceOverhead", config: sparseDesc, slotsPerOp: 1_000_000, rounds: 5,
 		comparisons: []comparison{
-			{name: "reference_flight", base: sparse(sim.EngineReference, "trace=off"), variant: sparse(sim.EngineReference, "flight"), budgetPct: 2},
-			{name: "kernel_flight", base: sparse(sim.EngineKernel, "trace=off"), variant: sparse(sim.EngineKernel, "flight")},
 			{name: "reference_full", base: sparse(sim.EngineReference, "trace=off"), variant: sparse(sim.EngineReference, "full")},
-		},
-		check: func(ms map[string]measurement) error {
-			ker, ref := ms["kernel_flight"].MedianVariantNsPerOp, ms["reference_flight"].MedianBaseNsPerOp
-			if ker*2 >= ref {
-				return fmt.Errorf("kernel with flight recorder (%d ns/op) lost its fast-forward advantage over the untraced reference (%d ns/op)", ker, ref)
-			}
-			return nil
 		},
 	},
 	{
@@ -460,11 +440,6 @@ func TestBenchGates(t *testing.T) {
 					rec.Measurement = &m
 				} else {
 					rec.Comparisons[c.name] = m
-				}
-			}
-			if g.check != nil {
-				if err := g.check(rec.Comparisons); err != nil {
-					t.Error(err)
 				}
 			}
 			if g.loopAllocs != nil {

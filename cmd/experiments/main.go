@@ -26,10 +26,8 @@
 //
 // -trace additionally writes a slot-level binary trace (<id>.evtrace,
 // hash-recorded in the manifest; verify with `tracetool replay`; refused
-// with -batch > 1, whose trace would hold replication 0 alone), and
-// -flight-recorder N arms a crash-recorder ring of the last N records
-// per sensor, dumped on invariant violations and at /debug/trace.
-// Neither changes any output byte.
+// with -batch > 1, whose trace would hold replication 0 alone). It
+// changes no output byte.
 package main
 
 import (
@@ -73,7 +71,6 @@ func run(args []string, out io.Writer) error {
 		spansFlag   = fs.String("spans", "", "write the run's phase spans as Chrome trace-event JSON to this file (a bare filename lands in -out; open in chrome://tracing or Perfetto)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
 		traceFlag   = fs.Bool("trace", false, "write a slot-level trace (<id>.evtrace) and record it in the manifest; requires -out, refused with -batch > 1")
-		flightSize  = fs.Int("flight-recorder", 0, "arm a flight recorder keeping the last N slot records per sensor (0 disables); dumps appear at /debug/trace with -metrics-addr")
 		statsFlag   = fs.Bool("stats", true, "collect streaming QoM statistics (point estimate and CI per experiment, recorded in manifests and the journal; never changes results)")
 		targetRelHW = fs.Float64("target-rel-hw", 0, "stop batched replications early once the QoM CI's relative half-width reaches this target (requires -batch > 1; changes how many replications run)")
 		minReps     = fs.Int("min-reps", 0, "minimum replications before -target-rel-hw may stop a run (default 2)")
@@ -143,14 +140,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}()
 
-	var flight *trace.FlightRecorder
-	if *flightSize > 0 {
-		flight = trace.NewFlightRecorder(*flightSize)
-		// Register before ServeMetrics builds its mux so /debug/trace is
-		// live for the whole run.
-		obs.HandleDebug("/debug/trace", flight.Handler())
-	}
-
 	if *metricsAddr != "" {
 		bound, stopServe, err := obs.ServeMetrics(*metricsAddr)
 		if err != nil {
@@ -214,17 +203,14 @@ func run(args []string, out io.Writer) error {
 			coll = &experiments.StatsCollector{}
 		}
 		opts.Stats = coll
-		// Attach the tracer for this experiment: a fresh trace file per
-		// experiment (so each manifest hashes exactly its own runs), the
-		// shared flight recorder, or both.
+		// A fresh trace file per experiment, so each manifest hashes
+		// exactly its own runs.
 		var tf *trace.File
 		if *traceFlag {
-			if tf, err = trace.Create(filepath.Join(*outDir, exp.ID+".evtrace"), flight); err != nil {
+			if tf, err = trace.Create(filepath.Join(*outDir, exp.ID+".evtrace")); err != nil {
 				return err
 			}
-			opts.Tracer = tf.Tracer()
-		} else if flight != nil {
-			opts.Tracer = trace.New(nil, flight)
+			opts.Tracer = tf.Writer()
 		}
 		runSpan := root.Child("run")
 		opts.Span = runSpan

@@ -159,9 +159,8 @@ func TestRunRejectsUnknownID(t *testing.T) {
 	}
 }
 
-// TestTraceFlagKeepsCSVByteIdentical: slot-level tracing (full trace
-// plus flight recorder) is RNG-neutral end to end — the CSV bytes must
-// not change.
+// TestTraceFlagKeepsCSVByteIdentical: slot-level tracing is RNG-neutral
+// end to end — the CSV bytes must not change.
 func TestTraceFlagKeepsCSVByteIdentical(t *testing.T) {
 	csvFor := func(extra ...string) []byte {
 		t.Helper()
@@ -178,7 +177,7 @@ func TestTraceFlagKeepsCSVByteIdentical(t *testing.T) {
 		return data
 	}
 	base := csvFor()
-	if got := csvFor("-trace", "-flight-recorder", "64"); !bytes.Equal(got, base) {
+	if got := csvFor("-trace"); !bytes.Equal(got, base) {
 		t.Errorf("-trace changed the CSV:\n%s\nvs\n%s", got, base)
 	}
 }
@@ -200,7 +199,7 @@ func TestTraceManifestVerifies(t *testing.T) {
 	if man.Schema != obs.ManifestSchema {
 		t.Fatalf("manifest schema %q", man.Schema)
 	}
-	if man.Trace == nil || man.Trace.File != "fig3a.evtrace" || man.Trace.Mode != "full" {
+	if man.Trace == nil || man.Trace.File != "fig3a.evtrace" {
 		t.Fatalf("manifest trace block: %+v", man.Trace)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, man.Trace.File))

@@ -9,21 +9,15 @@
 //	simulate -dist weibull:40,3 -recharge bernoulli:0.1,1 -policy clustering -info partial -n 5 -mode roundrobin
 //	simulate -dist markov:0.3,0.2 -recharge constant:1 -policy ebcw -info partial
 //	simulate -dist weibull:40,3 -policy clustering -trace run.evtrace
-//	simulate -dist weibull:40,3 -policy greedy -flight-recorder 256 -flight-dump dumps.json
 //
 // -trace writes a slot-level trace (internal/trace format) plus a
 // <file>.manifest.json sidecar that cmd/tracetool's replay subcommand
 // verifies; it is refused with -batch > 1, whose trace would hold
-// replication 0 alone. -flight-recorder keeps the last N slot records
-// per sensor in memory and dumps them on invariant violations, sensor
-// faults, and the first energy-denied miss; -flight-dump writes the
-// collected dumps as JSON, and -metrics-addr serves them live at
-// /debug/trace. -spans exports the run's phase spans as Chrome
+// replication 0 alone. -spans exports the run's phase spans as Chrome
 // trace-event JSON for chrome://tracing or Perfetto.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -48,32 +42,30 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	var (
-		distSpec   = fs.String("dist", "weibull:40,3", "inter-arrival distribution (name:params)")
-		rechSpec   = fs.String("recharge", "bernoulli:0.5,1", "recharge process (name:params)")
-		policy     = fs.String("policy", "greedy", "policy: greedy | clustering | refined | aggressive | periodic | ebcw")
-		infoStr    = fs.String("info", "full", "information model: full | partial")
-		n          = fs.Int("n", 1, "number of sensors")
-		mode       = fs.String("mode", "roundrobin", "coordination for n>1: roundrobin | blocks | all")
-		capK       = fs.Float64("k", 1000, "battery capacity K")
-		slots      = fs.Int64("T", 1_000_000, "simulation length in slots")
-		seed       = fs.Uint64("seed", 1, "random seed")
-		delta1     = fs.Float64("delta1", 1, "sensing energy per active slot")
-		delta2     = fs.Float64("delta2", 6, "extra energy per capture")
-		theta1     = fs.Int("theta1", 3, "theta1 for the periodic policy")
-		workers    = fs.Int("workers", 0, "worker pool size for -batch replication chunks (0 = one per CPU)")
-		kernel     = fs.String("kernel", "auto", "simulation engine of every run and -batch replication: auto (compiled kernel when eligible) | on (force kernel) | off (reference engine)")
-		batch      = fs.Int("batch", 0, "run B independent replications at seeds seed..seed+B-1 on the -kernel engine, in parallel chunks of -workers, and aggregate them")
-		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = fs.String("memprofile", "", "write a heap profile to this file")
-		metrics    = fs.Bool("metrics", false, "collect and print run metrics (miss decomposition, battery occupancy; never changes results)")
-		mAddr      = fs.String("metrics-addr", "", "serve /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
-		traceFile  = fs.String("trace", "", "write a slot-level trace to this file plus a .manifest.json sidecar (implies -metrics; never changes results; refused with -batch > 1)")
-		spansFlag  = fs.String("spans", "", "write the run's phase spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto; never changes results)")
-		flightSize = fs.Int("flight-recorder", 0, "arm a flight recorder keeping the last N slot records per sensor (0 disables)")
-		flightDump = fs.String("flight-dump", "", "write flight-recorder dumps as JSON to this file (requires -flight-recorder)")
-		statsFlag  = fs.Bool("stats", true, "collect and print streaming QoM statistics (confidence interval, battery quantiles; never changes results)")
-		targetHW   = fs.Float64("target-rel-hw", 0, "stop batched replications early once the QoM CI's relative half-width reaches this target (requires -batch > 1; changes how many replications run)")
-		minReps    = fs.Int("min-reps", 0, "minimum replications before -target-rel-hw may stop the run (default 2)")
+		distSpec  = fs.String("dist", "weibull:40,3", "inter-arrival distribution (name:params)")
+		rechSpec  = fs.String("recharge", "bernoulli:0.5,1", "recharge process (name:params)")
+		policy    = fs.String("policy", "greedy", "policy: greedy | clustering | refined | aggressive | periodic | ebcw")
+		infoStr   = fs.String("info", "full", "information model: full | partial")
+		n         = fs.Int("n", 1, "number of sensors")
+		mode      = fs.String("mode", "roundrobin", "coordination for n>1: roundrobin | blocks | all")
+		capK      = fs.Float64("k", 1000, "battery capacity K")
+		slots     = fs.Int64("T", 1_000_000, "simulation length in slots")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		delta1    = fs.Float64("delta1", 1, "sensing energy per active slot")
+		delta2    = fs.Float64("delta2", 6, "extra energy per capture")
+		theta1    = fs.Int("theta1", 3, "theta1 for the periodic policy")
+		workers   = fs.Int("workers", 0, "worker pool size for -batch replication chunks (0 = one per CPU)")
+		kernel    = fs.String("kernel", "auto", "simulation engine of every run and -batch replication: auto (compiled kernel when eligible) | on (force kernel) | off (reference engine)")
+		batch     = fs.Int("batch", 0, "run B independent replications at seeds seed..seed+B-1 on the -kernel engine, in parallel chunks of -workers, and aggregate them")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file")
+		metrics   = fs.Bool("metrics", false, "collect and print run metrics (miss decomposition, battery occupancy; never changes results)")
+		mAddr     = fs.String("metrics-addr", "", "serve /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
+		traceFile = fs.String("trace", "", "write a slot-level trace to this file plus a .manifest.json sidecar (implies -metrics; never changes results; refused with -batch > 1)")
+		spansFlag = fs.String("spans", "", "write the run's phase spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto; never changes results)")
+		statsFlag = fs.Bool("stats", true, "collect and print streaming QoM statistics (confidence interval, battery quantiles; never changes results)")
+		targetHW  = fs.Float64("target-rel-hw", 0, "stop batched replications early once the QoM CI's relative half-width reaches this target (requires -batch > 1; changes how many replications run)")
+		minReps   = fs.Int("min-reps", 0, "minimum replications before -target-rel-hw may stop the run (default 2)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,9 +73,6 @@ func run(args []string, out io.Writer) error {
 	engine, err := sim.ParseEngine(*kernel)
 	if err != nil {
 		return err
-	}
-	if *flightDump != "" && *flightSize <= 0 {
-		return fmt.Errorf("-flight-dump requires -flight-recorder")
 	}
 	if *traceFile != "" && *batch > 1 {
 		return fmt.Errorf("-trace with -batch > 1 is refused: the trace holds replication 0 alone, but the manifest's counters sum every replication, so tracetool replay could not verify it")
@@ -109,11 +98,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}()
 
-	var flight *trace.FlightRecorder
-	if *flightSize > 0 {
-		flight = trace.NewFlightRecorder(*flightSize)
-		obs.HandleDebug("/debug/trace", flight.Handler())
-	}
 	if *mAddr != "" {
 		bound, stopServe, err := obs.ServeMetrics(*mAddr)
 		if err != nil {
@@ -243,12 +227,10 @@ func run(args []string, out io.Writer) error {
 
 	var tf *trace.File
 	if *traceFile != "" {
-		if tf, err = trace.Create(*traceFile, flight); err != nil {
+		if tf, err = trace.Create(*traceFile); err != nil {
 			return err
 		}
-		cfg.Tracer = tf.Tracer()
-	} else if flight != nil {
-		cfg.Tracer = trace.New(nil, flight)
+		cfg.Tracer = tf.Writer()
 	}
 
 	// The phase span is always attached (spans are RNG-neutral and wrap
@@ -309,15 +291,6 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("closing spans file: %w", err)
 		}
 	}
-	if *flightDump != "" {
-		data, err := json.MarshalIndent(flight.Dumps(), "", "  ")
-		if err != nil {
-			return fmt.Errorf("marshaling flight dumps: %w", err)
-		}
-		if err := os.WriteFile(*flightDump, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("writing flight dumps: %w", err)
-		}
-	}
 
 	fmt.Fprintf(out, "workload   %s (mu=%.2f), recharge %s (e=%.4f/sensor), policy %s, info %s\n",
 		d.Name(), d.Mean(), newRecharge().Name(), e, *policy, *infoStr)
@@ -363,9 +336,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "trace      %s: %d records, %d spans, %d bytes (manifest %s)\n",
 			*traceFile, c.Records, c.Spans, c.Bytes, *traceFile+".manifest.json")
 	}
-	if flight != nil && *flightDump != "" {
-		fmt.Fprintf(out, "flight     %d dump(s) written to %s\n", flight.TotalDumps(), *flightDump)
-	}
 	// A batch run carries one stats row per replication; listing 10^5 of
 	// them would drown the summary, so show only the first few.
 	sensors := res.Sensors
@@ -388,7 +358,7 @@ func run(args []string, out io.Writer) error {
 var observationFlags = map[string]bool{
 	"workers": true, "cpuprofile": true, "memprofile": true,
 	"metrics": true, "metrics-addr": true, "trace": true, "spans": true,
-	"flight-recorder": true, "flight-dump": true, "stats": true,
+	"stats": true,
 }
 
 // configDigest hashes every flag that shapes the run's results (every

@@ -13,12 +13,12 @@ import (
 	"eventcap/internal/trace"
 )
 
-// stripTraceLines drops the trace/flight summary lines so traced and
-// untraced outputs can be compared for the RNG-neutrality check.
+// stripTraceLines drops the trace summary line so traced and untraced
+// outputs can be compared for the RNG-neutrality check.
 func stripTraceLines(out string) string {
 	var kept []string
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "trace ") || strings.HasPrefix(line, "flight ") {
+		if strings.HasPrefix(line, "trace ") {
 			continue
 		}
 		kept = append(kept, line)
@@ -26,8 +26,8 @@ func stripTraceLines(out string) string {
 	return strings.Join(kept, "\n")
 }
 
-// TestTraceFlagsAreOutputNeutral: -trace and -flight-recorder must not
-// change a single simulation output line, on both engines.
+// TestTraceFlagsAreOutputNeutral: -trace must not change a single
+// simulation output line, on both engines.
 func TestTraceFlagsAreOutputNeutral(t *testing.T) {
 	for _, kernel := range []string{"off", "on"} {
 		base := []string{"-T", "50000", "-seed", "9", "-metrics", "-kernel", kernel}
@@ -37,7 +37,7 @@ func TestTraceFlagsAreOutputNeutral(t *testing.T) {
 		}
 		tracePath := filepath.Join(t.TempDir(), "run.evtrace")
 		var got strings.Builder
-		args := append(append([]string{}, base...), "-trace", tracePath, "-flight-recorder", "64")
+		args := append(append([]string{}, base...), "-trace", tracePath)
 		if err := run(args, &got); err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestTraceWritesReplayableManifest(t *testing.T) {
 	if man.Schema != obs.ManifestSchema || man.Experiment != "simulate" {
 		t.Fatalf("manifest identity: schema=%q experiment=%q", man.Schema, man.Experiment)
 	}
-	if man.Trace == nil || man.Trace.File != "run.evtrace" || man.Trace.Mode != "full" {
+	if man.Trace == nil || man.Trace.File != "run.evtrace" {
 		t.Fatalf("manifest trace block: %+v", man.Trace)
 	}
 	data, err := os.ReadFile(tracePath)
@@ -80,45 +80,6 @@ func TestTraceWritesReplayableManifest(t *testing.T) {
 	if sum.Runs != 1 || float64(sum.Events) != m["sim.events"] || float64(sum.Captures) != m["sim.captures"] ||
 		float64(sum.MissAsleep) != m["sim.miss.asleep"] || float64(sum.MissNoEnergy) != m["sim.miss.noenergy"] {
 		t.Errorf("replay %+v disagrees with manifest metrics %v", sum, m)
-	}
-}
-
-// TestFlightDumpWritesJSON: a starved battery must leave outage dumps
-// in the -flight-dump file.
-func TestFlightDumpWritesJSON(t *testing.T) {
-	dumpPath := filepath.Join(t.TempDir(), "dumps.json")
-	var sb strings.Builder
-	args := []string{"-T", "200000", "-seed", "3", "-k", "20", "-recharge", "bernoulli:0.3,1",
-		"-flight-recorder", "32", "-flight-dump", dumpPath}
-	if err := run(args, &sb); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(dumpPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dumps []trace.Dump
-	if err := json.Unmarshal(data, &dumps); err != nil {
-		t.Fatalf("flight dump file is not a []trace.Dump: %v\n%s", err, data)
-	}
-	var outage bool
-	for _, d := range dumps {
-		if d.Reason == "outage_miss" {
-			outage = true
-		}
-	}
-	if !outage {
-		t.Errorf("starved run produced no outage_miss dump; dumps: %+v", dumps)
-	}
-	if !strings.Contains(sb.String(), "flight ") {
-		t.Errorf("missing flight summary line:\n%s", sb.String())
-	}
-}
-
-func TestFlightDumpRequiresRecorder(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-T", "1000", "-flight-dump", "x.json"}, &sb); err == nil {
-		t.Fatal("-flight-dump without -flight-recorder accepted")
 	}
 }
 

@@ -56,7 +56,6 @@ func writeSample(t *testing.T, dir string) (tracePath, manifestPath string) {
 		Trace: &obs.TraceInfo{
 			File:   "sample.evtrace",
 			SHA256: w.SHA256(),
-			Mode:   "full",
 			Runs:   2, Records: 5, Spans: 1,
 		},
 	}

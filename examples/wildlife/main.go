@@ -126,7 +126,7 @@ func activityStrip(cfg sim.Config) (string, error) {
 	w := trace.NewWriter(&buf)
 	cfg.Slots = 20_000
 	cfg.Engine = sim.EngineReference
-	cfg.Tracer = trace.New(w, nil)
+	cfg.Tracer = w
 	if _, err := sim.Run(cfg); err != nil {
 		return "", err
 	}

@@ -28,15 +28,14 @@ var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 var metricSubsystems = map[string]bool{
 	"sim":   true, // engine counters: events, captures, fallbacks, batteries
 	"pool":  true, // worker-pool gauges and latency histograms
-	"trace": true, // flight-recorder dump reasons and ring stats
+	"trace": true, // trace writer totals (trace.runs, trace.records, …)
 	"cache": true, // policy/plan cache hit rates
 	"core":  true, // partial-information solver work (core.pi.evaluations, …)
 	"span":  true, // phase-span tracer lifecycle (span.begun, span.ended)
 }
 
-// metricConstructors are the entry points that register a metric (or a
-// metric-backed object, like a flight-recorder dump reason) under the
-// given name, per package.
+// metricConstructors are the entry points that register a metric under
+// the given name, per package.
 var metricConstructors = []struct {
 	pkg  string
 	name string
@@ -46,7 +45,6 @@ var metricConstructors = []struct {
 	{"internal/obs", "NewFloatCounter"},
 	{"internal/obs", "NewCounterVec"},
 	{"internal/obs", "NewDurationHist"},
-	{"internal/trace", "NewDumpReason"},
 }
 
 // Expvarname checks every metric registration against the eventcap

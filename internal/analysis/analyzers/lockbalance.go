@@ -15,10 +15,9 @@ const LockbalanceMarker = "lockbalance:ok"
 
 // Lockbalance checks that every sync.Mutex/RWMutex acquisition is
 // released on every path out of the acquiring function — the contract
-// behind the lock-guarded registries, the span tree, the flight
-// recorder, and the pool bookkeeping. It applies to the concurrency
-// hubs (internal/obs, internal/trace, internal/parallel; see the scope
-// policy in For).
+// behind the lock-guarded registries, the span tree and the pool
+// bookkeeping. It applies to the concurrency hubs (internal/obs,
+// internal/trace, internal/parallel; see the scope policy in For).
 //
 // The analysis is path-sensitive over the function's CFG: a mid-loop
 // Unlock+return paired with a post-loop Unlock is accepted, while an

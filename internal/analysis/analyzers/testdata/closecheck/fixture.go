@@ -127,24 +127,24 @@ func explicitDiscard(f *os.File) {
 	_ = w.Close() // reviewed, visible discard: quiet
 }
 
-func traceFile(p string, run func(*trace.Tracer) error) (*obs.TraceInfo, error) {
-	tf, err := trace.Create(p, nil)
+func traceFile(p string, run func(*trace.Writer) error) (*obs.TraceInfo, error) {
+	tf, err := trace.Create(p)
 	if err != nil {
 		return nil, err // creation failed: nothing to close
 	}
-	if err := run(tf.Tracer()); err != nil {
+	if err := run(tf.Writer()); err != nil {
 		_, _ = tf.Close() // the run error is primary
 		return nil, err
 	}
 	return tf.Close()
 }
 
-func traceFileLeak(p string, run func(*trace.Tracer) error) error {
-	tf, err := trace.Create(p, nil) // want `may not be Closed on every path`
+func traceFileLeak(p string, run func(*trace.Writer) error) error {
+	tf, err := trace.Create(p) // want `may not be Closed on every path`
 	if err != nil {
 		return err
 	}
-	if err := run(tf.Tracer()); err != nil {
+	if err := run(tf.Writer()); err != nil {
 		return err // leaks tf and its buffered frames
 	}
 	_, err = tf.Close()
@@ -152,7 +152,7 @@ func traceFileLeak(p string, run func(*trace.Tracer) error) error {
 }
 
 func traceFileSloppy(p string) {
-	tf, err := trace.Create(p, nil)
+	tf, err := trace.Create(p)
 	if err != nil {
 		return
 	}

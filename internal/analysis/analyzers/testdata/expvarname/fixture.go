@@ -4,7 +4,6 @@ package fixture
 
 import (
 	"eventcap/internal/obs"
-	"eventcap/internal/trace"
 )
 
 func metrics(suffix string) {
@@ -36,13 +35,4 @@ func metrics(suffix string) {
 	_ = obs.NewCounter("dash.fixture.hits")     // want `unknown subsystem "dash"`
 	// expvarname:ok fixture demonstrates a justified one-off subsystem
 	_ = obs.NewCounter("scratch.fixture.hits")
-
-	// Flight-recorder dump reasons register a backing counter, so their
-	// names obey the same schema.
-	_ = trace.NewDumpReason("trace.dump.fixture")  // quiet
-	_ = trace.NewDumpReason("trace.Dump.Fixture")  // want `violates the eventcap schema`
-	_ = trace.NewDumpReason("trace.dump-fixture")  // want `violates the eventcap schema`
-	_ = trace.NewDumpReason("trace." + suffix)     // want `not a string literal`
-	// expvarname:ok fixture demonstrates a justified computed reason
-	_ = trace.NewDumpReason("trace.d." + suffix)
 }

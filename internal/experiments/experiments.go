@@ -34,13 +34,14 @@ type Options struct {
 	// performs (default sim.EngineAuto: the compiled kernel where
 	// eligible, the reference engine otherwise).
 	Engine sim.Engine
-	// Tracer, when set, attaches a slot-level trace to every simulation
-	// the experiment performs. A tracer is a single sink shared by all
+	// Tracer, when set, writes a slot-level trace of every simulation
+	// the experiment performs. The writer is one stream shared by all
 	// sweep points, so withDefaults forces Workers to 1: points run
 	// sequentially and the trace's run order is deterministic. Results
 	// are unchanged (tracing is RNG-neutral and results are
-	// worker-invariant).
-	Tracer *trace.Tracer
+	// worker-invariant). sim.Run refuses a Tracer together with
+	// Batch > 1.
+	Tracer *trace.Writer
 	// Batch, when > 1, runs every simulation as B independent
 	// replications at seeds Seed..Seed+B-1 and aggregates them
 	// (sim.Config.Batch), on whichever engine runs the simulation.

@@ -153,8 +153,6 @@ type TraceInfo struct {
 	File string `json:"file"`
 	// SHA256 is the content hash of the complete trace file.
 	SHA256 string `json:"sha256"`
-	// Mode records what was attached: "full", "flight", or "full+flight".
-	Mode string `json:"mode"`
 	// Runs/Records/Spans are the writer's frame counts, for quick sanity
 	// checks without opening the trace.
 	Runs    int64 `json:"runs"`

@@ -23,7 +23,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		Metrics:      map[string]float64{"sim.events": 10, "sim.captures": 7},
 		Process:      map[string]float64{"pool.jobs.done": 5},
 		Profiles:     map[string]string{"cpu": "cpu.prof"},
-		Trace:        &TraceInfo{File: "fig3a.evtrace", SHA256: SHA256Hex(nil), Mode: "full", Runs: 2, Records: 40},
+		Trace:        &TraceInfo{File: "fig3a.evtrace", SHA256: SHA256Hex(nil), Runs: 2, Records: 40},
 		Phases: &Phase{
 			Name: "fig3a", Count: 1, WallMicros: 1234000,
 			Counters: map[string]int64{"slots": 100000},

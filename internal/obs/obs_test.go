@@ -1,14 +1,27 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// metricSeq numbers the metric names the tests register. The registry
+// is process-global and refuses a name twice, so every run of a test
+// (go test -count=N) registers its metrics under names of its own.
+var metricSeq atomic.Int64
+
+// uniqueName returns base with a suffix no earlier call returned.
+func uniqueName(base string) string {
+	return fmt.Sprintf("%s.%d", base, metricSeq.Add(1))
+}
+
 func TestCounter(t *testing.T) {
-	c := NewCounter("test.counter")
+	name := uniqueName("test.counter")
+	c := NewCounter(name)
 	if c.Load() != 0 {
 		t.Fatalf("fresh counter = %d", c.Load())
 	}
@@ -17,13 +30,14 @@ func TestCounter(t *testing.T) {
 	if c.Load() != 42 {
 		t.Fatalf("counter = %d, want 42", c.Load())
 	}
-	if got := Snapshot()["test.counter"]; got != 42 {
+	if got := Snapshot()[name]; got != 42 {
 		t.Fatalf("snapshot = %v, want 42", got)
 	}
 }
 
 func TestGaugeTracksHighWater(t *testing.T) {
-	g := NewGauge("test.gauge")
+	name := uniqueName("test.gauge")
+	g := NewGauge(name)
 	g.Add(3)
 	g.Add(4)
 	g.Add(-5)
@@ -34,13 +48,13 @@ func TestGaugeTracksHighWater(t *testing.T) {
 		t.Fatalf("gauge max = %d, want 7", g.Max())
 	}
 	snap := Snapshot()
-	if snap["test.gauge"] != 2 || snap["test.gauge.max"] != 7 {
-		t.Fatalf("snapshot gauge=%v max=%v", snap["test.gauge"], snap["test.gauge.max"])
+	if snap[name] != 2 || snap[name+".max"] != 7 {
+		t.Fatalf("snapshot gauge=%v max=%v", snap[name], snap[name+".max"])
 	}
 }
 
 func TestFloatCounter(t *testing.T) {
-	f := NewFloatCounter("test.float")
+	f := NewFloatCounter(uniqueName("test.float"))
 	f.Add(0.25)
 	f.Add(0.5)
 	if got := f.Load(); got != 0.75 {
@@ -53,9 +67,10 @@ func TestFloatCounter(t *testing.T) {
 // adds on top of an earlier total. As float additions they differ in
 // the last digits.
 func TestFloatCounterOrderFree(t *testing.T) {
-	fwd := NewFloatCounter("test.float_order.fwd")
-	rev := NewFloatCounter("test.float_order.rev")
-	later := NewFloatCounter("test.float_order.later")
+	fwdName, laterName := uniqueName("test.float_order.fwd"), uniqueName("test.float_order.later")
+	fwd := NewFloatCounter(fwdName)
+	rev := NewFloatCounter(uniqueName("test.float_order.rev"))
+	later := NewFloatCounter(laterName)
 	later.Add(6573.06) // an earlier run's total, before the snapshot
 	vals := []float64{0.1, 0.2, 0.3}
 	before := Snapshot()
@@ -68,7 +83,7 @@ func TestFloatCounterOrderFree(t *testing.T) {
 		t.Fatalf("sums %v and %v differ by summation order", f, r)
 	}
 	diff := Diff(before, Snapshot())
-	if f, l := diff["test.float_order.fwd"], diff["test.float_order.later"]; math.Float64bits(f) != math.Float64bits(l) {
+	if f, l := diff[fwdName], diff[laterName]; math.Float64bits(f) != math.Float64bits(l) {
 		t.Fatalf("diffs %v and %v differ by order and earlier total", f, l)
 	}
 	if got := fwd.Load(); math.Abs(got-0.6) > 1e-6 {
@@ -77,7 +92,8 @@ func TestFloatCounterOrderFree(t *testing.T) {
 }
 
 func TestCounterVecClampsBins(t *testing.T) {
-	v := NewCounterVec("test.vec", 3)
+	name := uniqueName("test.vec")
+	v := NewCounterVec(name, 3)
 	v.Add(0, 1)
 	v.Add(2, 2)
 	v.Add(-5, 10) // clamps to bin 0
@@ -85,13 +101,14 @@ func TestCounterVecClampsBins(t *testing.T) {
 	if v.Bin(0) != 11 || v.Bin(1) != 0 || v.Bin(2) != 22 {
 		t.Fatalf("bins = %d/%d/%d", v.Bin(0), v.Bin(1), v.Bin(2))
 	}
-	if got := Snapshot()["test.vec.02"]; got != 22 {
+	if got := Snapshot()[name+".02"]; got != 22 {
 		t.Fatalf("snapshot bin 2 = %v", got)
 	}
 }
 
 func TestDurationHistBuckets(t *testing.T) {
-	h := NewDurationHist("test.hist")
+	name := uniqueName("test.hist")
+	h := NewDurationHist(name)
 	h.Observe(500 * time.Microsecond) // le_1ms
 	h.Observe(5 * time.Millisecond)   // le_10ms
 	h.Observe(2 * time.Second)        // le_10s
@@ -101,14 +118,14 @@ func TestDurationHistBuckets(t *testing.T) {
 	}
 	snap := Snapshot()
 	for key, want := range map[string]float64{
-		"test.hist.le_1ms":  1,
-		"test.hist.le_10ms": 1,
-		"test.hist.le_10s":  1,
-		"test.hist.inf":     1,
-		"test.hist.le_1s":   0,
-		"test.hist.count":   4,
+		"le_1ms":  1,
+		"le_10ms": 1,
+		"le_10s":  1,
+		"inf":     1,
+		"le_1s":   0,
+		"count":   4,
 	} {
-		if snap[key] != want {
+		if key = name + "." + key; snap[key] != want {
 			t.Errorf("%s = %v, want %v", key, snap[key], want)
 		}
 	}
@@ -124,18 +141,20 @@ func TestDuplicateMetricPanics(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	NewCounter("test.dup")
-	NewCounter("test.dup")
+	name := uniqueName("test.dup")
+	NewCounter(name)
+	NewCounter(name)
 }
 
 func TestDiffCountsFromSnapshot(t *testing.T) {
-	c := NewCounter("test.diff")
+	name := uniqueName("test.diff")
+	c := NewCounter(name)
 	c.Add(10)
 	before := Snapshot()
 	c.Add(7)
 	d := Diff(before, Snapshot())
-	if d["test.diff"] != 7 {
-		t.Fatalf("diff = %v, want 7", d["test.diff"])
+	if d[name] != 7 {
+		t.Fatalf("diff = %v, want 7", d[name])
 	}
 	// A key absent from before counts from zero.
 	d2 := Diff(map[string]float64{}, map[string]float64{"x": 3})

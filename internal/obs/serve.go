@@ -6,33 +6,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
 
-// debugHandlers holds extra routes registered by other subsystems (the
-// trace flight recorder's /debug/trace, for example) before the server
-// starts. Guarded by debugMu: registration may race with a concurrent
-// ServeMetrics call building the mux.
-var (
-	debugMu       sync.Mutex
-	debugHandlers = map[string]http.Handler{}
-)
-
-// HandleDebug registers an extra handler on the debug server, joining
-// /debug/vars and the pprof routes. Call before ServeMetrics. The last
-// registration for a pattern wins, so a CLI run invoked repeatedly in
-// one process (tests) can re-arm its routes.
-func HandleDebug(pattern string, h http.Handler) {
-	debugMu.Lock()
-	defer debugMu.Unlock()
-	debugHandlers[pattern] = h
-}
-
 // DebugMux builds the diagnostics mux served by ServeMetrics: the expvar
-// map at /debug/vars, the pprof handlers under /debug/pprof/, and every
-// handler registered with HandleDebug. Exported so tests can drive the
-// routes through httptest without binding a socket.
+// map at /debug/vars and the pprof handlers under /debug/pprof/.
+// Exported so tests can drive the routes through httptest without
+// binding a socket.
 func DebugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -41,20 +21,14 @@ func DebugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	debugMu.Lock()
-	defer debugMu.Unlock()
-	// nondeterm:ok route registration: mux dispatch is by pattern, not order
-	for pattern, h := range debugHandlers {
-		mux.Handle(pattern, h)
-	}
 	return mux
 }
 
 // ServeMetrics starts an HTTP server on addr exposing the expvar map at
-// /debug/vars (including the "eventcap" metric set), the pprof handlers
-// under /debug/pprof/, and any handlers registered with HandleDebug, for
-// inspecting a long sweep while it runs. It returns the bound address
-// (useful with ":0") and a stop function that shuts the server down.
+// /debug/vars (including the "eventcap" metric set) and the pprof
+// handlers under /debug/pprof/, for inspecting a long sweep while it
+// runs. It returns the bound address (useful with ":0") and a stop
+// function that shuts the server down.
 //
 // The server runs on its own mux — it never touches
 // http.DefaultServeMux — and serves only diagnostics; bind it to

@@ -11,8 +11,9 @@ import (
 
 func TestDebugMuxServesVars(t *testing.T) {
 	// The counter registry is package-global, so any previously
-	// registered metric works; register one unique to this test.
-	c := NewCounter("testserve.hits")
+	// registered metric works; register one unique to this test run.
+	name := uniqueName("testserve.hits")
+	c := NewCounter(name)
 	c.Add(3)
 	srv := httptest.NewServer(DebugMux())
 	defer srv.Close()
@@ -31,8 +32,8 @@ func TestDebugMuxServesVars(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("decoding /debug/vars: %v", err)
 	}
-	if got := body.Eventcap["testserve.hits"]; got.String() != "3" {
-		t.Fatalf("testserve.hits = %q, want 3", got)
+	if got := body.Eventcap[name]; got.String() != "3" {
+		t.Fatalf("%s = %q, want 3", name, got)
 	}
 }
 
@@ -53,48 +54,10 @@ func TestDebugMuxServesPprofIndex(t *testing.T) {
 	}
 }
 
-func TestHandleDebugRegistersRoute(t *testing.T) {
-	HandleDebug("/debug/testserve", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("custom-route-ok"))
-	}))
-	srv := httptest.NewServer(DebugMux())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/testserve")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if string(data) != "custom-route-ok" {
-		t.Fatalf("custom debug route body = %q", data)
-	}
-
-	// Re-registration replaces the handler (last wins), so repeated CLI
-	// runs in one process can re-arm their routes. The replacement shows
-	// up in muxes built after the call.
-	HandleDebug("/debug/testserve", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("replaced"))
-	}))
-	srv2 := httptest.NewServer(DebugMux())
-	defer srv2.Close()
-	resp2, err := http.Get(srv2.URL + "/debug/testserve")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	data2, _ := io.ReadAll(resp2.Body)
-	if string(data2) != "replaced" {
-		t.Fatalf("replaced debug route body = %q", data2)
-	}
-}
-
-// TestDebugMuxServesOnlyDiagnostics: expvar, pprof and HandleDebug
-// routes serve; the removed Prometheus exposition and run dashboard
-// routes are not found.
+// TestDebugMuxServesOnlyDiagnostics: the expvar and pprof routes
+// serve; the removed Prometheus exposition, run dashboard and flight
+// recorder routes are not found.
 func TestDebugMuxServesOnlyDiagnostics(t *testing.T) {
-	HandleDebug("/debug/testserve3", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok"))
-	}))
 	srv := httptest.NewServer(DebugMux())
 	defer srv.Close()
 	for _, c := range []struct {
@@ -103,9 +66,9 @@ func TestDebugMuxServesOnlyDiagnostics(t *testing.T) {
 	}{
 		{"/debug/vars", http.StatusOK},
 		{"/debug/pprof/", http.StatusOK},
-		{"/debug/testserve3", http.StatusOK},
 		{"/metrics", http.StatusNotFound},
 		{"/debug/runs", http.StatusNotFound},
+		{"/debug/trace", http.StatusNotFound},
 	} {
 		resp, err := http.Get(srv.URL + c.path)
 		if err != nil {
@@ -118,28 +81,9 @@ func TestDebugMuxServesOnlyDiagnostics(t *testing.T) {
 	}
 }
 
-func TestServeMetricsIncludesDebugHandlers(t *testing.T) {
-	HandleDebug("/debug/testserve2", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("live-server-ok"))
-	}))
-	addr, stop, err := ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	resp, err := http.Get("http://" + addr + "/debug/testserve2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if string(data) != "live-server-ok" {
-		t.Fatalf("ServeMetrics custom route body = %q", data)
-	}
-}
-
 func TestServeMetricsExposesVarsAndPprof(t *testing.T) {
-	marker := NewCounter("test.serve.marker")
+	name := uniqueName("test.serve.marker")
+	marker := NewCounter(name)
 	marker.Add(123)
 	addr, stop, err := ServeMetrics("127.0.0.1:0")
 	if err != nil {
@@ -167,7 +111,7 @@ func TestServeMetricsExposesVarsAndPprof(t *testing.T) {
 		return string(body)
 	}
 	vars := get("/debug/vars")
-	if !strings.Contains(vars, `"eventcap"`) || !strings.Contains(vars, `"test.serve.marker":123`) {
+	if !strings.Contains(vars, `"eventcap"`) || !strings.Contains(vars, `"`+name+`":123`) {
 		t.Errorf("/debug/vars missing eventcap metrics:\n%.400s", vars)
 	}
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -133,19 +134,21 @@ func TestBatchMultiShardingInvariance(t *testing.T) {
 // rejections of a batch forced onto EngineKernel, each on a round-robin
 // fleet the kernel would otherwise take, and checks that the error
 // names the case's reason; EngineAuto with Batch set must still run the
-// configuration, on the reference engine.
+// configuration, on the reference engine. A tracer is refused on a
+// batch whatever the engine.
 func TestBatchMultiForcedRejectsIneligible(t *testing.T) {
 	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }
 	cases := []struct {
-		name   string
-		mutate func(*Config)
-		reason string
+		name    string
+		mutate  func(*Config)
+		reason  string
+		refused bool // EngineAuto refuses the batch too
 	}{
-		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }, "slot tracing"},
-		{"fault", func(c *Config) { c.FailAt = map[int]int64{0: 10} }, "fault injection"},
+		{"tracer", func(c *Config) { c.Tracer = trace.NewWriter(io.Discard) }, "Tracer with Batch", true},
+		{"fault", func(c *Config) { c.FailAt = map[int]int64{0: 10} }, "fault injection", false},
 		{"non-fast-forward recharge", func(c *Config) {
 			c.NewRecharge = func() energy.Recharge { r, _ := energy.NewClippedGaussian(0.5, 0.1); return r }
-		}, "cannot fast-forward"},
+		}, "cannot fast-forward", false},
 	}
 	for _, tc := range cases {
 		cfg := multiKernelConfig(t, kernelCases(t)[0], newRech, 3, 100, 1)
@@ -157,7 +160,11 @@ func TestBatchMultiForcedRejectsIneligible(t *testing.T) {
 			t.Errorf("%s: forced kernel batch error %v, want one naming %q", tc.name, err, tc.reason)
 		}
 		cfg.Engine = EngineAuto
-		if _, err := Run(cfg); err != nil {
+		_, err := Run(cfg)
+		switch {
+		case tc.refused && (err == nil || !strings.Contains(err.Error(), tc.reason)):
+			t.Errorf("%s: auto batch error %v, want one naming %q", tc.name, err, tc.reason)
+		case !tc.refused && err != nil:
 			t.Errorf("%s: auto fallback failed: %v", tc.name, err)
 		}
 	}

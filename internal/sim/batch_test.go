@@ -1,8 +1,9 @@
 package sim
 
 import (
-	"bytes"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"eventcap/internal/energy"
@@ -239,10 +240,7 @@ func TestBatchAutoAndFallback(t *testing.T) {
 // TestBatchForcedRejectsIneligible mirrors the kernel's enumeration: a
 // batch forced onto EngineKernel must refuse every configuration the
 // kernel refuses rather than silently degrading, and EngineAuto must
-// run it on the reference engine. A slot tracer is no rejection for a
-// single sensor: on the kernel and on the reference engine, a traced
-// batch returns the untraced Result (Metrics off: a traced kernel run
-// takes no always-on runs) and traces replication 0 alone.
+// run it on the reference engine.
 func TestBatchForcedRejectsIneligible(t *testing.T) {
 	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }
 	base := func() Config {
@@ -276,50 +274,29 @@ func TestBatchForcedRejectsIneligible(t *testing.T) {
 			t.Errorf("%s: auto fallback failed: %v", tc.name, err)
 		}
 	}
-
-	for _, engine := range []Engine{EngineKernel, EngineReference} {
-		cfg := base()
-		cfg.Engine = engine
-		want, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		w := trace.NewWriter(&buf)
-		cfg.Tracer = trace.New(w, trace.NewFlightRecorder(32))
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%v: traced batch: %v", engine, err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: tracing changed the batch:\nwith    %+v\nwithout %+v", engine, got, want)
-		}
-		rep0 := cfg
-		rep0.Batch, rep0.Tracer = 0, nil
-		one, err := Run(rep0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err := trace.Replay(&buf)
-		if err != nil {
-			t.Fatalf("%v: replay: %v", engine, err)
-		}
-		if sum.Runs != 1 || sum.Events != one.Events || sum.Captures != one.Captures {
-			t.Errorf("%v: trace replays to %d run(s) with %d/%d events/captures, want 1 with replication 0's %d/%d",
-				engine, sum.Runs, sum.Events, sum.Captures, one.Events, one.Captures)
-		}
-	}
 }
 
-// TestBatchValidation covers Config.Batch's validation.
+// TestBatchValidation covers Config.Batch's validation: a negative
+// count, and a Tracer on a batch on either engine (the trace would hold
+// replication 0 alone); a traced single run still runs.
 func TestBatchValidation(t *testing.T) {
 	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }
 	cfg := kernelBaseConfig(t, kernelCases(t)[0], newRech, 100, 1)
 	cfg.Batch = -1
 	if _, err := Run(cfg); err == nil {
 		t.Error("negative Batch accepted")
+	}
+	for _, engine := range []Engine{EngineAuto, EngineKernel, EngineReference} {
+		traced := cfg
+		traced.Engine = engine
+		traced.Tracer = trace.NewWriter(io.Discard)
+		traced.Batch = 2
+		if _, err := Run(traced); err == nil || !strings.Contains(err.Error(), "Tracer with Batch") {
+			t.Errorf("%v: traced batch error %v, want a refusal", engine, err)
+		}
+		traced.Batch = 1
+		if _, err := Run(traced); err != nil {
+			t.Errorf("%v: traced single run: %v", engine, err)
+		}
 	}
 }

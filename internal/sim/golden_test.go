@@ -108,7 +108,7 @@ func engineGoldenLines(t *testing.T) []string {
 		cfg.Engine = EngineKernel
 		var buf bytes.Buffer
 		w := trace.NewWriter(&buf)
-		cfg.Tracer = trace.New(w, nil)
+		cfg.Tracer = w
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -452,7 +452,7 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 	// information, keeping the two engines' records comparable for
 	// tracetool diff.
 	partialH := cfg.Info == PartialInfo
-	traced := o.tr != nil
+	traced := o.w != nil
 	if traced {
 		o.start(cfg, seed, n, plan.policies[0].Name(), w.rechs[0].Name())
 	}
@@ -507,7 +507,7 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 				nextEvent += w.gap(d)
 			}
 			if traced {
-				o.tr.Span(trace.Span{
+				o.w.Span(trace.Span{
 					Start:     t,
 					Len:       run,
 					Events:    events - eventsBefore,
@@ -576,7 +576,7 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 		}
 		if event {
 			events++
-			o.event(t, captured, denied)
+			o.event(captured, denied)
 		}
 		if traced {
 			// lastEvent and lastCapture still hold their decision-time
@@ -611,7 +611,7 @@ func (w *fleetRun) run(cfg *Config, seed uint64, sensors []SensorStats, o *obser
 		st.FinalBattery = batteries[s].Level()
 	}
 	if traced {
-		o.tr.RunEnd(trace.RunEnd{Events: events, Captures: captures})
+		o.w.RunEnd(trace.RunEnd{Events: events, Captures: captures})
 	}
 	return events, captures
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -247,7 +248,7 @@ func FuzzKernelMatchesReference(f *testing.F) {
 		if cfg.N != 1 {
 			return
 		}
-		cfg.Tracer = trace.New(nil, nil)
+		cfg.Tracer = trace.NewWriter(io.Discard)
 		stepped, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("traced kernel: %v", err)

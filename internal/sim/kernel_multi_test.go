@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -226,7 +227,7 @@ func TestMultiKernelForcedRejectsIneligible(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"mode-all-full-info", func(c *Config) { c.Mode = ModeAll }},
-		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }},
+		{"tracer", func(c *Config) { c.Tracer = trace.NewWriter(io.Discard) }},
 		{"fault injection", func(c *Config) { c.FailAt = map[int]int64{1: 10} }},
 		{"per-sensor policy mismatch", func(c *Config) {
 			c.Info = PartialInfo
@@ -281,7 +282,7 @@ func TestEngineFallbackCounters(t *testing.T) {
 			c.Info = PartialInfo
 		}},
 		{"fault", "fault", func(c *Config) { c.FailAt = map[int]int64{0: 10} }},
-		{"tracer", "tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }},
+		{"tracer", "tracer", func(c *Config) { c.Tracer = trace.NewWriter(io.Discard) }},
 		{"mismatch", "mismatch", func(c *Config) {
 			c.Info = PartialInfo
 			c.NewPolicy = func(s int) Policy {

@@ -28,14 +28,11 @@ type observer struct {
 	sampling         bool
 	invCap, costGate float64
 
-	// The tracer plus its cached sinks: decided slots go straight to the
-	// writer and recorder (one record copy instead of Tracer.Slot's two,
-	// which matters against the flight recorder's per-record budget).
-	tr     *trace.Tracer
+	// w is the slot-trace writer (Config.Tracer), nil on an untraced
+	// run; engine tags its records.
 	w      *trace.Writer
-	fr     *trace.FlightRecorder
 	engine uint8
-	// recs counts the full-trace records of the current slot, so the
+	// recs counts the trace records of the current slot, so the
 	// reference engine knows when an event slot needs a marker.
 	recs int
 }
@@ -50,38 +47,35 @@ func newObserver(cfg *Config, engine uint8) observer {
 }
 
 // newPart builds the observer of one unit of a fanned-out run (a batch
-// chunk): the tracer, a fresh Metrics partial the caller merges back,
-// and neither the stats probe nor battery sampling — the caller hands
-// those to the one unit that samples (replication 0's, see only0), and
-// per-event or per-replication observations stay on the run observer.
+// chunk): a fresh Metrics partial the caller merges back, and neither
+// the stats probe nor battery sampling — the caller hands sampling to
+// the one unit that samples (replication 0's, see only0), and per-event
+// or per-replication observations stay on the run observer. A batch is
+// never traced (Config.validate refuses it), so a part's writer is nil.
 func newPart(cfg *Config, engine uint8) observer {
 	o := observer{
 		invCap:   1 / cfg.BatteryCap,
 		costGate: cfg.Params.ActivationCost() - 1e-12,
-		tr:       cfg.Tracer,
+		w:        cfg.Tracer,
 		engine:   engine,
 	}
 	if cfg.Metrics {
 		o.m = &Metrics{}
 	}
-	if o.tr != nil {
-		o.w, o.fr = o.tr.Writer(), o.tr.Recorder()
-	}
 	return o
 }
 
-// only0 ends a batch part's replication-0 observations once the part
-// moves past replication 0: batches sample battery occupancy and trace
-// replication 0 only.
+// only0 ends a batch part's battery sampling once the part moves past
+// replication 0: batches sample battery occupancy from replication 0
+// only.
 func (o *observer) only0() {
 	o.sampling = false
-	o.tr, o.w, o.fr = nil, nil, nil
 }
 
 // start opens a traced run at seed. Engines call it only when
-// o.tr != nil, and close the run with Tracer.RunEnd.
+// o.w != nil, and close the run with Writer.RunEnd.
 func (o *observer) start(cfg *Config, seed uint64, sensors int, policy, recharge string) {
-	o.tr.RunStart(trace.RunInfo{
+	o.w.RunStart(trace.RunInfo{
 		Engine:     o.engine,
 		Sensors:    sensors,
 		Seed:       seed,
@@ -97,7 +91,7 @@ func (o *observer) start(cfg *Config, seed uint64, sensors int, policy, recharge
 // event classifies one event of the run, in slot order. An uncaptured
 // event is an energy miss when some deciding sensor chose to activate
 // and hit the energy gate (denied), and a sleep miss otherwise.
-func (o *observer) event(t int64, captured, denied bool) {
+func (o *observer) event(captured, denied bool) {
 	if o.m != nil && !captured {
 		if denied {
 			o.m.MissNoEnergy++
@@ -107,9 +101,6 @@ func (o *observer) event(t int64, captured, denied bool) {
 	}
 	if o.sp != nil {
 		o.sp.ObserveEvent(captured)
-	}
-	if o.tr != nil && !captured && denied {
-		o.tr.OutageMiss(t)
 	}
 }
 
@@ -135,40 +126,27 @@ func (o *observer) alwaysOn(n int64) {
 	}
 }
 
-// slot traces one decided slot; engines call it only when o.tr != nil.
-// A full trace records every decided slot. A flight recorder alone
-// records only the decision-relevant ones (positive activation
-// probability or an event), which keeps an armed recorder's per-slot
-// cost near zero on sparse policies, and its fields go straight into the
-// ring slot with no intermediate Rec.
+// slot traces one decided slot; engines call it only when o.w != nil.
 func (o *observer) slot(t int64, s int, flags uint8, h, f int64, p, lvl, amt float64) {
-	if o.w != nil {
-		rec := trace.Rec{
-			Slot:     t,
-			Sensor:   int32(s),
-			Engine:   o.engine,
-			Flags:    flags,
-			H:        int32(h),
-			F:        int32(f),
-			Prob:     p,
-			Battery:  lvl,
-			Recharge: amt,
-		}
-		o.w.Rec(rec)
-		o.recs++
-		if o.fr != nil {
-			o.fr.Record(&rec)
-		}
-	} else if o.fr != nil && (p > 0 || flags&trace.FlagEvent != 0) {
-		o.fr.RecordSlot(t, int32(s), o.engine, flags, int32(h), int32(f), p, lvl, amt)
-	}
+	o.w.Rec(trace.Rec{
+		Slot:     t,
+		Sensor:   int32(s),
+		Engine:   o.engine,
+		Flags:    flags,
+		H:        int32(h),
+		F:        int32(f),
+		Prob:     p,
+		Battery:  lvl,
+		Recharge: amt,
+	})
+	o.recs++
 }
 
 // marker traces an aggregate (Sensor = -1) record for an event slot.
 // Replay counts events from the trace, so an event slot needs a record
 // even when no sensor decided in it.
 func (o *observer) marker(t int64, flags uint8, h, f int64) {
-	o.tr.Slot(trace.Rec{Slot: t, Sensor: -1, Engine: o.engine, Flags: flags, H: int32(h), F: int32(f)})
+	o.w.Rec(trace.Rec{Slot: t, Sensor: -1, Engine: o.engine, Flags: flags, H: int32(h), F: int32(f)})
 }
 
 // slotFlags encodes a decided slot's outcome as trace record flags.

@@ -209,8 +209,9 @@ type Config struct {
 	// is RNG-neutral like Metrics — it never consumes a random draw, so
 	// results are byte-identical with it attached or not (asserted by
 	// TestTracingDoesNotChangeResults). Traced fleets (N > 1) run the
-	// reference engine. A batch traces replication 0 only.
-	Tracer *trace.Tracer
+	// reference engine. A batch (Batch > 1) is refused: trace the single
+	// run at Seed, which is its replication 0.
+	Tracer *trace.Writer
 
 	// Engine selects the simulation engine, of a single run and of every
 	// replication of a batch alike. The default, EngineAuto, runs the
@@ -297,6 +298,9 @@ func (c *Config) validate() error {
 	}
 	if c.Batch < 0 {
 		return fmt.Errorf("sim: Batch must be >= 0, got %d", c.Batch)
+	}
+	if c.Tracer != nil && c.Batch > 1 {
+		return fmt.Errorf("sim: a Tracer with Batch > 1 is refused: trace the single run at Seed (replication 0)")
 	}
 	return nil
 }
@@ -418,7 +422,7 @@ func runReference(cfg *Config, seed uint64, sensors []SensorStats, o *observer) 
 	// rechargeDraw keeps each sensor's last delivered energy for the
 	// trace records.
 	var rechargeDraw []float64
-	if o.tr != nil {
+	if o.w != nil {
 		rechargeDraw = make([]float64, cfg.N)
 		o.start(cfg, seed, cfg.N, policies[0].Name(), recharges[0].Name())
 	}
@@ -496,7 +500,7 @@ func runReference(cfg *Config, seed uint64, sensors []SensorStats, o *observer) 
 			}
 		}
 		policies[s].Observe(outcomeFor(cfg.Info, active, event, active && event))
-		if o.tr != nil {
+		if o.w != nil {
 			o.slot(t, s, slotFlags(event, active, denied), int64(st.SinceEvent), int64(st.SinceCapture),
 				p, st.Battery, rechargeDraw[s])
 		}
@@ -523,9 +527,6 @@ func runReference(cfg *Config, seed uint64, sensors []SensorStats, o *observer) 
 				for s := 0; s < cfg.N; s++ {
 					if !failed[s] && t >= failSlot[s] {
 						failed[s] = true
-						if o.tr != nil {
-							o.tr.Fault(s, t)
-						}
 					}
 				}
 			}
@@ -536,7 +537,7 @@ func runReference(cfg *Config, seed uint64, sensors []SensorStats, o *observer) 
 				}
 				amt := recharges[s].Next(rechargeSrcs[s])
 				batteries[s].Recharge(amt)
-				if o.tr != nil {
+				if o.w != nil {
 					rechargeDraw[s] = amt
 				}
 			}
@@ -560,9 +561,6 @@ func runReference(cfg *Config, seed uint64, sensors []SensorStats, o *observer) 
 			if o.w != nil {
 				// An event slot in which no sensor decided (all failed,
 				// or the in-charge sensor failed) still needs a record.
-				// Only the full trace needs the marker (the flight
-				// recorder drops Sensor = -1 records), so a flight-only
-				// run pays none of this bookkeeping.
 				if event && o.recs == 0 {
 					o.marker(t, trace.FlagEvent, t-lastEvent, t-sharedLastCapture)
 				}
@@ -572,7 +570,7 @@ func runReference(cfg *Config, seed uint64, sensors []SensorStats, o *observer) 
 				events++
 				lastEvent = t
 				nextEvent = t + int64(cfg.Dist.Sample(eventSrc))
-				o.event(t, captured, eventDenied)
+				o.event(captured, eventDenied)
 			}
 			if captured {
 				captures++
@@ -598,8 +596,8 @@ func runReference(cfg *Config, seed uint64, sensors []SensorStats, o *observer) 
 		st.OverflowLost = batteries[s].OverflowLost()
 		st.FinalBattery = batteries[s].Level()
 	}
-	if o.tr != nil {
-		o.tr.RunEnd(trace.RunEnd{Events: events, Captures: captures})
+	if o.w != nil {
+		o.w.RunEnd(trace.RunEnd{Events: events, Captures: captures})
 	}
 	return events, captures, nil
 }

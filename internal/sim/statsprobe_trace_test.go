@@ -22,7 +22,7 @@ func TestTraceQoMReportsMatchProbe(t *testing.T) {
 		cfg.Stats = true
 		var buf bytes.Buffer
 		w := trace.NewWriter(&buf)
-		cfg.Tracer = trace.New(w, nil)
+		cfg.Tracer = w
 
 		res, err := Run(cfg)
 		if err != nil {

@@ -27,14 +27,20 @@ func tracedSlots(t *testing.T, cfg Config) []trace.Rec {
 	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	cfg.Tracer = trace.New(w, nil)
+	cfg.Tracer = w
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := trace.NewReader(&buf)
+	return slotRecords(t, buf.Bytes())
+}
+
+// slotRecords decodes the slot records of a trace, in trace order.
+func slotRecords(t *testing.T, data []byte) []trace.Rec {
+	t.Helper()
+	r, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +60,8 @@ func tracedSlots(t *testing.T, cfg Config) []trace.Rec {
 }
 
 // TestTracingDoesNotChangeResults is the RNG-neutrality contract of
-// Config.Tracer: attaching a full-trace writer, a flight recorder, or
-// both must leave the Result byte-identical, on every execution path
-// that accepts a tracer.
+// Config.Tracer: attaching a trace writer must leave the Result
+// byte-identical, on every execution path that accepts a tracer.
 func TestTracingDoesNotChangeResults(t *testing.T) {
 	for _, ec := range tracedCases(t) {
 		name, cfg := ec.name, ec.cfg
@@ -65,32 +70,20 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, mode := range []string{"full", "flight", "full+flight"} {
-			var buf bytes.Buffer
-			var w *trace.Writer
-			var fr *trace.FlightRecorder
-			if mode == "full" || mode == "full+flight" {
-				w = trace.NewWriter(&buf)
-			}
-			if mode == "flight" || mode == "full+flight" {
-				fr = trace.NewFlightRecorder(64)
-			}
-			cfg.Tracer = trace.New(w, fr)
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, mode, err)
-			}
-			if w != nil {
-				if err := w.Close(); err != nil {
-					t.Fatalf("%s/%s: %v", name, mode, err)
-				}
-				if w.Counts().Records == 0 {
-					t.Fatalf("%s/%s: trace captured no records", name, mode)
-				}
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: tracing changed the run:\nwith    %+v\nwithout %+v", name, mode, got, want)
-			}
+		w := trace.NewWriter(io.Discard)
+		cfg.Tracer = w
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if w.Counts().Records == 0 {
+			t.Fatalf("%s: trace captured no records", name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: tracing changed the run:\nwith    %+v\nwithout %+v", name, got, want)
 		}
 	}
 }
@@ -99,7 +92,10 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 // purely from its trace (trace.Replay) and checks them against the
 // engine's own Result and Metrics — the acceptance contract behind
 // cmd/tracetool's replay subcommand, here asserted for every execution
-// path including a kernel run with compressed sleep spans.
+// path including a kernel run with compressed sleep spans. Every slot
+// record must also hold the state invariants: an activation
+// probability in [0, 1] and a battery level in [0, K] (plus rounding
+// slack).
 func TestTraceReplayMatchesResults(t *testing.T) {
 	sawSpans := false
 	for _, ec := range tracedCases(t) {
@@ -107,13 +103,20 @@ func TestTraceReplayMatchesResults(t *testing.T) {
 		cfg.Metrics = true
 		var buf bytes.Buffer
 		w := trace.NewWriter(&buf)
-		cfg.Tracer = trace.New(w, nil)
+		cfg.Tracer = w
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		capHi := cfg.BatteryCap * (1 + 1e-9)
+		for _, r := range slotRecords(t, buf.Bytes()) {
+			if r.Prob < 0 || r.Prob > 1 || r.Battery < 0 || r.Battery > capHi {
+				t.Fatalf("%s: slot %d sensor %d breaks an invariant: prob %v, battery %v of K=%v",
+					name, r.Slot, r.Sensor, r.Prob, r.Battery, cfg.BatteryCap)
+			}
 		}
 		sum, err := trace.Replay(&buf)
 		if err != nil {
@@ -167,7 +170,7 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 		var buf bytes.Buffer
 		w := trace.NewWriter(&buf)
 		traced := cfg
-		traced.Tracer = trace.New(w, nil)
+		traced.Tracer = w
 		got, err := Run(traced)
 		if err != nil {
 			t.Fatal(err)
@@ -182,56 +185,5 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 	}
 	if !bytes.Equal(traceBytes(), traceBytes()) {
 		t.Fatal("consecutive traced runs produced different trace bytes")
-	}
-}
-
-// TestTraceFaultDump: fault injection must trigger a flight-recorder
-// fault dump for the failed sensor.
-func TestTraceFaultDump(t *testing.T) {
-	cfg := engineCaseConfig(t, "reference-faults")
-	fr := trace.NewFlightRecorder(32)
-	cfg.Tracer = trace.New(nil, fr)
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	var fault bool
-	for _, d := range fr.Dumps() {
-		if d.Reason == "fault" && d.Slot == 5000 && len(d.Sensors) == 1 && d.Sensors[0].Sensor == 1 {
-			fault = true
-		}
-	}
-	if !fault {
-		t.Fatalf("no fault dump for sensor 1 at slot 5000; dumps: %+v", fr.Dumps())
-	}
-}
-
-// TestTraceOutageDump: a starved battery must trigger the
-// miss-after-outage dump.
-func TestTraceOutageDump(t *testing.T) {
-	cfg := engineCaseConfig(t, "reference-starved")
-	fr := trace.NewFlightRecorder(32)
-	cfg.Tracer = trace.New(nil, fr)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Metrics = true
-	cfg.Tracer = nil
-	check, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if check.Metrics.MissNoEnergy == 0 {
-		t.Skip("starved config saw no energy-gated miss")
-	}
-	var outage bool
-	for _, d := range fr.Dumps() {
-		if d.Reason == "outage_miss" {
-			outage = true
-		}
-	}
-	if !outage {
-		t.Fatalf("energy-gated misses occurred (%d) but no outage dump fired (result %+v)",
-			check.Metrics.MissNoEnergy, res)
 	}
 }

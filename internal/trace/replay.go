@@ -54,9 +54,8 @@ type replayRun struct {
 }
 
 // Replay reconstructs a Summary from a trace stream, verifying each
-// run's reconstruction against its RunEnd frame. A trace written with a
-// full-trace Writer always replays; flight-recorder rings are not
-// replayable (they are bounded windows, not complete histories).
+// run's reconstruction against its RunEnd frame. Any complete trace a
+// Writer wrote replays.
 func Replay(r io.Reader) (*Summary, error) {
 	tr, err := NewReader(r)
 	if err != nil {

@@ -278,7 +278,6 @@ func FlagString(flags uint8) string {
 		{FlagActive, "active"},
 		{FlagDenied, "denied"},
 		{FlagCaptured, "captured"},
-		{FlagSpan, "span"},
 	}
 	out := ""
 	for _, n := range names {

@@ -4,20 +4,13 @@
 // activation probability and decision outcome of individual slots, so a
 // missed event can be explained rather than merely counted.
 //
-// Two modes share one record type:
-//
-//   - Full trace: a streaming Writer encodes every decided slot (and,
-//     on the compiled kernel, every fast-forwarded sleep run as one
-//     compressed Span) into a compact binary file. The Reader, Replay,
-//     Stats and Diff functions consume that file; cmd/tracetool wraps
-//     them.
-//   - Flight recorder: a fixed-size ring of the last N decision-relevant
-//     records per sensor, cheap enough to leave on, dumped on invariant
-//     violation, fault injection, first miss-after-outage, or on demand
-//     through the -metrics-addr debug server (/debug/trace).
+// A streaming Writer encodes every decided slot (and, on the compiled
+// kernel, every fast-forwarded sleep run as one compressed Span) into a
+// compact binary file. The Reader, Replay, Stats and Diff functions
+// consume that file; cmd/tracetool wraps them.
 //
 // The package depends only on the standard library and internal/obs,
-// and — like obs — never draws from a random stream: attaching a Tracer
+// and — like obs — never draws from a random stream: attaching a Writer
 // cannot change any simulation output (the RNG-neutrality contract of
 // DESIGN.md §9, asserted by TestTracingDoesNotChangeResults).
 package trace
@@ -32,11 +25,6 @@ const (
 	EngineReference uint8 = 1
 	// EngineKernel is the compiled slot-skipping kernel.
 	EngineKernel uint8 = 2
-	// EngineIndependent named the per-sensor engine that once ran
-	// uncoordinated partial-information fleets (ModeAll + PartialInfo +
-	// N > 1). Those fleets now run the reference engine; the code stays
-	// so traces written by that engine still name it.
-	EngineIndependent uint8 = 3
 )
 
 // EngineName renders an engine code for human-facing output.
@@ -46,8 +34,6 @@ func EngineName(code uint8) string {
 		return "reference"
 	case EngineKernel:
 		return "kernel"
-	case EngineIndependent:
-		return "independent"
 	}
 	return "unknown"
 }
@@ -63,16 +49,11 @@ const (
 	FlagDenied
 	// FlagCaptured marks an activation that captured the slot's event.
 	FlagCaptured
-	// FlagSpan marks a flight-recorder ring entry holding a compressed
-	// fast-forward span (see FlightRecorder.Span for the field reuse);
-	// full-trace files encode spans as their own frame kind instead.
-	FlagSpan
 )
 
 // Rec is one slot-level trace record: the decision-time view of one
-// sensor in one slot. A Sensor of -1 marks an aggregate per-slot record
-// (an event slot in which no individual sensor decided, or, in traces of
-// the retired independent engine, an event-outcome summary).
+// sensor in one slot. A Sensor of -1 marks an aggregate per-slot record:
+// an event slot in which no individual sensor decided.
 type Rec struct {
 	// Slot is the 1-based absolute slot number.
 	Slot int64
@@ -155,42 +136,4 @@ var (
 	tracedRecords = obs.NewCounter("trace.records")
 	tracedSpans   = obs.NewCounter("trace.spans")
 	tracedBytes   = obs.NewCounter("trace.bytes")
-)
-
-// DumpReason labels a flight-recorder dump trigger and counts its
-// firings in the process-wide obs metric set (the name doubles as the
-// metric name, so it must follow the obs dot-schema — enforced by the
-// expvarname analyzer).
-type DumpReason struct {
-	name string
-	c    *obs.Counter
-}
-
-// NewDumpReason registers a dump-reason counter under name.
-func NewDumpReason(name string) DumpReason {
-	// expvarname:ok forwarding point: callers' literals are schema-checked at their NewDumpReason call
-	return DumpReason{name: name, c: obs.NewCounter(name)}
-}
-
-// String returns the reason's short label (the metric name's last
-// segment).
-func (r DumpReason) String() string {
-	for i := len(r.name) - 1; i >= 0; i-- {
-		if r.name[i] == '.' {
-			return r.name[i+1:]
-		}
-	}
-	return r.name
-}
-
-// Built-in flight-recorder dump reasons.
-var (
-	// DumpInvariant fires when a recorded slot violates a state
-	// invariant (probability outside [0,1], battery outside [0,K]).
-	DumpInvariant = NewDumpReason("trace.dump.invariant")
-	// DumpFault fires when fault injection kills a sensor.
-	DumpFault = NewDumpReason("trace.dump.fault")
-	// DumpOutageMiss fires on a run's first event missed because every
-	// activation attempt hit the energy gate (miss-after-outage).
-	DumpOutageMiss = NewDumpReason("trace.dump.outage_miss")
 )

@@ -2,11 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
-	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -38,8 +35,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			Flags: FlagEvent | FlagDenied, H: 5, F: 5, Prob: 1, Battery: 3, Recharge: 0}},
 		// Marker record: negative sensor, and a slot delta of zero.
 		{Kind: FrameSlot, Rec: Rec{Slot: 5, Sensor: -1, Engine: EngineReference, Flags: FlagEvent, H: 5, F: 5}},
-		// Backwards slot jump (sensor-major independent order).
-		{Kind: FrameSlot, Rec: Rec{Slot: 2, Sensor: 1, Engine: EngineIndependent, H: -1, F: 2, Prob: 0.25, Battery: 9}},
+		// Backwards slot jump: slot deltas are signed.
+		{Kind: FrameSlot, Rec: Rec{Slot: 2, Sensor: 1, Engine: EngineReference, H: -1, F: 2, Prob: 0.25, Battery: 9}},
 		{Kind: FrameRunEnd, End: RunEnd{Events: 1, Captures: 1}},
 		{Kind: FrameRunStart, Run: sampleInfo(EngineKernel)},
 		{Kind: FrameSpan, Span: Span{Start: 1, Len: 40, Events: 2, State: uint8(1), Delivered: 20, Battery: 180}},
@@ -133,137 +130,6 @@ func TestWriterStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
-
-func TestFlightRecorderRingKeepsLastN(t *testing.T) {
-	fr := NewFlightRecorder(16)
-	fr.BeginRun(sampleInfo(EngineReference))
-	for slot := int64(1); slot <= 100; slot++ {
-		fr.Record(&Rec{Slot: slot, Sensor: 0, Prob: 0.5, Battery: 50})
-	}
-	fr.EndRun(RunEnd{Events: 0, Captures: 0})
-
-	srv := httptest.NewServer(fr.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var view struct {
-		RingSize   int   `json:"ring_size"`
-		TotalDumps int64 `json:"total_dumps"`
-		LastRun    *struct {
-			Sensors []SensorDump `json:"sensors"`
-		} `json:"last_run"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		t.Fatal(err)
-	}
-	if view.RingSize != 16 || view.TotalDumps != 0 || view.LastRun == nil {
-		t.Fatalf("view = %+v", view)
-	}
-	recs := view.LastRun.Sensors[0].Records
-	if len(recs) != 16 {
-		t.Fatalf("ring kept %d records, want 16", len(recs))
-	}
-	if recs[0].Slot != 85 || recs[15].Slot != 100 {
-		t.Fatalf("ring window [%d, %d], want [85, 100]", recs[0].Slot, recs[15].Slot)
-	}
-}
-
-func TestFlightRecorderInvariantDump(t *testing.T) {
-	fr := NewFlightRecorder(16)
-	fr.BeginRun(sampleInfo(EngineReference))
-	fr.Record(&Rec{Slot: 1, Sensor: 1, Prob: 0.5, Battery: 100})
-	fr.Record(&Rec{Slot: 2, Sensor: 1, Prob: 1.5, Battery: 100}) // p > 1
-	fr.Record(&Rec{Slot: 3, Sensor: 1, Prob: 1.5, Battery: 100}) // second violation: no new dump
-	if got := fr.TotalDumps(); got != 1 {
-		t.Fatalf("TotalDumps = %d, want 1 (once per run)", got)
-	}
-	d := fr.Dumps()
-	if len(d) != 1 || d[0].Reason != "invariant" || d[0].Slot != 2 {
-		t.Fatalf("dumps = %+v", d)
-	}
-	if len(d[0].Sensors) != 1 || d[0].Sensors[0].Sensor != 1 || len(d[0].Sensors[0].Records) != 2 {
-		t.Fatalf("dump sensors = %+v", d[0].Sensors)
-	}
-
-	// A new run re-arms the trigger.
-	fr.BeginRun(sampleInfo(EngineReference))
-	fr.Record(&Rec{Slot: 1, Sensor: 0, Prob: 0.5, Battery: -1}) // battery < 0
-	if got := fr.TotalDumps(); got != 2 {
-		t.Fatalf("TotalDumps after second run = %d, want 2", got)
-	}
-}
-
-// TestRecordSlotMatchesRecord pins the hot-path RecordSlot variant to
-// Record: same ring contents, same invariant triggering, same handling
-// of marker and out-of-range sensors.
-func TestRecordSlotMatchesRecord(t *testing.T) {
-	recs := []Rec{
-		{Slot: 1, Sensor: 0, Engine: EngineReference, Flags: FlagActive, H: 3, F: 7, Prob: 0.5, Battery: 50, Recharge: 1},
-		{Slot: 2, Sensor: -1, Flags: FlagEvent},                          // marker: skipped by both
-		{Slot: 3, Sensor: 5, Prob: 0.5, Battery: 50},                     // out of range: skipped by both
-		{Slot: 4, Sensor: 0, Engine: EngineKernel, Prob: 2, Battery: 50}, // invariant violation
-	}
-	a := NewFlightRecorder(16)
-	b := NewFlightRecorder(16)
-	a.BeginRun(sampleInfo(EngineReference))
-	b.BeginRun(sampleInfo(EngineReference))
-	for i := range recs {
-		r := recs[i]
-		a.Record(&r)
-		b.RecordSlot(r.Slot, r.Sensor, r.Engine, r.Flags, r.H, r.F, r.Prob, r.Battery, r.Recharge)
-	}
-	if got, want := b.TotalDumps(), a.TotalDumps(); got != want || got != 1 {
-		t.Fatalf("TotalDumps: RecordSlot %d, Record %d, want 1", got, want)
-	}
-	sa, sb := a.snapshotRing(0), b.snapshotRing(0)
-	if !reflect.DeepEqual(sa, sb) {
-		t.Fatalf("ring contents diverge:\nRecord     %+v\nRecordSlot %+v", sa, sb)
-	}
-	if len(sb.Records) != 2 {
-		t.Fatalf("ring kept %d records, want 2 (markers and out-of-range skipped)", len(sb.Records))
-	}
-}
-
-func TestFlightRecorderFaultAndOutageDumps(t *testing.T) {
-	fr := NewFlightRecorder(16)
-	fr.BeginRun(sampleInfo(EngineReference))
-	fr.Record(&Rec{Slot: 1, Sensor: 0, Prob: 0.5, Battery: 3})
-	fr.Record(&Rec{Slot: 1, Sensor: 2, Prob: 0.5, Battery: 5})
-	fr.Fault(2, 7)
-	fr.OutageMiss(9)
-	fr.OutageMiss(11) // once per run
-	if got := fr.TotalDumps(); got != 2 {
-		t.Fatalf("TotalDumps = %d, want 2", got)
-	}
-	d := fr.Dumps()
-	if d[0].Reason != "fault" || d[0].Slot != 7 || len(d[0].Sensors) != 1 {
-		t.Fatalf("fault dump = %+v", d[0])
-	}
-	if d[1].Reason != "outage_miss" || d[1].Slot != 9 || len(d[1].Sensors) != 3 {
-		t.Fatalf("outage dump = %+v", d[1])
-	}
-}
-
-func TestFlightRecorderStoresEarliestDumps(t *testing.T) {
-	fr := NewFlightRecorder(16)
-	fr.BeginRun(sampleInfo(EngineReference))
-	for i := 0; i < maxStoredDumps+5; i++ {
-		fr.Fault(0, int64(i))
-	}
-	if got := fr.TotalDumps(); got != int64(maxStoredDumps+5) {
-		t.Fatalf("TotalDumps = %d", got)
-	}
-	d := fr.Dumps()
-	if len(d) != maxStoredDumps {
-		t.Fatalf("stored %d dumps, want %d", len(d), maxStoredDumps)
-	}
-	if d[0].Slot != 0 || d[maxStoredDumps-1].Slot != int64(maxStoredDumps-1) {
-		t.Fatal("stored dumps are not the earliest triggers")
-	}
-}
 
 // buildTrace writes a two-run trace with a known decomposition:
 // run 1 (reference, 2 sensors): 3 events — one captured, one denied
@@ -458,19 +324,10 @@ func TestDiffPrefixTrace(t *testing.T) {
 	}
 }
 
-func TestDumpReasonString(t *testing.T) {
-	if got := DumpInvariant.String(); got != "invariant" {
-		t.Fatalf("DumpInvariant.String() = %q", got)
-	}
-	if got := DumpOutageMiss.String(); got != "outage_miss" {
-		t.Fatalf("DumpOutageMiss.String() = %q", got)
-	}
-}
-
 func TestEngineName(t *testing.T) {
 	cases := map[uint8]string{
 		EngineReference: "reference", EngineKernel: "kernel",
-		EngineIndependent: "independent", 99: "unknown",
+		3: "unknown", 99: "unknown",
 	}
 	for code, want := range cases {
 		if got := EngineName(code); got != want {

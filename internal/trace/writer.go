@@ -45,9 +45,12 @@ func (t *teeCount) Write(p []byte) (int, error) {
 	return t.dst.Write(p)
 }
 
-// Writer streams trace frames into dst. Write errors are sticky and
-// surface at Close — the simulation hot path records without checking
-// errors per slot, and a run never fails mid-flight on trace I/O.
+// Writer streams trace frames into dst. The engines hold a possibly-nil
+// *Writer (sim.Config.Tracer) and call it directly, guarding each call
+// site on it, so an untraced run pays one predictable branch per slot.
+// Write errors are sticky and surface at Close — the simulation hot
+// path records without checking errors per slot, and a run never fails
+// mid-flight on trace I/O.
 type Writer struct {
 	tc     *teeCount
 	bw     *bufio.Writer
@@ -173,27 +176,23 @@ func (w *Writer) SHA256() string {
 // Counts reports what the writer emitted (Bytes is set by Close).
 func (w *Writer) Counts() Counts { return w.counts }
 
-// File is a full trace streamed into a file on disk, with the flight
-// recorder (if any) that rides on the same Tracer.
+// File is a full trace streamed into a file on disk.
 type File struct {
-	f      *os.File
-	w      *Writer
-	flight *FlightRecorder
+	f *os.File
+	w *Writer
 }
 
-// Create creates the trace file at path and starts a Writer on it;
-// flight may be nil.
-func Create(path string, flight *FlightRecorder) (*File, error) {
+// Create creates the trace file at path and starts a Writer on it.
+func Create(path string) (*File, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: creating trace file: %w", err)
 	}
-	return &File{f: f, w: NewWriter(f), flight: flight}, nil
+	return &File{f: f, w: NewWriter(f)}, nil
 }
 
-// Tracer returns the tracer a run records through: the file's Writer
-// and the flight recorder.
-func (t *File) Tracer() *Tracer { return New(t.w, t.flight) }
+// Writer returns the Writer a run records through.
+func (t *File) Writer() *Writer { return t.w }
 
 // Counts reports what the Writer emitted (Bytes is set by Close).
 func (t *File) Counts() Counts { return t.w.Counts() }
@@ -202,7 +201,7 @@ func (t *File) Counts() Counts { return t.w.Counts() }
 // buffered frames and reports the stream's sticky error only at Close,
 // so closing the file first would lose both. It returns the manifest's
 // trace block: the file's base name (a manifest sits beside its trace),
-// its SHA-256, the attached sinks and the frame counts.
+// its SHA-256 and the frame counts.
 func (t *File) Close() (*obs.TraceInfo, error) {
 	err := t.w.Close()
 	if cerr := t.f.Close(); err == nil && cerr != nil {
@@ -211,15 +210,10 @@ func (t *File) Close() (*obs.TraceInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode := "full"
-	if t.flight != nil {
-		mode = "full+flight"
-	}
 	c := t.w.Counts()
 	return &obs.TraceInfo{
 		File:    filepath.Base(t.f.Name()),
 		SHA256:  t.w.SHA256(),
-		Mode:    mode,
 		Runs:    c.Runs,
 		Records: c.Records,
 		Spans:   c.Spans,
