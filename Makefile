@@ -59,9 +59,13 @@ lint-baseline:
 # walk, its evaluations resumed from a shared prefix vs fresh walks,
 # the O(1) recharge closed form vs the sequential loop,
 # the compiled kernel vs the reference engine on generated
-# configurations, and the .evtrace decoders on arbitrary bytes. Seed
+# configurations, the .evtrace decoders on arbitrary bytes, and
+# run-manifest decoding (ReadManifest and a Write round trip). Seed
 # corpora live in testdata/fuzz or in the targets' f.Add calls; CI runs
-# this same budget per target.
+# this same budget per target. FuzzReadManifest's inputs are ~1 KB JSON
+# records, and the fuzzer minimizes each new one for up to 60 s by
+# default, so without a 1 s cap its whole budget went to one
+# minimization (8 inputs in 30 s, against ~15,000 in 10 s with the cap).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSampleBinomial -fuzztime $(FUZZTIME) ./internal/dist
@@ -74,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRechargeN -fuzztime $(FUZZTIME) ./internal/energy
 	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzReadManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/obs
 
 # -short skips only the pre-change fixture regeneration in
 # internal/experiments; the kernel equivalence tests and the solver

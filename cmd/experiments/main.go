@@ -19,10 +19,7 @@
 //
 // Streaming statistics are on by default (-stats=false disables them):
 // every experiment's manifest and journal line record the pooled QoM
-// point estimate with its confidence interval. With -batch B and
-// -target-rel-hw R, replications stop early once the QoM CI's relative
-// half-width reaches R (at least -min-reps replications run first);
-// the manifest's early_stop block records the realized counts.
+// point estimate with its confidence interval.
 //
 // -trace additionally writes a slot-level binary trace (<id>.evtrace,
 // hash-recorded in the manifest; verify with `tracetool replay`; refused
@@ -72,8 +69,6 @@ func run(args []string, out io.Writer) error {
 		metricsAddr = fs.String("metrics-addr", "", "serve /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
 		traceFlag   = fs.Bool("trace", false, "write a slot-level trace (<id>.evtrace) and record it in the manifest; requires -out, refused with -batch > 1")
 		statsFlag   = fs.Bool("stats", true, "collect streaming QoM statistics (point estimate and CI per experiment, recorded in manifests and the journal; never changes results)")
-		targetRelHW = fs.Float64("target-rel-hw", 0, "stop batched replications early once the QoM CI's relative half-width reaches this target (requires -batch > 1; changes how many replications run)")
-		minReps     = fs.Int("min-reps", 0, "minimum replications before -target-rel-hw may stop a run (default 2)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,12 +82,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *traceFlag && *batch > 1 {
 		return fmt.Errorf("-trace with -batch > 1 is refused: the trace holds replication 0 alone, but the manifest's counters sum every replication, so tracetool replay could not verify it")
-	}
-	if *targetRelHW > 0 && *batch < 2 {
-		return fmt.Errorf("-target-rel-hw requires -batch > 1 (the replication budget it stops within)")
-	}
-	if *minReps > 0 && *targetRelHW <= 0 {
-		return fmt.Errorf("-min-reps only applies together with -target-rel-hw")
 	}
 
 	if *list {
@@ -179,15 +168,11 @@ func run(args []string, out io.Writer) error {
 		cfg.Batch = *batch
 		digestParts = append(digestParts, fmt.Sprintf("batch=%d", *batch))
 	}
-	if *targetRelHW > 0 {
-		digestParts = append(digestParts, fmt.Sprintf("target_rel_hw=%g", *targetRelHW), fmt.Sprintf("min_reps=%d", *minReps))
-	}
 	profiles := profileRefs(*outDir, cpuPath, memPath)
 
 	opts := experiments.Options{
 		Slots: *slots, Seed: *seed, Quick: *quick, Workers: *workers,
 		Engine: engine, Batch: *batch,
-		TargetRelHW: *targetRelHW, MinReps: *minReps,
 	}
 	for _, exp := range selected {
 		before, start := obs.Snapshot(), time.Now()
@@ -199,7 +184,7 @@ func run(args []string, out io.Writer) error {
 		// One stats collector per experiment (the manifest scope): the
 		// pooled estimate lands in the manifest.
 		var coll *experiments.StatsCollector
-		if *statsFlag || *targetRelHW > 0 {
+		if *statsFlag {
 			coll = &experiments.StatsCollector{}
 		}
 		opts.Stats = coll
@@ -252,7 +237,6 @@ func run(args []string, out io.Writer) error {
 			if r, ok := coll.Report(); ok {
 				man.Stats = &r
 			}
-			man.EarlyStop = coll.Decision()
 		}
 		if journal != nil {
 			man.Journal = filepath.Base(journal.Path())
@@ -296,8 +280,7 @@ func run(args []string, out io.Writer) error {
 	return stopProfiles()
 }
 
-// printStats prints an experiment's pooled QoM estimate and, when the
-// run stopped early, the replication count it settled on.
+// printStats prints an experiment's pooled QoM estimate.
 func printStats(out io.Writer, coll *experiments.StatsCollector) {
 	if coll == nil {
 		return
@@ -309,10 +292,6 @@ func printStats(out io.Writer, coll *experiments.StatsCollector) {
 		} else {
 			fmt.Fprintf(out, "stats: qom %.6f (pooled over %d runs, no interval)\n", r.Mean, r.Count)
 		}
-	}
-	if d := coll.Decision(); d != nil {
-		fmt.Fprintf(out, "stats: early stop settled at %d/%d replications (target rel HW %g, reached %.4g; %d run(s) converged early)\n",
-			d.Reps, d.MaxReps, d.TargetRelHW, d.RelHalfWidth, coll.StoppedRuns())
 	}
 }
 

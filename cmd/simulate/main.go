@@ -64,8 +64,6 @@ func run(args []string, out io.Writer) error {
 		traceFile = fs.String("trace", "", "write a slot-level trace to this file plus a .manifest.json sidecar (implies -metrics; never changes results; refused with -batch > 1)")
 		spansFlag = fs.String("spans", "", "write the run's phase spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto; never changes results)")
 		statsFlag = fs.Bool("stats", true, "collect and print streaming QoM statistics (confidence interval, battery quantiles; never changes results)")
-		targetHW  = fs.Float64("target-rel-hw", 0, "stop batched replications early once the QoM CI's relative half-width reaches this target (requires -batch > 1; changes how many replications run)")
-		minReps   = fs.Int("min-reps", 0, "minimum replications before -target-rel-hw may stop the run (default 2)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,12 +74,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *traceFile != "" && *batch > 1 {
 		return fmt.Errorf("-trace with -batch > 1 is refused: the trace holds replication 0 alone, but the manifest's counters sum every replication, so tracetool replay could not verify it")
-	}
-	if *targetHW > 0 && *batch < 2 {
-		return fmt.Errorf("-target-rel-hw requires -batch > 1 (the replication budget it stops within)")
-	}
-	if *minReps > 0 && *targetHW <= 0 {
-		return fmt.Errorf("-min-reps only applies together with -target-rel-hw")
 	}
 	if *traceFile != "" {
 		// The manifest sidecar records the run's metrics block; collect it.
@@ -238,18 +230,10 @@ func run(args []string, out io.Writer) error {
 	// -spans exports the tree.
 	root := obs.BeginSpan("simulate")
 	cfg.Span = root
-	cfg.Stats = *statsFlag || *targetHW > 0
+	cfg.Stats = *statsFlag
 
 	before, start := obs.Snapshot(), time.Now()
-	var (
-		res *sim.Result
-		dec *obs.EarlyStopInfo
-	)
-	if *targetHW > 0 {
-		res, dec, err = sim.RunWithEarlyStop(cfg, sim.EarlyStopOptions{TargetRelHW: *targetHW, MinReps: *minReps})
-	} else {
-		res, err = sim.Run(cfg)
-	}
+	res, err := sim.Run(cfg)
 	root.End()
 	// Close the trace before any other output file is written: the
 	// stream's write errors surface only there.
@@ -267,7 +251,7 @@ func run(args []string, out io.Writer) error {
 	// The manifest is written only as the trace's sidecar, which sits
 	// next to the trace so the pair stays relocatable and cmd/tracetool
 	// replay verifies it like an experiment's. -trace is refused with
-	// -batch > 1, so the run is never batched or early-stopped here.
+	// -batch > 1, so the run is never batched here.
 	if tf != nil {
 		man := obs.NewManifest("simulate", "", obs.ManifestConfig{
 			Slots: cfg.Slots, Seed: cfg.Seed, Workers: cfg.Workers, Engine: engine.String(),
@@ -312,10 +296,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "stats      battery mean %.1f%% of K, p10/p50/p90 %.1f%%/%.1f%%/%.1f%% (%d samples)\n",
 				100*b.Mean, 100*b.P10, 100*b.P50, 100*b.P90, b.Count)
 		}
-	}
-	if dec != nil {
-		fmt.Fprintf(out, "stats      early stop at %d/%d replications (target rel HW %g, reached %.4g, stopped=%t)\n",
-			dec.Reps, dec.MaxReps, dec.TargetRelHW, dec.RelHalfWidth, dec.Stopped)
 	}
 	if *n > 1 {
 		fmt.Fprintf(out, "balance    load imbalance (max-min)/mean activations = %.4f\n", res.LoadImbalance())

@@ -46,6 +46,8 @@ func runAblationLP(opts Options) (*Table, error) {
 	cells, err := parallel.Map(opts.Workers, len(es)*len(workloads), func(j int) (pair, error) {
 		e := es[j/len(workloads)]
 		d := workloads[j%len(workloads)]
+		solved := opts.SolvePhase()
+		defer solved()
 		greedy, err := core.GreedyFICached(d, e, p)
 		if err != nil {
 			return pair{}, err
@@ -146,6 +148,8 @@ func runAblationPOMDP(opts Options) (*Table, error) {
 	}
 	rows, err := parallel.Map(opts.Workers, len(horizons), func(i int) ([]float64, error) {
 		h := int(horizons[i])
+		solved := opts.SolvePhase()
+		defer solved()
 		pomdp, err := mdp.NewPOMDP(alpha, 1, 2, 8, 1, h)
 		if err != nil {
 			return nil, err

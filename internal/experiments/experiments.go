@@ -59,55 +59,26 @@ type Options struct {
 	// reports into one experiment-level estimate. RNG-neutral like
 	// Tracer and Span: results are byte-identical with or without it.
 	Stats *StatsCollector
-	// TargetRelHW, when > 0 together with Batch > 1, runs every
-	// simulation under CI-targeted early stop (sim.RunWithEarlyStop):
-	// replications stop as soon as the QoM CI's relative half-width
-	// reaches the target. Unlike every other option this one changes
-	// results — a converged run executes fewer replications than Batch;
-	// the realized counts land in Stats' decision record.
-	TargetRelHW float64
-	// MinReps is the minimum replications before TargetRelHW may stop a
-	// run (0 means the monitor's default of 2).
-	MinReps int
 }
 
 // StatsCollector pools the streaming QoM reports of every simulation an
-// experiment performs into one experiment-level estimate, and remembers
-// the early-stop decisions taken along the way. Sweep points run
-// concurrently, so all mutation is mutex-guarded, and what it returns
-// does not depend on the order they finish in. The zero value is ready
-// to use.
+// experiment performs into one experiment-level estimate. Sweep points
+// run concurrently, so all mutation is mutex-guarded, and the pooled
+// report does not depend on the order they finish in. The zero value is
+// ready to use.
 type StatsCollector struct {
-	mu      sync.Mutex
-	pool    stats.Pool
-	dec     *obs.EarlyStopInfo
-	stopped int
+	mu   sync.Mutex
+	pool stats.Pool
 }
 
-// observe folds one finished simulation into the pool. dec is non-nil
-// only for early-stopped runs. The kept decision is the one that needed
-// the most replications, ties going to the larger relative half-width:
-// the sweep point furthest from converging, whatever order the points
-// finish in (their monitors share one options block, so every other
-// field agrees).
-func (c *StatsCollector) observe(res *sim.Result, dec *obs.EarlyStopInfo) {
-	if c == nil || res == nil {
+// observe folds one finished simulation into the pool.
+func (c *StatsCollector) observe(res *sim.Result) {
+	if c == nil || res.Stats == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if res.Stats != nil {
-		c.pool.Add(*res.Stats)
-	}
-	if dec != nil {
-		if c.dec == nil || dec.Reps > c.dec.Reps ||
-			dec.Reps == c.dec.Reps && dec.RelHalfWidth > c.dec.RelHalfWidth {
-			c.dec = dec
-		}
-		if dec.Stopped {
-			c.stopped++
-		}
-	}
+	c.pool.Add(*res.Stats)
 }
 
 // Report returns the pooled QoM report over every simulation observed
@@ -119,22 +90,6 @@ func (c *StatsCollector) Report() (stats.Report, bool) {
 		return stats.Report{}, false
 	}
 	return c.pool.Report(stats.DefaultCILevel), true
-}
-
-// Decision returns the kept early-stop decision (see observe), or nil
-// when no run used one.
-func (c *StatsCollector) Decision() *obs.EarlyStopInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dec
-}
-
-// StoppedRuns counts the simulations that stopped before exhausting
-// their replication budget.
-func (c *StatsCollector) StoppedRuns() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stopped
 }
 
 func (o Options) withDefaults() Options {
@@ -170,22 +125,11 @@ func runSim(opts Options, cfg sim.Config) (*sim.Result, error) {
 	sp := opts.Span.Fork("sim.run")
 	defer sp.End()
 	cfg.Span = sp
-	if opts.TargetRelHW > 0 && cfg.Batch > 1 {
-		res, dec, err := sim.RunWithEarlyStop(cfg, sim.EarlyStopOptions{
-			TargetRelHW: opts.TargetRelHW,
-			MinReps:     opts.MinReps,
-		})
-		if err != nil {
-			return nil, err
-		}
-		opts.Stats.observe(res, dec)
-		return res, nil
-	}
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	opts.Stats.observe(res, nil)
+	opts.Stats.observe(res)
 	return res, nil
 }
 

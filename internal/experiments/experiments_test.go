@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"eventcap/internal/obs"
-	"eventcap/internal/sim"
 )
 
 func quickOpts() Options { return Options{Quick: true, Seed: 42} }
@@ -343,12 +342,16 @@ func TestAblationMultiPoIShape(t *testing.T) {
 // policy in one solve (one evaluator serves both); fig6a's three add a
 // greedy FI solve. ablation-windows solves and refines once per rate;
 // ablation-multipoi calibrates once per rate and simulates two
-// policies.
+// policies. ablation-lp solves greedy and the LP in one cell per rate
+// and law (3 × 2), and ablation-pomdp solves one POMDP per horizon (3).
 func TestSolveSpansForkLanes(t *testing.T) {
 	for _, c := range []struct {
 		id         string
 		want, runs int
-	}{{"fig4b", 3, 11}, {"fig6a", 6, 12}, {"ablation-windows", 2, 0}, {"ablation-multipoi", 2, 4}} {
+	}{
+		{"fig4b", 3, 11}, {"fig6a", 6, 12}, {"ablation-windows", 2, 0}, {"ablation-multipoi", 2, 4},
+		{"ablation-lp", 6, 0}, {"ablation-pomdp", 3, 0},
+	} {
 		e, ok := ByID(c.id)
 		if !ok {
 			t.Fatalf("%s not registered", c.id)
@@ -393,29 +396,5 @@ func TestSolveSpansForkLanes(t *testing.T) {
 		if len(lanes) != solves || lanes[rootLane] {
 			t.Errorf("%s: %d solve spans on %d lanes (root lane %d among them: %t), want one lane each", c.id, solves, len(lanes), rootLane, lanes[rootLane])
 		}
-	}
-}
-
-// TestStatsCollectorOrderFree: sweep points finish in any order, and a
-// collector fed the same runs in two orders keeps the same early-stop
-// decision (the run that needed the most replications, ties to the
-// larger relative half-width) and the same stopped count.
-func TestStatsCollectorOrderFree(t *testing.T) {
-	decs := []*obs.EarlyStopInfo{
-		{TargetRelHW: 0.3, MinReps: 2, MaxReps: 16, Reps: 4, RelHalfWidth: 0.29, Stopped: true},
-		{TargetRelHW: 0.3, MinReps: 2, MaxReps: 16, Reps: 16, RelHalfWidth: 0.31},
-		{TargetRelHW: 0.3, MinReps: 2, MaxReps: 16, Reps: 16, RelHalfWidth: 0.35},
-		{TargetRelHW: 0.3, MinReps: 2, MaxReps: 16, Reps: 8, RelHalfWidth: 0.2, Stopped: true},
-	}
-	var fwd, rev StatsCollector
-	for i := range decs {
-		fwd.observe(&sim.Result{}, decs[i])
-		rev.observe(&sim.Result{}, decs[len(decs)-1-i])
-	}
-	if f, r := fwd.Decision(), rev.Decision(); f != decs[2] || r != decs[2] {
-		t.Fatalf("kept decisions %+v (forward) and %+v (reverse), want %+v", f, r, decs[2])
-	}
-	if f, r := fwd.StoppedRuns(), rev.StoppedRuns(); f != 2 || r != 2 {
-		t.Fatalf("stopped runs %d (forward) and %d (reverse), want 2", f, r)
 	}
 }

@@ -14,12 +14,13 @@ import (
 )
 
 // ManifestSchema identifies the manifest format; bump on breaking field
-// changes. v4 adds the optional streaming-statistics block (QoM CI and
-// early-stop decision); v3 added the phase-breakdown and journal
-// fields; v2 added the trace block. ReadManifest accepts v4 only: every
-// committed manifest is a v4 run. The optional config.batch and error
-// fields came later without a bump: a v4 reader that ignores them reads
-// every unbatched, successful run as before.
+// changes. v4 adds the optional streaming-statistics block (QoM CI);
+// v3 added the phase-breakdown and journal fields; v2 added the trace
+// block. ReadManifest accepts v4 only: every committed manifest is a v4
+// run. The optional config.batch and error fields came later without a
+// bump: a v4 reader that ignores them reads every unbatched, successful
+// run as before. Older v4 records may also carry the retired early-stop
+// decision block, which json.Unmarshal skips as an unknown field.
 const ManifestSchema = "eventcap/run-manifest/v4"
 
 // ManifestConfig is the experiment configuration block: everything
@@ -96,10 +97,6 @@ type Manifest struct {
 	// sim runs when there were several (schema v4).
 	Stats *stats.Report `json:"stats,omitempty"`
 
-	// EarlyStop records the CI-targeted early-stop decision when the run
-	// used one (schema v4).
-	EarlyStop *EarlyStopInfo `json:"early_stop,omitempty"`
-
 	// Error is the failure of a run that did not complete; empty on
 	// success.
 	Error string `json:"error,omitempty"`
@@ -129,20 +126,6 @@ func NewManifest(experiment, title string, cfg ManifestConfig, digest string, st
 		Process:       FilterPrefix(diff, "cache.", "core.", "pool."),
 		Phases:        phases,
 	}
-}
-
-// EarlyStopInfo records how a CI-targeted early-stopped run ended
-// (sim.RunWithEarlyStop returns it): the monitor's inputs, the
-// replication count the run settled on, and the relative half-width it
-// reached. Stopped is false when the run exhausted its replication
-// budget instead.
-type EarlyStopInfo struct {
-	TargetRelHW  float64 `json:"target_rel_hw"`
-	MinReps      int     `json:"min_reps"`
-	MaxReps      int     `json:"max_reps"`
-	Reps         int     `json:"reps"`
-	RelHalfWidth float64 `json:"rel_half_width"`
-	Stopped      bool    `json:"stopped"`
 }
 
 // TraceInfo ties a manifest to its trace file: cmd/tracetool's replay

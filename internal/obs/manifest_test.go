@@ -1,10 +1,15 @@
 package obs
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"eventcap/internal/stats"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -91,4 +96,86 @@ func TestBinaryVersionNonEmpty(t *testing.T) {
 	if v := GoVersion(); !strings.HasPrefix(v, "go") {
 		t.Fatalf("GoVersion = %q", v)
 	}
+}
+
+// writtenManifest returns the bytes m.Write puts at path.
+func writtenManifest(t testing.TB, m *Manifest, path string) []byte {
+	t.Helper()
+	if err := m.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// readManifestBytes writes data to path and runs ReadManifest on it.
+func readManifestBytes(t testing.TB, data []byte, path string) (*Manifest, error) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return ReadManifest(path)
+}
+
+// FuzzReadManifest feeds arbitrary bytes to the run-manifest decoder. It
+// must reject what it cannot read with an error, never a panic, and a
+// manifest it accepts must survive a Write round trip: Write, then
+// ReadManifest, then Write again reproduces the first Write's bytes.
+// (Decoded values need not be equal: omitempty drops an empty
+// "profiles": {} that the input spelled out.)
+func FuzzReadManifest(f *testing.F) {
+	// One directory for every input: a worker runs its inputs one at a
+	// time, and a fresh directory per input cut the execution rate about
+	// fourfold.
+	dir := f.TempDir()
+	in, first, second := filepath.Join(dir, "in.json"), filepath.Join(dir, "first.json"), filepath.Join(dir, "second.json")
+	m := NewManifest("fig3a", "Fig 3(a)",
+		ManifestConfig{Slots: 100000, Seed: 1, Quick: true, Workers: 2, Engine: "auto", Batch: 4},
+		DigestConfig("experiment=fig3a", "seed=1"), time.Now(),
+		Snapshot(), &Phase{Name: "fig3a", Count: 1, WallMicros: 90})
+	m.CSV, m.CSVSHA256 = "fig3a.csv", SHA256Hex([]byte("x,y\n"))
+	// A few counters, not every registered one, keep the seed short: the
+	// fuzzer minimizes every new input it finds, at a cost that grows
+	// with the input's length.
+	m.Metrics = map[string]float64{"sim.events": 2755, "sim.captures": 1714, "sim.battery.frac_sum": 1234.5}
+	m.Process = map[string]float64{"core.pi.evaluations": 42}
+	m.Stats = &stats.Report{
+		Method: stats.MethodPooled, Events: 2755, Captures: 1714, Mean: 0.6221415607985481,
+		Count: 3, Level: 0.95, HalfWidth: 0.0049, RelHalfWidth: 0.0079, Of: stats.MethodReplication,
+		Battery: &stats.BatteryReport{Count: 300, Mean: 0.5, StdDev: 0.1, P10: 0.4, P50: 0.5, P90: 0.6},
+	}
+	current := writtenManifest(f, m, first)
+	// A record from before early stop was retired: the block is skipped
+	// as an unknown field, so the record still reads.
+	legacy := append(bytes.TrimSuffix(current, []byte("\n}\n")), []byte(`,
+  "early_stop": {"target_rel_hw": 0.5, "min_reps": 2, "max_reps": 16, "reps": 4, "rel_half_width": 0.31, "stopped": true}
+}
+`)...)
+	if _, err := readManifestBytes(f, legacy, in); err != nil {
+		f.Fatalf("legacy v4 record with an early-stop block rejected: %v", err)
+	}
+	v3 := bytes.Replace(current, []byte(ManifestSchema), []byte("eventcap/run-manifest/v3"), 1)
+	if _, err := readManifestBytes(f, v3, in); err == nil {
+		f.Fatal("v3 manifest accepted")
+	}
+	f.Add(current)
+	f.Add(legacy)
+	f.Add(v3)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := readManifestBytes(t, data, in)
+		if err != nil {
+			return
+		}
+		w1 := writtenManifest(t, m, first)
+		again, err := ReadManifest(first)
+		if err != nil {
+			t.Fatalf("Write output does not read back: %v\n%s", err, w1)
+		}
+		if w2 := writtenManifest(t, again, second); !bytes.Equal(w1, w2) {
+			t.Fatalf("Write round trip moved bytes:\nfirst  %s\nsecond %s", w1, w2)
+		}
+	})
 }

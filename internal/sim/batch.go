@@ -5,7 +5,6 @@ import (
 
 	"eventcap/internal/dist"
 	"eventcap/internal/energy"
-	"eventcap/internal/obs"
 	"eventcap/internal/parallel"
 	"eventcap/internal/trace"
 )
@@ -41,64 +40,31 @@ const maxBatchChunk = 1024
 // processes without it across chunks.
 type resettable interface{ Reset() }
 
-// batch is a Run's replications in flight: the Result their sensor
-// blocks fill, the run observer that takes their Metrics and, in
-// replication order, their event counts, and those counts.
-type batch struct {
-	plan  *kernelPlan // nil: replications run on the reference engine
-	quant *dist.QuantileTable
-	code  uint8 // the trace records' engine
-	ex    *obs.Span
-	res   *Result
-	o     observer
-	// counts holds each replication's events and captures.
-	counts [][2]int64
-}
-
-// newBatch prepares reps replications of cfg on plan (nil for the
-// reference engine) under an "exec.batch" span; the caller ends b.ex.
-func newBatch(cfg *Config, plan *kernelPlan, quant *dist.QuantileTable, reps int) batch {
+// runBatch runs the cfg.Batch replications of cfg on plan (nil for the
+// reference engine) under an "exec.batch" span: they are sharded into
+// chunks (see maxBatchChunk) mapped across the worker pool, and a
+// compiled chunk owns one fleetRun whose state is reset per
+// replication. After the join the chunks' Metrics merge into the run
+// observer's, and the replications' counts add to the Result and feed
+// the stats probe in replication order.
+func runBatch(cfg Config, plan *kernelPlan, quant *dist.QuantileTable) (*Result, error) {
 	engine, code := EngineReference, trace.EngineReference
 	if plan != nil {
 		engine, code = EngineKernel, trace.EngineKernel
 	}
-	return batch{
-		plan:   plan,
-		quant:  quant,
-		code:   code,
-		ex:     cfg.Span.Child("exec.batch"),
-		res:    &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, reps*cfg.N), Engine: engine},
-		o:      newObserver(cfg, code),
-		counts: make([][2]int64, reps),
-	}
-}
-
-// runBatch runs and aggregates the cfg.Batch replications of cfg.
-func runBatch(cfg Config, plan *kernelPlan, quant *dist.QuantileTable) (*Result, error) {
-	b := newBatch(&cfg, plan, quant, cfg.Batch)
-	defer b.ex.End()
-	if err := b.run(&cfg, 0, cfg.Batch); err != nil {
-		return nil, err
-	}
-	return b.finish(&cfg, cfg.Batch), nil
-}
-
-// run executes replications [lo, hi): they are sharded into chunks (see
-// maxBatchChunk) mapped across the worker pool, and a compiled chunk
-// owns one fleetRun whose state is reset per replication. After the
-// join the chunks' Metrics merge into the run observer's, and the
-// replications' counts add to the Result and feed the stats probe in
-// replication order.
-func (b *batch) run(cfg *Config, lo, hi int) error {
-	plan, quant, code, ex := b.plan, b.quant, b.code, b.ex
-	sensors, counts := b.res.Sensors, b.counts
-	n := cfg.N
+	ex := cfg.Span.Child("exec.batch")
+	defer ex.End()
+	reps, n := cfg.Batch, cfg.N
+	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, reps*n), Engine: engine}
+	o := newObserver(&cfg, code)
+	// counts holds each replication's events and captures.
+	counts := make([][2]int64, reps)
 	workers := parallel.Workers(cfg.Workers)
-	chunk := min((hi-lo+workers-1)/workers, maxBatchChunk)
-	numChunks := (hi - lo + chunk - 1) / chunk
-	ex.Count("replications", int64(hi-lo))
+	chunk := min((reps+workers-1)/workers, maxBatchChunk)
+	numChunks := (reps + chunk - 1) / chunk
+	ex.Count("replications", int64(reps))
 	ex.Count("chunks", int64(numChunks))
-	ex.Count("slots", cfg.Slots*int64(hi-lo)*int64(n))
+	ex.Count("slots", cfg.Slots*int64(reps)*int64(n))
 
 	parts, err := parallel.Map(workers, numChunks, func(ci int) (*Metrics, error) {
 		csp := ex.Fork("chunk")
@@ -106,58 +72,51 @@ func (b *batch) run(cfg *Config, lo, hi int) error {
 		var w *fleetRun
 		if plan != nil {
 			var err error
-			if w, err = newBatchFleetRun(cfg, plan, quant); err != nil {
+			if w, err = newBatchFleetRun(&cfg, plan, quant); err != nil {
 				return nil, err
 			}
 		}
-		co := newPart(cfg, code)
+		co := newPart(&cfg, code)
 		co.sampling = co.m != nil
-		first := lo + ci*chunk
-		last := min(first+chunk, hi)
+		first := ci * chunk
+		last := min(first+chunk, reps)
 		csp.Count("replications", int64(last-first))
 		for r := first; r < last; r++ {
 			if r > 0 {
 				co.only0()
 			}
-			seed, block := cfg.Seed+uint64(r), sensors[r*n:(r+1)*n]
+			seed, block := cfg.Seed+uint64(r), res.Sensors[r*n:(r+1)*n]
 			if w != nil {
-				counts[r][0], counts[r][1] = w.run(cfg, seed, block, &co)
+				counts[r][0], counts[r][1] = w.run(&cfg, seed, block, &co)
 				continue
 			}
 			var err error
-			if counts[r][0], counts[r][1], err = runReference(cfg, seed, block, &co); err != nil {
+			if counts[r][0], counts[r][1], err = runReference(&cfg, seed, block, &co); err != nil {
 				return nil, fmt.Errorf("sim: batch replication %d: %w", r, err)
 			}
 		}
 		return co.m, nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	agg := ex.Child("aggregate")
-	if b.o.m != nil {
+	if o.m != nil {
 		for _, m := range parts {
-			b.o.m.Merge(m)
+			o.m.Merge(m)
 		}
 	}
-	for _, c := range counts[lo:hi] {
-		b.res.Events += c[0]
-		b.res.Captures += c[1]
-		if b.o.sp != nil {
-			b.o.sp.ObserveReplica(c[0], c[1])
+	for _, c := range counts {
+		res.Events += c[0]
+		res.Captures += c[1]
+		if o.sp != nil {
+			o.sp.ObserveReplica(c[0], c[1])
 		}
 	}
 	agg.End()
-	return nil
-}
-
-// finish closes the batch after its first reps replications and
-// returns the Result.
-func (b *batch) finish(cfg *Config, reps int) *Result {
-	b.res.Sensors = b.res.Sensors[:reps*cfg.N]
-	b.o.finish(b.res)
-	return b.res
+	o.finish(res)
+	return res, nil
 }
 
 // chunkRecharge hands a chunk its own instance of the plan's recharge

@@ -14,9 +14,12 @@ import (
 // path and the run epilogue therefore each exist once, whatever the
 // engine. It is a plain struct of concrete sinks, each nil when off: no
 // interface dispatch, no per-event allocation, and — like every sink it
-// feeds — RNG-neutral: it never draws from a random stream or steers an
-// engine's control flow, so outputs are byte-identical with any
-// combination of sinks attached.
+// feeds — RNG-neutral: it never draws from a random stream, so outputs
+// are byte-identical with any combination of sinks attached. It does
+// move where some stretches end: while it samples the battery (stride),
+// the compiled loop cuts always-on runs at the sample countdown, and the
+// reference engine splits its slot loop into stride-long chunks. An end
+// point moves no draw (see fleetRun.alwaysOn), so results do not move.
 type observer struct {
 	m  *Metrics
 	sp *StatsProbe

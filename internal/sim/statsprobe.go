@@ -15,11 +15,11 @@ const statsBatteryDecimate = 8
 // StatsProbe accumulates the streaming statistics of DESIGN.md §16
 // alongside a run: the per-event QoM indicator stream (batch means →
 // CI), per-replication QoM samples on batches, and the
-// sampled battery-occupancy stream. It is RNG-neutral under the same
-// contract as Metrics and Span — it never consumes a random draw and
-// never changes an engine's control flow, so results are
-// byte-identical with the probe attached or not (asserted by
-// TestStatsDoNotChangeResults).
+// sampled battery-occupancy stream. It is RNG-neutral under the
+// observer's contract, like Metrics: it never consumes a random draw,
+// and where its battery sampling ends an always-on run or a loop chunk
+// moves no draw, so results are byte-identical with the probe attached
+// or not (asserted by TestStatsDoNotChangeResults).
 //
 // Engines feed it single-threaded: every observation happens on the
 // run's coordinating goroutine (a batch's chunks only record

@@ -3,8 +3,8 @@ package stats
 // Streaming (O(1)-memory) estimators behind the simulation's stats
 // probe (DESIGN.md §16): Welford mean/variance, the P² quantile
 // estimator, batch means with growing batch size for autocorrelated
-// per-slot series, MSER warmup truncation, and the relative-half-width
-// convergence monitor that drives CI-targeted early stop.
+// per-slot series, MSER warmup truncation, and the pooling of per-run
+// reports into an experiment's estimate.
 //
 // Determinism matters more than generality here: the probe's reports
 // land in run manifests that `cmd/tracetool stats` re-derives from a
@@ -38,8 +38,7 @@ const (
 
 // Welford is the standard online mean/variance accumulator
 // (numerically stable single-pass algorithm). The zero value is ready
-// to use. Merge implements the parallel combination of Chan et al., so
-// per-replication accumulators can be folded deterministically.
+// to use.
 type Welford struct {
 	N    int64
 	Mean float64
@@ -52,31 +51,6 @@ func (w *Welford) Add(x float64) {
 	d := x - w.Mean
 	w.Mean += d / float64(w.N)
 	w.M2 += d * (x - w.Mean)
-}
-
-// AddN folds n identical observations in (a degenerate merge: mean x,
-// zero spread). Equivalent in law to n Add(x) calls but O(1).
-func (w *Welford) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	w.Merge(Welford{N: n, Mean: x})
-}
-
-// Merge folds another accumulator in (Chan et al. pairwise update).
-func (w *Welford) Merge(o Welford) {
-	if o.N == 0 {
-		return
-	}
-	if w.N == 0 {
-		*w = o
-		return
-	}
-	n := w.N + o.N
-	d := o.Mean - w.Mean
-	w.Mean += d * float64(o.N) / float64(n)
-	w.M2 += o.M2 + d*d*float64(w.N)*float64(o.N)/float64(n)
-	w.N = n
 }
 
 // Variance returns the sample variance (n−1 denominator), 0 for fewer
@@ -407,7 +381,7 @@ type Report struct {
 
 	// Level is the confidence level (set only when a CI was computed);
 	// HalfWidth the CI half-width around Mean, RelHalfWidth the ratio
-	// HalfWidth/Mean driving convergence decisions.
+	// HalfWidth/Mean.
 	Level        float64 `json:"level,omitempty"`
 	HalfWidth    float64 `json:"half_width,omitempty"`
 	RelHalfWidth float64 `json:"rel_half_width,omitempty"`
@@ -493,22 +467,6 @@ func ReplicationReport(w Welford, events, captures int64, level float64) Report 
 		}
 	}
 	return r
-}
-
-// ConvergenceMonitor decides when a streaming estimate is tight
-// enough: the CI exists, rests on at least MinCount samples, and its
-// relative half-width is at or under TargetRelHW.
-type ConvergenceMonitor struct {
-	TargetRelHW float64
-	MinCount    int64
-}
-
-// Converged reports whether r satisfies the monitor's target.
-func (c ConvergenceMonitor) Converged(r Report) bool {
-	if c.TargetRelHW <= 0 || r.Level == 0 || r.Count < c.MinCount {
-		return false
-	}
-	return r.RelHalfWidth > 0 && r.RelHalfWidth <= c.TargetRelHW
 }
 
 // Pool combines per-run Reports into one pooled estimate for an

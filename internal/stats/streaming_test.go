@@ -27,48 +27,6 @@ func TestWelfordMatchesSummarize(t *testing.T) {
 	}
 }
 
-func TestWelfordMergeAndAddN(t *testing.T) {
-	src := rng.New(7, 0)
-	var whole, a, b Welford
-	for i := 0; i < 500; i++ {
-		x := src.Float64()
-		whole.Add(x)
-		if i < 200 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N != whole.N || math.Abs(a.Mean-whole.Mean) > 1e-12 || math.Abs(a.Variance()-whole.Variance()) > 1e-12 {
-		t.Fatalf("merged %+v, want %+v", a, whole)
-	}
-
-	// AddN(x, n) must agree with n Add(x) calls.
-	var loop, bulk Welford
-	loop.Add(4)
-	loop.Add(4)
-	loop.Add(4)
-	loop.Add(1)
-	bulk.AddN(4, 3)
-	bulk.Add(1)
-	if loop.N != bulk.N || math.Abs(loop.Mean-bulk.Mean) > 1e-12 || math.Abs(loop.Variance()-bulk.Variance()) > 1e-12 {
-		t.Fatalf("AddN %+v, loop %+v", bulk, loop)
-	}
-
-	// Merging the empty accumulator is a no-op either way round.
-	var empty Welford
-	before := whole
-	whole.Merge(empty)
-	if whole != before {
-		t.Fatal("merging empty changed state")
-	}
-	empty.Merge(before)
-	if empty != before {
-		t.Fatal("merging into empty did not copy")
-	}
-}
-
 func TestP2QuantileKnownDistributions(t *testing.T) {
 	// P² vs the exact offline quantile on three shapes: uniform,
 	// normal, and exponential (heavy right tail). The published
@@ -307,27 +265,6 @@ func TestReplicationReport(t *testing.T) {
 	one.Add(0.5)
 	if r := ReplicationReport(one, 10, 5, 0.95); r.Level != 0 || r.HalfWidth != 0 {
 		t.Fatalf("single-rep CI %+v", r)
-	}
-}
-
-func TestConvergenceMonitor(t *testing.T) {
-	mon := ConvergenceMonitor{TargetRelHW: 0.05, MinCount: 4}
-	base := Report{Level: 0.95, Count: 8, RelHalfWidth: 0.04}
-	if !mon.Converged(base) {
-		t.Fatal("tight CI not accepted")
-	}
-	for name, r := range map[string]Report{
-		"wide":    {Level: 0.95, Count: 8, RelHalfWidth: 0.08},
-		"few":     {Level: 0.95, Count: 2, RelHalfWidth: 0.01},
-		"no-ci":   {Count: 8, RelHalfWidth: 0.01},
-		"zero-hw": {Level: 0.95, Count: 8},
-	} {
-		if mon.Converged(r) {
-			t.Errorf("%s accepted: %+v", name, r)
-		}
-	}
-	if (ConvergenceMonitor{}).Converged(base) {
-		t.Fatal("disabled monitor converged")
 	}
 }
 
