@@ -94,11 +94,10 @@ var fig3Recharges = []struct {
 
 // fig3CellConfig returns one fig3a cell the way the fi-batch
 // regeneration runs it: e = 0.5 (most awake slots lie in always-on runs)
-// with recharge process r of fig3Recharges, battery capacity k, and
-// Metrics and Stats on, as the fig3a experiment sets them.
+// with recharge process r of fig3Recharges and battery capacity k.
 func fig3CellConfig(tb testing.TB, r int, k float64) sim.Config {
 	cfg := weibullFI(tb, 0.5, fig3Recharges[r].mk)
-	cfg.BatteryCap, cfg.Metrics, cfg.Stats = k, true, true
+	cfg.BatteryCap = k
 	return cfg
 }
 
@@ -138,16 +137,14 @@ func runOp(cfg sim.Config, spans bool) func(uint64) error {
 			return err
 		case res.Events == 0:
 			return errors.New("benchmark run saw no events")
-		case cfg.Metrics && res.Metrics == nil, cfg.Stats && res.Stats == nil:
-			return errors.New("benchmark run did not collect what it measures")
 		}
 		return nil
 	}
 }
 
 // sparse times 10^6 slots of the sparse workload on engine with probe
-// switched on: "" or "<probe>=off" for none, "metrics=on", "stats=on",
-// "spans=on" or "full" (the full trace to io.Discard).
+// switched on: "" or "<probe>=off" for none, "spans=on" or "full" (the
+// full trace to io.Discard).
 func sparse(engine sim.Engine, probe string) side {
 	name := engine.String()
 	if probe != "" {
@@ -156,11 +153,7 @@ func sparse(engine sim.Engine, probe string) side {
 	return side{name, func(tb testing.TB) func(uint64) error {
 		cfg := sparseConfig(tb, engine, 1_000_000)
 		switch probe {
-		case "", "metrics=off", "stats=off", "spans=off", "trace=off", "spans=on":
-		case "metrics=on":
-			cfg.Metrics = true
-		case "stats=on":
-			cfg.Stats = true
+		case "", "spans=off", "trace=off", "spans=on":
 		case "full":
 			cfg.Tracer = trace.NewWriter(io.Discard)
 		default:
@@ -325,14 +318,12 @@ func measure(t *testing.T, c comparison, n int) measurement {
 }
 
 // probeCost compares the sparse workload without and with a probe on
-// both engines: the reference engine, which observes every slot, is the
-// worst case and gates at the 2% slot-loop budget of DESIGN.md §9; the
-// kernel gates at kernelBudgetPct (0: recorded only).
-func probeCost(probe string, kernelBudgetPct float64) []comparison {
+// both engines, each gated at the 2% budget of DESIGN.md §9.
+func probeCost(probe string) []comparison {
 	ref, ker := sim.EngineReference, sim.EngineKernel
 	return []comparison{
 		{name: "reference", base: sparse(ref, probe+"=off"), variant: sparse(ref, probe+"=on"), budgetPct: 2},
-		{name: "kernel", base: sparse(ker, probe+"=off"), variant: sparse(ker, probe+"=on"), budgetPct: kernelBudgetPct},
+		{name: "kernel", base: sparse(ker, probe+"=off"), variant: sparse(ker, probe+"=on"), budgetPct: 2},
 	}
 }
 
@@ -380,12 +371,8 @@ var benchGates = []benchGate{
 			return loopAllocs(tb, fleetConfig(tb, sim.EngineKernel, 0), 1, 1_000_000)
 		},
 	},
-	{row: "obs", benchmark: "BenchmarkObsOverhead", config: sparseDesc, slotsPerOp: 1_000_000, rounds: 5, comparisons: probeCost("metrics", 0)},
-	// The stats probe observes per event (plus a strided battery sample),
-	// not per slot, so it lives under the same budget as Metrics.
-	{row: "stats", benchmark: "BenchmarkStatsOverhead", config: sparseDesc, slotsPerOp: 1_000_000, rounds: 5, comparisons: probeCost("stats", 0)},
 	// Spans wrap phases, never slots: their cost per run is constant.
-	{row: "span", benchmark: "BenchmarkSpanOverhead", config: sparseDesc, slotsPerOp: 1_000_000, rounds: 5, comparisons: probeCost("spans", 2)},
+	{row: "span", benchmark: "BenchmarkSpanOverhead", config: sparseDesc, slotsPerOp: 1_000_000, rounds: 5, comparisons: probeCost("spans")},
 	// The full trace is priced per debugging run, not left on: the row
 	// records what it costs the reference engine and gates nothing.
 	{
@@ -539,17 +526,17 @@ type allocCase struct {
 // sparse workload, whose e = 0.1 policy sleeps through most of each gap,
 // and a fig3a cell per recharge process (K = 100), whose e = 0.5 policy
 // spends most awake slots in always-on runs, so the sleep run, the
-// always-on run and every recharge fill are under test. The fig3a cells
-// keep Metrics on, so battery samples cut the always-on runs, but turn
-// Stats off: the probe's end-of-run report allocates once per run by how
-// many events it saw, which a horizon comparison would misread as a loop
-// allocation. The tests set Engine, Slots, Batch and Workers.
+// always-on run (cut by battery samples) and every recharge fill are
+// under test. Every run is observed. The fig3a cells used to switch the
+// stats probe off, because its end-of-run report allocated only once a
+// run was long enough (MSER's suffix sums, the battery summary), which
+// a horizon comparison misreads as loop allocations; the report now
+// allocates the same at any horizon. The tests set Engine, Slots, Batch
+// and Workers.
 func allocCases(tb testing.TB) []allocCase {
 	cases := []allocCase{{"sparse-bernoulli", sparseConfig(tb, sim.EngineKernel, 1)}}
 	for r, rc := range fig3Recharges {
-		cfg := fig3CellConfig(tb, r, 100)
-		cfg.Stats = false
-		cases = append(cases, allocCase{"fig3a-" + rc.name, cfg})
+		cases = append(cases, allocCase{"fig3a-" + rc.name, fig3CellConfig(tb, r, 100)})
 	}
 	return cases
 }

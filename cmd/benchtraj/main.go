@@ -153,7 +153,7 @@ func runCheck(args []string, out io.Writer) error {
 		}
 		cur, floor, ok := figureOfMerit(rec)
 		if !ok {
-			// Overhead-only records (BENCH_obs, BENCH_trace, ...) carry no
+			// Overhead-only records (BENCH_span, BENCH_trace, ...) carry no
 			// speedup; their ≤budget_pct gates run inside the benchmarks.
 			fmt.Fprintf(out, "%-28s skipped (no speedup figure of merit)\n", key+":")
 			continue

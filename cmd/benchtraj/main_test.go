@@ -369,7 +369,7 @@ func TestRepoRecordsIngest(t *testing.T) {
 	// The real BENCH_*.json records at the repo root must ingest
 	// cleanly (this is what `make check` runs).
 	dir := t.TempDir()
-	for _, name := range []string{"BENCH_kernel.json", "BENCH_obs.json", "BENCH_parallel.json"} {
+	for _, name := range []string{"BENCH_kernel.json", "BENCH_span.json", "BENCH_parallel.json"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", name))
 		if err != nil {
 			t.Skipf("repo record %s not present: %v", name, err)

@@ -6,7 +6,6 @@
 //	experiments -list
 //	experiments -run fig3a,fig4b
 //	experiments -run all -out results -quick
-//	experiments -run all -out results -metrics-addr localhost:6060
 //
 // Each experiment prints a paper-style ASCII table; with -out set, a CSV
 // per experiment is written into the directory together with a JSON run
@@ -14,12 +13,9 @@
 // version, wall time, and the run-level metrics behind the figure, and
 // the same manifest is appended as one line to the run journal
 // (runs.jsonl). A failed experiment is journaled with its error and
-// writes no manifest file. -metrics-addr serves /debug/vars and
-// /debug/pprof while the sweep runs.
-//
-// Streaming statistics are on by default (-stats=false disables them):
-// every experiment's manifest and journal line record the pooled QoM
-// point estimate with its confidence interval.
+// writes no manifest file. Every experiment's manifest and journal line
+// also record the pooled QoM point estimate with its confidence
+// interval, which stdout prints as its "stats:" line.
 //
 // -trace additionally writes a slot-level binary trace (<id>.evtrace,
 // hash-recorded in the manifest; verify with `tracetool replay`; refused
@@ -54,21 +50,19 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		list        = fs.Bool("list", false, "list experiment ids and exit")
-		runID       = fs.String("run", "all", "comma-separated experiment ids, or 'all'")
-		outDir      = fs.String("out", "", "directory to write CSV files and run manifests into (optional)")
-		quick       = fs.Bool("quick", false, "reduced sweeps and shorter runs")
-		slots       = fs.Int64("slots", 0, "override simulation length T (default 1e6; 1e5 with -quick)")
-		seed        = fs.Uint64("seed", 1, "random seed")
-		workers     = fs.Int("workers", 0, "worker pool size for sweep points (0 = one per CPU; results are identical for any value)")
-		kernel      = fs.String("kernel", "auto", "simulation engine of every run and -batch replication: auto (compiled kernel when eligible) | on (force kernel) | off (reference engine)")
-		batch       = fs.Int("batch", 0, "run each simulation as B independent replications at seeds seed..seed+B-1 on the -kernel engine and aggregate them")
-		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile to this file (a bare filename lands in -out)")
-		memProf     = fs.String("memprofile", "", "write a heap profile to this file (a bare filename lands in -out)")
-		spansFlag   = fs.String("spans", "", "write the run's phase spans as Chrome trace-event JSON to this file (a bare filename lands in -out; open in chrome://tracing or Perfetto)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
-		traceFlag   = fs.Bool("trace", false, "write a slot-level trace (<id>.evtrace) and record it in the manifest; requires -out, refused with -batch > 1")
-		statsFlag   = fs.Bool("stats", true, "collect streaming QoM statistics (point estimate and CI per experiment, recorded in manifests and the journal; never changes results)")
+		list      = fs.Bool("list", false, "list experiment ids and exit")
+		runID     = fs.String("run", "all", "comma-separated experiment ids, or 'all'")
+		outDir    = fs.String("out", "", "directory to write CSV files and run manifests into (optional)")
+		quick     = fs.Bool("quick", false, "reduced sweeps and shorter runs")
+		slots     = fs.Int64("slots", 0, "override simulation length T (default 1e6; 1e5 with -quick)")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		workers   = fs.Int("workers", 0, "worker pool size for sweep points (0 = one per CPU; results are identical for any value)")
+		kernel    = fs.String("kernel", "auto", "simulation engine of every run and -batch replication: auto (compiled kernel when eligible) | on (force kernel) | off (reference engine)")
+		batch     = fs.Int("batch", 0, "run each simulation as B independent replications at seeds seed..seed+B-1 on the -kernel engine and aggregate them")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file (a bare filename lands in -out)")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file (a bare filename lands in -out)")
+		spansFlag = fs.String("spans", "", "write the run's phase spans as Chrome trace-event JSON to this file (a bare filename lands in -out; open in chrome://tracing or Perfetto)")
+		traceFlag = fs.Bool("trace", false, "write a slot-level trace (<id>.evtrace) and record it in the manifest; requires -out, refused with -batch > 1")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -129,15 +123,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}()
 
-	if *metricsAddr != "" {
-		bound, stopServe, err := obs.ServeMetrics(*metricsAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "experiments: serving /debug/vars and /debug/pprof/ on http://%s\n", bound)
-		defer stopServe()
-	}
-
 	// The run journal appends each experiment's manifest as one JSON line
 	// beside the CSVs.
 	var journal *obs.RunLog
@@ -183,10 +168,7 @@ func run(args []string, out io.Writer) error {
 		root := obs.BeginSpan(exp.ID)
 		// One stats collector per experiment (the manifest scope): the
 		// pooled estimate lands in the manifest.
-		var coll *experiments.StatsCollector
-		if *statsFlag {
-			coll = &experiments.StatsCollector{}
-		}
+		coll := &experiments.StatsCollector{}
 		opts.Stats = coll
 		// A fresh trace file per experiment, so each manifest hashes
 		// exactly its own runs.
@@ -233,10 +215,8 @@ func run(args []string, out io.Writer) error {
 		// successful ones.
 		man := obs.NewManifest(exp.ID, exp.Title, cfg, digest, start, before, root.Breakdown())
 		man.Trace, man.Profiles = traceInfo, profiles
-		if coll != nil {
-			if r, ok := coll.Report(); ok {
-				man.Stats = &r
-			}
+		if r, ok := coll.Report(); ok {
+			man.Stats = &r
 		}
 		if journal != nil {
 			man.Journal = filepath.Base(journal.Path())
@@ -282,9 +262,6 @@ func run(args []string, out io.Writer) error {
 
 // printStats prints an experiment's pooled QoM estimate.
 func printStats(out io.Writer, coll *experiments.StatsCollector) {
-	if coll == nil {
-		return
-	}
 	if r, ok := coll.Report(); ok {
 		if r.Level != 0 {
 			fmt.Fprintf(out, "stats: qom %.6f ± %.6f (%.0f%% CI, rel %.4g, pooled over %d runs)\n",

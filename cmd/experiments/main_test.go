@@ -128,30 +128,6 @@ func TestRunWritesManifest(t *testing.T) {
 	}
 }
 
-// TestMetricsAddrKeepsCSVByteIdentical: observability is output-neutral
-// end to end — serving /debug/vars (and collecting everything behind it)
-// must not perturb a single CSV byte.
-func TestMetricsAddrKeepsCSVByteIdentical(t *testing.T) {
-	csvFor := func(extra ...string) []byte {
-		t.Helper()
-		dir := t.TempDir()
-		var sb strings.Builder
-		args := append([]string{"-run", "fig3a", "-quick", "-seed", "5", "-out", dir}, extra...)
-		if err := run(args, &sb); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, "fig3a.csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	base := csvFor()
-	if got := csvFor("-metrics-addr", "127.0.0.1:0"); !bytes.Equal(got, base) {
-		t.Errorf("-metrics-addr changed the CSV:\n%s\nvs\n%s", got, base)
-	}
-}
-
 func TestRunRejectsUnknownID(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-run", "nope"}, &sb); err == nil {
@@ -355,29 +331,6 @@ func journalLines(t *testing.T, dir string) []*obs.Manifest {
 		out = append(out, &m)
 	}
 	return out
-}
-
-// TestStatsFlagKeepsCSVByteIdentical: the streaming-statistics probe is
-// RNG-neutral end to end — CSVs with and without -stats are equal.
-func TestStatsFlagKeepsCSVByteIdentical(t *testing.T) {
-	csvFor := func(extra ...string) []byte {
-		t.Helper()
-		dir := t.TempDir()
-		var sb strings.Builder
-		args := append([]string{"-run", "fig3a", "-quick", "-slots", "20000", "-seed", "11", "-out", dir}, extra...)
-		if err := run(args, &sb); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, "fig3a.csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	base := csvFor("-stats=false")
-	if got := csvFor(); !bytes.Equal(got, base) {
-		t.Errorf("-stats changed the CSV:\n%s\nvs\n%s", got, base)
-	}
 }
 
 // TestManifestRecordsStats: every run's manifest (schema v4) carries the

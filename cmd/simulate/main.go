@@ -59,11 +59,8 @@ func run(args []string, out io.Writer) error {
 		batch     = fs.Int("batch", 0, "run B independent replications at seeds seed..seed+B-1 on the -kernel engine, in parallel chunks of -workers, and aggregate them")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file")
-		metrics   = fs.Bool("metrics", false, "collect and print run metrics (miss decomposition, battery occupancy; never changes results)")
-		mAddr     = fs.String("metrics-addr", "", "serve /debug/vars and /debug/pprof on this address while running (e.g. localhost:6060)")
-		traceFile = fs.String("trace", "", "write a slot-level trace to this file plus a .manifest.json sidecar (implies -metrics; never changes results; refused with -batch > 1)")
+		traceFile = fs.String("trace", "", "write a slot-level trace to this file plus a .manifest.json sidecar (never changes results; refused with -batch > 1)")
 		spansFlag = fs.String("spans", "", "write the run's phase spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto; never changes results)")
-		statsFlag = fs.Bool("stats", true, "collect and print streaming QoM statistics (confidence interval, battery quantiles; never changes results)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,10 +72,6 @@ func run(args []string, out io.Writer) error {
 	if *traceFile != "" && *batch > 1 {
 		return fmt.Errorf("-trace with -batch > 1 is refused: the trace holds replication 0 alone, but the manifest's counters sum every replication, so tracetool replay could not verify it")
 	}
-	if *traceFile != "" {
-		// The manifest sidecar records the run's metrics block; collect it.
-		*metrics = true
-	}
 	stopProfiles, err := cliutil.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -89,15 +82,6 @@ func run(args []string, out io.Writer) error {
 			stopProfiles()
 		}
 	}()
-
-	if *mAddr != "" {
-		bound, stopServe, err := obs.ServeMetrics(*mAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "simulate: serving /debug/vars and /debug/pprof/ on http://%s\n", bound)
-		defer stopServe()
-	}
 
 	d, err := cliutil.ParseDist(*distSpec)
 	if err != nil {
@@ -136,7 +120,6 @@ func run(args []string, out io.Writer) error {
 		Info:        info,
 		Workers:     *workers,
 		Engine:      engine,
-		Metrics:     *metrics,
 		Batch:       *batch,
 	}
 	switch *mode {
@@ -230,7 +213,6 @@ func run(args []string, out io.Writer) error {
 	// -spans exports the tree.
 	root := obs.BeginSpan("simulate")
 	cfg.Span = root
-	cfg.Stats = *statsFlag
 
 	before, start := obs.Snapshot(), time.Now()
 	res, err := sim.Run(cfg)
@@ -285,31 +267,24 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "events     %d   captured %d\n", res.Events, res.Captures)
 	fmt.Fprintf(out, "QoM        %.4f   (analytic, energy assumption: %.4f)\n", res.QoM, analytic)
-	if s := res.Stats; s != nil {
-		if s.Level != 0 {
-			fmt.Fprintf(out, "stats      qom %.6f ± %.6f (%.0f%% CI, rel %.4g, %s, n=%d)\n",
-				s.Mean, s.HalfWidth, 100*s.Level, s.RelHalfWidth, s.Method, s.Count)
-		} else {
-			fmt.Fprintf(out, "stats      qom %.6f (%s, no interval)\n", s.Mean, s.Method)
-		}
-		if b := s.Battery; b != nil {
-			fmt.Fprintf(out, "stats      battery mean %.1f%% of K, p10/p50/p90 %.1f%%/%.1f%%/%.1f%% (%d samples)\n",
-				100*b.Mean, 100*b.P10, 100*b.P50, 100*b.P90, b.Count)
-		}
+	if s := res.Stats; s.Level != 0 {
+		fmt.Fprintf(out, "stats      qom %.6f ± %.6f (%.0f%% CI, rel %.4g, %s, n=%d)\n",
+			s.Mean, s.HalfWidth, 100*s.Level, s.RelHalfWidth, s.Method, s.Count)
+	} else {
+		fmt.Fprintf(out, "stats      qom %.6f (%s, no interval)\n", s.Mean, s.Method)
 	}
 	if *n > 1 {
 		fmt.Fprintf(out, "balance    load imbalance (max-min)/mean activations = %.4f\n", res.LoadImbalance())
 	}
-	if m := res.Metrics; m != nil {
-		fmt.Fprintf(out, "engine     %s\n", res.Engine)
-		fmt.Fprintf(out, "misses     asleep=%d noenergy=%d (captures %d + misses %d = events %d)\n",
-			m.MissAsleep, m.MissNoEnergy, res.Captures, m.MissAsleep+m.MissNoEnergy, res.Events)
-		fmt.Fprintf(out, "energy     wasted activations=%d, outage slots=%d/%d observed, mean battery %.1f%% of K\n",
-			m.WastedActivations, m.EnergyOutageSlots, m.ObservedSlots, 100*m.MeanBatteryFrac())
-		if m.KernelRuns > 0 {
-			fmt.Fprintf(out, "kernel     %d sleep runs fast-forwarded %d slots (%.1f%% of T)\n",
-				m.KernelRuns, m.KernelSlotsFastForwarded, 100*float64(m.KernelSlotsFastForwarded)/float64(res.Slots))
-		}
+	m := res.Metrics
+	fmt.Fprintf(out, "engine     %s\n", res.Engine)
+	fmt.Fprintf(out, "misses     asleep=%d noenergy=%d (captures %d + misses %d = events %d)\n",
+		m.MissAsleep, m.MissNoEnergy, res.Captures, m.MissAsleep+m.MissNoEnergy, res.Events)
+	fmt.Fprintf(out, "energy     wasted activations=%d, outage slots=%d/%d observed, mean battery %.1f%% of K\n",
+		m.WastedActivations, m.EnergyOutageSlots, m.ObservedSlots, 100*m.MeanBatteryFrac())
+	if m.KernelRuns > 0 {
+		fmt.Fprintf(out, "kernel     %d sleep runs fast-forwarded %d slots (%.1f%% of T)\n",
+			m.KernelRuns, m.KernelSlotsFastForwarded, 100*float64(m.KernelSlotsFastForwarded)/float64(res.Slots))
 	}
 	if tf != nil {
 		c := tf.Counts()
@@ -337,8 +312,7 @@ func run(args []string, out io.Writer) error {
 // the config digest leaves them out.
 var observationFlags = map[string]bool{
 	"workers": true, "cpuprofile": true, "memprofile": true,
-	"metrics": true, "metrics-addr": true, "trace": true, "spans": true,
-	"stats": true,
+	"trace": true, "spans": true,
 }
 
 // configDigest hashes every flag that shapes the run's results (every

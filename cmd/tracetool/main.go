@@ -234,7 +234,7 @@ func checkStatsAgainstManifest(out io.Writer, pooled stats.Report, path string) 
 	}
 	ms := man.Stats
 	if ms == nil {
-		return fmt.Errorf("manifest %s has no stats block (run with -stats)", path)
+		return fmt.Errorf("manifest %s has no stats block", path)
 	}
 	var problems []string
 	if pooled.Events != ms.Events || pooled.Captures != ms.Captures {

@@ -48,10 +48,10 @@ var metricConstructors = []struct {
 }
 
 // Expvarname checks every metric registration against the eventcap
-// naming schema. All metrics surface in one expvar map under
-// /debug/vars; dashboards and the run-manifest Diff keys are built from
-// these strings, so a stray uppercase letter or hyphen becomes a
-// permanent dashboard migration. Names must be string literals — a
+// naming schema. The names are the keys of the run manifests' metrics
+// and process blocks (obs.Snapshot diffs), which the committed results
+// and tracetool compare across versions, so a stray uppercase letter or
+// hyphen becomes a permanent record migration. Names must be string literals — a
 // computed name cannot be schema-checked statically and defeats
 // grep-ability — must match ^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$, and
 // must open with a known subsystem segment (metricSubsystems).

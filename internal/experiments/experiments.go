@@ -54,10 +54,9 @@ type Options struct {
 	// an explicit policy-solve step mark it with SolvePhase. RNG-neutral
 	// like Tracer — CSVs are byte-identical with or without it.
 	Span *obs.Span
-	// Stats, when non-nil, turns on streaming statistics for every
-	// simulation the experiment performs and pools the per-run QoM
-	// reports into one experiment-level estimate. RNG-neutral like
-	// Tracer and Span: results are byte-identical with or without it.
+	// Stats, when non-nil, pools the streaming QoM report of every
+	// simulation the experiment performs (sim.Result.Stats) into one
+	// experiment-level estimate.
 	Stats *StatsCollector
 }
 
@@ -73,7 +72,7 @@ type StatsCollector struct {
 
 // observe folds one finished simulation into the pool.
 func (c *StatsCollector) observe(res *sim.Result) {
-	if c == nil || res.Stats == nil {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
@@ -109,19 +108,16 @@ func (o Options) withDefaults() Options {
 }
 
 // runSim is the one simulation entry point the experiment drivers use:
-// sim.Run with metrics collection enabled, so every run of every
-// experiment feeds the process-wide obs totals that cmd/experiments
-// snapshots into run manifests, plus the options' tracer, span and
-// stats probe when attached. All are RNG-neutral (sim.Config
-// .Metrics/.Tracer/.Span/.Stats), so results are identical to a bare
-// sim.Run.
+// sim.Run with the options' tracer, batch and span attached, its stats
+// report pooled into the options' collector. Every run feeds the
+// process-wide obs totals that cmd/experiments snapshots into run
+// manifests. The tracer and span are RNG-neutral, so results are
+// identical to a bare sim.Run at the same batch.
 func runSim(opts Options, cfg sim.Config) (*sim.Result, error) {
-	cfg.Metrics = true
 	cfg.Tracer = opts.Tracer
 	if opts.Batch > 1 {
 		cfg.Batch = opts.Batch
 	}
-	cfg.Stats = opts.Stats != nil
 	sp := opts.Span.Fork("sim.run")
 	defer sp.End()
 	cfg.Span = sp

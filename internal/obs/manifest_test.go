@@ -145,17 +145,23 @@ func FuzzReadManifest(f *testing.F) {
 	m.Stats = &stats.Report{
 		Method: stats.MethodPooled, Events: 2755, Captures: 1714, Mean: 0.6221415607985481,
 		Count: 3, Level: 0.95, HalfWidth: 0.0049, RelHalfWidth: 0.0079, Of: stats.MethodReplication,
-		Battery: &stats.BatteryReport{Count: 300, Mean: 0.5, StdDev: 0.1, P10: 0.4, P50: 0.5, P90: 0.6},
 	}
 	current := writtenManifest(f, m, first)
-	// A record from before early stop was retired: the block is skipped
-	// as an unknown field, so the record still reads.
-	legacy := append(bytes.TrimSuffix(current, []byte("\n}\n")), []byte(`,
+	// A record from before early stop and the stats block's battery
+	// summary were retired: both blocks are skipped as unknown fields,
+	// so the record still reads.
+	of := []byte(`"of": "replication"`)
+	if !bytes.Contains(current, of) {
+		f.Fatalf("no %s in the seed record:\n%s", of, current)
+	}
+	legacy := bytes.Replace(current, of, append(of, `,
+    "battery": {"count": 300, "mean": 0.5, "std_dev": 0.1, "p10": 0.4, "p50": 0.5, "p90": 0.6}`...), 1)
+	legacy = append(bytes.TrimSuffix(legacy, []byte("\n}\n")), []byte(`,
   "early_stop": {"target_rel_hw": 0.5, "min_reps": 2, "max_reps": 16, "reps": 4, "rel_half_width": 0.31, "stopped": true}
 }
 `)...)
 	if _, err := readManifestBytes(f, legacy, in); err != nil {
-		f.Fatalf("legacy v4 record with an early-stop block rejected: %v", err)
+		f.Fatalf("legacy v4 record with early-stop and battery blocks rejected: %v", err)
 	}
 	v3 := bytes.Replace(current, []byte(ManifestSchema), []byte("eventcap/run-manifest/v3"), 1)
 	if _, err := readManifestBytes(f, v3, in); err == nil {

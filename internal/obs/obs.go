@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the simulation stack:
 // allocation-free counters, gauges and fixed-bucket histograms that the
-// engines, the policy cache and the worker pool record into, exported as
-// one expvar map ("eventcap" under /debug/vars).
+// engines, the policy cache and the worker pool record into, read
+// through Snapshot into the run manifests' metrics and process blocks.
 //
 // The package depends only on the standard library (plus the equally
 // dependency-free internal/stats report types embedded in run
@@ -18,7 +18,6 @@ package obs
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"expvar"
 	"fmt"
 	"math"
 	"sync"
@@ -46,23 +45,6 @@ func register(name string, load func() float64) {
 		panic("obs: duplicate metric " + name)
 	}
 	reg[name] = load
-}
-
-func init() {
-	// One expvar map for the whole stack; integral values render without
-	// a decimal point, so /debug/vars stays readable.
-	expvar.Publish("eventcap", expvar.Func(func() any {
-		snap := Snapshot()
-		out := make(map[string]any, len(snap))
-		for k, v := range snap {
-			if v == float64(int64(v)) { // floateq:ok exact integrality test for display only
-				out[k] = int64(v)
-			} else {
-				out[k] = v
-			}
-		}
-		return out
-	}))
 }
 
 // Snapshot returns the current value of every registered metric.

@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// Span metrics: how many spans the process opened and closed. A steady
-// gap between the two on a live /debug/vars is a leak (a phase that
-// never calls End).
+// Span metrics: how many spans the process opened and closed. A gap
+// between the two in a Snapshot taken after every phase ended is a leak
+// (a phase that never calls End).
 var (
 	SpanBegun = NewCounter("span.begun")
 	SpanEnded = NewCounter("span.ended")

@@ -13,8 +13,9 @@ import (
 // picks: replication r runs at seed Seed + r through the kernel's loop
 // (fleetRun.run) when the configuration compiles and through the
 // reference engine (runReference) when it does not, so it reproduces
-// the run this Config would produce at Seed + r byte for byte, with
-// Metrics on or off. Replications run in chunks across the worker pool.
+// the run this Config would produce at Seed + r byte for byte, although
+// only replication 0 samples battery occupancy (see observer).
+// Replications run in chunks across the worker pool.
 // A compiled batch shares everything a replication does not own: the
 // activation table with its zero runs, the event distribution's
 // quantile table, and the Bernoulli recharge's binomial tables are
@@ -77,7 +78,6 @@ func runBatch(cfg Config, plan *kernelPlan, quant *dist.QuantileTable) (*Result,
 			}
 		}
 		co := newPart(&cfg, code)
-		co.sampling = co.m != nil
 		first := ci * chunk
 		last := min(first+chunk, reps)
 		csp.Count("replications", int64(last-first))
@@ -102,17 +102,13 @@ func runBatch(cfg Config, plan *kernelPlan, quant *dist.QuantileTable) (*Result,
 	}
 
 	agg := ex.Child("aggregate")
-	if o.m != nil {
-		for _, m := range parts {
-			o.m.Merge(m)
-		}
+	for _, m := range parts {
+		o.m.Merge(m)
 	}
 	for _, c := range counts {
 		res.Events += c[0]
 		res.Captures += c[1]
-		if o.sp != nil {
-			o.sp.ObserveReplica(c[0], c[1])
-		}
+		o.sp.ObserveReplica(c[0], c[1])
 	}
 	agg.End()
 	o.finish(res)

@@ -14,7 +14,9 @@ import (
 // replication r of a batch must reproduce the fleet-kernel run at
 // Seed + r bit for bit, for a round-robin fleet and a block fleet (the
 // periodic(3/8) policy on its θ2-slot blocks, fig6's π_PE shape), for
-// Bernoulli recharge too, with metrics on or off.
+// Bernoulli recharge too. Replications r ≥ 1 sample no battery, so this
+// also checks that the always-on runs their samples would have ended
+// move no draw.
 func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 	const reps = 48
 	recharges := []struct {
@@ -36,50 +38,46 @@ func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 	for _, fl := range fleets {
 		kc, fm := fl.kc, fl.fm
 		for _, rc := range recharges {
-			for _, metrics := range []bool{false, true} {
-				const n = 3
-				name := fm.name + "/" + kc.name + "/" + rc.name
-				cfg := multiKernelConfig(t, kc, rc.make, n, 100, 42)
-				fm.apply(&cfg)
-				cfg.Slots = 10_000
-				cfg.Metrics = metrics
-				cfg.Engine = EngineKernel
-				cfg.Batch = reps
-				batch, err := Run(cfg)
+			const n = 3
+			name := fm.name + "/" + kc.name + "/" + rc.name
+			cfg := multiKernelConfig(t, kc, rc.make, n, 100, 42)
+			fm.apply(&cfg)
+			cfg.Slots = 10_000
+			cfg.Engine = EngineKernel
+			cfg.Batch = reps
+			batch, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: batch: %v", name, err)
+			}
+			if len(batch.Sensors) != reps*n {
+				t.Fatalf("%s: batch returned %d sensor blocks, want %d", name, len(batch.Sensors), reps*n)
+			}
+			var events, captures int64
+			var agg *Metrics
+			for r := 0; r < reps; r++ {
+				sub := multiKernelConfig(t, kc, rc.make, n, 100, 42+uint64(r))
+				fm.apply(&sub)
+				sub.Slots = 10_000
+				sub.Engine = EngineKernel
+				one, err := Run(sub)
 				if err != nil {
-					t.Fatalf("%s metrics=%v: batch: %v", name, metrics, err)
+					t.Fatalf("%s replication %d: %v", name, r, err)
 				}
-				if len(batch.Sensors) != reps*n {
-					t.Fatalf("%s: batch returned %d sensor blocks, want %d", name, len(batch.Sensors), reps*n)
+				if !reflect.DeepEqual(batch.Sensors[r*n:(r+1)*n], one.Sensors) {
+					t.Fatalf("%s replication %d diverged:\nbatch  %+v\nkernel %+v",
+						name, r, batch.Sensors[r*n:(r+1)*n], one.Sensors)
 				}
-				var events, captures int64
-				var agg *Metrics
-				for r := 0; r < reps; r++ {
-					sub := multiKernelConfig(t, kc, rc.make, n, 100, 42+uint64(r))
-					fm.apply(&sub)
-					sub.Slots = 10_000
-					sub.Metrics = metrics
-					sub.Engine = EngineKernel
-					one, err := Run(sub)
-					if err != nil {
-						t.Fatalf("%s replication %d: %v", name, r, err)
-					}
-					if !reflect.DeepEqual(batch.Sensors[r*n:(r+1)*n], one.Sensors) {
-						t.Fatalf("%s metrics=%v replication %d diverged:\nbatch  %+v\nkernel %+v",
-							name, metrics, r, batch.Sensors[r*n:(r+1)*n], one.Sensors)
-					}
-					events += one.Events
-					captures += one.Captures
-					agg = foldReplicaMetrics(agg, one.Metrics)
-				}
-				if batch.Events != events || batch.Captures != captures {
-					t.Errorf("%s: batch totals %d/%d, paired kernel sum %d/%d",
-						name, batch.Events, batch.Captures, events, captures)
-				}
-				if !reflect.DeepEqual(batch.Metrics, agg) {
-					t.Errorf("%s metrics=%v: batch metrics diverge from the replication sum:\nbatch %+v\nsum   %+v",
-						name, metrics, batch.Metrics, agg)
-				}
+				events += one.Events
+				captures += one.Captures
+				agg = foldReplicaMetrics(agg, one.Metrics)
+			}
+			if batch.Events != events || batch.Captures != captures {
+				t.Errorf("%s: batch totals %d/%d, paired kernel sum %d/%d",
+					name, batch.Events, batch.Captures, events, captures)
+			}
+			if !reflect.DeepEqual(batch.Metrics, agg) {
+				t.Errorf("%s: batch metrics diverge from the replication sum:\nbatch %+v\nsum   %+v",
+					name, batch.Metrics, agg)
 			}
 		}
 	}
@@ -88,11 +86,8 @@ func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 // foldReplicaMetrics folds one replication's Metrics into the running
 // batch aggregate agg, replications in order, under the batch
 // convention: event-class and kernel counters sum, battery occupancy is
-// replication 0's. Nil stays nil (metrics off).
+// replication 0's.
 func foldReplicaMetrics(agg, rep *Metrics) *Metrics {
-	if rep == nil {
-		return agg
-	}
 	if agg == nil {
 		c := *rep
 		return &c
@@ -112,7 +107,6 @@ func TestBatchMultiShardingInvariance(t *testing.T) {
 		t.Helper()
 		cfg := multiKernelConfig(t, kernelCases(t)[0], newRech, 4, 100, 13)
 		cfg.Slots = 5_000
-		cfg.Metrics = true
 		cfg.Engine = EngineKernel
 		cfg.Batch = 40
 		cfg.Workers = workers

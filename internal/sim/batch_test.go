@@ -14,57 +14,55 @@ import (
 // batch's anchor contract: each replication of a Batch = 3 run must
 // reproduce the kernel run at its seed bit for bit — every count and
 // every floating-point battery total, and the Metrics under the batch
-// convention — for deterministic and Bernoulli recharge alike, with
-// metrics on or off (a replication runs the kernel's own loop).
+// convention — for deterministic and Bernoulli recharge alike (a
+// replication runs the kernel's own loop). Replications r ≥ 1 sample no
+// battery, so their always-on runs end at other points than the sampled
+// single run's: this is where that end point is checked to move nothing.
 func TestBatchSingleReplicationByteIdenticalToKernel(t *testing.T) {
 	const reps = 3
 	recharges := []struct {
-		name    string
-		make    func() energy.Recharge
-		metrics []bool
+		name string
+		make func() energy.Recharge
 	}{
-		{"uniform-0.5", func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }, []bool{false, true}},
-		{"periodic-5-per-10", func() energy.Recharge { r, _ := energy.NewPeriodic(5, 10); return r }, []bool{false, true}},
-		{"bernoulli-0.5-1", func() energy.Recharge { r, _ := energy.NewBernoulli(0.5, 1); return r }, []bool{false, true}},
+		{"uniform-0.5", func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }},
+		{"periodic-5-per-10", func() energy.Recharge { r, _ := energy.NewPeriodic(5, 10); return r }},
+		{"bernoulli-0.5-1", func() energy.Recharge { r, _ := energy.NewBernoulli(0.5, 1); return r }},
 	}
 	for _, kc := range kernelCases(t) {
 		for _, rc := range recharges {
-			for _, metrics := range rc.metrics {
-				for _, batteryCap := range []float64{7, 100} {
-					for seed := uint64(1); seed <= 3; seed++ {
-						cfg := kernelBaseConfig(t, kc, rc.make, batteryCap, seed)
-						cfg.Metrics = metrics
-						cfg.Engine = EngineKernel
-						cfg.Batch = reps
-						got, err := Run(cfg)
+			for _, batteryCap := range []float64{7, 100} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					cfg := kernelBaseConfig(t, kc, rc.make, batteryCap, seed)
+					cfg.Engine = EngineKernel
+					cfg.Batch = reps
+					got, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("%s/%s K=%g: batch: %v", kc.name, rc.name, batteryCap, err)
+					}
+					if got.Engine != EngineKernel {
+						t.Fatalf("%s/%s: batch result reports engine %v", kc.name, rc.name, got.Engine)
+					}
+					var events, captures int64
+					var agg *Metrics
+					for r := 0; r < reps; r++ {
+						one := cfg
+						one.Batch = 0
+						one.Seed = seed + uint64(r)
+						want, err := Run(one)
 						if err != nil {
-							t.Fatalf("%s/%s K=%g: batch: %v", kc.name, rc.name, batteryCap, err)
+							t.Fatalf("%s/%s K=%g: kernel: %v", kc.name, rc.name, batteryCap, err)
 						}
-						if got.Engine != EngineKernel {
-							t.Fatalf("%s/%s: batch result reports engine %v", kc.name, rc.name, got.Engine)
+						if got.Sensors[r] != want.Sensors[0] {
+							t.Errorf("%s/%s K=%g seed=%d replication %d:\nbatch  %+v\nkernel %+v",
+								kc.name, rc.name, batteryCap, seed, r, got.Sensors[r], want.Sensors[0])
 						}
-						var events, captures int64
-						var agg *Metrics
-						for r := 0; r < reps; r++ {
-							one := cfg
-							one.Batch = 0
-							one.Seed = seed + uint64(r)
-							want, err := Run(one)
-							if err != nil {
-								t.Fatalf("%s/%s K=%g: kernel: %v", kc.name, rc.name, batteryCap, err)
-							}
-							if got.Sensors[r] != want.Sensors[0] {
-								t.Errorf("%s/%s K=%g seed=%d metrics=%v replication %d:\nbatch  %+v\nkernel %+v",
-									kc.name, rc.name, batteryCap, seed, metrics, r, got.Sensors[r], want.Sensors[0])
-							}
-							events += want.Events
-							captures += want.Captures
-							agg = foldReplicaMetrics(agg, want.Metrics)
-						}
-						if got.Events != events || got.Captures != captures || !reflect.DeepEqual(got.Metrics, agg) {
-							t.Errorf("%s/%s K=%g seed=%d metrics=%v: batch totals %d/%d metrics %+v, kernel runs %d/%d metrics %+v",
-								kc.name, rc.name, batteryCap, seed, metrics, got.Events, got.Captures, got.Metrics, events, captures, agg)
-						}
+						events += want.Events
+						captures += want.Captures
+						agg = foldReplicaMetrics(agg, want.Metrics)
+					}
+					if got.Events != events || got.Captures != captures || !reflect.DeepEqual(got.Metrics, agg) {
+						t.Errorf("%s/%s K=%g seed=%d: batch totals %d/%d metrics %+v, kernel runs %d/%d metrics %+v",
+							kc.name, rc.name, batteryCap, seed, got.Events, got.Captures, got.Metrics, events, captures, agg)
 					}
 				}
 			}
@@ -76,17 +74,13 @@ func TestBatchSingleReplicationByteIdenticalToKernel(t *testing.T) {
 // contract at B=256: replication r of a batch must reproduce the
 // single-run result at Seed + r, so the batch's per-sensor stats, event
 // and capture totals, pooled QoM, and summed miss decomposition must all
-// match 256 independent sim.Run calls exactly (metrics stay on, so the
-// instrumented replications consume their streams exactly as the kernel
-// would).
+// match 256 independent sim.Run calls exactly.
 func TestBatchMatchesIndependentRunsPairedSeeds(t *testing.T) {
 	const reps = 256
 	newRech := func() energy.Recharge { r, _ := energy.NewBernoulli(0.5, 1); return r }
 	kc := kernelCases(t)[0]
 	cfg := kernelBaseConfig(t, kc, newRech, 100, 42)
 	cfg.Slots = 20_000
-	cfg.Metrics = true
-
 	cfg.Engine = EngineKernel
 	cfg.Batch = reps
 	batch, err := Run(cfg)
@@ -102,7 +96,6 @@ func TestBatchMatchesIndependentRunsPairedSeeds(t *testing.T) {
 	for r := 0; r < reps; r++ {
 		sub := kernelBaseConfig(t, kc, newRech, 100, 42+uint64(r))
 		sub.Slots = 20_000
-		sub.Metrics = true
 		sub.Engine = EngineKernel
 		one, err := Run(sub)
 		if err != nil {
@@ -122,9 +115,6 @@ func TestBatchMatchesIndependentRunsPairedSeeds(t *testing.T) {
 		t.Errorf("batch QoM %v, pooled independent %v", batch.QoM, want)
 	}
 	m := batch.Metrics
-	if m == nil {
-		t.Fatal("batch dropped Metrics")
-	}
 	if m.MissAsleep != agg.MissAsleep || m.MissNoEnergy != agg.MissNoEnergy ||
 		m.WastedActivations != agg.WastedActivations ||
 		m.KernelRuns != agg.KernelRuns || m.KernelSlotsFastForwarded != agg.KernelSlotsFastForwarded {

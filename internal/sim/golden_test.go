@@ -26,7 +26,7 @@ func f64(v float64) string {
 }
 
 // goldenResult renders every physical field of a Result: the totals,
-// the QoM's bits, each sensor block, and the Metrics when collected.
+// the QoM's bits, each sensor block, and the Metrics.
 func goldenResult(res *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "events=%d captures=%d qom=%s", res.Events, res.Captures, f64(res.QoM))
@@ -34,11 +34,10 @@ func goldenResult(res *Result) string {
 		fmt.Fprintf(&b, " s%d={act=%d cap=%d den=%d used=%s lost=%s final=%s}",
 			i, s.Activations, s.Captures, s.Denied, f64(s.EnergyConsumed), f64(s.OverflowLost), f64(s.FinalBattery))
 	}
-	if m := res.Metrics; m != nil {
-		fmt.Fprintf(&b, " metrics={asleep=%d noenergy=%d wasted=%d outage=%d observed=%d fracsum=%s hist=%v runs=%d skipped=%d}",
-			m.MissAsleep, m.MissNoEnergy, m.WastedActivations, m.EnergyOutageSlots, m.ObservedSlots,
-			f64(m.BatteryFracSum), m.BatteryHist, m.KernelRuns, m.KernelSlotsFastForwarded)
-	}
+	m := res.Metrics
+	fmt.Fprintf(&b, " metrics={asleep=%d noenergy=%d wasted=%d outage=%d observed=%d fracsum=%s hist=%v runs=%d skipped=%d}",
+		m.MissAsleep, m.MissNoEnergy, m.WastedActivations, m.EnergyOutageSlots, m.ObservedSlots,
+		f64(m.BatteryFracSum), m.BatteryHist, m.KernelRuns, m.KernelSlotsFastForwarded)
 	return b.String()
 }
 
@@ -67,26 +66,22 @@ func engineGoldenLines(t *testing.T) []string {
 		for _, k := range []float64{7, 100} {
 			cfg := kernelBaseConfig(t, kc, bernoulli, k, 1)
 			cfg.Engine = EngineKernel
-			cfg.Metrics = true
 			add(fmt.Sprintf("kernel %s bernoulli K=%g", kc.name, k), cfg)
 
 			fleet := multiKernelConfig(t, kc, bernoulli, 3, k, 2)
 			fleet.Engine = EngineKernel
-			fleet.Metrics = true
 			add(fmt.Sprintf("fleet-kernel N=3 %s bernoulli K=%g", kc.name, k), fleet)
 		}
 	}
 
-	// Bernoulli batches run with Metrics on and periodic ones with it
-	// off; TestBatchSingleReplicationByteIdenticalToKernel checks the
-	// other combinations against the kernel.
+	// The labels keep the names the lines had when Metrics could be
+	// switched off (only the periodic batches ran without).
 	batches := []struct {
-		name    string
-		rech    func() energy.Recharge
-		metrics bool
+		name string
+		rech func() energy.Recharge
 	}{
-		{"bernoulli metrics", bernoulli, true},
-		{"periodic", periodic, false},
+		{"bernoulli metrics", bernoulli},
+		{"periodic", periodic},
 	}
 	for _, kc := range kernelCases(t) {
 		for _, bc := range batches {
@@ -96,7 +91,6 @@ func engineGoldenLines(t *testing.T) []string {
 				cfg.Engine = EngineKernel
 				cfg.Batch = 4
 				cfg.Workers = 2
-				cfg.Metrics = bc.metrics
 				add(fmt.Sprintf("batch N=%d %s %s K=7", n, kc.name, bc.name), cfg)
 			}
 		}

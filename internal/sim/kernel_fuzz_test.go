@@ -100,8 +100,7 @@ const (
 // θ2) with θ1 the prefix's leading ones and θ2 its length (at least 1
 // and θ1) —, N = 1 + sensors%4 sensors, in round-robin when sensors/4 is
 // 0 and in blocks of sensors/4 slots otherwise, K in [7, 200], Slots in
-// [1, 20000], Constant(e), Periodic(a, p) or Bernoulli(q, c) recharge,
-// Metrics and Stats on.
+// [1, 20000], Constant(e), Periodic(a, p) or Bernoulli(q, c) recharge.
 func fuzzKernelConfig(t *testing.T, flags, sensors uint8, k, slots uint16, rech, period uint8, seed uint64, prefix []byte) Config {
 	t.Helper()
 	d, err := dist.NewWeibull(40, 3)
@@ -162,8 +161,6 @@ func fuzzKernelConfig(t *testing.T, flags, sensors uint8, k, slots uint16, rech,
 		BatteryCap:  float64(7 + k%194),
 		Slots:       1 + int64(slots%20000),
 		Seed:        seed,
-		Metrics:     true,
-		Stats:       true,
 	}
 	if b := int(sensors / 4); b > 0 {
 		cfg.Mode, cfg.BlockLen = ModeBlocks, b
@@ -266,8 +263,9 @@ func FuzzKernelMatchesReference(f *testing.F) {
 
 // requireKernelMatchesReference compares a kernel result with the
 // reference engine's: every field but Engine, Metrics and Stats exactly,
-// then the Metrics event classes and the Stats report without its
-// battery summary.
+// then the Metrics event classes and the Stats report (battery
+// occupancy is sampled on every stride-th slot by the reference and
+// every stride-th awake slot by the kernel).
 func requireKernelMatchesReference(t *testing.T, got, want *Result) {
 	t.Helper()
 	g, w := *got, *want
@@ -284,9 +282,7 @@ func requireKernelMatchesReference(t *testing.T, got, want *Result) {
 			gm.MissAsleep, wm.MissAsleep, gm.MissNoEnergy, wm.MissNoEnergy,
 			gm.WastedActivations, wm.WastedActivations)
 	}
-	gs, ws := *got.Stats, *want.Stats
-	gs.Battery, ws.Battery = nil, nil
-	if !reflect.DeepEqual(gs, ws) {
+	if gs, ws := *got.Stats, *want.Stats; !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("kernel stats diverge:\nkernel    %+v\nreference %+v", gs, ws)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -97,11 +98,9 @@ func TestKernelByteIdenticalDeterministicRecharge(t *testing.T) {
 						t.Fatalf("%s/%s K=%g seed=%d: engines %v/%v, want kernel/reference",
 							kc.name, rc.name, batteryCap, seed, got.Engine, want.Engine)
 					}
-					got.Engine = want.Engine
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s/%s K=%g seed=%d:\nkernel    %+v\nreference %+v",
-							kc.name, rc.name, batteryCap, seed, got, want)
-					}
+					t.Run(fmt.Sprintf("%s/%s/K=%g/seed=%d", kc.name, rc.name, batteryCap, seed), func(t *testing.T) {
+						requireKernelMatchesReference(t, got, want)
+					})
 				}
 			}
 		}

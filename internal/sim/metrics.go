@@ -9,21 +9,19 @@ const batteryBins = obs.BatteryBins
 
 // batterySampleStride is the battery-observation stride: occupancy is
 // sampled on every stride-th slot (per-slot engines) or every stride-th
-// awake slot (compiled engines) rather than on all of them, so the
-// instrumented loops stay within the ≤2% overhead budget of DESIGN.md §9 (a full
-// observation costs several ns — a large fraction of a ~30ns reference
-// slot). The battery level mixes over thousands of slots, so a 32-slot
+// awake slot (compiled engines) rather than on all of them, so sampling
+// costs the slot loops little (a full observation costs several ns — a
+// large fraction of a ~30ns reference slot). The battery level mixes over thousands of slots, so a 32-slot
 // stride loses nothing statistically; ObservedSlots is always the
 // denominator. Must be a power of two (the per-slot stride check
 // compiles to one AND).
 const batterySampleStride = 32
 
-// Metrics is the per-run observability block collected when
-// Config.Metrics is set: the energy accounting behind the single QoM
-// number. Collection is RNG-neutral (it never draws from any random
-// stream, so enabling it cannot change a run's outputs) and
-// allocation-free in the slot loop (the struct is fixed-size and
-// allocated once per run).
+// Metrics is the per-run observability block every run collects into
+// Result.Metrics: the energy accounting behind the single QoM number.
+// Collection never draws from any random stream and allocates nothing
+// in the slot loop (the struct is fixed-size and allocated once per
+// run).
 //
 // Every event of the run falls into exactly one of three classes, so
 //

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 
 	"eventcap/internal/energy"
@@ -72,8 +71,8 @@ func engineCases(t *testing.T) []engineCase {
 	fleet.Engine = EngineKernel
 	cases = append(cases, engineCase{"kernel-fleet", fleet, false})
 
-	// fig6's π_PE shape: periodic(3/8) on 8-slot blocks, where a sampling
-	// observer ends always-on runs that the unobserved run does not.
+	// fig6's π_PE shape: periodic(3/8) on 8-slot blocks, where battery
+	// samples end always-on runs.
 	blocks := multiKernelConfig(t, kernelCases(t)[4], bernoulli, 3, 100, 4)
 	fleetModes[3].apply(&blocks)
 	blocks.Engine = EngineKernel
@@ -113,42 +112,20 @@ func engineCaseConfig(t *testing.T, name string) Config {
 	return Config{}
 }
 
-// TestMetricsDoNotChangeResults is the RNG-neutrality contract of
-// Config.Metrics: enabling collection must leave every other Result
-// field byte-identical, on every execution path.
-func TestMetricsDoNotChangeResults(t *testing.T) {
-	for _, ec := range engineCases(t) {
-		name, cfg := ec.name, ec.cfg
-		cfg.Metrics = false
-		want, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cfg.Metrics = true
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Metrics == nil {
-			t.Fatalf("%s: Metrics requested but nil", name)
-		}
-		got.Metrics = nil // the only field allowed to differ
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: metrics changed the run:\nwith    %+v\nwithout %+v", name, got, want)
-		}
-	}
-}
-
-// TestMetricsEventAccounting checks the classification invariant
-// Captures + MissAsleep + MissNoEnergy == Events and the battery
-// histogram's consistency on every execution path.
+// TestMetricsEventAccounting checks, on every execution path and with
+// no observation field set, that the run is observed: the
+// classification invariant Captures + MissAsleep + MissNoEnergy ==
+// Events, the battery histogram's consistency, and the stats report's
+// totals.
 func TestMetricsEventAccounting(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		name, cfg := ec.name, ec.cfg
-		cfg.Metrics = true
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if s := res.Stats; s.Events != res.Events || s.Captures != res.Captures {
+			t.Errorf("%s: stats totals %d/%d, result %d/%d", name, s.Events, s.Captures, res.Events, res.Captures)
 		}
 		m := res.Metrics
 		if got := res.Captures + m.MissAsleep + m.MissNoEnergy; got != res.Events {
@@ -193,9 +170,7 @@ func TestMetricsEventAccounting(t *testing.T) {
 	}
 	// The starved configuration must actually exercise the energy gate,
 	// or the MissNoEnergy path is untested.
-	cfg := engineCaseConfig(t, "reference-starved")
-	cfg.Metrics = true
-	res, err := Run(cfg)
+	res, err := Run(engineCaseConfig(t, "reference-starved"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +195,6 @@ func TestKernelMetricsMatchReference(t *testing.T) {
 	for _, kc := range kernelCases(t) {
 		for _, batteryCap := range []float64{7, 100} {
 			cfg := kernelBaseConfig(t, kc, newRech, batteryCap, 2)
-			cfg.Metrics = true
-
 			cfg.Engine = EngineReference
 			ref, err := Run(cfg)
 			if err != nil {

@@ -10,24 +10,31 @@ import (
 // per run (plus one part per concurrently running unit of a fanned-out
 // run) and calls it at six points: an event, a fast-forwarded sleep
 // run, an always-on run, a decided slot, a battery-sampling stride, and
-// the end of the run. The miss decomposition, the battery binning, the slot-record fast
-// path and the run epilogue therefore each exist once, whatever the
-// engine. It is a plain struct of concrete sinks, each nil when off: no
-// interface dispatch, no per-event allocation, and — like every sink it
-// feeds — RNG-neutral: it never draws from a random stream, so outputs
-// are byte-identical with any combination of sinks attached. It does
-// move where some stretches end: while it samples the battery (stride),
-// the compiled loop cuts always-on runs at the sample countdown, and the
-// reference engine splits its slot loop into stride-long chunks. An end
-// point moves no draw (see fleetRun.alwaysOn), so results do not move.
+// the end of the run. The miss decomposition, the battery binning, the
+// slot-record fast path and the run epilogue therefore each exist once,
+// whatever the engine. Every run fills its Metrics and its stats
+// report; the trace writer is the one optional sink. It is a plain
+// struct of concrete sinks: no interface dispatch, no per-event
+// allocation, and it never draws from a random stream.
+//
+// Sampling the battery (stride) decides where some stretches end: the
+// compiled loop cuts always-on runs at the sample countdown, and the
+// reference engine splits its slot loop into stride-long chunks. A
+// single run always samples; only a batch's replications r ≥ 1 do not
+// (only0), so theirs are the only always-on runs and loop chunks that
+// end at different points from the single run at the same seed. An end
+// point moves no draw (see fleetRun.alwaysOn), so replication r still
+// reproduces the single run at Seed + r.
 type observer struct {
-	m  *Metrics
+	m *Metrics
+	// sp is the stats probe, nil on a batch part: parts record
+	// per-replication counts that the run observer feeds after the join.
 	sp *StatsProbe
 
 	// sampling reports whether this observer samples sensor 0's
-	// end-of-slot battery level; Metrics occupancy and the probe's
-	// battery stream share the one sampler. invCap and costGate are its
-	// per-run constants, costGate mirroring energy.Battery.CanConsume.
+	// end-of-slot battery level into Metrics' occupancy. invCap and
+	// costGate are its per-run constants, costGate mirroring
+	// energy.Battery.CanConsume.
 	sampling         bool
 	invCap, costGate float64
 
@@ -44,28 +51,25 @@ type observer struct {
 // records.
 func newObserver(cfg *Config, engine uint8) observer {
 	o := newPart(cfg, engine)
-	o.sp = newStatsProbe(cfg)
-	o.sampling = o.m != nil || o.sp != nil
+	o.sp = &StatsProbe{}
 	return o
 }
 
 // newPart builds the observer of one unit of a fanned-out run (a batch
-// chunk): a fresh Metrics partial the caller merges back, and neither
-// the stats probe nor battery sampling — the caller hands sampling to
-// the one unit that samples (replication 0's, see only0), and per-event
-// or per-replication observations stay on the run observer. A batch is
-// never traced (Config.validate refuses it), so a part's writer is nil.
+// chunk): a fresh Metrics partial the caller merges back, and no stats
+// probe — per-event or per-replication observations stay on the run
+// observer. A part samples the battery until the caller moves it past
+// replication 0 (only0). A batch is never traced (Config.validate
+// refuses it), so a part's writer is nil.
 func newPart(cfg *Config, engine uint8) observer {
-	o := observer{
+	return observer{
+		m:        &Metrics{},
+		sampling: true,
 		invCap:   1 / cfg.BatteryCap,
 		costGate: cfg.Params.ActivationCost() - 1e-12,
 		w:        cfg.Tracer,
 		engine:   engine,
 	}
-	if cfg.Metrics {
-		o.m = &Metrics{}
-	}
-	return o
 }
 
 // only0 ends a batch part's battery sampling once the part moves past
@@ -95,7 +99,7 @@ func (o *observer) start(cfg *Config, seed uint64, sensors int, policy, recharge
 // event is an energy miss when some deciding sensor chose to activate
 // and hit the energy gate (denied), and a sleep miss otherwise.
 func (o *observer) event(captured, denied bool) {
-	if o.m != nil && !captured {
+	if !captured {
 		if denied {
 			o.m.MissNoEnergy++
 		} else {
@@ -111,11 +115,9 @@ func (o *observer) event(captured, denied bool) {
 // misses events inside it is a sleep miss by construction; engines that
 // resolve events elsewhere pass 0.
 func (o *observer) sleepRun(n, misses int64) {
-	if o.m != nil {
-		o.m.KernelRuns++
-		o.m.KernelSlotsFastForwarded += n
-		o.m.MissAsleep += misses
-	}
+	o.m.KernelRuns++
+	o.m.KernelSlotsFastForwarded += n
+	o.m.MissAsleep += misses
 	if o.sp != nil {
 		o.sp.ObserveMisses(misses)
 	}
@@ -124,9 +126,7 @@ func (o *observer) sleepRun(n, misses int64) {
 // alwaysOn records an always-on run of n slots: probability-one states
 // the kernel advanced without deciding them one at a time.
 func (o *observer) alwaysOn(n int64) {
-	if o.m != nil {
-		o.m.KernelSlotsAlwaysOn += n
-	}
+	o.m.KernelSlotsAlwaysOn += n
 }
 
 // slot traces one decided slot; engines call it only when o.w != nil.
@@ -172,8 +172,9 @@ func slotFlags(event, active, denied bool) uint8 {
 
 // stride returns the starting value of an awake-slot countdown to the
 // next battery sample: the sampling stride, or never when this observer
-// does not sample. Awake-slot engines keep the countdown in a local, so
-// the uninstrumented loop pays one decrement-and-test per awake slot.
+// does not sample (a batch replication r ≥ 1). Awake-slot engines keep
+// the countdown in a local, so an unsampled loop pays one
+// decrement-and-test per awake slot.
 func (o *observer) stride() int64 {
 	if o.sampling {
 		return batterySampleStride
@@ -184,20 +185,15 @@ func (o *observer) stride() int64 {
 // battery records one sample of sensor 0's end-of-slot battery level.
 func (o *observer) battery(lvl float64) {
 	frac := lvl * o.invCap
-	if o.m != nil {
-		o.m.ObservedSlots++
-		o.m.BatteryFracSum += frac
-		bin := int(frac * batteryBins)
-		if bin >= batteryBins {
-			bin = batteryBins - 1
-		}
-		o.m.BatteryHist[bin]++
-		if lvl < o.costGate {
-			o.m.EnergyOutageSlots++
-		}
+	o.m.ObservedSlots++
+	o.m.BatteryFracSum += frac
+	bin := int(frac * batteryBins)
+	if bin >= batteryBins {
+		bin = batteryBins - 1
 	}
-	if o.sp != nil {
-		o.sp.ObserveBattery(frac)
+	o.m.BatteryHist[bin]++
+	if lvl < o.costGate {
+		o.m.EnergyOutageSlots++
 	}
 }
 
@@ -209,16 +205,15 @@ func (o *observer) finish(res *Result) {
 		res.QoM = float64(res.Captures) / float64(res.Events)
 	}
 	recordEngine(res.Engine)
-	if o.m != nil {
-		// An activation on an event slot always captures, so the wasted
-		// (no-event) activations are exactly activations − captures,
-		// summed over every sensor block of the result; deriving them
-		// here keeps the branch out of every hot activation path.
-		for i := range res.Sensors {
-			o.m.WastedActivations += res.Sensors[i].Activations - res.Sensors[i].Captures
-		}
-		res.Metrics = o.m
-		o.m.publish(res)
+	// An activation on an event slot always captures, so the wasted
+	// (no-event) activations are exactly activations − captures, summed
+	// over every sensor block of the result; deriving them here keeps
+	// the branch out of every hot activation path.
+	for i := range res.Sensors {
+		o.m.WastedActivations += res.Sensors[i].Activations - res.Sensors[i].Captures
 	}
-	o.sp.finish(res)
+	res.Metrics = o.m
+	o.m.publish(res)
+	r := o.sp.Report()
+	res.Stats = &r
 }

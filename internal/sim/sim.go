@@ -118,12 +118,11 @@ type Result struct {
 	// reference engine or the compiled kernel) — under EngineAuto the
 	// caller cannot know otherwise.
 	Engine Engine
-	// Metrics holds the run's observability counters when
-	// Config.Metrics is set, nil otherwise.
+	// Metrics holds the run's observability counters; every run fills
+	// it.
 	Metrics *Metrics
-	// Stats holds the streaming-statistics report (QoM point estimate,
-	// CI, battery summary — DESIGN.md §16) when Config.Stats is set, nil
-	// otherwise.
+	// Stats holds the run's streaming-statistics report (QoM point
+	// estimate and CI, DESIGN.md §16); every run fills it.
 	Stats *stats.Report
 }
 
@@ -196,21 +195,14 @@ type Config struct {
 	// coordinated modes, which is exactly the fragility being measured.
 	FailAt map[int]int64
 
-	// Metrics, when true, collects the per-run observability counters of
-	// the Metrics struct into Result.Metrics and folds them into the
-	// process-wide obs totals. Collection is RNG-neutral: it never
-	// consumes a random draw, so outputs are byte-identical with it on
-	// or off (asserted by TestMetricsDoNotChangeResults).
-	Metrics bool
-
 	// Tracer, when non-nil, receives a slot-level execution trace:
 	// per-slot decision records, and on the compiled single-sensor
 	// kernel one compressed span per fast-forwarded sleep run. Tracing
-	// is RNG-neutral like Metrics — it never consumes a random draw, so
-	// results are byte-identical with it attached or not (asserted by
-	// TestTracingDoesNotChangeResults). Traced fleets (N > 1) run the
-	// reference engine. A batch (Batch > 1) is refused: trace the single
-	// run at Seed, which is its replication 0.
+	// never consumes a random draw, so results are byte-identical with
+	// it attached or not (asserted by TestTracingDoesNotChangeResults).
+	// Traced fleets (N > 1) run the reference engine. A batch
+	// (Batch > 1) is refused: trace the single run at Seed, which is its
+	// replication 0.
 	Tracer *trace.Writer
 
 	// Engine selects the simulation engine, of a single run and of every
@@ -237,18 +229,10 @@ type Config struct {
 	// "exec.kernel" or "exec.reference" child around a single run's
 	// execution, or one "exec.batch" child (with per-chunk forks and an
 	// aggregation child) around a batch's. Spans wrap phases,
-	// never the slot loop, and are RNG-neutral like Metrics and Tracer —
-	// results are byte-identical with or without one attached (asserted
-	// by TestSpansDoNotChangeResults).
+	// never the slot loop, and are RNG-neutral like Tracer — results
+	// are byte-identical with or without one attached (asserted by
+	// TestSpansDoNotChangeResults).
 	Span *obs.Span
-
-	// Stats, when true, attaches the streaming statistics probe
-	// (DESIGN.md §16): online QoM batch means with a confidence
-	// interval (per-replication samples on a batch), and a single run's
-	// battery-occupancy summary, into Result.Stats. RNG-neutral under
-	// the same contract as Metrics — results are byte-identical with
-	// the probe on or off (asserted by TestStatsDoNotChangeResults).
-	Stats bool
 }
 
 func (c *Config) validate() error {
@@ -511,8 +495,8 @@ func runReference(cfg *Config, seed uint64, sensors []SensorStats, o *observer) 
 	// data-dependent branch inside the loop: a period-stride pattern
 	// inside a body with dozens of branches is beyond any predictor's
 	// history, and the resulting mispredictions cost far more than the
-	// observation itself. With nothing sampling there is a single chunk
-	// and the loop is exactly the uninstrumented loop.
+	// observation itself. A batch replication r ≥ 1 samples nothing and
+	// runs the whole horizon as one chunk.
 	chunkLen := cfg.Slots
 	if o.sampling {
 		chunkLen = batterySampleStride

@@ -7,67 +7,12 @@ import (
 	"eventcap/internal/stats"
 )
 
-// TestStatsDoNotChangeResults is the RNG-neutrality contract of
-// Config.Stats: the probe must leave every other Result field
-// byte-identical, on every execution path.
-func TestStatsDoNotChangeResults(t *testing.T) {
-	for _, ec := range engineCases(t) {
-		name, cfg := ec.name, ec.cfg
-		cfg.Stats = false
-		want, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cfg.Stats = true
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Stats == nil {
-			t.Fatalf("%s: Stats requested but nil", name)
-		}
-		got.Stats = nil // the only field allowed to differ
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: stats probe changed the run:\nwith    %+v\nwithout %+v", name, got, want)
-		}
-	}
-}
-
-// TestStatsWithMetricsDoNotChangeResults: the probe composes with
-// Metrics (they share the battery sampling stride) without disturbing
-// either's output.
-func TestStatsWithMetricsDoNotChangeResults(t *testing.T) {
-	for _, ec := range engineCases(t) {
-		name, cfg := ec.name, ec.cfg
-		cfg.Metrics = true
-		cfg.Stats = false
-		want, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cfg.Stats = true
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got.Metrics, want.Metrics) {
-			t.Errorf("%s: probe changed the metrics:\nwith    %+v\nwithout %+v", name, got.Metrics, want.Metrics)
-		}
-		got.Stats, want.Stats = nil, nil
-		got.Metrics, want.Metrics = nil, nil
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: probe changed the run under metrics", name)
-		}
-	}
-}
-
 // TestStatsReportConsistency pins the report's totals to the Result
 // and its shape to the engine: batch paths report per-replication CIs,
-// per-run paths batch means with a battery summary.
+// per-run paths batch means.
 func TestStatsReportConsistency(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		name, cfg := ec.name, ec.cfg
-		cfg.Stats = true
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -87,21 +32,8 @@ func TestStatsReportConsistency(t *testing.T) {
 			if r.Count != int64(cfg.Batch) {
 				t.Errorf("%s: %d replication samples, want %d", name, r.Count, cfg.Batch)
 			}
-			if r.Battery != nil {
-				t.Errorf("%s: batch path reported a battery summary", name)
-			}
-		} else {
-			if r.Method != stats.MethodBatchMeans {
-				t.Errorf("%s: method %q, want batch-means", name, r.Method)
-			}
-			if r.Battery == nil {
-				t.Errorf("%s: no battery summary", name)
-			} else {
-				b := r.Battery
-				if b.Count == 0 || b.Mean < 0 || b.Mean > 1 || b.P10 > b.P50 || b.P50 > b.P90 {
-					t.Errorf("%s: battery summary %+v", name, b)
-				}
-			}
+		} else if r.Method != stats.MethodBatchMeans {
+			t.Errorf("%s: method %q, want batch-means", name, r.Method)
 		}
 		if r.Level != stats.DefaultCILevel {
 			t.Errorf("%s: no CI in %+v", name, r)
@@ -118,14 +50,10 @@ func TestStatsReportConsistency(t *testing.T) {
 // kernel sees the same event sequence in the same order as the
 // reference engine, so the QoM side of the report must match bit for
 // bit — sleep-run bulk misses and per-slot misses are the same stream.
-// (The battery streams legitimately differ: the kernel samples awake
-// slots only.)
 func TestKernelStatsMatchReference(t *testing.T) {
 	for _, kc := range kernelCases(t) {
 		for _, batteryCap := range []float64{7, 100} {
 			cfg := kernelBaseConfig(t, kc, constantFactory(t, 0.5), batteryCap, 2)
-			cfg.Stats = true
-
 			cfg.Engine = EngineReference
 			ref, err := Run(cfg)
 			if err != nil {
@@ -136,9 +64,7 @@ func TestKernelStatsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s K=%g: kernel: %v", kc.name, batteryCap, err)
 			}
-			r, k := *ref.Stats, *ker.Stats
-			r.Battery, k.Battery = nil, nil
-			if !reflect.DeepEqual(r, k) {
+			if r, k := *ref.Stats, *ker.Stats; !reflect.DeepEqual(r, k) {
 				t.Errorf("%s K=%g: kernel stats diverge:\nkernel    %+v\nreference %+v", kc.name, batteryCap, k, r)
 			}
 		}

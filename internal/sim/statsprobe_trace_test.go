@@ -19,7 +19,6 @@ func TestTraceQoMReportsMatchProbe(t *testing.T) {
 	for _, engine := range []Engine{EngineReference, EngineKernel} {
 		cfg := kernelBaseConfig(t, kernelCases(t)[0], constantFactory(t, 0.5), 7, 2)
 		cfg.Engine = engine
-		cfg.Stats = true
 		var buf bytes.Buffer
 		w := trace.NewWriter(&buf)
 		cfg.Tracer = w
@@ -38,9 +37,7 @@ func TestTraceQoMReportsMatchProbe(t *testing.T) {
 		if len(reports) != 1 {
 			t.Fatalf("%v: %d runs in trace, want 1", engine, len(reports))
 		}
-		want := *res.Stats
-		want.Battery = nil // the trace carries no battery stream
-		if !reflect.DeepEqual(reports[0], want) {
+		if want := *res.Stats; !reflect.DeepEqual(reports[0], want) {
 			t.Errorf("%v: trace rebuild diverges from probe:\ntrace %+v\nprobe %+v", engine, reports[0], want)
 		}
 	}

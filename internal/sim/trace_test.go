@@ -61,7 +61,9 @@ func slotRecords(t *testing.T, data []byte) []trace.Rec {
 
 // TestTracingDoesNotChangeResults is the RNG-neutrality contract of
 // Config.Tracer: attaching a trace writer must leave the Result
-// byte-identical, on every execution path that accepts a tracer.
+// byte-identical, on every execution path that accepts a tracer. A
+// traced kernel decides every awake slot alone, so of the Metrics only
+// its always-on slot count may differ.
 func TestTracingDoesNotChangeResults(t *testing.T) {
 	for _, ec := range tracedCases(t) {
 		name, cfg := ec.name, ec.cfg
@@ -82,6 +84,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 		if w.Counts().Records == 0 {
 			t.Fatalf("%s: trace captured no records", name)
 		}
+		got.Metrics.KernelSlotsAlwaysOn = want.Metrics.KernelSlotsAlwaysOn
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: tracing changed the run:\nwith    %+v\nwithout %+v", name, got, want)
 		}
@@ -100,7 +103,6 @@ func TestTraceReplayMatchesResults(t *testing.T) {
 	sawSpans := false
 	for _, ec := range tracedCases(t) {
 		name, cfg := ec.name, ec.cfg
-		cfg.Metrics = true
 		var buf bytes.Buffer
 		w := trace.NewWriter(&buf)
 		cfg.Tracer = w

@@ -1,10 +1,10 @@
 package stats
 
 // Streaming (O(1)-memory) estimators behind the simulation's stats
-// probe (DESIGN.md §16): Welford mean/variance, the P² quantile
-// estimator, batch means with growing batch size for autocorrelated
-// per-slot series, MSER warmup truncation, and the pooling of per-run
-// reports into an experiment's estimate.
+// probe (DESIGN.md §16): Welford mean/variance, batch means with
+// growing batch size for autocorrelated per-slot series, MSER warmup
+// truncation, and the pooling of per-run reports into an experiment's
+// estimate.
 //
 // Determinism matters more than generality here: the probe's reports
 // land in run manifests that `cmd/tracetool stats` re-derives from a
@@ -62,136 +62,12 @@ func (w *Welford) Variance() float64 {
 	return w.M2 / float64(w.N-1)
 }
 
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // StdErr returns the standard error of the mean.
 func (w *Welford) StdErr() float64 {
 	if w.N < 1 {
 		return 0
 	}
 	return math.Sqrt(w.Variance() / float64(w.N))
-}
-
-// P2Quantile estimates a single quantile online with the P² algorithm
-// (Jain & Chlamtac 1985): five markers, O(1) memory, no stored
-// samples. For the first five observations the estimate is exact
-// (computed from the sorted prefix). Construct with NewP2Quantile.
-type P2Quantile struct {
-	p     float64
-	q     [5]float64 // marker heights (first 5 raw observations before init)
-	n     [5]int64   // marker positions (1-based)
-	np    [5]float64 // desired positions
-	dn    [5]float64 // desired-position increments
-	count int64
-}
-
-// NewP2Quantile returns an estimator for the p-quantile, 0 < p < 1.
-func NewP2Quantile(p float64) *P2Quantile {
-	return &P2Quantile{p: p}
-}
-
-// Count returns the number of observations folded in.
-func (e *P2Quantile) Count() int64 { return e.count }
-
-// P returns the target quantile.
-func (e *P2Quantile) P() float64 { return e.p }
-
-// Add folds one observation in.
-func (e *P2Quantile) Add(x float64) {
-	if e.count < 5 {
-		e.q[e.count] = x
-		e.count++
-		if e.count == 5 {
-			sort.Float64s(e.q[:])
-			p := e.p
-			e.n = [5]int64{1, 2, 3, 4, 5}
-			e.np = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-			e.dn = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-		}
-		return
-	}
-	// Find the cell k with q[k] <= x < q[k+1], extending extremes.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x < e.q[1]:
-		k = 0
-	case x < e.q[2]:
-		k = 1
-	case x < e.q[3]:
-		k = 2
-	case x <= e.q[4]:
-		k = 3
-	default:
-		e.q[4] = x
-		k = 3
-	}
-	for i := k + 1; i < 5; i++ {
-		e.n[i]++
-	}
-	for i := range e.np {
-		e.np[i] += e.dn[i]
-	}
-	e.count++
-	// Adjust the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.np[i] - float64(e.n[i])
-		if (d >= 1 && e.n[i+1]-e.n[i] > 1) || (d <= -1 && e.n[i-1]-e.n[i] < -1) {
-			s := int64(1)
-			if d < 0 {
-				s = -1
-			}
-			if qn := e.parabolic(i, s); e.q[i-1] < qn && qn < e.q[i+1] {
-				e.q[i] = qn
-			} else {
-				e.q[i] = e.linear(i, s)
-			}
-			e.n[i] += s
-		}
-	}
-}
-
-// parabolic is the piecewise-parabolic (P²) height update for marker i
-// moving by s ∈ {−1, +1}.
-func (e *P2Quantile) parabolic(i int, s int64) float64 {
-	fs := float64(s)
-	n0, n1, n2 := float64(e.n[i-1]), float64(e.n[i]), float64(e.n[i+1])
-	return e.q[i] + fs/(n2-n0)*
-		((n1-n0+fs)*(e.q[i+1]-e.q[i])/(n2-n1)+
-			(n2-n1-fs)*(e.q[i]-e.q[i-1])/(n1-n0))
-}
-
-// linear is the fallback height update when the parabolic prediction
-// would leave the bracket [q[i−1], q[i+1]].
-func (e *P2Quantile) linear(i int, s int64) float64 {
-	j := i + int(s)
-	return e.q[i] + float64(s)*(e.q[j]-e.q[i])/float64(e.n[j]-e.n[i])
-}
-
-// Value returns the current quantile estimate: exact for fewer than
-// five observations, the P² central marker afterwards. Returns 0 with
-// no observations.
-func (e *P2Quantile) Value() float64 {
-	if e.count == 0 {
-		return 0
-	}
-	if e.count < 5 {
-		xs := make([]float64, e.count)
-		copy(xs, e.q[:e.count])
-		sort.Float64s(xs)
-		// Linear interpolation at rank p·(n−1), matching Quantile.
-		pos := e.p * float64(len(xs)-1)
-		lo := int(pos)
-		if lo >= len(xs)-1 {
-			return xs[len(xs)-1]
-		}
-		frac := pos - float64(lo)
-		return xs[lo] + frac*(xs[lo+1]-xs[lo])
-	}
-	return e.q[2]
 }
 
 // batchMeansMaxBatches bounds BatchMeans memory: when the 64 slots
@@ -310,7 +186,7 @@ func (b *BatchMeans) BatchLen() int64 {
 func (b *BatchMeans) CI(level float64) (sampleMean, variance, halfWidth float64, retained, truncated int, ok bool) {
 	d := 0
 	if b.nb >= mserMinBatches {
-		d = MSERTruncation(b.means[:b.nb])
+		d = mserTruncation(b.means[:b.nb])
 	}
 	retained = b.nb - d
 	truncated = d
@@ -325,18 +201,20 @@ func (b *BatchMeans) CI(level float64) (sampleMean, variance, halfWidth float64,
 	return w.Mean, w.Variance(), z * w.StdErr(), retained, truncated, true
 }
 
-// MSERTruncation returns the warmup truncation point d (in batches)
-// for the given batch-mean series: the d ∈ [0, n/2] minimizing the
-// MSER statistic SSE(d)/(n−d)², i.e. the squared standard error of
-// the retained mean. Computed with suffix sums in O(n).
-func MSERTruncation(means []float64) int {
+// mserTruncation returns the warmup truncation point d (in batches)
+// for the given batch-mean series (at most batchMeansMaxBatches of
+// them): the d ∈ [0, n/2] minimizing the MSER statistic SSE(d)/(n−d)²,
+// i.e. the squared standard error of the retained mean. Computed with
+// suffix sums in O(n).
+func mserTruncation(means []float64) int {
 	n := len(means)
 	if n < 2 {
 		return 0
 	}
-	// Suffix sums: s[d] = Σ means[d:], s2[d] = Σ means[d:]².
-	s := make([]float64, n+1)
-	s2 := make([]float64, n+1)
+	// Suffix sums: s[d] = Σ means[d:], s2[d] = Σ means[d:]². BatchMeans
+	// holds at most batchMeansMaxBatches means, so fixed arrays keep an
+	// end-of-run report allocation-free.
+	var s, s2 [batchMeansMaxBatches + 1]float64
 	for d := n - 1; d >= 0; d-- {
 		s[d] = s[d+1] + means[d]
 		s2[d] = s2[d+1] + means[d]*means[d]
@@ -397,20 +275,6 @@ type Report struct {
 	// Of names the underlying per-run method for pooled reports:
 	// "batch-means", "replication", or "mixed".
 	Of string `json:"of,omitempty"`
-
-	// Battery summarizes the battery-occupancy stream, when sampled.
-	Battery *BatteryReport `json:"battery,omitempty"`
-}
-
-// BatteryReport summarizes the sampled battery-occupancy stream
-// (fractions of capacity in [0,1]).
-type BatteryReport struct {
-	Count  int64   `json:"count"`
-	Mean   float64 `json:"mean"`
-	StdDev float64 `json:"std_dev"`
-	P10    float64 `json:"p10"`
-	P50    float64 `json:"p50"`
-	P90    float64 `json:"p90"`
 }
 
 // QoMReport builds the batch-means Report for a 0/1 QoM indicator

@@ -27,65 +27,6 @@ func TestWelfordMatchesSummarize(t *testing.T) {
 	}
 }
 
-func TestP2QuantileKnownDistributions(t *testing.T) {
-	// P² vs the exact offline quantile on three shapes: uniform,
-	// normal, and exponential (heavy right tail). The published
-	// accuracy for n in the tens of thousands is well under 1% of the
-	// distribution's scale.
-	const n = 50000
-	dists := map[string]func(*rng.Source) float64{
-		"uniform":     func(s *rng.Source) float64 { return s.Float64() },
-		"normal":      func(s *rng.Source) float64 { return s.NormFloat64() },
-		"exponential": func(s *rng.Source) float64 { return -math.Log(1 - s.Float64()) },
-	}
-	for name, draw := range dists {
-		for _, p := range []float64{0.1, 0.5, 0.9} {
-			src := rng.New(11, 0)
-			est := NewP2Quantile(p)
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = draw(src)
-				est.Add(xs[i])
-			}
-			exact, err := Quantile(xs, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if est.Count() != n {
-				t.Fatalf("%s p=%v: count %d", name, p, est.Count())
-			}
-			// Scale the tolerance by the local spread of the sample.
-			scale := math.Abs(exact)
-			if scale < 1 {
-				scale = 1
-			}
-			if got := est.Value(); math.Abs(got-exact) > 0.02*scale {
-				t.Errorf("%s p=%v: P² %v, exact %v", name, p, got, exact)
-			}
-		}
-	}
-}
-
-func TestP2QuantileSmallSamplesExact(t *testing.T) {
-	est := NewP2Quantile(0.5)
-	if est.Value() != 0 {
-		t.Fatal("empty estimator should return 0")
-	}
-	for _, x := range []float64{9, 1, 5} {
-		est.Add(x)
-	}
-	exact, err := Quantile([]float64{9, 1, 5}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := est.Value(); got != exact {
-		t.Fatalf("small-sample value %v, want exact %v", got, exact)
-	}
-	if est.P() != 0.5 {
-		t.Fatalf("P() = %v", est.P())
-	}
-}
-
 func TestBatchMeansAddNMatchesLoop(t *testing.T) {
 	// The probe feeds AddN for fast-forwarded misses; it must land in a
 	// bit-identical state to per-event Add calls, across batch-doubling
@@ -196,7 +137,7 @@ func TestMSERTruncationDetectsWarmup(t *testing.T) {
 			means[i] -= 0.01
 		}
 	}
-	d := MSERTruncation(means)
+	d := mserTruncation(means)
 	if d < 1 || d > 10 {
 		t.Fatalf("truncation %d, want within the transient (1..10)", d)
 	}
@@ -205,10 +146,10 @@ func TestMSERTruncationDetectsWarmup(t *testing.T) {
 	for i := range flat {
 		flat[i] = 3 + 0.001*float64(i%3)
 	}
-	if d := MSERTruncation(flat); d > 2 {
+	if d := mserTruncation(flat); d > 2 {
 		t.Fatalf("flat series truncated at %d", d)
 	}
-	if MSERTruncation(nil) != 0 || MSERTruncation([]float64{1}) != 0 {
+	if mserTruncation(nil) != 0 || mserTruncation([]float64{1}) != 0 {
 		t.Fatal("degenerate inputs must not truncate")
 	}
 }
