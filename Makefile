@@ -53,28 +53,23 @@ lint-baseline:
 	$(GO) run ./cmd/eventcap-lint -baseline lint-baseline.json -write-baseline ./...
 
 # Short-budget fuzzing of the numeric contracts: binomial sampling vs
-# CDF inversion, the quantile table's gaps vs inverse-CDF sampling, policy
-# serialization round-trips, the belief filter's live-span update vs
-# the dense walk, the PI solver's closed recovery tail vs the f-chain
-# walk, its evaluations resumed from a shared prefix vs fresh walks,
-# the O(1) recharge closed form vs the sequential loop,
-# the compiled kernel vs the reference engine on generated
-# configurations, the .evtrace decoders on arbitrary bytes, and
-# run-manifest decoding (ReadManifest and a Write round trip). Seed
-# corpora live in testdata/fuzz or in the targets' f.Add calls; CI runs
-# this same budget per target. The fuzzer minimizes each new input for
-# up to 60 s by default, which can eat a JSON target's whole budget:
-# FuzzReadManifest's ~1 KB records ran 8 inputs in 30 s without a 1 s
-# cap (~15,000 in 10 s with it), and FuzzVectorJSONRoundTrip stalled at
-# 49,770 execs from 6 s to 9 s without it (122,436 by 10 s with it).
-# FuzzClusteringPolicyRoundTrip kept fuzzing uncapped (~290,000 in
-# 10 s either way), so its line has no cap.
+# CDF inversion, the quantile table's gaps vs inverse-CDF sampling, the
+# belief filter's live-span update vs the dense walk, the PI solver's
+# closed recovery tail vs the f-chain walk, its evaluations resumed
+# from a shared prefix vs fresh walks, the O(1) recharge closed form vs
+# the sequential loop, the compiled kernel vs the reference engine on
+# generated configurations, the .evtrace decoders on arbitrary bytes,
+# run-manifest decoding (ReadManifest and a Write round trip) and BENCH
+# record decoding (benchtraj's loader and readers). Seed corpora live in
+# testdata/fuzz or in the targets' f.Add calls; CI runs this same budget
+# per target. The fuzzer minimizes each new input for up to 60 s by
+# default, which can eat a JSON target's whole budget: FuzzReadManifest's
+# ~1 KB records ran 8 inputs in 30 s without a 1 s cap (~15,000 in 10 s
+# with it), so both JSON targets run with the cap.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSampleBinomial -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzQuantileTableGap -fuzztime $(FUZZTIME) ./internal/dist
-	$(GO) test -run '^$$' -fuzz FuzzVectorJSONRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzClusteringPolicyRoundTrip -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzBeliefStepMatchesDense -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzClosedTailMatchesWalk -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzResumeMatchesWalk -fuzztime $(FUZZTIME) ./internal/core
@@ -82,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzReadManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzBenchRecord -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./cmd/benchtraj
 
 # -short skips only the pre-change fixture regeneration in
 # internal/experiments; the kernel equivalence tests and the solver

@@ -366,24 +366,91 @@ func TestMedian(t *testing.T) {
 }
 
 func TestRepoRecordsIngest(t *testing.T) {
-	// The real BENCH_*.json records at the repo root must ingest
-	// cleanly (this is what `make check` runs).
+	// Every committed BENCH_*.json record at the repo root must ingest
+	// cleanly into a series of its own (this is what `make check` runs).
+	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	for _, name := range []string{"BENCH_kernel.json", "BENCH_span.json", "BENCH_parallel.json"} {
-		data, err := os.ReadFile(filepath.Join("..", "..", name))
-		if err != nil {
-			t.Skipf("repo record %s not present: %v", name, err)
+	records := 0
+	for _, f := range files {
+		if filepath.Base(f) == "BENCH_trajectory.json" {
+			continue
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		data, err := os.ReadFile(f)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		records++
+	}
+	if records == 0 {
+		t.Fatal("no committed BENCH_*.json record found at the repo root")
 	}
 	var sb strings.Builder
 	if err := run([]string{"-dir", dir}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	traj := readTrajectory(t, filepath.Join(dir, "BENCH_trajectory.json"))
-	if len(traj.Series) != 3 {
-		t.Fatalf("expected 3 series from repo records, got %v", traj.Series)
+	if len(traj.Series) != records {
+		t.Fatalf("expected %d series from %d repo records, got %v", records, records, traj.Series)
 	}
+}
+
+// FuzzBenchRecord feeds arbitrary bytes through the BENCH record
+// decoders: loadRecord (from a file, as benchtraj reads them),
+// figureOfMerit, gomaxprocs and bytesEqualCanonical. None may panic, and
+// a record that loads must be canonical (loading its own bytes again
+// reproduces them) and equal to itself.
+func FuzzBenchRecord(f *testing.F) {
+	// Every committed record is a seed.
+	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range files {
+		if filepath.Base(name) == "BENCH_trajectory.json" {
+			continue
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"benchmark":"BenchmarkX","speedup":4.5,"gomaxprocs":2}`))
+	f.Add([]byte(`{"measurement":{"median_speedup":"fast","noise_floor_pct":null}}`))
+	f.Add([]byte(`[1,"two",{"benchmark":3}]`))
+	f.Add([]byte(`{"benchmark":`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		figureOfMerit(data)
+		gomaxprocs(data)
+		bytesEqualCanonical(data, data)
+		path := filepath.Join(t.TempDir(), "BENCH_fuzz.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		key, rec, err := loadRecord(path)
+		if err != nil {
+			return
+		}
+		if err := os.WriteFile(path, rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		key2, rec2, err := loadRecord(path)
+		if err != nil {
+			t.Fatalf("canonical record does not load again: %v\n%s", err, rec)
+		}
+		if key2 != key || string(rec2) != string(rec) {
+			t.Fatalf("record is not canonical: %q %s -> %q %s", key, rec, key2, rec2)
+		}
+		if !bytesEqualCanonical(rec, rec) || !bytesEqualCanonical(data, rec) {
+			t.Fatalf("record differs from itself after canonicalization: %s", rec)
+		}
+		figureOfMerit(rec)
+		gomaxprocs(rec)
+	})
 }

@@ -10,9 +10,9 @@
 //
 // Analyzers enforce conventions no compiler checks: byte-identical
 // results for any -workers value, RNG streams drawn only from seeded
-// rng.Split/parallel.MapSeeded derivations, probabilities kept in [0,1],
-// and float comparisons routed through exact sentinels or the numeric
-// tolerance helpers. Each analyzer documents a justification-comment
+// rng.Split derivations, probabilities kept in [0,1], and float
+// comparisons routed through exact sentinels or the numeric tolerance
+// helpers. Each analyzer documents a justification-comment
 // escape hatch; see the analyzers subpackage.
 package analysis
 

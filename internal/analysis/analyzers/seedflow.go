@@ -15,8 +15,8 @@ const SeedflowMarker = "seedflow:ok"
 
 // Seedflow enforces the RNG provenance contract (DESIGN.md §7): inside
 // simulation paths, every random stream must descend from the run's
-// seeded root via rng.Source.Split or parallel.MapSeeded, so that
-// results are a pure function of Config.Seed and the split topology.
+// seeded root via rng.Source.Split, so that results are a pure
+// function of Config.Seed and the split topology.
 // Fresh sources minted mid-path — rng.New with an ad-hoc seed, or a
 // hand-rolled rng.Source composite literal — silently fork the stream
 // graph and break worker-count invariance.
@@ -37,7 +37,7 @@ const SeedflowMarker = "seedflow:ok"
 var Seedflow = &analysis.Analyzer{
 	Name: "seedflow",
 	Doc: "RNG streams in simulation paths must descend from the seeded root via " +
-		"rng.Split/parallel.MapSeeded; fresh rng.New sources need // seedflow:ok <reason>",
+		"rng.Split; fresh rng.New sources need // seedflow:ok <reason>",
 	Run: runSeedflow,
 }
 
@@ -47,7 +47,7 @@ func runSeedflow(pass *analysis.Pass) error {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				if pass.CalleeIn(n, "internal/rng", "New") && !pass.Justified(n.Pos(), SeedflowMarker) {
-					pass.Reportf(n.Pos(), "fresh rng.New source in a simulation path: derive the stream from the run root via Split or parallel.MapSeeded (// %s <reason> for the documented run-root constructions)", SeedflowMarker)
+					pass.Reportf(n.Pos(), "fresh rng.New source in a simulation path: derive the stream from the run root via Split (// %s <reason> for the documented run-root constructions)", SeedflowMarker)
 				}
 				if pass.CalleeIn(n, "internal/rng", "Reseed") && !pass.Justified(n.Pos(), SeedflowMarker) {
 					pass.Reportf(n.Pos(), "rng.Source.Reseed re-roots a stream mid-path, as seed-forking as a fresh rng.New: derive streams with Split/SplitInto instead (// %s <reason> for the documented replication-root constructions)", SeedflowMarker)

@@ -49,9 +49,6 @@ type Graph struct {
 	Blocks []*Block
 }
 
-// Entry returns the entry block.
-func (g *Graph) Entry() *Block { return g.Blocks[0] }
-
 // Exit returns the exit block: the single successor of every return,
 // explicit panic, and fall-off-the-end path.
 func (g *Graph) Exit() *Block { return g.Blocks[1] }

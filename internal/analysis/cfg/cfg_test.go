@@ -183,8 +183,8 @@ func f(mu locker) {
 	if got := strings.TrimSpace(g.String()); got != strings.TrimSpace(want) {
 		t.Fatalf("graph mismatch\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	if _, ok := g.Entry().Nodes[1].(*ast.DeferStmt); !ok {
-		t.Errorf("entry node 1 is %T, want *ast.DeferStmt recorded at its registration point", g.Entry().Nodes[1])
+	if _, ok := g.Blocks[0].Nodes[1].(*ast.DeferStmt); !ok {
+		t.Errorf("entry node 1 is %T, want *ast.DeferStmt recorded at its registration point", g.Blocks[0].Nodes[1])
 	}
 }
 

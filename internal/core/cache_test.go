@@ -200,23 +200,3 @@ func TestCachedSolversAgree(t *testing.T) {
 		t.Fatalf("greedy %v vs Lagrangian %v", g.CaptureProb, lg.CaptureProb)
 	}
 }
-
-func TestMixtureCacheKey(t *testing.T) {
-	w, _ := dist.NewWeibull(40, 3)
-	pa, _ := dist.NewPareto(2, 10)
-	m, err := dist.NewMixture([]dist.Interarrival{w, pa}, []float64{0.3, 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1 := m.CacheKey()
-	if k1 == "" {
-		t.Fatal("keyed components should produce a non-empty mixture key")
-	}
-	m2, err := dist.NewMixture([]dist.Interarrival{w, pa}, []float64{0.3000001, 0.6999999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.CacheKey() == k1 {
-		t.Fatal("different weights produced the same mixture key")
-	}
-}

@@ -49,17 +49,32 @@ func TestClusteringPolicySingleSlotHot(t *testing.T) {
 }
 
 func TestClusteringValidate(t *testing.T) {
-	bad := []ClusteringPolicy{
-		{N1: 0, N2: 1, N3: 2},
-		{N1: 3, N2: 2, N3: 5},
-		{N1: 1, N2: 4, N3: 4},
-		{N1: 1, N2: 2, N3: 3, C1: -0.1},
-		{N1: 1, N2: 2, N3: 3, C2: 1.4},
-	}
-	for _, cp := range bad {
-		if err := cp.Validate(); err == nil {
-			t.Errorf("invalid policy accepted: %+v", cp)
-		}
+	for _, tc := range []struct {
+		name  string
+		cp    ClusteringPolicy
+		valid bool
+	}{
+		{"valid", ClusteringPolicy{N1: 3, N2: 7, N3: 20, C1: 0.5, C2: 1, C3: 0.25}, true},
+		{"single-slot-hot", ClusteringPolicy{N1: 4, N2: 4, N3: 6, C1: 0.5, C2: 0.9, C3: 1}, true},
+		{"N1-zero", ClusteringPolicy{N1: 0, N2: 1, N3: 2}, false},
+		{"N2-below-N1", ClusteringPolicy{N1: 3, N2: 2, N3: 5}, false},
+		{"N3-equals-N2", ClusteringPolicy{N1: 1, N2: 4, N3: 4}, false},
+		{"regions-5-2-9", ClusteringPolicy{N1: 5, N2: 2, N3: 9}, false},
+		{"regions-3-2-1", ClusteringPolicy{N1: 3, N2: 2, N3: 1, C1: 0.5, C2: 0.5, C3: 0.5}, false},
+		{"regions-1-2-2", ClusteringPolicy{N1: 1, N2: 2, N3: 2, C1: 1, C2: 1, C3: 1}, false},
+		{"C1-negative", ClusteringPolicy{N1: 1, N2: 2, N3: 3, C1: -0.1}, false},
+		{"C2-above-one", ClusteringPolicy{N1: 1, N2: 2, N3: 3, C2: 1.4}, false},
+		{"C3-NaN", ClusteringPolicy{N1: 1, N2: 2, N3: 3, C3: math.NaN()}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cp.Validate()
+			if tc.valid && err != nil {
+				t.Fatalf("valid policy rejected: %v", err)
+			}
+			if !tc.valid && err == nil {
+				t.Fatalf("invalid policy accepted: %+v", tc.cp)
+			}
+		})
 	}
 }
 

@@ -33,11 +33,11 @@ func (v Vector) At(i int) float64 {
 // Validate checks that every probability lies in [0, 1].
 func (v Vector) Validate() error {
 	for i, c := range v.Prefix {
-		if c < 0 || c > 1 {
+		if !validProb(c) {
 			return fmt.Errorf("core: activation probability %g at state %d out of [0,1]", c, i+1)
 		}
 	}
-	if v.Tail < 0 || v.Tail > 1 {
+	if !validProb(v.Tail) {
 		return fmt.Errorf("core: tail activation probability %g out of [0,1]", v.Tail)
 	}
 	return nil

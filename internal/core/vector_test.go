@@ -19,17 +19,32 @@ func TestVectorAt(t *testing.T) {
 }
 
 func TestVectorValidate(t *testing.T) {
-	if err := (Vector{Prefix: []float64{0, 1}, Tail: 0.5}).Validate(); err != nil {
-		t.Fatalf("valid vector rejected: %v", err)
-	}
-	if err := (Vector{Prefix: []float64{1.5}}).Validate(); err == nil {
-		t.Fatal("prefix > 1 accepted")
-	}
-	if err := (Vector{Prefix: []float64{-0.1}}).Validate(); err == nil {
-		t.Fatal("negative prefix accepted")
-	}
-	if err := (Vector{Tail: 2}).Validate(); err == nil {
-		t.Fatal("tail > 1 accepted")
+	for _, tc := range []struct {
+		name  string
+		v     Vector
+		valid bool
+	}{
+		{"valid", Vector{Prefix: []float64{0, 1}, Tail: 0.5}, true},
+		{"never-active", Vector{}, true},
+		{"prefix-above-one", Vector{Prefix: []float64{1.5}}, false},
+		{"prefix-two", Vector{Prefix: []float64{2}}, false},
+		{"prefix-negative", Vector{Prefix: []float64{-0.1}}, false},
+		{"later-prefix-above-one", Vector{Prefix: []float64{0.5, 1.5}}, false},
+		{"prefix-NaN", Vector{Prefix: []float64{0.5, math.NaN()}}, false},
+		{"tail-above-one", Vector{Tail: 2}, false},
+		{"tail-negative", Vector{Tail: -0.5}, false},
+		{"tail-NaN", Vector{Tail: math.NaN()}, false},
+		{"tail-infinite", Vector{Tail: math.Inf(1)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.v.Validate()
+			if tc.valid && err != nil {
+				t.Fatalf("valid vector rejected: %v", err)
+			}
+			if !tc.valid && err == nil {
+				t.Fatalf("invalid vector accepted: %+v", tc.v)
+			}
+		})
 	}
 }
 

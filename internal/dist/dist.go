@@ -117,23 +117,6 @@ func meanFromSurvival(cdf func(int) float64, cap int) float64 {
 	return sum.Value()
 }
 
-// SurvivalSum returns Σ_{j=from}^{to} (1 − F(j)), used for tail-energy
-// computations such as the cost of an always-on activation tail.
-func SurvivalSum(d Interarrival, from, to int) float64 {
-	if from < 0 {
-		from = 0
-	}
-	var sum numeric.KahanSum
-	for j := from; j <= to; j++ {
-		s := 1 - d.CDF(j)
-		if s <= 0 {
-			break
-		}
-		sum.Add(s)
-	}
-	return sum.Value()
-}
-
 // ceilGap is the slotting step shared by every inversion sampler: round
 // the continuous variate up to a whole slot, clamped to >= 1. SampleU
 // implementations must apply exactly this rounding so QuantileTable's

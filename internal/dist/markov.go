@@ -20,6 +20,7 @@ import (
 // transformation (Section VI-A2) is exactly this construction.
 type MarkovRenewal struct {
 	a, b float64
+	logB float64 // math.Log(b), the divisor of every geometric run draw
 	name string
 }
 
@@ -34,7 +35,7 @@ func NewMarkovRenewal(a, b float64) (*MarkovRenewal, error) {
 	if b < 0 || b >= 1 {
 		return nil, fmt.Errorf("dist: Markov b must be in [0,1), got %g", b)
 	}
-	return &MarkovRenewal{a: a, b: b, name: fmt.Sprintf("MarkovRenewal(a=%g,b=%g)", a, b)}, nil
+	return &MarkovRenewal{a: a, b: b, logB: math.Log(b), name: fmt.Sprintf("MarkovRenewal(a=%g,b=%g)", a, b)}, nil
 }
 
 // A returns P(event | event last slot).
@@ -90,7 +91,7 @@ func (m *MarkovRenewal) Sample(src *rng.Source) int {
 		return 2
 	}
 	u := src.Float64()
-	run := int(math.Ceil(math.Log1p(-u) / math.Log(m.b)))
+	run := int(math.Ceil(math.Log1p(-u) / m.logB))
 	if run < 1 {
 		run = 1
 	}
@@ -103,9 +104,3 @@ func (m *MarkovRenewal) Name() string { return m.name }
 // CacheKey implements Keyed; the name embeds both chain parameters at
 // round-trip precision.
 func (m *MarkovRenewal) CacheKey() string { return m.name }
-
-// EventRate returns the stationary fraction of slots containing an event,
-// (1−b)/(2−a−b), useful for calibrating energy-balanced baselines.
-func (m *MarkovRenewal) EventRate() float64 {
-	return (1 - m.b) / (2 - m.a - m.b)
-}

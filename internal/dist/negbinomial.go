@@ -112,6 +112,3 @@ func (nb *NegBinomial) Name() string { return nb.name }
 // CacheKey implements Keyed; the name embeds both parameters at
 // round-trip precision.
 func (nb *NegBinomial) CacheKey() string { return nb.name }
-
-// StageCount returns k.
-func (nb *NegBinomial) StageCount() int { return nb.k }

@@ -37,12 +37,6 @@ func NewPareto(alpha, xm float64) (*Pareto, error) {
 	return p, nil
 }
 
-// TailIndex returns γ1.
-func (p *Pareto) TailIndex() float64 { return p.alpha }
-
-// Minimum returns γ2.
-func (p *Pareto) Minimum() float64 { return p.xm }
-
 func (p *Pareto) survivalCont(x float64) float64 {
 	if x <= p.xm {
 		return 1

@@ -28,9 +28,6 @@ func NewGeometric(p float64) (*Geometric, error) {
 	return &Geometric{p: p, name: fmt.Sprintf("Geometric(%g)", p)}, nil
 }
 
-// P returns the per-slot event probability.
-func (g *Geometric) P() float64 { return g.p }
-
 // PMF returns α_i.
 func (g *Geometric) PMF(i int) float64 {
 	if i < 1 {

@@ -33,12 +33,6 @@ func NewWeibull(scale, shape float64) (*Weibull, error) {
 	return w, nil
 }
 
-// Scale returns η1.
-func (w *Weibull) Scale() float64 { return w.scale }
-
-// Shape returns η2.
-func (w *Weibull) Shape() float64 { return w.shape }
-
 func (w *Weibull) continuousCDF(x float64) float64 {
 	if x <= 0 {
 		return 0

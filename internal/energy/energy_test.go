@@ -265,10 +265,6 @@ func TestOnOffMean(t *testing.T) {
 	if got := sum / n; math.Abs(got-want) > 0.02*want {
 		t.Fatalf("empirical mean %v, want %v", got, want)
 	}
-	r.Reset()
-	if r.Next(rng.New(1, 0)) != 2 {
-		t.Fatal("after Reset the process must start on")
-	}
 }
 
 func TestOnOffRejectsBadParams(t *testing.T) {

@@ -128,12 +128,6 @@ func (b *Bernoulli) Mean() float64 { return b.q * b.c }
 // Name implements Recharge.
 func (b *Bernoulli) Name() string { return b.name }
 
-// Q returns the per-slot delivery probability.
-func (b *Bernoulli) Q() float64 { return b.q }
-
-// C returns the per-delivery amount.
-func (b *Bernoulli) C() float64 { return b.c }
-
 var _ FastForwardPreparer = (*Bernoulli)(nil)
 
 // PrepareFastForward implements FastForwardPreparer: it precomputes
@@ -427,6 +421,3 @@ func (o *OnOff) Mean() float64 {
 
 // Name implements Recharge.
 func (o *OnOff) Name() string { return o.name }
-
-// Reset restores the initial (on) state.
-func (o *OnOff) Reset() { o.on = true }

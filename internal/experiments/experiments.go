@@ -198,16 +198,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs returns all experiment ids, sorted with figures first.
-func IDs() []string {
-	exps := All()
-	ids := make([]string, len(exps))
-	for i, e := range exps {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // ASCII renders the table for terminal output.
 func (t *Table) ASCII() string {
 	var b strings.Builder
@@ -312,14 +302,4 @@ func seriesFromColumns(points [][]float64, names ...string) []Series {
 		out[k] = Series{Name: name, Y: y}
 	}
 	return out
-}
-
-// seriesByName finds a series in a table (helper for tests).
-func (t *Table) seriesByName(name string) (Series, bool) {
-	for _, s := range t.Series {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Series{}, false
 }

@@ -54,12 +54,6 @@ func New(numStates, numActions int) (*MDP, error) {
 	return m, nil
 }
 
-// NumStates returns the number of states.
-func (m *MDP) NumStates() int { return m.numStates }
-
-// NumActions returns the number of actions.
-func (m *MDP) NumActions() int { return m.numActions }
-
 // SetTransition defines the dynamics of (state, action): the outcome
 // distribution (probabilities must sum to 1 within 1e-9) and the expected
 // one-step reward.

@@ -286,45 +286,3 @@ func (p *POMDP) EvaluateVector(vec []bool, tail bool) *Result {
 	value := eval(0, p.capacity-p.recharge, 1, p.initialBelief())
 	return &Result{Value: value, DistinctBeliefs: len(beliefs), MemoEntries: len(memo)}
 }
-
-// InformationStateGrowth returns, for each horizon 1..maxHorizon, the
-// number of distinct reachable beliefs. It quantifies the paper's claim
-// that the information-state dimension grows exponentially with time
-// (Section IV-B1: 2^k sequences for k unobserved slots).
-func (p *POMDP) InformationStateGrowth(maxHorizon int) []int {
-	counts := make([]int, 0, maxHorizon)
-	frontier := map[string]belief{beliefKey(p.initialBelief()): p.initialBelief()}
-	seen := make(map[string]struct{}, 64)
-	for k := range frontier {
-		seen[k] = struct{}{}
-	}
-	total := len(seen)
-	for h := 1; h <= maxHorizon; h++ {
-		next := make(map[string]belief, 2*len(frontier))
-		for _, b := range frontier {
-			// All possible successors under any action/observation.
-			for _, nb := range []belief{
-				p.predictMissed(b),
-				p.conditionNoEvent(b),
-				p.initialBelief(),
-			} {
-				k := beliefKey(nb)
-				if _, ok := seen[k]; !ok {
-					seen[k] = struct{}{}
-					next[k] = nb
-					total++
-				}
-			}
-		}
-		counts = append(counts, total)
-		frontier = next
-		if len(frontier) == 0 {
-			// Belief space exhausted; remaining horizons keep the total.
-			for len(counts) < maxHorizon {
-				counts = append(counts, total)
-			}
-			break
-		}
-	}
-	return counts
-}

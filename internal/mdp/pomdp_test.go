@@ -112,23 +112,22 @@ func TestPOMDPAlwaysOnMatchesExactForMemoryless(t *testing.T) {
 
 func TestInformationStateGrowth(t *testing.T) {
 	// A 6-slot uniform inter-arrival process: distinct observation
-	// histories map to distinct beliefs, so the reachable set grows
-	// rapidly with the horizon (the paper's exponential-complexity claim).
+	// histories map to distinct beliefs, so the number of beliefs the
+	// exact solver reaches grows rapidly with the horizon (the paper's
+	// exponential-complexity claim, reported by ablation-pomdp).
 	alpha := []float64{1.0 / 6, 1.0 / 6, 1.0 / 6, 1.0 / 6, 1.0 / 6, 1.0 / 6}
-	p, err := NewPOMDP(alpha, 1, 6, 10, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := p.InformationStateGrowth(8)
-	if len(counts) != 8 {
-		t.Fatalf("got %d counts, want 8", len(counts))
-	}
-	prev := 0
-	for i, c := range counts {
-		if c < prev {
-			t.Fatalf("information-state count decreased at horizon %d", i+1)
+	counts := make([]int, 8)
+	for h := 1; h <= len(counts); h++ {
+		p, err := NewPOMDP(alpha, 1, 6, 10, 1, h)
+		if err != nil {
+			t.Fatal(err)
 		}
-		prev = c
+		counts[h-1] = p.SolveExact().DistinctBeliefs
+	}
+	for i := 1; i < len(counts); i++ {
+		if counts[i] < counts[i-1] {
+			t.Fatalf("information-state count decreased at horizon %d: %v", i+1, counts)
+		}
 	}
 	if counts[7] < 4*counts[1] {
 		t.Fatalf("expected strong growth, got %v", counts)

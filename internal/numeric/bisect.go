@@ -1,43 +1,5 @@
 package numeric
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrNoBracket is returned by Bisect when f(lo) and f(hi) have the same
-// sign, so no root is bracketed.
-var ErrNoBracket = errors.New("numeric: root not bracketed")
-
-// Bisect finds x in [lo, hi] with f(x) ≈ 0 by bisection, assuming f is
-// continuous and f(lo), f(hi) have opposite signs (either may be zero).
-// It iterates until the interval width falls below tol or 200 iterations.
-func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if math.Signbit(flo) == math.Signbit(fhi) {
-		return 0, ErrNoBracket
-	}
-	for i := 0; i < 200 && hi-lo > tol; i++ {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if math.Signbit(fm) == math.Signbit(flo) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2, nil
-}
-
 // MaximizeMonotoneBudget finds the largest x in [0, 1] such that
 // cost(x) <= budget, assuming cost is nondecreasing in x. It is used to
 // pick fractional activation probabilities that exactly exhaust an energy

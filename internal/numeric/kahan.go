@@ -44,19 +44,6 @@ func Sum(xs []float64) float64 {
 	return k.Value()
 }
 
-// Dot returns the compensated dot product of a and b. It panics if the
-// lengths differ.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("numeric: Dot length mismatch")
-	}
-	var k KahanSum
-	for i, x := range a {
-		k.Add(x * b[i])
-	}
-	return k.Value()
-}
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x

@@ -64,20 +64,3 @@ func TestSumMatchesLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDot(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	if got := Dot(a, b); got != 32 {
-		t.Fatalf("got %v, want 32", got)
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}

@@ -29,26 +29,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// MulVec returns m·x. It panics if len(x) != m.Cols.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("numeric: MulVec dimension mismatch %d != %d", len(x), m.Cols))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		out[i] = Dot(row, x)
-	}
-	return out
-}
-
 // SolveLinear solves A·x = b in place using Gaussian elimination with
 // partial pivoting. A must be square with A.Rows == len(b). A and b are
 // clobbered. It returns ErrSingular when no unique solution exists.

@@ -81,8 +81,13 @@ func TestSolveLinearRandomRoundTrip(t *testing.T) {
 		for i := range want {
 			want[i] = 2*s.Float64() - 1
 		}
-		b := a.MulVec(want)
-		got, err := SolveLinear(a.Clone(), b)
+		b := make([]float64, n)
+		for i := range b {
+			for j, x := range want {
+				b[i] += a.At(i, j) * x
+			}
+		}
+		got, err := SolveLinear(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -91,25 +96,6 @@ func TestSolveLinearRandomRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestMulVecPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMatrix(2, 2).MulVec([]float64{1})
-}
-
-func TestMatrixClone(t *testing.T) {
-	a := NewMatrix(1, 2)
-	a.Set(0, 0, 7)
-	b := a.Clone()
-	b.Set(0, 0, 9)
-	if a.At(0, 0) != 7 {
-		t.Fatal("Clone shares backing storage")
 	}
 }
 

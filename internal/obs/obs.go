@@ -114,12 +114,6 @@ func (g *Gauge) Add(n int64) {
 	}
 }
 
-// Load returns the current level.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Max returns the high-water mark.
-func (g *Gauge) Max() int64 { return g.max.Load() }
-
 // floatCounterUnit is FloatCounter's fixed-point resolution: it counts
 // in units of 2^-20.
 const floatCounterUnit = 1 << 20
@@ -171,9 +165,6 @@ func (v *CounterVec) Add(i int, n int64) {
 	v.bins[i].Add(n)
 }
 
-// Bin returns the count in bin i.
-func (v *CounterVec) Bin(i int) int64 { return v.bins[i].Load() }
-
 // durationBuckets are the fixed upper bounds of DurationHist, chosen for
 // pool jobs that span simulation runs (milliseconds to minutes).
 var durationBuckets = []struct {
@@ -221,19 +212,6 @@ func (h *DurationHist) Observe(d time.Duration) {
 	h.buckets[i].Inc()
 	h.sumNs.Add(int64(d))
 	h.count.Inc()
-}
-
-// Count returns how many durations were observed.
-func (h *DurationHist) Count() int64 { return h.count.Load() }
-
-// MeanNs returns the mean observed duration in nanoseconds (0 before the
-// first observation).
-func (h *DurationHist) MeanNs() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sumNs.Load()) / float64(n)
 }
 
 // The process-wide metric set. Naming convention: subsystem-dotted,

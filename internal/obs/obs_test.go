@@ -41,12 +41,6 @@ func TestGaugeTracksHighWater(t *testing.T) {
 	g.Add(3)
 	g.Add(4)
 	g.Add(-5)
-	if g.Load() != 2 {
-		t.Fatalf("gauge = %d, want 2", g.Load())
-	}
-	if g.Max() != 7 {
-		t.Fatalf("gauge max = %d, want 7", g.Max())
-	}
 	snap := Snapshot()
 	if snap[name] != 2 || snap[name+".max"] != 7 {
 		t.Fatalf("snapshot gauge=%v max=%v", snap[name], snap[name+".max"])
@@ -98,11 +92,9 @@ func TestCounterVecClampsBins(t *testing.T) {
 	v.Add(2, 2)
 	v.Add(-5, 10) // clamps to bin 0
 	v.Add(99, 20) // clamps to bin 2
-	if v.Bin(0) != 11 || v.Bin(1) != 0 || v.Bin(2) != 22 {
-		t.Fatalf("bins = %d/%d/%d", v.Bin(0), v.Bin(1), v.Bin(2))
-	}
-	if got := Snapshot()[name+".02"]; got != 22 {
-		t.Fatalf("snapshot bin 2 = %v", got)
+	snap := Snapshot()
+	if snap[name+".00"] != 11 || snap[name+".01"] != 0 || snap[name+".02"] != 22 {
+		t.Fatalf("bins = %v/%v/%v", snap[name+".00"], snap[name+".01"], snap[name+".02"])
 	}
 }
 
@@ -113,9 +105,6 @@ func TestDurationHistBuckets(t *testing.T) {
 	h.Observe(5 * time.Millisecond)   // le_10ms
 	h.Observe(2 * time.Second)        // le_10s
 	h.Observe(time.Hour)              // inf
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
-	}
 	snap := Snapshot()
 	for key, want := range map[string]float64{
 		"le_1ms":  1,
@@ -129,9 +118,9 @@ func TestDurationHistBuckets(t *testing.T) {
 			t.Errorf("%s = %v, want %v", key, snap[key], want)
 		}
 	}
-	wantMean := float64(500*time.Microsecond+5*time.Millisecond+2*time.Second+time.Hour) / 4
-	if got := h.MeanNs(); got != wantMean {
-		t.Fatalf("mean = %v ns, want %v", got, wantMean)
+	wantSum := float64(500*time.Microsecond + 5*time.Millisecond + 2*time.Second + time.Hour)
+	if got := snap[name+".sum_ns"]; got != wantSum {
+		t.Fatalf("sum = %v ns, want %v", got, wantSum)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -206,17 +205,6 @@ func mergePhases(spans []*Span) []*Phase {
 		out = append(out, ph)
 	}
 	return out
-}
-
-// Keys returns the phase's counter keys, sorted (helper for stable
-// rendering; the JSON encoder already sorts map keys).
-func (p *Phase) Keys() []string {
-	keys := make([]string, 0, len(p.Counters))
-	for k := range p.Counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // chromeEvent is one Trace Event Format entry: a "complete" event

@@ -6,11 +6,10 @@
 // of goroutines while keeping results bit-identical to a sequential
 // run.
 //
-// Determinism contract: results are returned in job-index order, each
-// job's inputs depend only on its index (never on scheduling), and
-// MapSeeded derives each job's random stream from (seed, index) alone
-// via rng.Source.Split. Consequently the output of a sweep is identical
-// for any worker count, including 1.
+// Determinism contract: results are returned in job-index order, and
+// each job's inputs, its random streams included, depend only on its
+// index (never on scheduling). Consequently the output of a sweep is
+// identical for any worker count, including 1.
 package parallel
 
 import (
@@ -22,7 +21,6 @@ import (
 	"time"
 
 	"eventcap/internal/obs"
-	"eventcap/internal/rng"
 )
 
 // Workers resolves a requested worker count: values below 1 mean "one
@@ -158,27 +156,4 @@ func runJob[T any](i int, fn func(int) (T, error)) (v T, err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// ForEach is Map for jobs with no result value.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// seedStream scopes MapSeeded's derived streams away from the
-// simulator's own stream ids, so a sweep and the runs inside it never
-// alias.
-const seedStream = 0x9a7a11e150a7c4ed
-
-// MapSeeded is Map with a deterministic per-job random source: job i
-// receives rng.New(seed, seedStream).Split(i), reconstructed
-// independently inside the job so the stream depends only on (seed, i)
-// — never on worker count or scheduling.
-func MapSeeded[T any](workers, n int, seed uint64, fn func(i int, src *rng.Source) (T, error)) ([]T, error) {
-	return Map(workers, n, func(i int) (T, error) {
-		return fn(i, rng.New(seed, seedStream).Split(uint64(i)))
-	})
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"eventcap/internal/obs"
-	"eventcap/internal/rng"
 )
 
 func TestMapOrderedResults(t *testing.T) {
@@ -36,8 +35,9 @@ func TestMapEmpty(t *testing.T) {
 	if err != nil || got != nil {
 		t.Fatalf("empty Map: got %v, %v", got, err)
 	}
-	if err := ForEach(4, -3, func(int) error { return errors.New("never") }); err != nil {
-		t.Fatalf("negative n: %v", err)
+	got, err = Map(4, -3, func(int) (int, error) { return 0, errors.New("never") })
+	if err != nil || got != nil {
+		t.Fatalf("negative n: got %v, %v", got, err)
 	}
 }
 
@@ -133,78 +133,11 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(4, 100, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d, want 4950", sum.Load())
-	}
-}
-
-// TestMapSeededDeterministic is the package's core guarantee: per-job
-// streams depend only on (seed, index), so any worker count draws the
-// same numbers.
-func TestMapSeededDeterministic(t *testing.T) {
-	draw := func(workers int) []uint64 {
-		out, err := MapSeeded(workers, 64, 42, func(i int, src *rng.Source) (uint64, error) {
-			// A few draws per job to exercise stream state.
-			v := src.Uint64()
-			v ^= src.Uint64()
-			return v, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return out
-	}
-	want := draw(1)
-	for _, workers := range []int{2, 8, 0} {
-		got := draw(workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: job %d drew %x, want %x", workers, i, got[i], want[i])
-			}
-		}
-	}
-	// Distinct jobs must get distinct streams.
-	seen := make(map[uint64]int)
-	for i, v := range want {
-		if j, dup := seen[v]; dup {
-			t.Fatalf("jobs %d and %d drew identical values", i, j)
-		}
-		seen[v] = i
-	}
-	// Distinct seeds must decorrelate.
-	other, err := MapSeeded(4, 64, 43, func(i int, src *rng.Source) (uint64, error) {
-		v := src.Uint64()
-		v ^= src.Uint64()
-		return v, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := 0
-	for i := range want {
-		if want[i] == other[i] {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("%d of 64 jobs drew identical values under different seeds", same)
-	}
-}
-
 // TestPoolCountersDrainPending: the pool gauges must return to their
 // starting level after every Map call — including one cut short by an
 // error, where undispatched jobs drain in bulk.
 func TestPoolCountersDrainPending(t *testing.T) {
-	pending0 := obs.PoolPending.Load()
-	inflight0 := obs.PoolInFlight.Load()
+	before := obs.Snapshot()
 	done0 := obs.PoolJobsDone.Load()
 	enq0 := obs.PoolJobsEnqueued.Load()
 	errs0 := obs.PoolJobErrors.Load()
@@ -223,11 +156,11 @@ func TestPoolCountersDrainPending(t *testing.T) {
 		t.Fatal("expected error")
 	}
 
-	if got := obs.PoolPending.Load(); got != pending0 {
-		t.Errorf("pending gauge leaked: %d, started at %d", got, pending0)
-	}
-	if got := obs.PoolInFlight.Load(); got != inflight0 {
-		t.Errorf("inflight gauge leaked: %d, started at %d", got, inflight0)
+	after := obs.Snapshot()
+	for _, gauge := range []string{"pool.pending", "pool.inflight"} {
+		if after[gauge] != before[gauge] {
+			t.Errorf("%s gauge leaked: %v, started at %v", gauge, after[gauge], before[gauge])
+		}
 	}
 	if got := obs.PoolJobsEnqueued.Load() - enq0; got != 1030 {
 		t.Errorf("enqueued delta = %d, want 1030", got)
@@ -239,7 +172,7 @@ func TestPoolCountersDrainPending(t *testing.T) {
 	if done < 31 || done > 1030 {
 		t.Errorf("done delta = %d, want in [31, 1030]", done)
 	}
-	if obs.PoolLatency.Count() == 0 {
+	if after["pool.latency.count"] == before["pool.latency.count"] {
 		t.Error("latency histogram empty")
 	}
 }

@@ -1,11 +1,12 @@
 // Package renewal implements discrete-time renewal theory for slotted
-// event processes: the renewal mass function, the renewal function M(T),
-// and forward-recurrence (residual life) distributions.
+// event processes: the renewal mass function and the stationary age
+// distribution.
 //
-// These are the discrete counterparts of the quantities in the paper's
-// Appendix B (m(y), G_t(x), Ψ(t)) and provide an independent route to the
-// partial-information hazards that cross-validates the Bayes filter in
-// internal/core.
+// The mass function is the discrete counterpart of the paper's Appendix
+// B m(y) and an independent route to the partial-information event
+// probabilities that cross-validates the Bayes filter in internal/core;
+// the stationary age distribution calibrates the multi-PoI threshold
+// policy (core.OptimizeMultiPoI).
 package renewal
 
 import (
@@ -16,7 +17,7 @@ import (
 
 // Process is a discrete renewal process with a finite inter-arrival PMF.
 // alpha[k] = P(X = k+1). A renewal ("event") is assumed at slot 0; Mass
-// and the other methods condition on it.
+// conditions on it.
 //
 // A Process caches the renewal mass function and grows it on demand; it is
 // not safe for concurrent use.
@@ -106,87 +107,12 @@ func (p *Process) Mass(t int) float64 {
 	return p.mass[t-1]
 }
 
-// ExpectedCount returns M(T) = E[number of renewals in (0, T]].
-func (p *Process) ExpectedCount(T int) float64 {
-	if T < 1 {
-		return 0
-	}
-	p.extendMass(T)
-	var sum numeric.KahanSum
-	for t := 1; t <= T; t++ {
-		sum.Add(p.mass[t-1])
-	}
-	return sum.Value()
-}
-
-// LimitRate returns the elementary-renewal-theorem limit 1/μ that m(t)
-// converges to.
-func (p *Process) LimitRate() float64 { return 1 / p.mean }
-
-// ResidualPMF returns P(Ψ(t) = x): the probability that, given a renewal
-// at slot 0 and no knowledge of intervening slots, the first renewal
-// strictly after slot t occurs at slot t+x (x >= 1). This is the discrete
-// version of the paper's G_t distribution:
-//
-//	ψ_t(x) = Σ_{s=0}^{t} m(s) · α(t+x−s)
-//
-// where the term for s is "last renewal at or before t happened at s and
-// its successor arrives at t+x".
-func (p *Process) ResidualPMF(t, x int) float64 {
-	if x < 1 || t < 0 {
-		return 0
-	}
-	p.extendMass(t)
-	var sum numeric.KahanSum
-	// Only s with t+x−s <= len(alpha) contribute.
-	lo := t + x - len(p.alpha)
-	if lo < 0 {
-		lo = 0
-	}
-	for s := lo; s <= t; s++ {
-		a := p.alphaAt(t + x - s)
-		if a == 0 {
-			continue
-		}
-		sum.Add(p.Mass(s) * a)
-	}
-	return sum.Value()
-}
-
-// ResidualCDF returns G_t(x) = P(Ψ(t) <= x) = Σ_{k=1}^{x} ψ_t(k).
-func (p *Process) ResidualCDF(t, x int) float64 {
-	if x < 1 {
-		return 0
-	}
-	var sum numeric.KahanSum
-	for k := 1; k <= x; k++ {
-		sum.Add(p.ResidualPMF(t, k))
-	}
-	v := sum.Value()
-	if v > 1 {
-		v = 1
-	}
-	return v
-}
-
-// ResidualHazard returns P(renewal at slot t+1 | no renewal in (s, t] for
-// the unobserved interval), i.e. ψ_t(1) normalized — used as the
-// partial-information hazard after a fully unobserved stretch. For t = 0
-// it reduces to α_1.
-func (p *Process) ResidualHazard(t int) float64 {
-	return p.ResidualPMF(t, 1)
-}
-
-// MaxSupport returns the largest inter-arrival value with positive
-// probability bound (the PMF table length).
-func (p *Process) MaxSupport() int { return len(p.alpha) }
-
 // EquilibriumAge returns the stationary (time-average) distribution of the
 // renewal process's age: P(age = j) = (1 − F(j−1))/μ for j >= 1. This is
 // the belief an observer holds about a renewal process it has never
 // observed — the starting point of a sensor deployed long after the
 // process began, as opposed to the paper's "event at slot 0" convention.
-// The returned slice has one entry per age 1..MaxSupport.
+// The returned slice has one entry per age 1..len(alpha).
 func (p *Process) EquilibriumAge() []float64 {
 	out := make([]float64, len(p.alpha))
 	surv := 1.0
@@ -201,8 +127,3 @@ func (p *Process) EquilibriumAge() []float64 {
 	}
 	return out
 }
-
-// EquilibriumHazard returns the probability an event occurs in a slot
-// under the stationary regime: exactly 1/μ, included for symmetry and
-// tests.
-func (p *Process) EquilibriumHazard() float64 { return 1 / p.mean }

@@ -71,46 +71,42 @@ func TestGeometricMassConstant(t *testing.T) {
 	}
 }
 
+// TestElementaryRenewalTheorem: the renewal mass averages to the event
+// rate 1/μ of the law, for an aperiodic law of each shape the
+// experiments use, including the Markov chains of Fig. 5.
 func TestElementaryRenewalTheorem(t *testing.T) {
-	w, err := dist.NewWeibull(40, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := fromDist(t, w)
-	// m(t) -> 1/μ.
-	limit := p.LimitRate()
-	avg := 0.0
-	const from, to = 2000, 3000
-	for tt := from; tt < to; tt++ {
-		avg += p.Mass(tt)
-	}
-	avg /= to - from
-	if math.Abs(avg-limit) > 1e-6 {
-		t.Fatalf("mass average %v, limit %v", avg, limit)
-	}
-	// M(T)/T -> 1/μ.
-	T := 50000
-	if got := p.ExpectedCount(T) / float64(T); math.Abs(got-limit) > 1e-3 {
-		t.Fatalf("M(T)/T=%v, want %v", got, limit)
-	}
-}
-
-func TestExpectedCountMonotone(t *testing.T) {
-	u, err := dist.NewUniformInt(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := fromDist(t, u)
-	prev := 0.0
-	for T := 1; T <= 100; T++ {
-		got := p.ExpectedCount(T)
-		if got < prev-1e-12 {
-			t.Fatalf("ExpectedCount decreased at %d", T)
-		}
-		prev = got
-	}
-	if p.ExpectedCount(0) != 0 {
-		t.Fatal("ExpectedCount(0) != 0")
+	for _, tc := range []struct {
+		name string
+		law  func() (dist.Interarrival, error)
+	}{
+		{"weibull", func() (dist.Interarrival, error) { return dist.NewWeibull(40, 3) }},
+		{"uniform", func() (dist.Interarrival, error) { return dist.NewUniformInt(2, 5) }},
+		{"markov-0.7-0.6", func() (dist.Interarrival, error) { return dist.NewMarkovRenewal(0.7, 0.6) }},
+		{"markov-0.3-0.2", func() (dist.Interarrival, error) { return dist.NewMarkovRenewal(0.3, 0.2) }},
+		{"markov-0.9-0.9", func() (dist.Interarrival, error) { return dist.NewMarkovRenewal(0.9, 0.9) }},
+		{"markov-0.5-0.5", func() (dist.Interarrival, error) { return dist.NewMarkovRenewal(0.5, 0.5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := tc.law()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := fromDist(t, d)
+			// m(t) -> 1/μ, with μ from the law's closed form.
+			limit := 1 / d.Mean()
+			if math.Abs(p.Mean()-d.Mean()) > 1e-6 {
+				t.Fatalf("tabulated mean %v, law mean %v", p.Mean(), d.Mean())
+			}
+			avg := 0.0
+			const from, to = 2000, 3000
+			for tt := from; tt < to; tt++ {
+				avg += p.Mass(tt)
+			}
+			avg /= to - from
+			if math.Abs(avg-limit) > 1e-6 {
+				t.Fatalf("mass average %v, limit %v", avg, limit)
+			}
+		})
 	}
 }
 
@@ -143,83 +139,6 @@ func TestMassMatchesMonteCarlo(t *testing.T) {
 	}
 }
 
-func TestResidualPMFAtZeroIsAlpha(t *testing.T) {
-	alpha := []float64{0.1, 0.2, 0.3, 0.4}
-	p := mustProcess(t, alpha)
-	for x := 1; x <= 4; x++ {
-		if got := p.ResidualPMF(0, x); math.Abs(got-alpha[x-1]) > 1e-12 {
-			t.Fatalf("ResidualPMF(0,%d)=%v, want %v", x, got, alpha[x-1])
-		}
-	}
-	if p.ResidualPMF(0, 0) != 0 || p.ResidualPMF(-1, 1) != 0 {
-		t.Fatal("residual boundary conventions violated")
-	}
-}
-
-func TestResidualPMFSumsToOne(t *testing.T) {
-	u, err := dist.NewUniformInt(1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := fromDist(t, u)
-	for _, tt := range []int{0, 1, 3, 10, 50} {
-		var sum numeric.KahanSum
-		for x := 1; x <= p.MaxSupport()+1; x++ {
-			sum.Add(p.ResidualPMF(tt, x))
-		}
-		if got := sum.Value(); math.Abs(got-1) > 1e-10 {
-			t.Fatalf("residual pmf at t=%d sums to %v", tt, got)
-		}
-	}
-}
-
-func TestResidualCDFMonotoneAndCapped(t *testing.T) {
-	w, err := dist.NewWeibull(10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := fromDist(t, w)
-	prev := 0.0
-	for x := 1; x <= 60; x++ {
-		got := p.ResidualCDF(7, x)
-		if got < prev-1e-12 || got > 1 {
-			t.Fatalf("ResidualCDF(7,%d)=%v not monotone in [0,1]", x, got)
-		}
-		prev = got
-	}
-	if p.ResidualCDF(7, 0) != 0 {
-		t.Fatal("ResidualCDF(t,0) != 0")
-	}
-}
-
-func TestResidualHazardGeometricConstant(t *testing.T) {
-	g, err := dist.NewGeometric(0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := fromDist(t, g)
-	for _, tt := range []int{0, 1, 5, 40} {
-		if got := p.ResidualHazard(tt); math.Abs(got-0.25) > 1e-9 {
-			t.Fatalf("ResidualHazard(%d)=%v, want 0.25", tt, got)
-		}
-	}
-}
-
-// TestResidualMatchesMassIdentity checks ψ_t(1) == m(t+1) by definition of
-// both quantities.
-func TestResidualMatchesMassIdentity(t *testing.T) {
-	e, err := dist.NewEmpirical([]float64{0.4, 0.1, 0.1, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := fromDist(t, e)
-	for tt := 0; tt <= 40; tt++ {
-		if got, want := p.ResidualHazard(tt), p.Mass(tt+1); math.Abs(got-want) > 1e-10 {
-			t.Fatalf("ψ_%d(1)=%v != m(%d)=%v", tt, got, tt+1, want)
-		}
-	}
-}
-
 func BenchmarkMassWeibull(b *testing.B) {
 	w, err := dist.NewWeibull(40, 3)
 	if err != nil {
@@ -235,7 +154,7 @@ func BenchmarkMassWeibull(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = p.ExpectedCount(5000)
+		_ = p.Mass(5000)
 	}
 }
 
@@ -261,8 +180,8 @@ func TestEquilibriumAgeSumsToOne(t *testing.T) {
 	for j, w := range eq {
 		hz.Add(w * u.Hazard(j+1))
 	}
-	if math.Abs(hz.Value()-p.EquilibriumHazard()) > 1e-9 {
-		t.Fatalf("equilibrium hazard %v, want %v", hz.Value(), p.EquilibriumHazard())
+	if want := 1 / p.Mean(); math.Abs(hz.Value()-want) > 1e-9 {
+		t.Fatalf("equilibrium hazard %v, want 1/μ = %v", hz.Value(), want)
 	}
 }
 
@@ -274,7 +193,7 @@ func TestEquilibriumMatchesLongRunMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := fromDist(t, e)
-	if got, want := p.Mass(5000), p.EquilibriumHazard(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("long-run mass %v, equilibrium hazard %v", got, want)
+	if got, want := p.Mass(5000), 1/p.Mean(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("long-run mass %v, equilibrium hazard 1/μ = %v", got, want)
 	}
 }

@@ -182,12 +182,6 @@ func (s *Source) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1 by inversion.
-func (s *Source) ExpFloat64() float64 {
-	// 1-Float64() is in (0,1], so the log is finite.
-	return -math.Log(1 - s.Float64())
-}
-
 // Geometric returns the number of failures before the first success in a
 // sequence of Bernoulli(p) trials, drawn by inversion with a single
 // uniform: P(G = g) = (1-p)^g p for g >= 0. It panics unless p is in
@@ -203,26 +197,4 @@ func (s *Source) Geometric(p float64) int64 {
 	// log1p(-Float64()) is in (-inf, 0]; the ratio floors to g >= 0.
 	g := math.Floor(math.Log1p(-s.Float64()) / math.Log1p(-p))
 	return int64(g)
-}
-
-// Perm returns a pseudo-random permutation of [0, n) as a slice.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the provided
-// swap function. It panics if n < 0.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("rng: Shuffle with n < 0")
-	}
-	for i := n - 1; i > 0; i-- {
-		swap(i, s.Intn(i+1))
-	}
 }

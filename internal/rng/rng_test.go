@@ -185,73 +185,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Moments(t *testing.T) {
-	s := New(13, 0)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := s.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("negative exponential draw %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.01 {
-		t.Errorf("exponential mean %v", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(6, 2)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	s := New(14, 2)
-	const n = 50
-	vals := make([]int, n)
-	for i := range vals {
-		vals[i] = i
-	}
-	s.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	seen := make([]bool, n)
-	for _, v := range vals {
-		if seen[v] {
-			t.Fatalf("shuffle produced duplicate %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShuffleUniformFirstElement(t *testing.T) {
-	s := New(15, 2)
-	const n, trials = 5, 50000
-	counts := make([]int, n)
-	for k := 0; k < trials; k++ {
-		vals := []int{0, 1, 2, 3, 4}
-		s.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-		counts[vals[0]]++
-	}
-	want := float64(trials) / n
-	for v, c := range counts {
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Errorf("value %d landed first %d times, want ~%v", v, c, want)
-		}
-	}
-}
-
 // TestBitBalance checks that each output bit is set about half the time —
 // a cheap smoke test of the output permutation.
 func TestBitBalance(t *testing.T) {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"eventcap/internal/core"
 	"eventcap/internal/numeric"
 )
@@ -114,12 +112,4 @@ func (a *AdaptiveGreedyFI) Observe(o Outcome) {
 	a.vec = fi.Policy
 	a.havePolicy = true
 	a.sinceRefresh = 0
-}
-
-// Err reports a configuration failure from Reset (nil when healthy).
-func (a *AdaptiveGreedyFI) Err() error {
-	if a.initErr != nil {
-		return fmt.Errorf("sim: adaptive policy initialization: %w", a.initErr)
-	}
-	return nil
 }

@@ -108,7 +108,7 @@ func runBatch(cfg Config, plan *kernelPlan, quant *dist.QuantileTable) (*Result,
 	for _, c := range counts {
 		res.Events += c[0]
 		res.Captures += c[1]
-		o.sp.ObserveReplica(c[0], c[1])
+		o.sp.observeReplica(c[0], c[1])
 	}
 	agg.End()
 	o.finish(res)

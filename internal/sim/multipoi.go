@@ -124,7 +124,10 @@ func RunMultiPoI(cfg MultiPoIConfig) (*MultiPoIResult, error) {
 	}
 
 	root := rng.New(cfg.Seed, 0x90110) // seedflow:ok run-root: the multi-PoI engine's root stream, derived from Config.Seed
-	decisionSrc := root.Split(1)
+	// Stream 1 is never drawn from, but Split consumes a root draw:
+	// dropping this call would shift the recharge stream and move
+	// ablation-multipoi.
+	root.Split(1)
 	rechargeSrc := root.Split(2)
 	battery, err := energy.NewBattery(cfg.BatteryCap, cfg.BatteryCap/2)
 	if err != nil {
@@ -157,7 +160,6 @@ func RunMultiPoI(cfg MultiPoIConfig) (*MultiPoIResult, error) {
 			return nil, fmt.Errorf("sim: policy chose PoI %d of %d", poi, m)
 		}
 		active := wantActive && battery.CanConsume(cost)
-		_ = decisionSrc // reserved for randomized PoI policies
 		if active {
 			battery.Consume(cfg.Params.Delta1)
 		}

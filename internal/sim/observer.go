@@ -29,7 +29,7 @@ type observer struct {
 	m *Metrics
 	// sp is the stats probe, nil on a batch part: parts record
 	// per-replication counts that the run observer feeds after the join.
-	sp *StatsProbe
+	sp *statsProbe
 
 	// sampling reports whether this observer samples sensor 0's
 	// end-of-slot battery level into Metrics' occupancy. invCap and
@@ -51,7 +51,7 @@ type observer struct {
 // records.
 func newObserver(cfg *Config, engine uint8) observer {
 	o := newPart(cfg, engine)
-	o.sp = &StatsProbe{}
+	o.sp = &statsProbe{}
 	return o
 }
 
@@ -107,7 +107,7 @@ func (o *observer) event(captured, denied bool) {
 		}
 	}
 	if o.sp != nil {
-		o.sp.ObserveEvent(captured)
+		o.sp.observeEvent(captured)
 	}
 }
 
@@ -119,7 +119,7 @@ func (o *observer) sleepRun(n, misses int64) {
 	o.m.KernelSlotsFastForwarded += n
 	o.m.MissAsleep += misses
 	if o.sp != nil {
-		o.sp.ObserveMisses(misses)
+		o.sp.observeMisses(misses)
 	}
 }
 
@@ -214,6 +214,6 @@ func (o *observer) finish(res *Result) {
 	}
 	res.Metrics = o.m
 	o.m.publish(res)
-	r := o.sp.Report()
+	r := o.sp.report()
 	res.Stats = &r
 }

@@ -2,7 +2,7 @@ package sim
 
 import "eventcap/internal/stats"
 
-// StatsProbe accumulates the streaming statistics of DESIGN.md §16
+// statsProbe accumulates the streaming statistics of DESIGN.md §16
 // alongside every run: the per-event QoM indicator stream (batch means
 // → CI) and, on batches, per-replication QoM samples. Battery
 // occupancy is Metrics' alone. Like every sink of the run observer it
@@ -13,7 +13,7 @@ import "eventcap/internal/stats"
 // per-replication counts, fed to the probe after the join), so the
 // probe carries no locks. Its report is built once per run and
 // allocates nothing beyond the Report itself.
-type StatsProbe struct {
+type statsProbe struct {
 	qom  stats.BatchMeans
 	reps stats.Welford
 
@@ -21,9 +21,9 @@ type StatsProbe struct {
 	repCaptures int64
 }
 
-// ObserveEvent folds one event's capture indicator into the QoM
+// observeEvent folds one event's capture indicator into the QoM
 // stream, in slot order.
-func (sp *StatsProbe) ObserveEvent(captured bool) {
+func (sp *statsProbe) observeEvent(captured bool) {
 	if captured {
 		sp.qom.Add(1)
 	} else {
@@ -31,21 +31,21 @@ func (sp *StatsProbe) ObserveEvent(captured bool) {
 	}
 }
 
-// ObserveMisses folds n missed events in at once — the kernel's
+// observeMisses folds n missed events in at once — the kernel's
 // fast-forwarded sleep runs resolve their events in bulk. Exactly
-// equivalent to n ObserveEvent(false) calls.
-func (sp *StatsProbe) ObserveMisses(n int64) {
+// equivalent to n observeEvent(false) calls.
+func (sp *statsProbe) observeMisses(n int64) {
 	if n <= 0 {
 		return
 	}
 	sp.qom.AddN(0, n)
 }
 
-// ObserveReplica folds one replication's event totals in (batches
+// observeReplica folds one replication's event totals in (batches
 // observe at replication granularity). Replications are fed in
 // replication order; a replication without events contributes to the
 // totals but not to the per-replication QoM sample.
-func (sp *StatsProbe) ObserveReplica(events, captures int64) {
+func (sp *statsProbe) observeReplica(events, captures int64) {
 	sp.repEvents += events
 	sp.repCaptures += captures
 	if events > 0 {
@@ -53,9 +53,9 @@ func (sp *StatsProbe) ObserveReplica(events, captures int64) {
 	}
 }
 
-// Report builds the probe's current report: the replication method
+// report builds the probe's current report: the replication method
 // when replications were observed, batch means otherwise.
-func (sp *StatsProbe) Report() stats.Report {
+func (sp *statsProbe) report() stats.Report {
 	if sp.reps.N > 0 || sp.repEvents > 0 {
 		return stats.ReplicationReport(sp.reps, sp.repEvents, sp.repCaptures, stats.DefaultCILevel)
 	}

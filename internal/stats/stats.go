@@ -1,14 +1,14 @@
 // Package stats provides the statistical machinery used to validate the
 // simulator and to attach uncertainty to measured QoM values: descriptive
-// statistics, batch-means confidence intervals for dependent time series
-// (simulation output is autocorrelated, so naive CIs would be too tight),
-// and a chi-square goodness-of-fit test used by the sampler tests.
+// statistics, streaming batch-means confidence intervals for dependent
+// time series (simulation output is autocorrelated, so naive CIs would be
+// too tight), and a chi-square goodness-of-fit test used by the sampler
+// tests.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"eventcap/internal/numeric"
 )
@@ -68,12 +68,6 @@ type Interval struct {
 	Level  float64 // e.g. 0.95
 }
 
-// Contains reports whether v lies inside the interval.
-func (iv Interval) Contains(v float64) bool { return v >= iv.Lo && v <= iv.Hi }
-
-// Width returns Hi − Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
 // MeanCI returns the normal-approximation confidence interval for the
 // mean of an i.i.d. sample at the given level (0 < level < 1).
 func MeanCI(xs []float64, level float64) (Interval, error) {
@@ -87,25 +81,6 @@ func MeanCI(xs []float64, level float64) (Interval, error) {
 	z := NormalQuantile(0.5 + level/2)
 	h := z * s.StdErr()
 	return Interval{Lo: s.Mean - h, Hi: s.Mean + h, Level: level}, nil
-}
-
-// BatchMeansCI estimates a confidence interval for the steady-state mean
-// of a dependent (autocorrelated) series using the method of batch means:
-// the series is cut into numBatches contiguous batches, whose means are
-// approximately independent for long batches.
-func BatchMeansCI(series []float64, numBatches int, level float64) (Interval, error) {
-	if numBatches < 2 {
-		return Interval{}, fmt.Errorf("stats: need at least 2 batches, got %d", numBatches)
-	}
-	if len(series) < 2*numBatches {
-		return Interval{}, fmt.Errorf("stats: series of %d too short for %d batches", len(series), numBatches)
-	}
-	batchLen := len(series) / numBatches
-	means := make([]float64, numBatches)
-	for b := 0; b < numBatches; b++ {
-		means[b] = Summarize(series[b*batchLen : (b+1)*batchLen]).Mean
-	}
-	return MeanCI(means, level)
 }
 
 // NormalQuantile returns Φ⁻¹(p) for p in (0, 1), using the
@@ -223,41 +198,4 @@ func chiSquareQuantile99(k int) float64 {
 	kf := float64(k)
 	t := 1 - 2/(9*kf) + z*math.Sqrt(2/(9*kf))
 	return kf * t * t * t
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the sample by linear
-// interpolation of the order statistics. It copies and sorts the input.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: empty sample")
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g out of [0,1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo == len(sorted)-1 {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac, nil
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of the series.
-func Autocorrelation(xs []float64, lag int) (float64, error) {
-	if lag < 0 || lag >= len(xs) {
-		return 0, fmt.Errorf("stats: lag %d out of range for %d points", lag, len(xs))
-	}
-	s := Summarize(xs)
-	if s.Variance == 0 {
-		return 0, fmt.Errorf("stats: zero-variance series")
-	}
-	var num numeric.KahanSum
-	for i := 0; i+lag < len(xs); i++ {
-		num.Add((xs[i] - s.Mean) * (xs[i+lag] - s.Mean))
-	}
-	den := s.Variance * float64(len(xs)-1)
-	return num.Value() / den, nil
 }

@@ -63,7 +63,7 @@ func TestMeanCICoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if iv.Contains(3) {
+		if iv.Lo <= 3 && 3 <= iv.Hi {
 			contains++
 		}
 	}
@@ -79,38 +79,6 @@ func TestMeanCIErrors(t *testing.T) {
 	}
 	if _, err := MeanCI([]float64{1, 2}, 1.5); err == nil {
 		t.Fatal("bad level accepted")
-	}
-}
-
-func TestBatchMeansCI(t *testing.T) {
-	// An AR(1)-style dependent series: batch means still bracket the
-	// true mean.
-	src := rng.New(9, 0)
-	const n = 40000
-	series := make([]float64, n)
-	x := 0.0
-	for i := range series {
-		x = 0.9*x + src.NormFloat64()
-		series[i] = 5 + x
-	}
-	iv, err := BatchMeansCI(series, 20, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(5) {
-		t.Fatalf("batch-means CI %v does not contain the true mean 5", iv)
-	}
-	if iv.Width() <= 0 {
-		t.Fatal("degenerate interval")
-	}
-}
-
-func TestBatchMeansErrors(t *testing.T) {
-	if _, err := BatchMeansCI(make([]float64, 10), 1, 0.95); err == nil {
-		t.Fatal("single batch accepted")
-	}
-	if _, err := BatchMeansCI(make([]float64, 5), 4, 0.95); err == nil {
-		t.Fatal("too-short series accepted")
 	}
 }
 
@@ -186,56 +154,5 @@ func TestChiSquareErrors(t *testing.T) {
 	}
 	if _, _, _, err := ChiSquare([]int64{1, 2}, []float64{0.5, 0.2}); err == nil {
 		t.Fatal("non-normalized probabilities accepted")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	for q, want := range map[float64]float64{0: 1, 1: 4, 0.5: 2.5} {
-		got, err := Quantile(xs, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
-		}
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-	if _, err := Quantile(xs, 2); err == nil {
-		t.Fatal("out-of-range q accepted")
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Fatal("Quantile mutated its input")
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	// Alternating series: lag-1 autocorrelation ≈ -1.
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i%2)*2 - 1
-	}
-	r1, err := Autocorrelation(xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 > -0.95 {
-		t.Fatalf("lag-1 autocorrelation %v, want ~-1", r1)
-	}
-	r0, err := Autocorrelation(xs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r0-1) > 1e-9 {
-		t.Fatalf("lag-0 autocorrelation %v, want 1", r0)
-	}
-	if _, err := Autocorrelation(xs, len(xs)); err == nil {
-		t.Fatal("excessive lag accepted")
-	}
-	if _, err := Autocorrelation([]float64{1, 1, 1}, 1); err == nil {
-		t.Fatal("zero-variance series accepted")
 	}
 }
